@@ -9,6 +9,7 @@ environment variables are hard errors, so typos never pass silently.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Any, Mapping
 
@@ -38,6 +39,13 @@ def _defaults() -> dict[str, Any]:
     return values
 
 
+def _finite(key: str, value: float) -> float:
+    # JSON's Infinity and NaN literals and float("inf") would otherwise pass.
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+    return value
+
+
 def _coerce(key: str, value: Any) -> Any:
     if key in _INT_KEYS:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -46,7 +54,7 @@ def _coerce(key: str, value: Any) -> Any:
     if key in _FLOAT_KEYS:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-        return float(value)
+        return _finite(key, float(value))
     raise ConfigError(f"unknown config key {key!r}; valid keys: {list(ALL_KEYS)}")
 
 
@@ -55,7 +63,7 @@ def _coerce_env(key: str, raw: str) -> Any:
         if key in _INT_KEYS:
             return int(raw)
         if key in _FLOAT_KEYS:
-            return float(raw)
+            return _finite(key, float(raw))
     except ValueError as exc:
         raise ConfigError(f"environment override {ENV_PREFIX}{key.upper()}={raw!r}: {exc}") from exc
     raise ConfigError(f"unknown config key {key!r}; valid keys: {list(ALL_KEYS)}")

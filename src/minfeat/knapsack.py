@@ -54,7 +54,7 @@ class KnapsackInstance:
 
 @dataclass(frozen=True)
 class IntegerKnapsackInstance:
-    """Quantized instance: integer weights >= 1 and integer capacity >= 0."""
+    """Quantized instance: integer weights >= 1, positive values, capacity >= 0."""
 
     items: tuple[Hashable, ...]
     weights: tuple[int, ...]
@@ -69,6 +69,8 @@ class IntegerKnapsackInstance:
             raise InputError("item ids must be distinct")
         if any(w < 1 for w in self.weights):
             raise InputError("integer weights must be >= 1")
+        if any(not v > 0 for v in self.values):
+            raise InputError("values must be strictly positive")
         if self.capacity < 0:
             raise InputError("capacity must be non-negative")
 
@@ -116,6 +118,16 @@ def solve_dp(instance: IntegerKnapsackInstance) -> KnapsackSolution:
     capacity = instance.capacity
     if n == 0 or capacity == 0:
         return KnapsackSolution(selected=(), value=0.0, weight=0)
+    weight = sum(instance.weights)
+    if weight <= capacity:
+        # Every value is positive, so taking every item is the unique
+        # optimum. Values are added one by one in backtrack order (last
+        # item first), as the table path does, so the result matches it
+        # bit for bit; sum() may compensate rounding and would not.
+        value = 0.0
+        for v in reversed(instance.values):
+            value += v
+        return KnapsackSolution(selected=tuple(instance.items), value=value, weight=weight)
 
     best = np.zeros(capacity + 1, dtype=np.float64)
     take = np.zeros((n, capacity + 1), dtype=bool)

@@ -122,9 +122,10 @@ def embed(
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
+    """Softmax over the last axis, so a (B, C) stack gives one row per input."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -132,7 +133,9 @@ class Model:
     """Mean-pool -> affine -> tanh -> affine -> softmax classifier.
 
     Immutable after training by convention: `forward` and `input_gradient`
-    are pure and safe to call concurrently.
+    are pure and safe to call concurrently. `forward` scores one (n, d)
+    sentence; `input_gradient` also takes a (B, n, d) stack, so a whole
+    integration path costs one call.
     """
 
     vocab: Vocabulary
@@ -157,11 +160,15 @@ class Model:
     def embed(self, tokens: Sequence[int], pad_mask: Sequence[bool] | None = None) -> np.ndarray:
         return embed(self.embedding, self.vocab.pad_index, tokens, pad_mask)
 
-    def _check_input(self, embeddings: np.ndarray) -> np.ndarray:
+    def _check_input(self, embeddings: np.ndarray, stacked: bool = False) -> np.ndarray:
+        """Validate one (n, d) sentence, or also a (B, n, d) stack when stacked."""
         arr = np.asarray(embeddings, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != self.embed_dim:
+        ndims = (2, 3) if stacked else (2,)
+        if arr.ndim not in ndims or arr.shape[-1] != self.embed_dim:
+            expected = "(n, d) or (B, n, d)" if stacked else "(n, d)"
             raise InputError(
-                f"expected an (n, {self.embed_dim}) embedding matrix, got shape {arr.shape}"
+                f"expected an {expected} embedding array with d = {self.embed_dim}, "
+                f"got shape {arr.shape}"
             )
         if not np.isfinite(arr).all():
             raise NumericError("embedding matrix contains non-finite values")
@@ -177,24 +184,28 @@ class Model:
     def input_gradient(self, embeddings: np.ndarray, target_class: int) -> np.ndarray:
         """Exact gradient of forward(...)[target_class] w.r.t. every input entry.
 
-        Reverse-mode accumulation through the softmax head, both affine
-        layers, and the mean pooling. Returns an (n, d) matrix.
+        Takes one (n, d) sentence or a (B, n, d) stack of sentences of equal
+        length and returns gradients of the same shape; a 2-D input is
+        computed as a stack of one. Reverse-mode accumulation through the
+        softmax head, both affine layers, and the mean pooling, with each
+        sentence of the stack independent of the others.
         """
-        arr = self._check_input(embeddings)
+        arr = self._check_input(embeddings, stacked=True)
         if not 0 <= target_class < self.num_classes:
             raise InputError(f"class index {target_class} out of range [0, {self.num_classes})")
-        n = arr.shape[0]
-        pooled = arr.mean(axis=0)
-        pre = self.w1 @ pooled + self.b1
-        hidden = np.tanh(pre)
-        probs = _softmax(self.w2 @ hidden + self.b2)
+        stack = arr if arr.ndim == 3 else arr[np.newaxis]
+        n = stack.shape[1]
+        pooled = stack.mean(axis=1)  # (B, d)
+        hidden = np.tanh(pooled @ self.w1.T + self.b1)  # (B, H)
+        probs = _softmax(hidden @ self.w2.T + self.b2)  # (B, C)
         # d p_c / d logits = p_c * (onehot(c) - p)
-        grad_logits = -probs[target_class] * probs
-        grad_logits[target_class] += probs[target_class]
-        grad_hidden = self.w2.T @ grad_logits
-        grad_pre = grad_hidden * (1.0 - hidden**2)
-        grad_pooled = self.w1.T @ grad_pre
-        return np.tile(grad_pooled / n, (n, 1))
+        p_target = probs[:, target_class : target_class + 1]
+        grad_logits = -p_target * probs
+        grad_logits[:, target_class] += p_target[:, 0]
+        grad_pre = (grad_logits @ self.w2) * (1.0 - hidden**2)
+        grad_pooled = grad_pre @ self.w1  # (B, d)
+        grads = np.repeat((grad_pooled / n)[:, np.newaxis, :], n, axis=1)
+        return grads if arr.ndim == 3 else grads[0]
 
     def predicted_class(self, embeddings: np.ndarray) -> int:
         """Argmax class of the forward pass; ties go to the lower index."""
@@ -207,7 +218,8 @@ class TrainConfig:
 
     The seed fully determines parameter initialization and batch order.
     A zero learning rate is allowed and leaves the parameters at their
-    initialization.
+    initialization; a NaN or infinite one is rejected up front rather
+    than after the run has diverged.
     """
 
     learning_rate: float = 0.5
@@ -216,8 +228,8 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.seed < 0:
@@ -389,7 +401,44 @@ def save_model(model: Model, path: str) -> None:
         fh.write("\n")
 
 
+_PARAMETERS = ("embedding", "w1", "b1", "w2", "b2")
+_REQUIRED_KEYS = ("vocab", "pad_index", "embed_dim", "hidden_dim", "num_classes") + _PARAMETERS
+
+
+def _check_parameters(
+    vocab: Vocabulary, hidden_dim: int, num_classes: int, params: Mapping[str, np.ndarray]
+) -> None:
+    """Reject parameters whose shapes disagree with the declared dimensions.
+
+    The forward pass and the batched gradient trust these shapes, so a
+    mismatch must stop at load time instead of broadcasting or failing
+    deep inside a run.
+    """
+    v, d, h, c = vocab.size, vocab.embed_dim, hidden_dim, num_classes
+    expected = {
+        "embedding": ((v, d), "(V, d)"),
+        "w1": ((h, d), "(H, d)"),
+        "b1": ((h,), "(H,)"),
+        "w2": ((c, h), "(C, H)"),
+        "b2": ((c,), "(C,)"),
+    }
+    for name, (shape, symbols) in expected.items():
+        if params[name].shape != shape:
+            raise InputError(
+                f"model checkpoint {name!r} has shape {params[name].shape}, expected {symbols} = "
+                f"{shape} from vocab size V, embed_dim d, hidden_dim H and num_classes C"
+            )
+    for name in _PARAMETERS:
+        if not np.isfinite(params[name]).all():
+            raise NumericError(f"model checkpoint {name!r} contains non-finite values")
+
+
 def load_model(path: str) -> Model:
+    """Read a checkpoint written by save_model, validating keys, shapes and values.
+
+    Every malformed checkpoint raises InputError (NumericError for
+    non-finite parameters) naming the offending field.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -404,16 +453,18 @@ def load_model(path: str) -> Model:
             f"unsupported checkpoint version {payload['format_version']}, "
             f"expected {CHECKPOINT_FORMAT_VERSION}"
         )
-    vocab = Vocabulary(
-        token_to_index={str(k): int(v) for k, v in payload["vocab"].items()},
-        pad_index=int(payload["pad_index"]),
-        embed_dim=int(payload["embed_dim"]),
-    )
-    return Model(
-        vocab=vocab,
-        embedding=np.asarray(payload["embedding"], dtype=np.float64),
-        w1=np.asarray(payload["w1"], dtype=np.float64),
-        b1=np.asarray(payload["b1"], dtype=np.float64),
-        w2=np.asarray(payload["w2"], dtype=np.float64),
-        b2=np.asarray(payload["b2"], dtype=np.float64),
-    )
+    missing = [key for key in _REQUIRED_KEYS if key not in payload]
+    if missing:
+        raise InputError(f"model checkpoint missing required keys: {missing}")
+    try:
+        vocab = Vocabulary(
+            token_to_index={str(k): int(v) for k, v in payload["vocab"].items()},
+            pad_index=int(payload["pad_index"]),
+            embed_dim=int(payload["embed_dim"]),
+        )
+        hidden_dim, num_classes = int(payload["hidden_dim"]), int(payload["num_classes"])
+        params = {name: np.asarray(payload[name], dtype=np.float64) for name in _PARAMETERS}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"model checkpoint has a malformed field: {exc}") from exc
+    _check_parameters(vocab, hidden_dim, num_classes, params)
+    return Model(vocab=vocab, **params)

@@ -31,9 +31,10 @@ class LinearModel:
         return np.array([self.center - s, self.center + s], dtype=np.float64)
 
     def input_gradient(self, embeddings, target_class: int) -> np.ndarray:
+        """Constant gradient w / n for one (n, d) sentence or a (B, n, d) stack."""
         x = np.asarray(embeddings, dtype=np.float64)
         sign = 1.0 if target_class == 1 else -1.0
-        return sign * np.tile(self.weights / x.shape[0], (x.shape[0], 1))
+        return sign * np.broadcast_to(self.weights / x.shape[-2], x.shape).copy()
 
     def predicted_class(self, embeddings) -> int:
         return int(np.argmax(self.forward(embeddings)))

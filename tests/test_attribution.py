@@ -77,7 +77,28 @@ class TestIntegratedGradients:
         assert np.abs(att.scores - expected).max() < 1e-12
 
 
+def per_point_path_gradient(model, start, end, target_class, steps):
+    """Reference: one input_gradient call per path point, summed in order."""
+    delta = end - start
+    total = np.zeros_like(start)
+    for k in range(steps + 1):
+        weight = 0.5 if k in (0, steps) else 1.0
+        total += weight * model.input_gradient(start + (k / steps) * delta, target_class)
+    return total / steps
+
+
 class TestTrapezoid:
+    @pytest.mark.parametrize("steps", [1, 2, 50, 300])
+    def test_batched_sweep_matches_per_point_loop(self, toy_model, toy_instances, steps):
+        random_model = make_random_model(40)
+        random_inst = make_random_instance(random_model, 41, length=7)
+        for model, inst in ((toy_model, toy_instances[5]), (random_model, random_inst)):
+            start = model.baseline_embeddings(len(inst))
+            for target in (0, 1):
+                batched = _average_path_gradient(model, start, inst.embeddings, target, steps)
+                reference = per_point_path_gradient(model, start, inst.embeddings, target, steps)
+                assert np.abs(batched - reference).max() <= 1e-13
+
     def test_exact_for_constant_gradient(self):
         w = np.array([1.0, -2.0, 0.5])
         model = LinearModel(w)
@@ -91,7 +112,10 @@ class TestTrapezoid:
         # With 1 panel the average must be (g(start) + g(end)) / 2.
         class TwoPointModel:
             def input_gradient(self, emb, target):
-                return np.full_like(np.asarray(emb), 1.0 if np.asarray(emb).sum() == 0 else 3.0)
+                # One gradient per stacked point: 1 where the point sums to 0, else 3.
+                emb = np.asarray(emb)
+                at_zero = emb.sum(axis=(-2, -1), keepdims=True) == 0
+                return np.where(at_zero, 1.0, 3.0) * np.ones_like(emb)
 
         avg = _average_path_gradient(TwoPointModel(), np.zeros((2, 2)), np.ones((2, 2)), 0, 1)
         assert np.abs(avg - 2.0).max() < 1e-15

@@ -90,6 +90,43 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_non_finite_config_value_exits_2(self, cli_env, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"learning_rate": Infinity}', encoding="utf-8")
+        code = main(
+            [
+                "train",
+                "--corpus",
+                str(cli_env["corpus"]),
+                "--out",
+                str(tmp_path / "m.json"),
+                "--config",
+                str(bad),
+            ]
+        )
+        assert code == 2
+        assert "learning_rate" in capsys.readouterr().err
+
+
+def _drop_w2(payload):
+    del payload["w2"]
+
+
+def _truncate_w1(payload):
+    payload["w1"] = payload["w1"][:-1]
+
+
+def _wrong_embed_dim(payload):
+    payload["embed_dim"] = 8
+
+
+def _nan_in_b1(payload):
+    payload["b1"][0] = float("nan")
+
+
+def _extra_vocab_word(payload):
+    payload["vocab"]["zzzz"] = len(payload["vocab"])
+
 
 class TestExplain:
     def _explain(self, cli_env, out, extra=()):
@@ -156,6 +193,39 @@ class TestExplain:
         out = tmp_path / "r.jsonl"
         assert self._explain(cli_env, out, extra=["--seed", "11"]) == 0
         assert read_reports(str(out))[0].seed == 11
+
+    @pytest.mark.parametrize(
+        "corrupt, named",
+        [
+            (_drop_w2, "w2"),
+            (_truncate_w1, "w1"),
+            (_wrong_embed_dim, "embedding"),
+            (_nan_in_b1, "b1"),
+            (_extra_vocab_word, "embedding"),
+        ],
+    )
+    def test_invalid_checkpoint_exits_2(self, cli_env, tmp_path, capsys, corrupt, named):
+        payload = json.loads(cli_env["model"].read_text(encoding="utf-8"))
+        corrupt(payload)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "r.jsonl"
+        code = main(
+            [
+                "explain",
+                "--corpus",
+                str(cli_env["corpus"]),
+                "--model",
+                str(bad),
+                "--out",
+                str(out),
+                "--config",
+                str(cli_env["config"]),
+            ]
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvaluate:

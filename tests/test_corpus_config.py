@@ -137,6 +137,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path=None, env={ENV_PREFIX + "STEPS": "many"})
 
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_file_value_rejected(self, tmp_path, literal):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"learning_rate": %s}' % literal, encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_config(path=str(path), env={})
+
+    def test_non_finite_env_value_rejected(self):
+        with pytest.raises(ConfigError):
+            load_config(path=None, env={ENV_PREFIX + "LEARNING_RATE": "inf"})
+
     def test_non_object_config_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]", encoding="utf-8")

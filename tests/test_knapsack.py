@@ -117,6 +117,28 @@ class TestSolveDp:
             assert dp.value == pytest.approx(bf.value)
             assert dp.selected == bf.selected
 
+    def test_all_fit_selects_every_item(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n = int(rng.integers(1, 13))
+            weights = tuple(int(w) for w in rng.integers(1, 30, size=n))
+            values = tuple(float(v) for v in rng.uniform(0.01, 1.0, size=n))
+            capacity = sum(weights) + int(rng.integers(0, 5))
+            inst = IntegerKnapsackInstance(
+                items=tuple(range(n)), weights=weights, values=values, capacity=capacity
+            )
+            dp = solve_dp(inst)
+            bf = solve_bruteforce(inst)
+            assert dp.selected == inst.items == bf.selected
+            assert dp.weight == sum(weights) == bf.weight
+            assert dp.value == pytest.approx(bf.value, rel=1e-12)
+
+    def test_nonpositive_values_rejected(self):
+        # The all-fit shortcut in solve_dp relies on every value being positive.
+        for value in (0.0, -1.0, float("nan")):
+            with pytest.raises(InputError):
+                IntegerKnapsackInstance(items=("a",), weights=(1,), values=(value,), capacity=1)
+
     @given(data=st.data())
     @settings(max_examples=60)
     def test_matches_bruteforce_property(self, data):

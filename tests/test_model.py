@@ -178,10 +178,38 @@ class TestInputGradient:
     def test_bad_class_index_rejected(self):
         model = make_random_model(9)
         inst = make_random_instance(model, 10)
+        stack = np.stack([inst.embeddings] * 3)
+        for embeddings in (inst.embeddings, stack):
+            with pytest.raises(InputError):
+                model.input_gradient(embeddings, 2)
+            with pytest.raises(InputError):
+                model.input_gradient(embeddings, -1)
+
+    def test_stack_matches_separate_calls(self):
+        # Batched matrix products round differently from per-sentence ones,
+        # so equality holds to a few ulps rather than bit for bit.
+        rng = np.random.default_rng(31)
+        for seed in range(4):
+            model = make_random_model(seed)
+            stack = rng.normal(0.0, 1.0, size=(7, 6, model.embed_dim))
+            for target in (0, 1):
+                batched = model.input_gradient(stack, target)
+                assert batched.shape == stack.shape
+                separate = np.stack([model.input_gradient(x, target) for x in stack])
+                assert np.abs(batched - separate).max() <= 1e-15
+
+    def test_non_finite_anywhere_in_stack_rejected(self):
+        model = make_random_model(11)
+        stack = np.zeros((4, 3, model.embed_dim))
+        stack[3, 2, 1] = np.nan
+        with pytest.raises(NumericError):
+            model.input_gradient(stack, 0)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), (2, 3, 6), (1, 2, 3, 5), (3, 4)])
+    def test_bad_shape_rejected(self, shape):
+        model = make_random_model(12)  # embed_dim 5
         with pytest.raises(InputError):
-            model.input_gradient(inst.embeddings, 2)
-        with pytest.raises(InputError):
-            model.input_gradient(inst.embeddings, -1)
+            model.input_gradient(np.zeros(shape), 0)
 
 
 class TestTrainConfig:
@@ -197,6 +225,8 @@ class TestTrainConfig:
             {"epochs": 0},
             {"batch_size": 0},
             {"seed": -1},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
