@@ -57,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     for pair in mfs.pairs:
         i, j = pair
         print(
-            f"  ({words[i]}, {words[j]})  cig={mfs.pair_scores.records[pair].cig:+.4f}"
+            f"  ({words[i]}, {words[j]})  cig={mfs.pair_scores.cig[pair]:+.4f}"
             f"  kept in {mfs.frequencies[pair]:.0%} of candidate sets"
         )
     print(f"covered words: {', '.join(words[w] for w in mfs.words)}")

@@ -8,7 +8,6 @@ trainable toy classifier, faithfulness metrics, and a CLI.
 
 from .attribution import (
     AttributionSet,
-    PairRecord,
     PairScoreMap,
     cooperative_integrated_gradients,
     integrated_gradients,
@@ -20,7 +19,6 @@ from .data import build_toy_corpus
 from .errors import ConfigError, InputError, InternalError, MinfeatError, NumericError
 from .evaluation import METHODS, evaluate_methods, gradient_input_scores
 from .knapsack import (
-    IntegerKnapsackInstance,
     KnapsackInstance,
     KnapsackSolution,
     quantize,
@@ -72,7 +70,6 @@ __all__ = [
     "CorpusRecord",
     "InputError",
     "Instance",
-    "IntegerKnapsackInstance",
     "InternalError",
     "KnapsackInstance",
     "KnapsackSolution",
@@ -82,7 +79,6 @@ __all__ = [
     "MinimalFeatureSet",
     "Model",
     "NumericError",
-    "PairRecord",
     "PairScoreMap",
     "PerturbationMap",
     "RemovalProtocol",

@@ -6,20 +6,19 @@ for models whose output is linear in the embeddings. The per-token score
 is the sum over embedding coordinates of (input - baseline) times the
 path-averaged gradient.
 
-Three score families are computed:
+Three score families are computed, each as one dense array:
 
-- plain per-token scores, whose total matches the output difference
-  between input and baseline (completeness),
-- leave-one-out scores: the score of token i along the path toward the
-  input with token j padded out,
-- pairwise cooperative scores combining both, weighted by beta:
-  cig(i,j) = s_i + s_j + beta * (loo(i without j) + loo(j without i)).
+- plain per-token scores ig, shape (n,), whose total matches the output
+  difference between input and baseline (completeness),
+- leave-one-out scores loo, shape (n, n): loo[j, i] is the score of
+  token i along the path toward the input with token j padded out,
+- pairwise cooperative scores cig, shape (n, n), weighted by beta:
+  cig[i, j] = ig[i] + ig[j] + beta * (loo[j, i] + loo[i, j]).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,65 +48,54 @@ class AttributionSet:
 
 
 @dataclass(frozen=True)
-class PairRecord:
-    """All score components of one unordered token pair (i < j).
-
-    loo_i is the score of token i on the path toward "j removed";
-    loo_j is the score of token j on the path toward "i removed".
-    cig = ig_i + ig_j + beta * (loo_i + loo_j) by construction.
-    """
-
-    i: int
-    j: int
-    ig_i: float
-    ig_j: float
-    loo_i: float
-    loo_j: float
-    cig: float
-
-
-@dataclass(frozen=True)
 class PairScoreMap:
-    """Cooperative scores over all unordered token pairs of one instance.
+    """Cooperative scores over all token pairs of one instance, as arrays.
 
-    degenerate marks inputs with fewer than two tokens, for which the map
-    is empty. Lookups are symmetric: get(j, i) returns the (i, j) record.
+    loo[j, i] is the score of token i with token j removed (the diagonal
+    is 0), and cig is symmetric: cig[i, j] == cig[j, i] is the score of
+    the unordered pair {i, j}. The diagonal of cig is no pair and is never
+    read. positive_pairs lists every (i, j) with i < j and cig[i, j] > 0 in
+    ascending order. degenerate marks inputs with fewer than two tokens,
+    which have no pairs.
     """
 
-    records: Mapping[Pair, PairRecord]
-    beta: float
-    positive_pairs: tuple[Pair, ...]
     attributions: AttributionSet
-    degenerate: bool = False
+    loo: np.ndarray
+    beta: float
+    cig: np.ndarray
+    positive_pairs: tuple[Pair, ...]
+    degenerate: bool
 
-    def get(self, i: int, j: int) -> PairRecord:
-        if i == j:
-            raise InputError("pair indices must differ")
-        key = (i, j) if i < j else (j, i)
-        if key not in self.records:
-            raise InputError(f"pair {key} not present in score map")
-        return self.records[key]
+    @classmethod
+    def from_components(cls, attributions: AttributionSet, loo: np.ndarray, beta: float) -> "PairScoreMap":
+        """Combine per-token and leave-one-out scores under beta.
+
+        Entry [i, j] is ig[i] + ig[j] + beta * (loo[j, i] + loo[i, j]),
+        added in that order, so it is bitwise equal to the scalar formula.
+        """
+        if not 0.0 <= beta <= 1.0:
+            raise InputError("beta must lie in [0, 1]")
+        ig = attributions.scores
+        cig = ig[:, np.newaxis] + ig[np.newaxis, :] + beta * (loo.T + loo)
+        positive = tuple(
+            (int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(cig > 0.0, k=1)))
+        )
+        return cls(
+            attributions=attributions,
+            loo=loo,
+            beta=beta,
+            cig=cig,
+            positive_pairs=positive,
+            degenerate=len(ig) < 2,
+        )
 
     def with_beta(self, beta: float) -> "PairScoreMap":
         """Recombine the stored components under a different beta.
 
-        No gradients are recomputed; only the cig values and the positive
-        pair set change.
+        No gradients are recomputed; only cig and the positive pair set
+        change.
         """
-        if not 0.0 <= beta <= 1.0:
-            raise InputError("beta must lie in [0, 1]")
-        records = {}
-        for key, rec in self.records.items():
-            cig = rec.ig_i + rec.ig_j + beta * (rec.loo_i + rec.loo_j)
-            records[key] = replace(rec, cig=cig)
-        positive = tuple(sorted(k for k, r in records.items() if r.cig > 0.0))
-        return PairScoreMap(
-            records=records,
-            beta=beta,
-            positive_pairs=positive,
-            attributions=self.attributions,
-            degenerate=self.degenerate,
-        )
+        return PairScoreMap.from_components(self.attributions, self.loo, beta)
 
 
 def _average_path_gradient(model, start: np.ndarray, end: np.ndarray, target_class: int, steps: int) -> np.ndarray:
@@ -184,34 +172,14 @@ def cooperative_integrated_gradients(
     """Pairwise cooperative scores over all unordered token pairs.
 
     beta weighs the leave-one-out components against the plain per-token
-    scores. A single-token instance yields an empty, degenerate map.
+    scores. A single-token instance yields a degenerate map without pairs.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise InputError("beta must lie in [0, 1]")
     att = integrated_gradients(model, instance, target_class, steps)
     n = len(instance)
+    # Row j holds every token's score with token j removed. A single token
+    # forms no pair, so its sweep is skipped.
     if n < 2:
-        return PairScoreMap(records={}, beta=beta, positive_pairs=(), attributions=att, degenerate=True)
-
-    # loo[j][i] = score of token i on the path with token j removed.
-    loo = [_leave_one_out_scores(model, instance, j, target_class, steps) for j in range(n)]
-
-    records: dict[Pair, PairRecord] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            loo_i = float(loo[j][i])
-            loo_j = float(loo[i][j])
-            cig = float(att.scores[i]) + float(att.scores[j]) + beta * (loo_i + loo_j)
-            records[(i, j)] = PairRecord(
-                i=i,
-                j=j,
-                ig_i=float(att.scores[i]),
-                ig_j=float(att.scores[j]),
-                loo_i=loo_i,
-                loo_j=loo_j,
-                cig=cig,
-            )
-    positive = tuple(sorted(k for k, r in records.items() if r.cig > 0.0))
-    return PairScoreMap(
-        records=records, beta=beta, positive_pairs=positive, attributions=att, degenerate=False
-    )
+        loo = np.zeros((n, n))
+    else:
+        loo = np.stack([_leave_one_out_scores(model, instance, j, target_class, steps) for j in range(n)])
+    return PairScoreMap.from_components(att, loo, beta)

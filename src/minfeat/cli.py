@@ -117,7 +117,7 @@ def _build_report(
         predicted_probability=float(probs[mfs.target_class]),
         ig=tuple(float(s) for s in att.scores),
         positive_pairs=tuple(
-            PairScoreEntry(i=i, j=j, cig=pair_map.records[(i, j)].cig)
+            PairScoreEntry(i=i, j=j, cig=float(pair_map.cig[i, j]))
             for (i, j) in pair_map.positive_pairs
         ),
         mfs_pairs=tuple(

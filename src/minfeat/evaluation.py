@@ -94,7 +94,7 @@ def _word_budget(n_tokens: int) -> int:
 
 
 def _pair_removal(mfs: MinimalFeatureSet) -> RemovalSet:
-    scores = tuple(mfs.pair_scores.records[p].cig for p in mfs.pairs)
+    scores = tuple(float(mfs.pair_scores.cig[p]) for p in mfs.pairs)
     return RemovalSet(mode=PAIR_MODE, elements=mfs.pairs, scores=scores)
 
 

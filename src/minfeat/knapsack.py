@@ -28,33 +28,10 @@ BRUTEFORCE_MAX_ITEMS = 20
 
 @dataclass(frozen=True)
 class KnapsackInstance:
-    """Real-weighted instance as produced by the exclusion transformation."""
+    """Integer weights >= 1, positive values, capacity >= 0.
 
-    items: tuple[Hashable, ...]
-    weights: tuple[float, ...]
-    values: tuple[float, ...]
-    capacity: float
-    digits: int
-
-    def __post_init__(self) -> None:
-        n = len(self.items)
-        if len(self.weights) != n or len(self.values) != n:
-            raise InputError("items, weights, and values must have equal length")
-        if len(set(self.items)) != n:
-            raise InputError("item ids must be distinct")
-        if any(w <= 0 for w in self.weights):
-            raise InputError("weights must be strictly positive")
-        if any(v <= 0 for v in self.values):
-            raise InputError("values must be strictly positive")
-        if self.capacity < 0:
-            raise InputError("capacity must be non-negative")
-        if self.digits < 0:
-            raise InputError("quantization digits must be non-negative")
-
-
-@dataclass(frozen=True)
-class IntegerKnapsackInstance:
-    """Quantized instance: integer weights >= 1, positive values, capacity >= 0."""
+    quantize builds one from real weights and a real capacity.
+    """
 
     items: tuple[Hashable, ...]
     weights: tuple[int, ...]
@@ -84,29 +61,42 @@ class KnapsackSolution:
     weight: int
 
 
-def quantize(instance: KnapsackInstance) -> IntegerKnapsackInstance:
-    """Scale weights and capacity by 10**digits and round to integers.
+def quantize(
+    items: Sequence[Hashable],
+    weights: Sequence[float],
+    values: Sequence[float],
+    capacity: float,
+    digits: int,
+) -> KnapsackInstance:
+    """Build the integer instance for real weights and a real capacity.
 
-    Weights round to nearest (half away from zero); the capacity is
-    floored, so quantization never admits a selection the real capacity
-    would reject by more than the documented slack. Weights that round to
-    zero are clamped to 1.
+    Weights and capacity are scaled by 10**digits. Weights round to
+    nearest (half away from zero); the capacity is floored, so
+    quantization never admits a selection the real capacity would reject
+    by more than the documented slack. Weights that round to zero are
+    clamped to 1.
     """
-    scale = 10**instance.digits
-    weights = tuple(max(1, int(np.floor(w * scale + 0.5))) for w in instance.weights)
-    capacity = int(np.floor(instance.capacity * scale))
-    cells = (len(instance.items) + 1) * (capacity + 1)
+    if any(not w > 0 for w in weights):
+        raise InputError("weights must be strictly positive")
+    if not capacity >= 0:
+        raise InputError("capacity must be non-negative")
+    if digits < 0:
+        raise InputError("quantization digits must be non-negative")
+    scale = 10**digits
+    int_weights = tuple(max(1, int(np.floor(w * scale + 0.5))) for w in weights)
+    int_capacity = int(np.floor(capacity * scale))
+    cells = (len(items) + 1) * (int_capacity + 1)
     if cells > MAX_TABLE_CELLS:
         raise ConfigError(
-            f"quantized capacity {capacity} needs {cells} table cells "
+            f"quantized capacity {int_capacity} needs {cells} table cells "
             f"(limit {MAX_TABLE_CELLS}); lower the quantization digits"
         )
-    return IntegerKnapsackInstance(
-        items=instance.items, weights=weights, values=instance.values, capacity=capacity
+    return KnapsackInstance(
+        items=tuple(items), weights=int_weights, values=tuple(values), capacity=int_capacity
     )
 
 
-def solve_dp(instance: IntegerKnapsackInstance) -> KnapsackSolution:
+def solve_dp(instance: KnapsackInstance) -> KnapsackSolution:
     """Exact maximum-value selection by dynamic programming.
 
     Row recurrence: best(i, c) = max(best(i-1, c), best(i-1, c - w_i) + v_i).
@@ -155,7 +145,7 @@ def solve_dp(instance: IntegerKnapsackInstance) -> KnapsackSolution:
     return KnapsackSolution(selected=tuple(selected), value=value, weight=weight)
 
 
-def solve_bruteforce(instance: IntegerKnapsackInstance) -> KnapsackSolution:
+def solve_bruteforce(instance: KnapsackInstance) -> KnapsackSolution:
     """Exhaustive oracle over all subsets, same tie-break as solve_dp.
 
     Refuses instances above 20 items. Subset index bit k set means item k

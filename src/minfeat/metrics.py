@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError, InternalError
 from .model import Instance, Model, pad_positions
@@ -95,11 +95,11 @@ def _positions_of(elements: Sequence) -> tuple[int, ...]:
     return tuple(sorted(positions))
 
 
-def _check_corpus(instances: Sequence[Instance], removal_sets: Sequence[RemovalSet]) -> None:
+def _check_corpus(instances: Sequence[Instance], sets: Sequence, kind: str) -> None:
     if not instances:
         raise InputError("metrics need at least one instance")
-    if len(instances) != len(removal_sets):
-        raise InputError("one removal set per instance is required")
+    if len(instances) != len(sets):
+        raise InputError(f"one {kind} set per instance is required")
 
 
 def _truncated_positions(
@@ -112,6 +112,25 @@ def _truncated_positions(
     return _positions_of(top)
 
 
+def _removal_probabilities(
+    model: Model,
+    instances: Sequence[Instance],
+    removal_sets: Sequence[RemovalSet],
+    protocol: RemovalProtocol,
+) -> Iterator[tuple[float, float]]:
+    """Predicted-class probability before and after removing the top-K
+    elements, for each instance whose removal set is non-empty."""
+    _check_corpus(instances, removal_sets, "removal")
+    for instance, removal in zip(instances, removal_sets):
+        if not removal.elements:
+            continue
+        c = model.predicted_class(instance.embeddings)
+        before = float(model.forward(instance.embeddings)[c])
+        padded = pad_positions(model, instance, _truncated_positions(instance, removal, protocol))
+        after = float(model.forward(padded.embeddings)[c])
+        yield before, after
+
+
 def comprehensiveness(
     model: Model,
     instances: Sequence[Instance],
@@ -122,15 +141,8 @@ def comprehensiveness(
 
     Higher is better. Instances with empty removal sets contribute 0.
     """
-    _check_corpus(instances, removal_sets)
     total = 0.0
-    for instance, removal in zip(instances, removal_sets):
-        if not removal.elements:
-            continue
-        c = model.predicted_class(instance.embeddings)
-        before = float(model.forward(instance.embeddings)[c])
-        padded = pad_positions(model, instance, _truncated_positions(instance, removal, protocol))
-        after = float(model.forward(padded.embeddings)[c])
+    for before, after in _removal_probabilities(model, instances, removal_sets, protocol):
         total += before - after
     return total / len(instances)
 
@@ -147,15 +159,8 @@ def log_odds(
     Probabilities are floored at 1e-12 before logging, so the result is
     always finite.
     """
-    _check_corpus(instances, removal_sets)
     total = 0.0
-    for instance, removal in zip(instances, removal_sets):
-        if not removal.elements:
-            continue
-        c = model.predicted_class(instance.embeddings)
-        before = float(model.forward(instance.embeddings)[c])
-        padded = pad_positions(model, instance, _truncated_positions(instance, removal, protocol))
-        after = float(model.forward(padded.embeddings)[c])
+    for before, after in _removal_probabilities(model, instances, removal_sets, protocol):
         total += math.log(max(after, PROBABILITY_FLOOR)) - math.log(max(before, PROBABILITY_FLOOR))
     return total / len(instances)
 
@@ -184,6 +189,12 @@ def _essence_and_minimality(
     return 1.0
 
 
+def _check_fms_args(instances: Sequence[Instance], sets: Sequence, t: float, kind: str) -> None:
+    if not 0.0 < t < 1.0:
+        raise InputError("t must lie strictly between 0 and 1")
+    _check_corpus(instances, sets, kind)
+
+
 def fms_pairs(
     model: Model,
     instances: Sequence[Instance],
@@ -195,12 +206,7 @@ def fms_pairs(
     Restoration granularity is a whole pair: both member positions come
     back together (positions shared with another pair stay removed).
     """
-    if not 0.0 < t < 1.0:
-        raise InputError("t must lie strictly between 0 and 1")
-    if not instances:
-        raise InputError("metrics need at least one instance")
-    if len(instances) != len(pair_sets):
-        raise InputError("one pair set per instance is required")
+    _check_fms_args(instances, pair_sets, t, "pair")
     total = 0.0
     for instance, pairs in zip(instances, pair_sets):
         groups = [tuple(pair) for pair in pairs]
@@ -215,12 +221,7 @@ def fms_words(
     t: float,
 ) -> float:
     """Word-level variant: restoration brings back one token at a time."""
-    if not 0.0 < t < 1.0:
-        raise InputError("t must lie strictly between 0 and 1")
-    if not instances:
-        raise InputError("metrics need at least one instance")
-    if len(instances) != len(word_sets):
-        raise InputError("one word set per instance is required")
+    _check_fms_args(instances, word_sets, t, "word")
     total = 0.0
     for instance, words in zip(instances, word_sets):
         groups = [(int(w),) for w in words]

@@ -28,7 +28,7 @@ from .attribution import (
     cooperative_integrated_gradients,
 )
 from .errors import ConfigError, InternalError
-from .knapsack import KnapsackInstance, quantize, solve_dp, solve_greedy
+from .knapsack import quantize, solve_dp, solve_greedy
 from .model import Instance, Model
 
 PERTURBATION_CLIP = 1e-12
@@ -111,8 +111,9 @@ class MinimalFeatureSet:
 
     words is the flat sorted union of pair members. candidate_frequencies
     covers every pair that appeared in any candidate set, retained or
-    not. degenerate marks instances too short to form pairs or without
-    any positive pair.
+    not. pair_scores holds the instance's score arrays; the cooperative
+    score of a pair (i, j) is pair_scores.cig[i, j]. degenerate marks
+    instances too short to form pairs or without any positive pair.
     """
 
     pairs: tuple[Pair, ...]
@@ -137,22 +138,26 @@ def upper_bound_u1(attributions: AttributionSet) -> float:
 
 
 def upper_bound_u2(pair_map: PairScoreMap) -> float:
-    """beta times the sum of leave-one-out components over positive pairs."""
+    """beta times the sum of leave-one-out components over positive pairs.
+
+    The sum runs left to right over the pairs; a pairwise array reduction
+    would round differently.
+    """
+    loo_sums = pair_map.loo.T + pair_map.loo
     total = 0.0
     for pair in pair_map.positive_pairs:
-        rec = pair_map.records[pair]
-        total += rec.loo_i + rec.loo_j
+        total += float(loo_sums[pair])
     return pair_map.beta * total
 
 
 def perturbed_upper_bound(pair_map: PairScoreMap, perturbations: PerturbationMap) -> float:
     """Like the unperturbed bound but with each pair's term scaled by its value."""
+    loo_sums = pair_map.loo.T + pair_map.loo
     total = 0.0
     for pair in pair_map.positive_pairs:
         if pair not in perturbations.values:
             raise InternalError(f"perturbation map missing positive pair {pair}")
-        rec = pair_map.records[pair]
-        total += perturbations.values[pair] * (rec.loo_i + rec.loo_j)
+        total += perturbations.values[pair] * float(loo_sums[pair])
     return pair_map.beta * total
 
 
@@ -200,11 +205,13 @@ def refine(
     """Build the minimal feature set by repeated knapsack exclusion.
 
     The pair scores are computed once (they do not depend on the sampled
-    values) unless a precomputed map is supplied. Every iteration solves
-    the exclusion knapsack under capacity u1 + u2', with the solver
-    capacity tightened by half a quantization unit per item so that the
-    excluded real scores can never exceed the true capacity. Pairs kept
-    in at least epsilon of the candidate sets are retained.
+    values) unless a precomputed map is supplied. The knapsack items are
+    the positive pairs (i, j), weighted by cig[i, j] and valued by their
+    sampled perturbations. Every iteration solves the exclusion knapsack
+    under capacity u1 + u2', with the solver capacity tightened by half a
+    quantization unit per item so that the excluded real scores can never
+    exceed the true capacity. Pairs kept in at least epsilon of the
+    candidate sets are retained.
     """
     target = model.predicted_class(instance.embeddings)
     if pair_map is None:
@@ -217,7 +224,7 @@ def refine(
 
     u1 = upper_bound_u1(pair_map.attributions)
     u2 = upper_bound_u2(pair_map)
-    weights = tuple(pair_map.records[p].cig for p in positive)
+    weights = tuple(float(pair_map.cig[p]) for p in positive)
     # round-to-nearest can shave up to half a unit off each item's weight
     margin = len(positive) * 10.0 ** (-config.q) / 2.0
 
@@ -232,13 +239,11 @@ def refine(
         solver_capacity = max(0.0, capacity - margin)
         if solver_capacity > 0.0:
             int_instance = quantize(
-                KnapsackInstance(
-                    items=positive,
-                    weights=weights,
-                    values=tuple(perturbations.values[p] for p in positive),
-                    capacity=solver_capacity,
-                    digits=config.q,
-                )
+                items=positive,
+                weights=weights,
+                values=tuple(perturbations.values[p] for p in positive),
+                capacity=solver_capacity,
+                digits=config.q,
             )
             excluded = solve_dp(int_instance).selected
         else:
@@ -252,7 +257,7 @@ def refine(
                 u2_prime=u2p,
                 capacity=capacity,
                 excluded=tuple(excluded),
-                excluded_score=float(sum(pair_map.records[p].cig for p in excluded)),
+                excluded_score=float(sum(float(pair_map.cig[p]) for p in excluded)),
                 candidate=candidate,
             )
         )
@@ -298,7 +303,7 @@ def cidr_without_refinement(
     u1 = upper_bound_u1(pair_map.attributions)
     u2 = upper_bound_u2(pair_map)
     bound = u1 + u2
-    scored = [(p, pair_map.records[p].cig) for p in positive]
+    scored = [(p, float(pair_map.cig[p])) for p in positive]
     excluded = set(solve_greedy(scored, bound))
     retained = tuple(p for p in positive if p not in excluded)
     words = tuple(sorted({pos for pair in retained for pos in pair}))
@@ -316,7 +321,7 @@ def cidr_without_refinement(
                 u2_prime=u2,
                 capacity=bound,
                 excluded=tuple(sorted(excluded)),
-                excluded_score=float(sum(pair_map.records[p].cig for p in excluded)),
+                excluded_score=float(sum(float(pair_map.cig[p]) for p in excluded)),
                 candidate=retained,
             ),
         ),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import InputError
 
@@ -71,36 +71,54 @@ def report_to_dict(report: ExplanationReport) -> dict[str, Any]:
     return payload
 
 
-def report_from_dict(raw: Mapping[str, Any]) -> ExplanationReport:
+def _field(raw: Mapping[str, Any], name: str, convert: Callable[[Any], Any]) -> Any:
+    if name not in raw:
+        raise InputError(f"report record missing field {name!r}")
     try:
-        return ExplanationReport(
-            instance_id=raw["instance_id"],
-            tokens=tuple(raw["tokens"]),
-            predicted_class=int(raw["predicted_class"]),
-            predicted_probability=float(raw["predicted_probability"]),
-            ig=tuple(float(v) for v in raw["ig"]),
-            positive_pairs=tuple(
-                PairScoreEntry(i=int(p["i"]), j=int(p["j"]), cig=float(p["cig"]))
-                for p in raw["positive_pairs"]
-            ),
-            mfs_pairs=tuple(
-                MfsEntry(i=int(p["i"]), j=int(p["j"]), frequency=float(p["frequency"]))
-                for p in raw["mfs_pairs"]
-            ),
-            mfs_words=tuple(int(w) for w in raw["mfs_words"]),
-            u1=float(raw["u1"]),
-            u2=float(raw["u2"]),
-            u2_prime=tuple(float(v) for v in raw["u2_prime"]),
-            degenerate=bool(raw["degenerate"]),
-            oov_count=int(raw["oov_count"]),
-            config=dict(raw["config"]),
-            seed=int(raw["seed"]),
-            comp=float(raw["comp"]),
-            lo=float(raw["lo"]),
-            fms=float(raw["fms"]),
-        )
-    except KeyError as exc:
-        raise InputError(f"report record missing field {exc}") from exc
+        return convert(raw[name])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"report field {name!r} is malformed: {exc!r}") from exc
+
+
+def _pair_scores(raw: Any) -> tuple[PairScoreEntry, ...]:
+    return tuple(PairScoreEntry(i=int(p["i"]), j=int(p["j"]), cig=float(p["cig"])) for p in raw)
+
+
+def _mfs_entries(raw: Any) -> tuple[MfsEntry, ...]:
+    return tuple(
+        MfsEntry(i=int(p["i"]), j=int(p["j"]), frequency=float(p["frequency"])) for p in raw
+    )
+
+
+def _floats(raw: Any) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw)
+
+
+def report_from_dict(raw: Any) -> ExplanationReport:
+    """Rebuild a report from its JSON object; InputError names a missing
+    or malformed field."""
+    if not isinstance(raw, Mapping):
+        raise InputError(f"report record must be a JSON object, not {type(raw).__name__}")
+    return ExplanationReport(
+        instance_id=_field(raw, "instance_id", lambda v: v),
+        tokens=_field(raw, "tokens", tuple),
+        predicted_class=_field(raw, "predicted_class", int),
+        predicted_probability=_field(raw, "predicted_probability", float),
+        ig=_field(raw, "ig", _floats),
+        positive_pairs=_field(raw, "positive_pairs", _pair_scores),
+        mfs_pairs=_field(raw, "mfs_pairs", _mfs_entries),
+        mfs_words=_field(raw, "mfs_words", lambda v: tuple(int(w) for w in v)),
+        u1=_field(raw, "u1", float),
+        u2=_field(raw, "u2", float),
+        u2_prime=_field(raw, "u2_prime", _floats),
+        degenerate=_field(raw, "degenerate", bool),
+        oov_count=_field(raw, "oov_count", int),
+        config=_field(raw, "config", dict),
+        seed=_field(raw, "seed", int),
+        comp=_field(raw, "comp", float),
+        lo=_field(raw, "lo", float),
+        fms=_field(raw, "fms", float),
+    )
 
 
 def report_to_line(report: ExplanationReport) -> str:

@@ -22,14 +22,13 @@ from stubs import LinearModel, ScriptedModel, linear_instance, scripted_instance
 
 from minfeat.attribution import (
     AttributionSet,
-    PairRecord,
     PairScoreMap,
     cooperative_integrated_gradients,
     integrated_gradients,
 )
 from minfeat.cli import main
 from minfeat.corpus import save_corpus
-from minfeat.knapsack import IntegerKnapsackInstance, solve_bruteforce, solve_dp
+from minfeat.knapsack import KnapsackInstance, solve_bruteforce, solve_dp
 from minfeat.metrics import RemovalProtocol, RemovalSet, comprehensiveness, fms_pairs, log_odds
 from minfeat.model import save_model
 from minfeat.pipeline import (
@@ -117,15 +116,17 @@ def test_03_linear_model_closed_forms(capsys):
     worst = max(worst, float(np.abs(att.scores - closed).max()))
     for beta in (0.0, 0.5, 1.0):
         pair_map = cooperative_integrated_gradients(model, inst, 1, beta, steps=40)
-        for (i, j), rec in pair_map.records.items():
-            worst = max(
-                worst,
-                abs(rec.ig_i - closed[i]),
-                abs(rec.ig_j - closed[j]),
-                abs(rec.loo_i - closed[i]),
-                abs(rec.loo_j - closed[j]),
-                abs(rec.cig - (1.0 + beta) * (closed[i] + closed[j])),
-            )
+        ig = pair_map.attributions.scores
+        for i in range(10):
+            for j in range(i + 1, 10):
+                worst = max(
+                    worst,
+                    abs(ig[i] - closed[i]),
+                    abs(ig[j] - closed[j]),
+                    abs(pair_map.loo[j, i] - closed[i]),
+                    abs(pair_map.loo[i, j] - closed[j]),
+                    abs(pair_map.cig[i, j] - (1.0 + beta) * (closed[i] + closed[j])),
+                )
     ok = worst <= 1e-10
     _verdict(capsys, 3, "closed forms on a linear model, all 45 pairs", ok,
              f"max deviation {worst:.2e}")
@@ -137,7 +138,7 @@ def test_04_dp_knapsack_matches_exhaustive_search(capsys):
     mismatches = 0
     for _ in range(200):
         n = int(rng.integers(0, 16))
-        inst = IntegerKnapsackInstance(
+        inst = KnapsackInstance(
             items=tuple(range(n)),
             weights=tuple(int(w) for w in rng.integers(1, 30, size=n)),
             values=tuple(float(v) for v in rng.integers(1, 50, size=n)),
@@ -152,7 +153,9 @@ def test_04_dp_knapsack_matches_exhaustive_search(capsys):
              f"{mismatches} mismatches, {elapsed:.1f}s")
 
 
-def _random_pair_fixture(rng) -> tuple[PairScoreMap, bool]:
+def _random_pair_fixture(rng) -> tuple[PairScoreMap, dict, tuple, bool]:
+    """A pair map over random scores, plus the raw leave-one-out draws
+    {(i, j): (loo_i, loo_j)} and the positive pairs derived from them."""
     n = int(rng.integers(3, 9))
     scores = rng.normal(0.0, 1.0, size=n)
     beta = float(rng.uniform(0.0, 1.0))
@@ -163,19 +166,22 @@ def _random_pair_fixture(rng) -> tuple[PairScoreMap, bool]:
         steps=1,
         target_class=0,
     )
-    records = {}
+    raw = {}
+    loo = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             loo_i, loo_j = float(rng.normal()), float(rng.normal())
             if nonneg:
                 loo_i, loo_j = abs(loo_i), abs(loo_j)
-            cig = float(scores[i]) + float(scores[j]) + beta * (loo_i + loo_j)
-            records[(i, j)] = PairRecord(
-                i=i, j=j, ig_i=float(scores[i]), ig_j=float(scores[j]),
-                loo_i=loo_i, loo_j=loo_j, cig=cig,
-            )
-    positive = tuple(sorted(k for k, r in records.items() if r.cig > 0.0))
-    return PairScoreMap(records=records, beta=beta, positive_pairs=positive, attributions=att), nonneg
+            raw[(i, j)] = (loo_i, loo_j)
+            loo[j, i], loo[i, j] = loo_i, loo_j
+    positive = tuple(
+        sorted(
+            (i, j) for (i, j), (loo_i, loo_j) in raw.items()
+            if float(scores[i]) + float(scores[j]) + beta * (loo_i + loo_j) > 0.0
+        )
+    )
+    return PairScoreMap.from_components(att, loo, beta), raw, positive, nonneg
 
 
 def test_05_bounds_recomputed_from_raw_scores(capsys):
@@ -183,21 +189,17 @@ def test_05_bounds_recomputed_from_raw_scores(capsys):
     worst = 0.0
     ordering_ok = True
     for fixture in range(50):
-        pair_map, nonneg = _random_pair_fixture(rng)
+        pair_map, raw, positive, nonneg = _random_pair_fixture(rng)
         att = pair_map.attributions
 
         pos_words = att.positive_words
         expected_u1 = 0.0
         if len(pos_words) > 1:
             expected_u1 = 2.0 * (len(pos_words) - 1) * sum(float(att.scores[i]) for i in pos_words)
-        expected_u2 = pair_map.beta * sum(
-            pair_map.records[p].loo_i + pair_map.records[p].loo_j for p in pair_map.positive_pairs
-        )
-        perturbations = sample_perturbations(pair_map.positive_pairs, seed=fixture, iteration=0)
-        expected_u2p = pair_map.beta * sum(
-            perturbations.values[p] * (pair_map.records[p].loo_i + pair_map.records[p].loo_j)
-            for p in pair_map.positive_pairs
-        )
+        beta = pair_map.beta
+        expected_u2 = beta * sum(raw[p][0] + raw[p][1] for p in positive)
+        perturbations = sample_perturbations(positive, seed=fixture, iteration=0)
+        expected_u2p = beta * sum(perturbations.values[p] * (raw[p][0] + raw[p][1]) for p in positive)
 
         u1 = upper_bound_u1(att)
         u2 = upper_bound_u2(pair_map)
@@ -220,10 +222,10 @@ def test_06_refinement_feasibility_audit(capsys, toy_model, toy_instances):
         if mfs.degenerate:
             degenerate += 1
             continue
-        records = mfs.pair_scores.records
+        cig = mfs.pair_scores.cig
         for rec in mfs.iterations:
             bound = mfs.bounds.u1 + mfs.bounds.u2_prime[rec.iteration]
-            total = sum(records[p].cig for p in rec.excluded)
+            total = sum(cig[p] for p in rec.excluded)
             if total > bound + 1e-9:
                 violations.append(f"instance {idx} iter {rec.iteration}: {total} > {bound}")
             if abs(total - rec.excluded_score) > 1e-9:
@@ -234,7 +236,7 @@ def test_06_refinement_feasibility_audit(capsys, toy_model, toy_instances):
         if len(mfs.iterations) != config.n_iter:
             violations.append(f"instance {idx}: {len(mfs.iterations)} iterations")
         for pair in mfs.pairs:
-            if not records[pair].cig > 0.0:
+            if not cig[pair] > 0.0:
                 violations.append(f"instance {idx}: retained pair {pair} has cig <= 0")
             if not mfs.frequencies[pair] >= config.epsilon:
                 violations.append(f"instance {idx}: pair {pair} below frequency threshold")

@@ -174,36 +174,35 @@ class TestCooperative:
         model = make_random_model(30)
         inst = make_random_instance(model, 31, length=5)
         pm = cooperative_integrated_gradients(model, inst, 0, beta=0.5)
-        att = pm.attributions
-        for (i, j), rec in pm.records.items():
-            assert i < j
-            assert rec.ig_i == float(att.scores[i])
-            assert rec.ig_j == float(att.scores[j])
-            assert rec.cig == pytest.approx(rec.ig_i + rec.ig_j + 0.5 * (rec.loo_i + rec.loo_j), abs=1e-15)
+        ig = pm.attributions.scores
+        assert pm.cig.shape == pm.loo.shape == (5, 5)
+        for i in range(5):
+            assert pm.loo[i, i] == 0.0
+            for j in range(i + 1, 5):
+                loo_i, loo_j = pm.loo[j, i], pm.loo[i, j]
+                assert pm.cig[i, j] == pytest.approx(ig[i] + ig[j] + 0.5 * (loo_i + loo_j), abs=1e-15)
 
     def test_loo_components_match_direct_calls(self):
         model = make_random_model(32)
         inst = make_random_instance(model, 33, length=4)
         pm = cooperative_integrated_gradients(model, inst, 1, beta=0.3)
-        for (i, j), rec in pm.records.items():
-            assert rec.loo_i == pytest.approx(loo_integrated_gradients(model, inst, i, j, 1), abs=1e-15)
-            assert rec.loo_j == pytest.approx(loo_integrated_gradients(model, inst, j, i, 1), abs=1e-15)
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    direct = loo_integrated_gradients(model, inst, i, j, 1)
+                    assert pm.loo[j, i] == pytest.approx(direct, abs=1e-15)
 
     def test_symmetric_lookup(self):
         model = make_random_model(34)
         inst = make_random_instance(model, 35, length=4)
         pm = cooperative_integrated_gradients(model, inst, 0, beta=0.5)
-        assert pm.get(2, 0) is pm.get(0, 2)
-        with pytest.raises(InputError):
-            pm.get(1, 1)
-        with pytest.raises(InputError):
-            pm.get(0, 99)
+        assert np.array_equal(pm.cig, pm.cig.T)
 
     def test_positive_pairs_exactly_positive_cig(self):
         model = make_random_model(36)
         inst = make_random_instance(model, 37, length=6)
         pm = cooperative_integrated_gradients(model, inst, 1, beta=0.5)
-        expected = tuple(sorted(k for k, r in pm.records.items() if r.cig > 0))
+        expected = tuple((i, j) for i in range(6) for j in range(i + 1, 6) if pm.cig[i, j] > 0)
         assert pm.positive_pairs == expected
 
     def test_single_token_instance_degenerate(self):
@@ -211,7 +210,7 @@ class TestCooperative:
         inst = make_random_instance(model, 39, length=1)
         pm = cooperative_integrated_gradients(model, inst, 0, beta=0.5)
         assert pm.degenerate
-        assert pm.records == {}
+        assert pm.cig.shape == pm.loo.shape == (1, 1)
         assert pm.positive_pairs == ()
 
     def test_beta_out_of_range_rejected(self):
@@ -230,8 +229,9 @@ class TestCooperative:
         recombined = base.with_beta(beta)
         fresh = cooperative_integrated_gradients(model, inst, 0, beta=beta, steps=8)
         assert recombined.positive_pairs == fresh.positive_pairs
-        for key, rec in fresh.records.items():
-            assert recombined.records[key].cig == pytest.approx(rec.cig, abs=1e-12)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert recombined.cig[i, j] == pytest.approx(fresh.cig[i, j], abs=1e-12)
 
     def test_linear_model_identity(self):
         # For a linear head cig must equal (1 + beta) * (ig_i + ig_j).
@@ -242,6 +242,7 @@ class TestCooperative:
         beta = 0.7
         pm = cooperative_integrated_gradients(model, inst, 1, beta=beta, steps=4)
         att = pm.attributions
-        for (i, j), rec in pm.records.items():
-            expected = (1 + beta) * (float(att.scores[i]) + float(att.scores[j]))
-            assert abs(rec.cig - expected) < 1e-10
+        for i in range(8):
+            for j in range(i + 1, 8):
+                expected = (1 + beta) * (float(att.scores[i]) + float(att.scores[j]))
+                assert abs(pm.cig[i, j] - expected) < 1e-10

@@ -1,0 +1,47 @@
+"""The functions the benchmark's tracer wraps must stay where it looks.
+
+perfbench/tracer.py patches minfeat's layers from outside the package by
+name. Renaming, moving or inlining one of its targets would break
+``perfbench/run.py --trace 1``; these checks catch that in the unit suite.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from minfeat import evaluation, pipeline
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves(tracer):
+    for layer, target in tracer.TARGETS:
+        home = importlib.import_module(f"minfeat.{layer}")
+        if "." in target:
+            cls_name, method = target.split(".")
+            assert method in vars(getattr(home, cls_name)), f"{layer}.{target}"
+        else:
+            assert callable(getattr(home, target, None)), f"{layer}.{target}"
+
+
+def test_parallel_map_exists():
+    assert callable(evaluation.parallel_map)
+
+
+def test_refine_records_bound_and_solver_spans(tracer, toy_model, toy_instances):
+    with tracer.Tracer("contract") as trace:
+        pipeline.refine(toy_model, toy_instances[1], pipeline.CidrConfig(n_iter=2, steps=12))
+    names = {span.name for span in trace.spans}
+    assert {"pipeline.refine", "pipeline.perturbed_upper_bound", "knapsack.solve_dp"} <= names

@@ -132,6 +132,6 @@ class TestSingleInstanceMetrics:
         inst = toy_instances[0]
         mfs = refine(toy_model, inst, FAST)
         comp, lo, fms = single_instance_metrics(toy_model, inst, mfs, FAST.t)
-        scores = tuple(mfs.pair_scores.records[p].cig for p in mfs.pairs)
+        scores = tuple(float(mfs.pair_scores.cig[p]) for p in mfs.pairs)
         removal = [RemovalSet(mode=PAIR_MODE, elements=mfs.pairs, scores=scores)]
         assert comp == comprehensiveness(toy_model, [inst], removal, RemovalProtocol(PAIR_MODE))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from minfeat.errors import ConfigError, InputError
 from minfeat.knapsack import (
-    IntegerKnapsackInstance,
     KnapsackInstance,
     KnapsackSolution,
     quantize,
@@ -19,57 +18,59 @@ from minfeat.knapsack import (
 )
 
 
-def random_integer_instance(rng: np.random.Generator, max_items: int = 12) -> IntegerKnapsackInstance:
+def random_integer_instance(rng: np.random.Generator, max_items: int = 12) -> KnapsackInstance:
     n = int(rng.integers(0, max_items + 1))
     weights = tuple(int(w) for w in rng.integers(1, 30, size=n))
     values = tuple(float(v) for v in rng.integers(1, 50, size=n))
     capacity = int(rng.integers(0, 80))
-    return IntegerKnapsackInstance(
+    return KnapsackInstance(
         items=tuple(range(n)), weights=weights, values=values, capacity=capacity
     )
 
 
 class TestQuantize:
     def test_rounds_half_away_from_zero(self):
-        inst = KnapsackInstance(
+        q = quantize(
             items=("a", "b", "c"),
             weights=(0.0015, 0.00249, 0.00251),
             values=(1.0, 1.0, 1.0),
             capacity=1.0,
             digits=3,
         )
-        q = quantize(inst)
         assert q.weights == (2, 2, 3)  # 1.5 -> 2, 2.49 -> 2, 2.51 -> 3
 
     def test_capacity_is_floored(self):
-        inst = KnapsackInstance(items=("a",), weights=(1.0,), values=(1.0,), capacity=2.999, digits=0)
-        assert quantize(inst).capacity == 2
+        q = quantize(items=("a",), weights=(1.0,), values=(1.0,), capacity=2.999, digits=0)
+        assert q.capacity == 2
 
     def test_tiny_weights_clamped_to_one(self):
-        inst = KnapsackInstance(items=("a",), weights=(1e-9,), values=(1.0,), capacity=1.0, digits=3)
-        assert quantize(inst).weights == (1,)
+        q = quantize(items=("a",), weights=(1e-9,), values=(1.0,), capacity=1.0, digits=3)
+        assert q.weights == (1,)
 
     def test_table_size_guard(self):
-        inst = KnapsackInstance(items=("a",), weights=(1.0,), values=(1.0,), capacity=1e9, digits=3)
         with pytest.raises(ConfigError):
-            quantize(inst)
+            quantize(items=("a",), weights=(1.0,), values=(1.0,), capacity=1e9, digits=3)
 
     def test_validation(self):
         with pytest.raises(InputError):
-            KnapsackInstance(items=("a", "a"), weights=(1.0, 1.0), values=(1.0, 1.0), capacity=1.0, digits=0)
+            quantize(items=("a", "a"), weights=(1.0, 1.0), values=(1.0, 1.0), capacity=1.0, digits=0)
         with pytest.raises(InputError):
-            KnapsackInstance(items=("a",), weights=(0.0,), values=(1.0,), capacity=1.0, digits=0)
+            quantize(items=("a",), weights=(0.0,), values=(1.0,), capacity=1.0, digits=0)
         with pytest.raises(InputError):
-            KnapsackInstance(items=("a",), weights=(1.0,), values=(-1.0,), capacity=1.0, digits=0)
+            quantize(items=("a",), weights=(1.0,), values=(-1.0,), capacity=1.0, digits=0)
         with pytest.raises(InputError):
-            KnapsackInstance(items=("a",), weights=(1.0,), values=(1.0,), capacity=-0.1, digits=0)
+            quantize(items=("a",), weights=(1.0,), values=(1.0,), capacity=-0.1, digits=0)
         with pytest.raises(InputError):
-            KnapsackInstance(items=("a",), weights=(1.0,), values=(1.0,), capacity=1.0, digits=-1)
+            quantize(items=("a",), weights=(1.0,), values=(1.0,), capacity=1.0, digits=-1)
+        with pytest.raises(InputError):
+            quantize(items=("a",), weights=(float("nan"),), values=(1.0,), capacity=1.0, digits=0)
+        with pytest.raises(InputError):
+            quantize(items=("a",), weights=(1.0,), values=(1.0,), capacity=float("nan"), digits=0)
 
 
 class TestSolveDp:
     def test_textbook_instance(self):
-        inst = IntegerKnapsackInstance(
+        inst = KnapsackInstance(
             items=("a", "b", "c", "d"),
             weights=(2, 3, 4, 5),
             values=(3.0, 4.0, 5.0, 6.0),
@@ -81,20 +82,20 @@ class TestSolveDp:
         assert sol.weight == 5
 
     def test_empty_and_zero_capacity(self):
-        empty = IntegerKnapsackInstance(items=(), weights=(), values=(), capacity=10)
+        empty = KnapsackInstance(items=(), weights=(), values=(), capacity=10)
         assert solve_dp(empty) == KnapsackSolution(selected=(), value=0.0, weight=0)
-        zero = IntegerKnapsackInstance(items=("a",), weights=(1,), values=(1.0,), capacity=0)
+        zero = KnapsackInstance(items=("a",), weights=(1,), values=(1.0,), capacity=0)
         assert solve_dp(zero).selected == ()
 
     def test_item_heavier_than_capacity_skipped(self):
-        inst = IntegerKnapsackInstance(items=("a", "b"), weights=(9, 1), values=(100.0, 1.0), capacity=5)
+        inst = KnapsackInstance(items=("a", "b"), weights=(9, 1), values=(100.0, 1.0), capacity=5)
         sol = solve_dp(inst)
         assert sol.selected == ("b",)
 
     def test_tie_prefers_not_selecting(self):
         # Both items alone reach value 5; the smaller membership bitmask
         # keeps the earlier item.
-        inst = IntegerKnapsackInstance(items=("a", "b"), weights=(3, 3), values=(5.0, 5.0), capacity=3)
+        inst = KnapsackInstance(items=("a", "b"), weights=(3, 3), values=(5.0, 5.0), capacity=3)
         assert solve_dp(inst).selected == ("a",)
         assert solve_bruteforce(inst).selected == ("a",)
 
@@ -124,7 +125,7 @@ class TestSolveDp:
             weights = tuple(int(w) for w in rng.integers(1, 30, size=n))
             values = tuple(float(v) for v in rng.uniform(0.01, 1.0, size=n))
             capacity = sum(weights) + int(rng.integers(0, 5))
-            inst = IntegerKnapsackInstance(
+            inst = KnapsackInstance(
                 items=tuple(range(n)), weights=weights, values=values, capacity=capacity
             )
             dp = solve_dp(inst)
@@ -137,7 +138,7 @@ class TestSolveDp:
         # The all-fit shortcut in solve_dp relies on every value being positive.
         for value in (0.0, -1.0, float("nan")):
             with pytest.raises(InputError):
-                IntegerKnapsackInstance(items=("a",), weights=(1,), values=(value,), capacity=1)
+                KnapsackInstance(items=("a",), weights=(1,), values=(value,), capacity=1)
 
     @given(data=st.data())
     @settings(max_examples=60)
@@ -146,7 +147,7 @@ class TestSolveDp:
         weights = tuple(data.draw(st.integers(1, 20)) for _ in range(n))
         values = tuple(float(data.draw(st.integers(1, 30))) for _ in range(n))
         capacity = data.draw(st.integers(0, 60))
-        inst = IntegerKnapsackInstance(
+        inst = KnapsackInstance(
             items=tuple(range(n)), weights=weights, values=values, capacity=capacity
         )
         dp = solve_dp(inst)
@@ -157,7 +158,7 @@ class TestSolveDp:
 
 class TestBruteforce:
     def test_refuses_large_instances(self):
-        inst = IntegerKnapsackInstance(
+        inst = KnapsackInstance(
             items=tuple(range(21)), weights=(1,) * 21, values=(1.0,) * 21, capacity=5
         )
         with pytest.raises(InputError):

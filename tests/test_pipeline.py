@@ -78,17 +78,15 @@ class TestBounds:
 
     def test_u2_recomputed_independently(self):
         _, _, pm = pair_map_for(2, length=6)
-        expected = pm.beta * sum(
-            pm.records[p].loo_i + pm.records[p].loo_j for p in pm.positive_pairs
-        )
+        expected = pm.beta * sum(pm.loo[j, i] + pm.loo[i, j] for i, j in pm.positive_pairs)
         assert upper_bound_u2(pm) == pytest.approx(expected, abs=1e-12)
 
     def test_perturbed_bound_recomputed_independently(self):
         _, _, pm = pair_map_for(3, length=6)
         perturbations = sample_perturbations(pm.positive_pairs, seed=0, iteration=0)
         expected = pm.beta * sum(
-            perturbations.values[p] * (pm.records[p].loo_i + pm.records[p].loo_j)
-            for p in pm.positive_pairs
+            perturbations.values[(i, j)] * (pm.loo[j, i] + pm.loo[i, j])
+            for i, j in pm.positive_pairs
         )
         assert perturbed_upper_bound(pm, perturbations) == pytest.approx(expected, abs=1e-12)
 
@@ -107,7 +105,7 @@ class TestBounds:
         # every leave-one-out sum is non-negative.
         _, _, pm = pair_map_for(seed, length=5)
         perturbations = sample_perturbations(pm.positive_pairs, seed=seed, iteration=0)
-        loo_sums = [pm.records[p].loo_i + pm.records[p].loo_j for p in pm.positive_pairs]
+        loo_sums = [pm.loo[j, i] + pm.loo[i, j] for i, j in pm.positive_pairs]
         if all(s >= 0 for s in loo_sums) and all(v < 1 for v in perturbations.values.values()):
             assert perturbed_upper_bound(pm, perturbations) <= upper_bound_u2(pm) + 1e-15
 
@@ -173,7 +171,7 @@ class TestRefine:
         for inst in toy_instances[:8]:
             mfs = refine(toy_model, inst, cfg)
             for it in mfs.iterations:
-                real_score = sum(mfs.pair_scores.records[p].cig for p in it.excluded)
+                real_score = sum(mfs.pair_scores.cig[p] for p in it.excluded)
                 assert real_score <= it.capacity + 1e-9
                 assert it.excluded_score == pytest.approx(real_score, abs=1e-12)
 
@@ -181,7 +179,7 @@ class TestRefine:
         cfg = CidrConfig(n_iter=5, steps=12)
         mfs = refine(toy_model, toy_instances[1], cfg)
         for pair in mfs.pairs:
-            assert mfs.pair_scores.records[pair].cig > 0
+            assert mfs.pair_scores.cig[pair] > 0
             assert mfs.frequencies[pair] >= cfg.epsilon
         assert mfs.words == tuple(sorted({w for p in mfs.pairs for w in p}))
 
@@ -228,7 +226,7 @@ class TestGreedyVariant:
         # The greedy pass admits the top-score prefix; every admitted pair
         # was admitted while the running sum was still below the bound.
         ordered = sorted(
-            ((p, mfs.pair_scores.records[p].cig) for p in mfs.pair_scores.positive_pairs),
+            ((p, mfs.pair_scores.cig[p]) for p in mfs.pair_scores.positive_pairs),
             key=lambda kv: (-kv[1], kv[0]),
         )
         running = 0.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from minfeat.errors import InputError
@@ -41,6 +43,13 @@ def sample_report(**overrides) -> ExplanationReport:
     )
     base.update(overrides)
     return ExplanationReport(**base)
+
+
+def _line_with(field: str, value) -> str:
+    """The sample report's JSON line with one field replaced."""
+    raw = report_to_dict(sample_report())
+    raw[field] = value
+    return json.dumps(raw)
 
 
 class TestValidation:
@@ -87,6 +96,26 @@ class TestRoundTrip:
     def test_bad_json_rejected(self):
         with pytest.raises(InputError):
             report_from_line("{oops")
+
+    @pytest.mark.parametrize(
+        "line,cause",
+        [
+            ("[]", "JSON object"),
+            ("5", "JSON object"),
+            ("null", "JSON object"),
+            (_line_with("tokens", 5), "tokens"),
+            (_line_with("u1", "x"), "u1"),
+            (_line_with("ig", [0.4, None, -0.1]), "ig"),
+            (_line_with("positive_pairs", [{"i": 0, "cig": 0.8}]), "positive_pairs"),
+            (_line_with("mfs_pairs", [7]), "mfs_pairs"),
+            (_line_with("config", 3), "config"),
+        ],
+        ids=["list", "number", "null", "tokens", "u1", "ig", "pair-key", "mfs-pair", "config"],
+    )
+    def test_malformed_line_names_cause(self, line, cause):
+        with pytest.raises(InputError) as err:
+            report_from_line(line)
+        assert cause in str(err.value)
 
 
 class TestFiles:
