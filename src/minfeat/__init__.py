@@ -11,7 +11,6 @@ from .attribution import (
     PairScoreMap,
     cooperative_integrated_gradients,
     integrated_gradients,
-    loo_integrated_gradients,
 )
 from .config import load_config
 from .corpus import CorpusRecord, load_corpus, save_corpus, tokenize
@@ -99,7 +98,6 @@ __all__ = [
     "load_corpus",
     "load_model",
     "log_odds",
-    "loo_integrated_gradients",
     "pad_positions",
     "perturbed_upper_bound",
     "quantize",

@@ -147,25 +147,6 @@ def _leave_one_out_scores(model, instance: Instance, removed: int, target_class:
     return ((endpoint - baseline) * avg).sum(axis=1)
 
 
-def loo_integrated_gradients(
-    model, instance: Instance, i: int, j: int, target_class: int, steps: int = DEFAULT_STEPS
-) -> float:
-    """Attribution of token i computed with token j removed from the input.
-
-    Removal means the path endpoint has position j padded; the swapped
-    call gives the symmetric counterpart. When j is already padded in the
-    instance, the result equals the plain attribution of token i.
-    """
-    if i == j:
-        raise InputError("leave-one-out requires two distinct positions")
-    n = len(instance)
-    if not (0 <= i < n and 0 <= j < n):
-        raise InputError(f"positions ({i}, {j}) out of range for length {n}")
-    if steps < 1:
-        raise InputError("step count must be at least 1")
-    return float(_leave_one_out_scores(model, instance, j, target_class, steps)[i])
-
-
 def cooperative_integrated_gradients(
     model, instance: Instance, target_class: int, beta: float, steps: int = DEFAULT_STEPS
 ) -> PairScoreMap:

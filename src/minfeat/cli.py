@@ -21,6 +21,7 @@ from .evaluation import (
     parallel_map,
     single_instance_metrics,
 )
+from .files import atomic_write
 from .model import (
     Model,
     instance_from_words,
@@ -186,7 +187,7 @@ def run_evaluate(args: argparse.Namespace) -> int:
             f"{row.n:>8d}{row.seed:>8d}"
         )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out) as fh:
             for row in rows:
                 fh.write(
                     json.dumps(

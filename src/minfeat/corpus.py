@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InputError
+from .files import atomic_write
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ def load_corpus(path: str) -> list[CorpusRecord]:
 
 
 def save_corpus(records: list[CorpusRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(
                 json.dumps(

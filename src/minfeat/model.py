@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError
+from .files import atomic_write
 
 PAD_TOKEN = "[pad]"
 
@@ -396,7 +397,7 @@ def save_model(model: Model, path: str) -> None:
         "w2": model.w2.tolist(),
         "b2": model.b2.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 

@@ -4,9 +4,9 @@ For one instance, the pipeline scores all token pairs cooperatively,
 keeps the positive pairs, and then repeatedly solves a 0/1 knapsack that
 excludes as many pairs as possible subject to the excluded cooperative
 score staying under an attribution-derived capacity. Each repetition
-draws fresh pair values from a deterministic Gaussian stream, and pairs
-that survive in at least an epsilon fraction of the candidate sets form
-the final minimal feature set.
+draws fresh uniform pair values from a counter-based stream keyed by
+(seed, iteration), and pairs that survive in at least an epsilon fraction
+of the candidate sets form the final minimal feature set.
 
 A greedy single-pass variant (no refinement, uniform values) is provided
 for ablation comparisons.
@@ -14,7 +14,6 @@ for ablation comparisons.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -27,7 +26,7 @@ from .attribution import (
     PairScoreMap,
     cooperative_integrated_gradients,
 )
-from .errors import ConfigError, InternalError
+from .errors import ConfigError, InputError, InternalError
 from .knapsack import quantize, solve_dp, solve_greedy
 from .model import Instance, Model
 
@@ -164,18 +163,26 @@ def perturbed_upper_bound(pair_map: PairScoreMap, perturbations: PerturbationMap
 def sample_perturbations(pairs: Sequence[Pair], seed: int, iteration: int) -> PerturbationMap:
     """Deterministic per-pair values in (0, 1).
 
-    Each pair gets its own counter-based Gaussian stream keyed by
-    (seed, iteration, pair), so the value of a pair never depends on how
-    many other pairs exist or in what order they are drawn. The Gaussian
-    draw is mapped into (0, 1) through the Gaussian CDF and clipped away
-    from the endpoints.
+    One Philox generator keyed by (seed, iteration) draws a stream of
+    uniform doubles, and pair (i, j) takes the draw at its triangular
+    index j*(j-1)/2 + i, clipped away from the endpoints. Each double
+    consumes one 64-bit word of the stream, so the draw at an index is
+    the same however long the stream is: a pair's value is fixed by
+    (seed, iteration, i, j) alone, whatever other pairs are sampled. The
+    stream is as long as the largest index, about n*n/2 doubles for an
+    n-token sentence. Pairs must satisfy 0 <= i < j.
     """
+    ordered = sorted(pairs)
+    for i, j in ordered:
+        if not 0 <= i < j:
+            raise InputError(f"perturbation pair ({i}, {j}) must satisfy 0 <= i < j")
+    index = [j * (j - 1) // 2 + i for i, j in ordered]
     values: dict[Pair, float] = {}
-    for i, j in sorted(pairs):
-        stream = np.random.Generator(np.random.Philox(counter=[0, 0, i, j], key=[seed, iteration]))
-        z = float(stream.standard_normal())
-        v = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-        values[(i, j)] = min(max(v, PERTURBATION_CLIP), 1.0 - PERTURBATION_CLIP)
+    if index:
+        stream = np.random.Generator(np.random.Philox(key=[seed, iteration]))
+        draws = stream.random(max(index) + 1)[index]
+        clipped = np.clip(draws, PERTURBATION_CLIP, 1.0 - PERTURBATION_CLIP)
+        values = dict(zip(ordered, clipped.tolist()))
     return PerturbationMap(values=values, seed=seed, iteration=iteration)
 
 

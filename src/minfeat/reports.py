@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Mapping
 
 from .errors import InputError
+from .files import atomic_write
 
 
 @dataclass(frozen=True)
@@ -76,48 +77,78 @@ def _field(raw: Mapping[str, Any], name: str, convert: Callable[[Any], Any]) -> 
         raise InputError(f"report record missing field {name!r}")
     try:
         return convert(raw[name])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise InputError(f"report field {name!r} is malformed: {exc!r}") from exc
 
 
-def _pair_scores(raw: Any) -> tuple[PairScoreEntry, ...]:
-    return tuple(PairScoreEntry(i=int(p["i"]), j=int(p["j"]), cig=float(p["cig"])) for p in raw)
+def _typed(kind: str, check: Callable[[Any], bool]) -> Callable[[Any], Any]:
+    """A reader that returns a JSON value unchanged if check accepts it."""
+
+    def read(value: Any) -> Any:
+        if not check(value):
+            raise TypeError(f"expected {kind}, got {type(value).__name__}")
+        return value
+
+    return read
 
 
-def _mfs_entries(raw: Any) -> tuple[MfsEntry, ...]:
-    return tuple(
-        MfsEntry(i=int(p["i"]), j=int(p["j"]), frequency=float(p["frequency"])) for p in raw
-    )
+# JSON parses true/false as bool, a subclass of int, so integers exclude it.
+_int = _typed("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_bool = _typed("true or false", lambda v: isinstance(v, bool))
+_str = _typed("a string", lambda v: isinstance(v, str))
+_object = _typed("a JSON object", lambda v: isinstance(v, Mapping))
+_number = _typed("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+# report_to_dict leaves tuples in place; JSON text yields lists.
+_list = _typed("a list", lambda v: isinstance(v, (list, tuple)))
 
 
-def _floats(raw: Any) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw)
+def _float(value: Any) -> float:
+    return float(_number(value))
+
+
+def _tuple_of(read: Callable[[Any], Any]) -> Callable[[Any], tuple]:
+    return lambda value: tuple(read(v) for v in _list(value))
+
+
+def _pair_score(raw: Any) -> PairScoreEntry:
+    raw = _object(raw)
+    return PairScoreEntry(i=_int(raw["i"]), j=_int(raw["j"]), cig=_float(raw["cig"]))
+
+
+def _mfs_entry(raw: Any) -> MfsEntry:
+    raw = _object(raw)
+    return MfsEntry(i=_int(raw["i"]), j=_int(raw["j"]), frequency=_float(raw["frequency"]))
 
 
 def report_from_dict(raw: Any) -> ExplanationReport:
-    """Rebuild a report from its JSON object; InputError names a missing
-    or malformed field."""
+    """Rebuild a report from its JSON object.
+
+    Every field must have the JSON type that report_to_dict writes:
+    nothing is coerced, so a string where a list or a boolean belongs is
+    rejected rather than read as something else. InputError names the
+    missing or malformed field.
+    """
     if not isinstance(raw, Mapping):
         raise InputError(f"report record must be a JSON object, not {type(raw).__name__}")
     return ExplanationReport(
-        instance_id=_field(raw, "instance_id", lambda v: v),
-        tokens=_field(raw, "tokens", tuple),
-        predicted_class=_field(raw, "predicted_class", int),
-        predicted_probability=_field(raw, "predicted_probability", float),
-        ig=_field(raw, "ig", _floats),
-        positive_pairs=_field(raw, "positive_pairs", _pair_scores),
-        mfs_pairs=_field(raw, "mfs_pairs", _mfs_entries),
-        mfs_words=_field(raw, "mfs_words", lambda v: tuple(int(w) for w in v)),
-        u1=_field(raw, "u1", float),
-        u2=_field(raw, "u2", float),
-        u2_prime=_field(raw, "u2_prime", _floats),
-        degenerate=_field(raw, "degenerate", bool),
-        oov_count=_field(raw, "oov_count", int),
-        config=_field(raw, "config", dict),
-        seed=_field(raw, "seed", int),
-        comp=_field(raw, "comp", float),
-        lo=_field(raw, "lo", float),
-        fms=_field(raw, "fms", float),
+        instance_id=_field(raw, "instance_id", _str),
+        tokens=_field(raw, "tokens", _tuple_of(_str)),
+        predicted_class=_field(raw, "predicted_class", _int),
+        predicted_probability=_field(raw, "predicted_probability", _float),
+        ig=_field(raw, "ig", _tuple_of(_float)),
+        positive_pairs=_field(raw, "positive_pairs", _tuple_of(_pair_score)),
+        mfs_pairs=_field(raw, "mfs_pairs", _tuple_of(_mfs_entry)),
+        mfs_words=_field(raw, "mfs_words", _tuple_of(_int)),
+        u1=_field(raw, "u1", _float),
+        u2=_field(raw, "u2", _float),
+        u2_prime=_field(raw, "u2_prime", _tuple_of(_float)),
+        degenerate=_field(raw, "degenerate", _bool),
+        oov_count=_field(raw, "oov_count", _int),
+        config=_field(raw, "config", lambda v: dict(_object(v))),
+        seed=_field(raw, "seed", _int),
+        comp=_field(raw, "comp", _float),
+        lo=_field(raw, "lo", _float),
+        fms=_field(raw, "fms", _float),
     )
 
 
@@ -134,7 +165,7 @@ def report_from_line(line: str) -> ExplanationReport:
 
 
 def write_reports(reports: list[ExplanationReport], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for report in reports:
             fh.write(report_to_line(report))
             fh.write("\n")

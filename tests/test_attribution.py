@@ -9,14 +9,29 @@ from hypothesis import strategies as st
 
 from conftest import make_random_instance, make_random_model
 from minfeat.attribution import (
+    DEFAULT_STEPS,
     PairScoreMap,
     _average_path_gradient,
+    _leave_one_out_scores,
     cooperative_integrated_gradients,
     integrated_gradients,
-    loo_integrated_gradients,
 )
 from minfeat.errors import InputError
 from stubs import LinearModel, linear_instance
+
+
+def loo_integrated_gradients(
+    model, instance, i: int, j: int, target_class: int, steps: int = DEFAULT_STEPS
+) -> float:
+    """Reference: attribution of token i with token j padded out of the path endpoint."""
+    if i == j:
+        raise InputError("leave-one-out requires two distinct positions")
+    n = len(instance)
+    if not (0 <= i < n and 0 <= j < n):
+        raise InputError(f"positions ({i}, {j}) out of range for length {n}")
+    if steps < 1:
+        raise InputError("step count must be at least 1")
+    return float(_leave_one_out_scores(model, instance, j, target_class, steps)[i])
 
 
 def completeness_residual(model, instance, target: int, steps: int) -> float:
@@ -132,8 +147,6 @@ class TestLeaveOneOut:
         assert abs(loo - float(att.scores[0])) < 1e-12
 
     def test_removed_position_scores_zero(self):
-        from minfeat.attribution import _leave_one_out_scores
-
         model = make_random_model(20)
         inst = make_random_instance(model, 21, length=5)
         for removed in range(5):

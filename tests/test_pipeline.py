@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_random_instance, make_random_model
 from minfeat.attribution import cooperative_integrated_gradients
-from minfeat.errors import ConfigError, InternalError
+from minfeat.errors import ConfigError, InputError, InternalError
 from minfeat.pipeline import (
     CidrConfig,
     PerturbationMap,
@@ -136,13 +134,37 @@ class TestPerturbations:
         assert all(0.0 < v < 1.0 for v in pm.values.values())
         assert set(pm.values) == set(pairs)
 
-    def test_gaussian_cdf_mapping(self):
-        # One pair, reproduced by hand from the same Philox stream.
-        pm = sample_perturbations([(2, 7)], seed=5, iteration=1)
-        stream = np.random.Generator(np.random.Philox(counter=[0, 0, 2, 7], key=[5, 1]))
-        z = float(stream.standard_normal())
-        expected = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-        assert pm.values[(2, 7)] == pytest.approx(expected, abs=1e-15)
+    def test_triangular_stream_mapping(self):
+        # One pair, reproduced by hand from the iteration's Philox stream.
+        i, j = 2, 7
+        pm = sample_perturbations([(i, j)], seed=5, iteration=1)
+        t = j * (j - 1) // 2 + i
+        stream = np.random.Generator(np.random.Philox(key=[5, 1]))
+        assert pm.values[(i, j)] == stream.random(t + 1)[t]
+
+    @given(
+        n=st.integers(2, 64),
+        data=st.data(),
+        seed=st.integers(0, 2**32),
+        iteration=st.integers(0, 20),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_value_equals_value_sampled_alone(self, n, data, seed, iteration):
+        all_pairs = [(i, j) for j in range(n) for i in range(j)]
+        subset = data.draw(st.lists(st.sampled_from(all_pairs), min_size=1, unique=True))
+        pm = sample_perturbations(subset, seed=seed, iteration=iteration)
+        for pair in subset:
+            alone = sample_perturbations([pair], seed=seed, iteration=iteration)
+            assert pm.values[pair] == alone.values[pair]
+
+    def test_empty_pair_list(self):
+        pm = sample_perturbations([], seed=0, iteration=0)
+        assert pm.values == {}
+
+    @pytest.mark.parametrize("pair", [(3, 3), (4, 2), (-1, 2)])
+    def test_malformed_pair_rejected(self, pair):
+        with pytest.raises(InputError):
+            sample_perturbations([(0, 1), pair], seed=0, iteration=0)
 
     def test_out_of_range_value_rejected(self):
         with pytest.raises(InternalError):

@@ -109,8 +109,52 @@ class TestRoundTrip:
             (_line_with("positive_pairs", [{"i": 0, "cig": 0.8}]), "positive_pairs"),
             (_line_with("mfs_pairs", [7]), "mfs_pairs"),
             (_line_with("config", 3), "config"),
+            (_line_with("config", [["beta", 0.5]]), "config"),
+            (_line_with("tokens", "abc"), "tokens"),
+            (_line_with("tokens", ["good", 1, "plot"]), "tokens"),
+            (_line_with("degenerate", "false"), "degenerate"),
+            (_line_with("degenerate", 0), "degenerate"),
+            (_line_with("predicted_class", 1.7), "predicted_class"),
+            (_line_with("predicted_class", "1"), "predicted_class"),
+            (_line_with("predicted_class", True), "predicted_class"),
+            (_line_with("oov_count", 0.0), "oov_count"),
+            (_line_with("seed", "0"), "seed"),
+            (_line_with("mfs_words", [0, 1.0]), "mfs_words"),
+            (_line_with("mfs_words", [0, True]), "mfs_words"),
+            (_line_with("positive_pairs", [{"i": 0.0, "j": 1, "cig": 0.8}]), "positive_pairs"),
+            (_line_with("mfs_pairs", [{"i": 0, "j": "1", "frequency": 1.0}]), "mfs_pairs"),
+            (_line_with("u1", True), "u1"),
+            (_line_with("u2", 10**400), "u2"),
+            (_line_with("instance_id", 7), "instance_id"),
         ],
-        ids=["list", "number", "null", "tokens", "u1", "ig", "pair-key", "mfs-pair", "config"],
+        ids=[
+            "list",
+            "number",
+            "null",
+            "tokens",
+            "u1",
+            "ig",
+            "pair-key",
+            "mfs-pair",
+            "config",
+            "config-pairs",
+            "tokens-string",
+            "tokens-non-string",
+            "degenerate-string",
+            "degenerate-int",
+            "class-float",
+            "class-string",
+            "class-bool",
+            "oov-float",
+            "seed-string",
+            "words-float",
+            "words-bool",
+            "pair-index-float",
+            "mfs-index-string",
+            "u1-bool",
+            "u2-overflow",
+            "instance-id",
+        ],
     )
     def test_malformed_line_names_cause(self, line, cause):
         with pytest.raises(InputError) as err:

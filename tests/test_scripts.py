@@ -1,4 +1,4 @@
-"""Smoke test for the demo script."""
+"""Smoke tests for the scripts: they run and print their summaries."""
 
 from __future__ import annotations
 
@@ -8,11 +8,30 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def test_run_demo_prints_pair_scores(capsys):
-    spec = importlib.util.spec_from_file_location("run_demo", SCRIPTS / "run_demo.py")
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_run_demo_prints_pair_scores(capsys):
     # Record 1 has a non-empty minimal feature set on the default model.
-    assert module.main(["--index", "1"]) == 0
+    assert _load("run_demo").main(["--index", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert any("cig=" in line for line in lines)
+
+
+def test_make_toy_corpus_writes_every_record(tmp_path):
+    out = tmp_path / "corpus.jsonl"
+    assert _load("make_toy_corpus").main(["--out", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 200
+
+
+def test_directional_study_prints_seed_means(capsys):
+    # Only the shape of the output: the figures move whenever the model
+    # or the sampler does.
+    assert _load("directional_study").main(["--seeds", "1", "--methods", "cidr,random"]) == 0
+    out = capsys.readouterr().out
+    means = out.split("seed means:")[1].splitlines()
+    assert [line.split()[0] for line in means if line.strip()][1:] == ["cidr", "random"]
