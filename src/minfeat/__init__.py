@@ -27,7 +27,6 @@ from .knapsack import (
 )
 from .metrics import (
     MetricsRow,
-    RemovalProtocol,
     RemovalSet,
     comprehensiveness,
     fms_pairs,
@@ -80,7 +79,6 @@ __all__ = [
     "NumericError",
     "PairScoreMap",
     "PerturbationMap",
-    "RemovalProtocol",
     "RemovalSet",
     "TrainConfig",
     "Vocabulary",

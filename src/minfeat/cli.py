@@ -14,7 +14,7 @@ from typing import Any, Mapping
 
 from .config import cidr_config_from, load_config, train_config_from
 from .corpus import CorpusRecord, load_corpus, tokenize
-from .errors import ConfigError, InputError, InternalError
+from .errors import InputError, InternalError
 from .evaluation import (
     METHODS,
     evaluate_methods,
@@ -79,8 +79,6 @@ def _parser() -> argparse.ArgumentParser:
 def _resolved_config(args: argparse.Namespace) -> dict[str, Any]:
     values = load_config(args.config)
     if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be >= 0")
         values["seed"] = args.seed
     return values
 

@@ -1,9 +1,10 @@
 """Side-by-side evaluation of explanation methods on one corpus.
 
-Each method produces one removal set per instance; all methods are then
-scored with the same comprehensiveness, log-odds, and minimality
-metrics. Pair-producing methods are scored at pair granularity, plain
-word rankings at word granularity.
+Each method produces one removal set per instance; every method, and
+the per-record scores of ``explain``, go through the same
+comprehensiveness, log-odds, and minimality call. Pair-producing methods
+are scored at pair granularity, plain word rankings at word granularity,
+as each removal set's mode says.
 
 Methods:
 
@@ -35,7 +36,6 @@ from .metrics import (
     PAIR_MODE,
     WORD_MODE,
     MetricsRow,
-    RemovalProtocol,
     RemovalSet,
     comprehensiveness,
     fms_pairs,
@@ -121,16 +121,48 @@ def _random_words(n_tokens: int, size: int, seed: int, index: int) -> RemovalSet
     )
 
 
+def _score(
+    model: Model, instances: Sequence[Instance], removal_sets: Sequence[RemovalSet], t: float
+) -> tuple[float, float, float]:
+    """(comp, lo, fms) of one method, one removal set per instance.
+
+    The first set's mode picks the minimality granularity: pairs are
+    restored a pair at a time, words a word at a time.
+    """
+    comp = comprehensiveness(model, instances, removal_sets)
+    lo = log_odds(model, instances, removal_sets)
+    fms_of = fms_pairs if removal_sets[0].mode == PAIR_MODE else fms_words
+    fms = fms_of(model, instances, [rs.elements for rs in removal_sets], t)
+    return comp, lo, fms
+
+
 def single_instance_metrics(
     model: Model, instance: Instance, mfs: MinimalFeatureSet, t: float
 ) -> tuple[float, float, float]:
-    """(comp, lo, fms) for one instance under its pair explanation."""
-    removal = [_pair_removal(mfs)]
-    protocol = RemovalProtocol(mode=PAIR_MODE)
-    comp = comprehensiveness(model, [instance], removal, protocol)
-    lo = log_odds(model, [instance], removal, protocol)
-    fms = fms_pairs(model, [instance], [mfs.pairs], t)
-    return comp, lo, fms
+    """(comp, lo, fms) for one instance under its pair explanation, scored
+    exactly as evaluate_methods scores a cidr row."""
+    return _score(model, [instance], [_pair_removal(mfs)], t)
+
+
+def _removal(
+    method: str, model: Model, config: CidrConfig, shared: _Shared, index: int
+) -> RemovalSet:
+    """The explanation one method gives for one instance."""
+    instance = shared.instance
+    if method == "cidr":
+        return _pair_removal(shared.cidr_mfs)
+    if method == "cidr-no-r":
+        return _pair_removal(cidr_without_refinement(model, instance, config, shared.pair_map))
+    if method == "cidr-no-cig":
+        zero_beta = replace(config, beta=0.0)
+        return _pair_removal(refine(model, instance, zero_beta, shared.pair_map.with_beta(0.0)))
+    if method == "random":
+        return _random_words(len(instance), len(shared.cidr_mfs.words), config.seed, index)
+    if method == "ig-top2k":
+        scores = shared.attributions.scores
+    else:  # gradinput-top2k
+        scores = gradient_input_scores(model, instance, shared.target)
+    return _word_removal(top_k_baseline(scores, _word_budget(len(instance))), scores)
 
 
 def evaluate_methods(
@@ -142,7 +174,9 @@ def evaluate_methods(
 ) -> list[MetricsRow]:
     """Score each requested method over the whole corpus.
 
-    Returns one row per method, in request order. Pair scores are
+    Returns one row per method, in request order; each row is the
+    (comp, lo, fms) of the method's removal sets, pair methods at pair
+    granularity and word rankings at word granularity. Pair scores are
     computed once per instance and shared: the beta = 0 variant is an
     exact recombination of the stored components, and the random baseline
     reads its set sizes from the cidr result.
@@ -159,8 +193,7 @@ def evaluate_methods(
     need_cidr = "cidr" in methods or "random" in methods
     need_attr = need_pairs or "ig-top2k" in methods
 
-    def prepare(item: tuple[int, Instance]) -> _Shared:
-        _, instance = item
+    def prepare(instance: Instance) -> _Shared:
         shared = _Shared(instance=instance, target=model.predicted_class(instance.embeddings))
         if need_pairs:
             shared.pair_map = cooperative_integrated_gradients(
@@ -173,56 +206,16 @@ def evaluate_methods(
             shared.cidr_mfs = refine(model, instance, config, shared.pair_map)
         return shared
 
-    shared_list = parallel_map(prepare, enumerate(instances), max_workers=max_workers)
+    shared_list = parallel_map(prepare, instances, max_workers=max_workers)
 
     rows: list[MetricsRow] = []
     for method in methods:
-        removal_sets: list[RemovalSet] = []
-        fms_sets: list = []
-        for index, shared in enumerate(shared_list):
-            instance = shared.instance
-            if method == "cidr":
-                mfs = shared.cidr_mfs
-            elif method == "cidr-no-r":
-                mfs = cidr_without_refinement(model, instance, config, shared.pair_map)
-            elif method == "cidr-no-cig":
-                zero_beta = replace(config, beta=0.0)
-                mfs = refine(model, instance, zero_beta, shared.pair_map.with_beta(0.0))
-            elif method == "ig-top2k":
-                scores = shared.attributions.scores
-                words = top_k_baseline(scores, _word_budget(len(instance)))
-                removal_sets.append(_word_removal(words, scores))
-                fms_sets.append(words)
-                continue
-            elif method == "gradinput-top2k":
-                scores = gradient_input_scores(model, instance, shared.target)
-                words = top_k_baseline(scores, _word_budget(len(instance)))
-                removal_sets.append(_word_removal(words, scores))
-                fms_sets.append(words)
-                continue
-            else:  # random
-                size = len(shared.cidr_mfs.words)
-                removal = _random_words(len(instance), size, config.seed, index)
-                removal_sets.append(removal)
-                fms_sets.append(removal.elements)
-                continue
-            removal_sets.append(_pair_removal(mfs))
-            fms_sets.append(mfs.pairs)
-
-        if method in _PAIR_METHODS:
-            protocol = RemovalProtocol(mode=PAIR_MODE)
-            fms = fms_pairs(model, instances, fms_sets, config.t)
-        else:
-            protocol = RemovalProtocol(mode=WORD_MODE)
-            fms = fms_words(model, instances, fms_sets, config.t)
+        removal_sets = [
+            _removal(method, model, config, shared, index)
+            for index, shared in enumerate(shared_list)
+        ]
+        comp, lo, fms = _score(model, instances, removal_sets, config.t)
         rows.append(
-            MetricsRow(
-                method=method,
-                lo=log_odds(model, instances, removal_sets, protocol),
-                comp=comprehensiveness(model, instances, removal_sets, protocol),
-                fms=fms,
-                n=len(instances),
-                seed=config.seed,
-            )
+            MetricsRow(method=method, lo=lo, comp=comp, fms=fms, n=len(instances), seed=config.seed)
         )
     return rows

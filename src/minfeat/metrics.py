@@ -4,12 +4,13 @@ All metrics fix the evaluated class c as the model's argmax on the
 unmodified input (ties to the lower class index) and simulate removal by
 padding token positions.
 
-Comprehensiveness and log-odds truncate each explanation to its top-K
-elements, K = min(max(1, floor(0.1 n)), |S|), where an element is a
-token pair or a single token depending on the protocol mode. The
-minimality score evaluates the full set: it checks that removing the set
-drives the class probability to at most t (essence) and that restoring
-any single element lifts it back above t (minimality).
+An explanation is a RemovalSet: token pairs or single tokens, as its
+mode says, each with a ranking score. Comprehensiveness and log-odds
+remove its top-K elements, K = min(max(1, floor(0.1 n)), |S|), and
+compare the class probability before and after. The minimality score
+evaluates the full set: it checks that removing the set drives the class
+probability to at most t (essence) and that restoring any single element
+lifts it back above t (minimality).
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import InputError, InternalError
 from .model import Instance, Model, pad_positions
 
@@ -25,21 +28,6 @@ PROBABILITY_FLOOR = 1e-12
 
 PAIR_MODE = "pairs"
 WORD_MODE = "words"
-
-
-@dataclass(frozen=True)
-class RemovalProtocol:
-    """Removal granularity: token pairs or single tokens."""
-
-    mode: str
-
-    def __post_init__(self) -> None:
-        if self.mode not in (PAIR_MODE, WORD_MODE):
-            raise InputError(f"unknown protocol mode {self.mode!r}")
-
-    def k_for(self, n_tokens: int, set_size: int) -> int:
-        """Per-instance truncation budget, at least 1 element, at most |S|."""
-        return min(max(1, n_tokens // 10), set_size)
 
 
 @dataclass(frozen=True)
@@ -102,21 +90,17 @@ def _check_corpus(instances: Sequence[Instance], sets: Sequence, kind: str) -> N
         raise InputError(f"one {kind} set per instance is required")
 
 
-def _truncated_positions(
-    instance: Instance, removal: RemovalSet, protocol: RemovalProtocol
-) -> tuple[int, ...]:
-    k = protocol.k_for(len(instance), len(removal.elements))
-    top = removal.top_elements(k)
-    if len(top) > min(max(1, len(instance) // 10), len(removal.elements)):
-        raise InternalError("truncated removal set exceeds the K budget")
-    return _positions_of(top)
+def _k_for(n_tokens: int, set_size: int) -> int:
+    """Per-instance truncation budget, at least 1 element, at most |S|."""
+    return min(max(1, n_tokens // 10), set_size)
+
+
+def _truncated_positions(instance: Instance, removal: RemovalSet) -> tuple[int, ...]:
+    return _positions_of(removal.top_elements(_k_for(len(instance), len(removal.elements))))
 
 
 def _removal_probabilities(
-    model: Model,
-    instances: Sequence[Instance],
-    removal_sets: Sequence[RemovalSet],
-    protocol: RemovalProtocol,
+    model: Model, instances: Sequence[Instance], removal_sets: Sequence[RemovalSet]
 ) -> Iterator[tuple[float, float]]:
     """Predicted-class probability before and after removing the top-K
     elements, for each instance whose removal set is non-empty."""
@@ -124,43 +108,39 @@ def _removal_probabilities(
     for instance, removal in zip(instances, removal_sets):
         if not removal.elements:
             continue
-        c = model.predicted_class(instance.embeddings)
-        before = float(model.forward(instance.embeddings)[c])
-        padded = pad_positions(model, instance, _truncated_positions(instance, removal, protocol))
+        probs = model.forward(instance.embeddings)
+        c = int(np.argmax(probs))
+        padded = pad_positions(model, instance, _truncated_positions(instance, removal))
         after = float(model.forward(padded.embeddings)[c])
-        yield before, after
+        yield float(probs[c]), after
 
 
 def comprehensiveness(
-    model: Model,
-    instances: Sequence[Instance],
-    removal_sets: Sequence[RemovalSet],
-    protocol: RemovalProtocol,
+    model: Model, instances: Sequence[Instance], removal_sets: Sequence[RemovalSet]
 ) -> float:
-    """Mean drop of the predicted-class probability after removing top-K elements.
+    """Mean drop of the predicted-class probability after removing each
+    set's top-K elements.
 
     Higher is better. Instances with empty removal sets contribute 0.
     """
     total = 0.0
-    for before, after in _removal_probabilities(model, instances, removal_sets, protocol):
+    for before, after in _removal_probabilities(model, instances, removal_sets):
         total += before - after
     return total / len(instances)
 
 
 def log_odds(
-    model: Model,
-    instances: Sequence[Instance],
-    removal_sets: Sequence[RemovalSet],
-    protocol: RemovalProtocol,
+    model: Model, instances: Sequence[Instance], removal_sets: Sequence[RemovalSet]
 ) -> float:
-    """Mean natural-log probability change on the predicted class after removal.
+    """Mean natural-log change of the predicted-class probability after
+    removing each set's top-K elements.
 
     Negative when removal hurts the predicted class; lower is better.
-    Probabilities are floored at 1e-12 before logging, so the result is
-    always finite.
+    Instances with empty removal sets contribute 0. Probabilities are
+    floored at 1e-12 before logging, so the result is always finite.
     """
     total = 0.0
-    for before, after in _removal_probabilities(model, instances, removal_sets, protocol):
+    for before, after in _removal_probabilities(model, instances, removal_sets):
         total += math.log(max(after, PROBABILITY_FLOOR)) - math.log(max(before, PROBABILITY_FLOOR))
     return total / len(instances)
 

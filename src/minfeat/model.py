@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -434,6 +434,14 @@ def _check_parameters(
             raise NumericError(f"model checkpoint {name!r} contains non-finite values")
 
 
+def _checkpoint_int(value: Any, field: str) -> int:
+    """A checkpoint scalar that must be a JSON integer; true, 0.9 or 2.5 is
+    rejected rather than truncated to an index or a dimension."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"model checkpoint {field} must be an integer, got {value!r}")
+    return value
+
+
 def load_model(path: str) -> Model:
     """Read a checkpoint written by save_model, validating keys, shapes and values.
 
@@ -459,11 +467,14 @@ def load_model(path: str) -> Model:
         raise InputError(f"model checkpoint missing required keys: {missing}")
     try:
         vocab = Vocabulary(
-            token_to_index={str(k): int(v) for k, v in payload["vocab"].items()},
-            pad_index=int(payload["pad_index"]),
-            embed_dim=int(payload["embed_dim"]),
+            token_to_index={
+                str(k): _checkpoint_int(v, f"vocab[{k!r}]") for k, v in payload["vocab"].items()
+            },
+            pad_index=_checkpoint_int(payload["pad_index"], "pad_index"),
+            embed_dim=_checkpoint_int(payload["embed_dim"], "embed_dim"),
         )
-        hidden_dim, num_classes = int(payload["hidden_dim"]), int(payload["num_classes"])
+        hidden_dim = _checkpoint_int(payload["hidden_dim"], "hidden_dim")
+        num_classes = _checkpoint_int(payload["num_classes"], "num_classes")
         params = {name: np.asarray(payload[name], dtype=np.float64) for name in _PARAMETERS}
     except (AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"model checkpoint has a malformed field: {exc}") from exc

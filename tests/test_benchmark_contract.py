@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from minfeat import evaluation, pipeline
+from minfeat import cli, evaluation, pipeline
+from minfeat.corpus import save_corpus
+from minfeat.model import save_model
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -45,3 +48,27 @@ def test_refine_records_bound_and_solver_spans(tracer, toy_model, toy_instances)
         pipeline.refine(toy_model, toy_instances[1], pipeline.CidrConfig(n_iter=2, steps=12))
     names = {span.name for span in trace.spans}
     assert {"pipeline.refine", "pipeline.perturbed_upper_bound", "knapsack.solve_dp"} <= names
+
+
+def test_evaluate_records_every_metric_span(tracer, toy_model, toy_instances):
+    config = pipeline.CidrConfig(n_iter=2, steps=8)
+    with tracer.Tracer("contract") as trace:
+        evaluation.evaluate_methods(toy_model, toy_instances[:2], list(evaluation.METHODS), config)
+    names = {span.name for span in trace.spans}
+    assert {
+        "metrics.comprehensiveness",
+        "metrics.log_odds",
+        "metrics.fms_pairs",
+        "metrics.fms_words",
+    } <= names
+
+
+def test_explain_records_single_instance_metrics_span(tracer, toy_model, toy_corpus, tmp_path):
+    model, corpus, config = tmp_path / "model.json", tmp_path / "corpus.jsonl", tmp_path / "c.json"
+    save_model(toy_model, str(model))
+    save_corpus(toy_corpus[:2], str(corpus))
+    config.write_text(json.dumps({"steps": 8, "n_iter": 2}), encoding="utf-8")
+    argv = ["explain", "--corpus", str(corpus), "--model", str(model), "--config", str(config)]
+    with tracer.Tracer("contract") as trace:
+        assert cli.main(argv + ["--out", str(tmp_path / "r.jsonl")]) == 0
+    assert "evaluation.single_instance_metrics" in {span.name for span in trace.spans}

@@ -73,6 +73,21 @@ class TestTrain:
             ]
         )
         assert code == 2
+        # explain validates its seed in CidrConfig, not in the CLI.
+        code = main(
+            [
+                "explain",
+                "--corpus",
+                str(cli_env["corpus"]),
+                "--model",
+                str(cli_env["model"]),
+                "--out",
+                str(cli_env["root"] / "r.jsonl"),
+                "--seed",
+                "-1",
+            ]
+        )
+        assert code == 2
 
     def test_unknown_config_key_exits_2(self, cli_env, tmp_path):
         bad = tmp_path / "bad.json"
@@ -126,6 +141,23 @@ def _nan_in_b1(payload):
 
 def _extra_vocab_word(payload):
     payload["vocab"]["zzzz"] = len(payload["vocab"])
+
+
+def _set(field, value):
+    def corrupt(payload):
+        payload[field] = value
+
+    corrupt.__name__ = f"_{field}_{value}"
+    return corrupt
+
+
+def _whole_float_hidden_dim(payload):
+    payload["hidden_dim"] = float(payload["hidden_dim"])
+
+
+def _float_vocab_index(payload):
+    word = next(w for w, index in payload["vocab"].items() if index == 3)
+    payload["vocab"][word] = 3.4
 
 
 class TestExplain:
@@ -202,6 +234,14 @@ class TestExplain:
             (_wrong_embed_dim, "embedding"),
             (_nan_in_b1, "b1"),
             (_extra_vocab_word, "embedding"),
+            # Scalars must be JSON integers, not booleans or floats that
+            # int() would truncate into a valid-looking checkpoint.
+            (_set("pad_index", True), "pad_index"),
+            (_set("pad_index", 0.9), "pad_index"),
+            (_set("num_classes", 2.5), "num_classes"),
+            (_set("embed_dim", 16.7), "embed_dim"),
+            (_whole_float_hidden_dim, "hidden_dim"),
+            (_float_vocab_index, "vocab"),
         ],
     )
     def test_invalid_checkpoint_exits_2(self, cli_env, tmp_path, capsys, corrupt, named):

@@ -127,11 +127,21 @@ class TestEvaluateMethods:
 
 class TestSingleInstanceMetrics:
     def test_matches_corpus_level_functions(self, toy_model, toy_instances):
-        from minfeat.metrics import PAIR_MODE, RemovalProtocol, RemovalSet, comprehensiveness
+        from minfeat.metrics import PAIR_MODE, RemovalSet, comprehensiveness
 
         inst = toy_instances[0]
         mfs = refine(toy_model, inst, FAST)
         comp, lo, fms = single_instance_metrics(toy_model, inst, mfs, FAST.t)
         scores = tuple(float(mfs.pair_scores.cig[p]) for p in mfs.pairs)
         removal = [RemovalSet(mode=PAIR_MODE, elements=mfs.pairs, scores=scores)]
-        assert comp == comprehensiveness(toy_model, [inst], removal, RemovalProtocol(PAIR_MODE))
+        assert comp == comprehensiveness(toy_model, [inst], removal)
+
+    def test_equals_a_one_instance_cidr_row(self, toy_model, toy_instances):
+        # explain and evaluate score an explanation through the same call,
+        # so the per-record triple is exactly the one-instance cidr row.
+        # Instance 3 has a one-pair explanation that passes minimality.
+        inst = toy_instances[3]
+        (row,) = evaluate_methods(toy_model, [inst], ["cidr"], FAST)
+        comp, lo, fms = single_instance_metrics(toy_model, inst, refine(toy_model, inst, FAST), FAST.t)
+        assert fms == 1.0
+        assert (row.comp, row.lo, row.fms) == (comp, lo, fms)

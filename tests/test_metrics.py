@@ -17,8 +17,8 @@ from minfeat.metrics import (
     PAIR_MODE,
     WORD_MODE,
     MetricsRow,
-    RemovalProtocol,
     RemovalSet,
+    _k_for,
     comprehensiveness,
     fms_pairs,
     fms_words,
@@ -27,21 +27,18 @@ from minfeat.metrics import (
 )
 from stubs import ScriptedModel, scripted_instance
 
-PAIRS = RemovalProtocol(PAIR_MODE)
-WORDS = RemovalProtocol(WORD_MODE)
-
 
 class TestProtocol:
     def test_modes_validated(self):
         with pytest.raises(InputError):
-            RemovalProtocol("tokens")
+            RemovalSet(mode="tokens", elements=(), scores=())
 
     def test_truncation_budget(self):
-        assert PAIRS.k_for(10, 5) == 1  # floor(0.1 * 10) = 1
-        assert PAIRS.k_for(30, 5) == 3
-        assert PAIRS.k_for(30, 2) == 2  # clamped to the set size
-        assert PAIRS.k_for(5, 9) == 1  # short input still removes one
-        assert PAIRS.k_for(200, 999) == 20
+        assert _k_for(10, 5) == 1  # floor(0.1 * 10) = 1
+        assert _k_for(30, 5) == 3
+        assert _k_for(30, 2) == 2  # clamped to the set size
+        assert _k_for(5, 9) == 1  # short input still removes one
+        assert _k_for(200, 999) == 20
 
     def test_top_elements_order(self):
         rs = RemovalSet(mode=WORD_MODE, elements=(4, 2, 9), scores=(1.0, 3.0, 1.0))
@@ -58,14 +55,14 @@ class TestComprehensiveness:
         model = ScriptedModel({(): (0.9, 0.1), (2, 5): (0.6, 0.4)})
         inst = scripted_instance(10)
         removal = RemovalSet(mode=PAIR_MODE, elements=((2, 5),), scores=(1.0,))
-        assert comprehensiveness(model, [inst], [removal], PAIRS) == pytest.approx(0.3, abs=1e-12)
+        assert comprehensiveness(model, [inst], [removal]) == pytest.approx(0.3, abs=1e-12)
 
     def test_truncates_to_top_scoring_pair(self):
         # Length 10 gives budget K=1, so only the best-scored pair is removed.
         model = ScriptedModel({(): (0.8, 0.2), (0, 1): (0.5, 0.5)})
         inst = scripted_instance(10)
         removal = RemovalSet(mode=PAIR_MODE, elements=((2, 3), (0, 1)), scores=(1.0, 2.0))
-        assert comprehensiveness(model, [inst], [removal], PAIRS) == pytest.approx(0.3, abs=1e-12)
+        assert comprehensiveness(model, [inst], [removal]) == pytest.approx(0.3, abs=1e-12)
 
     def test_empty_set_contributes_zero(self):
         model = ScriptedModel({(): (0.9, 0.1), (1,): (0.4, 0.6)})
@@ -75,14 +72,14 @@ class TestComprehensiveness:
             RemovalSet(mode=WORD_MODE, elements=(), scores=()),
         ]
         # (0.9 - 0.4 + 0) / 2
-        assert comprehensiveness(model, insts, removals, WORDS) == pytest.approx(0.25, abs=1e-12)
+        assert comprehensiveness(model, insts, removals) == pytest.approx(0.25, abs=1e-12)
 
     def test_corpus_shape_validated(self):
         model = ScriptedModel({(): (0.9, 0.1)})
         with pytest.raises(InputError):
-            comprehensiveness(model, [], [], PAIRS)
+            comprehensiveness(model, [], [])
         with pytest.raises(InputError):
-            comprehensiveness(model, [scripted_instance(5)], [], PAIRS)
+            comprehensiveness(model, [scripted_instance(5)], [])
 
 
 class TestLogOdds:
@@ -90,13 +87,13 @@ class TestLogOdds:
         model = ScriptedModel({(): (0.9, 0.1), (2, 5): (0.6, 0.4)})
         inst = scripted_instance(10)
         removal = RemovalSet(mode=PAIR_MODE, elements=((2, 5),), scores=(1.0,))
-        assert log_odds(model, [inst], [removal], PAIRS) == pytest.approx(-0.405465, abs=1e-6)
+        assert log_odds(model, [inst], [removal]) == pytest.approx(-0.405465, abs=1e-6)
 
     def test_zero_probability_floored(self):
         model = ScriptedModel({(): (0.9, 0.1), (3,): (0.0, 1.0)})
         inst = scripted_instance(10)
         removal = RemovalSet(mode=WORD_MODE, elements=(3,), scores=(1.0,))
-        lo = log_odds(model, [inst], [removal], WORDS)
+        lo = log_odds(model, [inst], [removal])
         assert math.isfinite(lo)
         assert lo == pytest.approx(math.log(1e-12) - math.log(0.9), abs=1e-9)
 
