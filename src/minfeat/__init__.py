@@ -49,7 +49,6 @@ from .pipeline import (
     Bounds,
     CidrConfig,
     MinimalFeatureSet,
-    PerturbationMap,
     cidr_without_refinement,
     perturbed_upper_bound,
     refine,
@@ -78,7 +77,6 @@ __all__ = [
     "Model",
     "NumericError",
     "PairScoreMap",
-    "PerturbationMap",
     "RemovalSet",
     "TrainConfig",
     "Vocabulary",

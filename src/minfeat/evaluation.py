@@ -110,7 +110,9 @@ def _random_words(n_tokens: int, size: int, seed: int, index: int) -> RemovalSet
     if size == 0:
         return RemovalSet(mode=WORD_MODE, elements=(), scores=())
     stream = np.random.Generator(
-        np.random.Philox(counter=[0, 0, 0, index], key=[seed, _RANDOM_STREAM])
+        np.random.Philox(
+            counter=[0, 0, 0, index], key=np.array([seed, _RANDOM_STREAM], dtype=np.uint64)
+        )
     )
     drawn = stream.permutation(n_tokens)[:size]
     # Earlier draws rank higher so truncation follows the draw order.

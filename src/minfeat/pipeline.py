@@ -1,15 +1,16 @@
-"""Minimal-feature-set construction via repeated knapsack exclusion.
+"""Minimal-feature-set construction via knapsack exclusion.
 
-For one instance, the pipeline scores all token pairs cooperatively,
-keeps the positive pairs, and then repeatedly solves a 0/1 knapsack that
-excludes as many pairs as possible subject to the excluded cooperative
-score staying under an attribution-derived capacity. Each repetition
-draws fresh uniform pair values from a counter-based stream keyed by
-(seed, iteration), and pairs that survive in at least an epsilon fraction
-of the candidate sets form the final minimal feature set.
+For one instance, the pipeline scores all token pairs cooperatively and
+keeps the positive pairs. One exclusion core then excludes as many pairs
+as it can while their cooperative score stays under an attribution-derived
+capacity; the pairs left over form a candidate set. refine repeats the
+exclusion n_iter times, each time valuing the pairs with fresh uniform
+draws from a counter-based stream keyed by (seed, iteration), and pairs
+that survive in at least an epsilon fraction of the candidate sets form
+the final minimal feature set.
 
-A greedy single-pass variant (no refinement, uniform values) is provided
-for ablation comparisons.
+cidr_without_refinement, the no-refinement ablation, runs the same core
+once: one greedy exclusion under the unperturbed bound.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .attribution import (
-    AttributionSet,
-    Pair,
-    PairScoreMap,
-    cooperative_integrated_gradients,
-)
+from .attribution import AttributionSet, Pair, PairScoreMap, cooperative_integrated_gradients
 from .errors import ConfigError, InputError, InternalError
 from .knapsack import quantize, solve_dp, solve_greedy
 from .model import Instance, Model
@@ -41,7 +37,8 @@ class CidrConfig:
     probability threshold for feature essence, epsilon the candidate-set
     frequency needed to retain a pair, n_iter the number of knapsack
     repetitions, steps the path-integral resolution, q the weight
-    quantization digits, and seed the root of every random stream.
+    quantization digits, and seed the root of every random stream (an
+    unsigned 64-bit Philox key word).
     """
 
     beta: float = 0.5
@@ -65,22 +62,8 @@ class CidrConfig:
             raise ConfigError("steps must be >= 1")
         if self.q < 0:
             raise ConfigError("q must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-
-
-@dataclass(frozen=True)
-class PerturbationMap:
-    """One value in (0, 1) per positive pair, plus its provenance."""
-
-    values: Mapping[Pair, float]
-    seed: int
-    iteration: int
-
-    def __post_init__(self) -> None:
-        for pair, v in self.values.items():
-            if not 0.0 < v < 1.0:
-                raise InternalError(f"perturbation for pair {pair} outside (0, 1): {v}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -136,70 +119,110 @@ def upper_bound_u1(attributions: AttributionSet) -> float:
     return 2.0 * (len(positive) - 1) * total
 
 
-def upper_bound_u2(pair_map: PairScoreMap) -> float:
-    """beta times the sum of leave-one-out components over positive pairs.
+def _scaled_loo_sum(pair_map: PairScoreMap, scales: Sequence[float]) -> float:
+    """beta * sum of scale * (loo[j, i] + loo[i, j]) over the positive pairs.
 
-    The sum runs left to right over the pairs; a pairwise array reduction
+    The sum runs left to right in pair order; a pairwise array reduction
     would round differently.
     """
+    if len(scales) != len(pair_map.positive_pairs):
+        raise InternalError(
+            f"{len(scales)} perturbations for {len(pair_map.positive_pairs)} positive pairs"
+        )
     loo_sums = pair_map.loo.T + pair_map.loo
     total = 0.0
-    for pair in pair_map.positive_pairs:
-        total += float(loo_sums[pair])
+    for scale, pair in zip(scales, pair_map.positive_pairs):
+        total += scale * float(loo_sums[pair])
     return pair_map.beta * total
 
 
-def perturbed_upper_bound(pair_map: PairScoreMap, perturbations: PerturbationMap) -> float:
-    """Like the unperturbed bound but with each pair's term scaled by its value."""
-    loo_sums = pair_map.loo.T + pair_map.loo
-    total = 0.0
-    for pair in pair_map.positive_pairs:
-        if pair not in perturbations.values:
-            raise InternalError(f"perturbation map missing positive pair {pair}")
-        total += perturbations.values[pair] * float(loo_sums[pair])
-    return pair_map.beta * total
+def upper_bound_u2(pair_map: PairScoreMap) -> float:
+    """beta times the sum of leave-one-out components over positive pairs."""
+    return _scaled_loo_sum(pair_map, (1.0,) * len(pair_map.positive_pairs))
 
 
-def sample_perturbations(pairs: Sequence[Pair], seed: int, iteration: int) -> PerturbationMap:
-    """Deterministic per-pair values in (0, 1).
+def perturbed_upper_bound(pair_map: PairScoreMap, values: Sequence[float]) -> float:
+    """Like upper_bound_u2 but with each pair's term scaled by its value.
 
-    One Philox generator keyed by (seed, iteration) draws a stream of
-    uniform doubles, and pair (i, j) takes the draw at its triangular
-    index j*(j-1)/2 + i, clipped away from the endpoints. Each double
-    consumes one 64-bit word of the stream, so the draw at an index is
-    the same however long the stream is: a pair's value is fixed by
-    (seed, iteration, i, j) alone, whatever other pairs are sampled. The
-    stream is as long as the largest index, about n*n/2 doubles for an
-    n-token sentence. Pairs must satisfy 0 <= i < j.
+    values holds one perturbation per positive pair, aligned with
+    pair_map.positive_pairs; a length mismatch is an InternalError.
     """
-    ordered = sorted(pairs)
-    for i, j in ordered:
+    return _scaled_loo_sum(pair_map, values)
+
+
+def sample_perturbations(pairs: Sequence[Pair], seed: int, iteration: int) -> tuple[float, ...]:
+    """Deterministic values in (0, 1), one per pair, in the order given.
+
+    One Philox generator keyed by the unsigned 64-bit words (seed,
+    iteration) draws a stream of uniform doubles, and pair (i, j) takes
+    the draw at its triangular index j*(j-1)/2 + i, clipped away from the
+    endpoints. Each double consumes one 64-bit word of the stream, so the
+    draw at an index is the same however long the stream is: a pair's
+    value is fixed by (seed, iteration, i, j) alone, whatever other pairs
+    are sampled. The stream is as long as the largest index, about n*n/2
+    doubles for an n-token sentence. Pairs must satisfy 0 <= i < j.
+    """
+    for i, j in pairs:
         if not 0 <= i < j:
             raise InputError(f"perturbation pair ({i}, {j}) must satisfy 0 <= i < j")
-    index = [j * (j - 1) // 2 + i for i, j in ordered]
-    values: dict[Pair, float] = {}
-    if index:
-        stream = np.random.Generator(np.random.Philox(key=[seed, iteration]))
-        draws = stream.random(max(index) + 1)[index]
-        clipped = np.clip(draws, PERTURBATION_CLIP, 1.0 - PERTURBATION_CLIP)
-        values = dict(zip(ordered, clipped.tolist()))
-    return PerturbationMap(values=values, seed=seed, iteration=iteration)
+    index = [j * (j - 1) // 2 + i for i, j in pairs]
+    if not index:
+        return ()
+    key = np.array([seed, iteration], dtype=np.uint64)
+    draws = np.random.Generator(np.random.Philox(key=key)).random(max(index) + 1)[index]
+    return tuple(np.clip(draws, PERTURBATION_CLIP, 1.0 - PERTURBATION_CLIP).tolist())
 
 
-def _empty_result(
-    config: CidrConfig, pair_map: PairScoreMap, target_class: int, u1: float = 0.0, u2: float = 0.0
+def _target_and_pairs(
+    model: Model, instance: Instance, config: CidrConfig, pair_map: PairScoreMap | None
+) -> tuple[int, PairScoreMap]:
+    """The predicted class and its pair scores, unless precomputed."""
+    target = model.predicted_class(instance.embeddings)
+    if pair_map is None:
+        pair_map = cooperative_integrated_gradients(model, instance, target, config.beta, config.steps)
+    return target, pair_map
+
+
+def _iteration(
+    k: int, pair_map: PairScoreMap, u2_prime: float, capacity: float, excluded: tuple[Pair, ...]
+) -> IterationRecord:
+    """One exclusion: the positive pairs not excluded form its candidate set."""
+    excluded_set = set(excluded)
+    return IterationRecord(
+        iteration=k,
+        u2_prime=u2_prime,
+        capacity=capacity,
+        excluded=excluded,
+        excluded_score=float(sum(float(pair_map.cig[p]) for p in excluded)),
+        candidate=tuple(p for p in pair_map.positive_pairs if p not in excluded_set),
+    )
+
+
+def _assemble(
+    config: CidrConfig,
+    pair_map: PairScoreMap,
+    target: int,
+    bounds: Bounds,
+    iterations: Sequence[IterationRecord],
 ) -> MinimalFeatureSet:
+    """Retain the pairs kept in at least epsilon of the candidate sets.
+
+    No iterations means a degenerate instance with an empty result.
+    """
+    counts = Counter(p for it in iterations for p in it.candidate)
+    frequencies = {p: counts[p] / len(iterations) for p in sorted(counts)}
+    retained = tuple(p for p in frequencies if frequencies[p] >= config.epsilon)
     return MinimalFeatureSet(
-        pairs=(),
-        frequencies={},
-        candidate_frequencies={},
-        words=(),
+        pairs=retained,
+        frequencies={p: frequencies[p] for p in retained},
+        candidate_frequencies=frequencies,
+        words=tuple(sorted({pos for pair in retained for pos in pair})),
         config=config,
-        bounds=Bounds(u1=u1, u2=u2, u2_prime=()),
-        iterations=(),
+        bounds=bounds,
+        iterations=tuple(iterations),
         pair_scores=pair_map,
-        target_class=target_class,
-        degenerate=True,
+        target_class=target,
+        degenerate=not iterations,
     )
 
 
@@ -213,77 +236,37 @@ def refine(
 
     The pair scores are computed once (they do not depend on the sampled
     values) unless a precomputed map is supplied. The knapsack items are
-    the positive pairs (i, j), weighted by cig[i, j] and valued by their
-    sampled perturbations. Every iteration solves the exclusion knapsack
-    under capacity u1 + u2', with the solver capacity tightened by half a
-    quantization unit per item so that the excluded real scores can never
-    exceed the true capacity. Pairs kept in at least epsilon of the
-    candidate sets are retained.
+    the positive pairs (i, j), weighted by cig[i, j] and valued by the
+    iteration's perturbations, which are aligned with the pairs. Every
+    iteration solves the exclusion knapsack under capacity u1 + u2', with
+    the solver capacity tightened by half a quantization unit per item so
+    that the excluded real scores can never exceed the true capacity.
+    Pairs kept in at least epsilon of the candidate sets are retained.
     """
-    target = model.predicted_class(instance.embeddings)
-    if pair_map is None:
-        pair_map = cooperative_integrated_gradients(
-            model, instance, target, config.beta, config.steps
-        )
+    target, pair_map = _target_and_pairs(model, instance, config, pair_map)
     positive = pair_map.positive_pairs
     if pair_map.degenerate or not positive:
-        return _empty_result(config, pair_map, target)
+        return _assemble(config, pair_map, target, Bounds(0.0, 0.0, ()), ())
 
     u1 = upper_bound_u1(pair_map.attributions)
     u2 = upper_bound_u2(pair_map)
     weights = tuple(float(pair_map.cig[p]) for p in positive)
     # round-to-nearest can shave up to half a unit off each item's weight
     margin = len(positive) * 10.0 ** (-config.q) / 2.0
-
-    counts: Counter[Pair] = Counter()
-    iterations: list[IterationRecord] = []
-    u2_primes: list[float] = []
+    iterations = []
     for k in range(config.n_iter):
-        perturbations = sample_perturbations(positive, config.seed, k)
-        u2p = perturbed_upper_bound(pair_map, perturbations)
+        values = sample_perturbations(positive, config.seed, k)
+        u2p = perturbed_upper_bound(pair_map, values)
         capacity = u1 + u2p
-        u2_primes.append(u2p)
         solver_capacity = max(0.0, capacity - margin)
+        excluded = ()
         if solver_capacity > 0.0:
-            int_instance = quantize(
-                items=positive,
-                weights=weights,
-                values=tuple(perturbations.values[p] for p in positive),
-                capacity=solver_capacity,
-                digits=config.q,
-            )
-            excluded = solve_dp(int_instance).selected
-        else:
-            excluded = ()
-        excluded_set = set(excluded)
-        candidate = tuple(p for p in positive if p not in excluded_set)
-        counts.update(candidate)
-        iterations.append(
-            IterationRecord(
-                iteration=k,
-                u2_prime=u2p,
-                capacity=capacity,
-                excluded=tuple(excluded),
-                excluded_score=float(sum(float(pair_map.cig[p]) for p in excluded)),
-                candidate=candidate,
-            )
-        )
+            instance_k = quantize(positive, weights, values, solver_capacity, config.q)
+            excluded = solve_dp(instance_k).selected
+        iterations.append(_iteration(k, pair_map, u2p, capacity, excluded))
 
-    frequencies = {pair: counts[pair] / config.n_iter for pair in sorted(counts)}
-    retained = tuple(p for p in sorted(frequencies) if frequencies[p] >= config.epsilon)
-    words = tuple(sorted({pos for pair in retained for pos in pair}))
-    return MinimalFeatureSet(
-        pairs=retained,
-        frequencies={p: frequencies[p] for p in retained},
-        candidate_frequencies=frequencies,
-        words=words,
-        config=config,
-        bounds=Bounds(u1=u1, u2=u2, u2_prime=tuple(u2_primes)),
-        iterations=tuple(iterations),
-        pair_scores=pair_map,
-        target_class=target,
-        degenerate=False,
-    )
+    bounds = Bounds(u1, u2, tuple(it.u2_prime for it in iterations))
+    return _assemble(config, pair_map, target, bounds, iterations)
 
 
 def cidr_without_refinement(
@@ -292,47 +275,21 @@ def cidr_without_refinement(
     config: CidrConfig,
     pair_map: PairScoreMap | None = None,
 ) -> MinimalFeatureSet:
-    """Single greedy exclusion pass under the unperturbed bound u1 + u2.
+    """One greedy exclusion under the unperturbed bound u1 + u2.
 
     Pairs are excluded in decreasing score order while the excluded sum
-    stays below the bound; the remaining positive pairs form the result
+    stays below the bound. The single candidate set goes through the same
+    assembly as refine's, so every remaining positive pair is retained
     with frequency 1.
     """
-    target = model.predicted_class(instance.embeddings)
-    if pair_map is None:
-        pair_map = cooperative_integrated_gradients(
-            model, instance, target, config.beta, config.steps
-        )
+    target, pair_map = _target_and_pairs(model, instance, config, pair_map)
     positive = pair_map.positive_pairs
     if pair_map.degenerate or not positive:
-        return _empty_result(config, pair_map, target)
+        return _assemble(config, pair_map, target, Bounds(0.0, 0.0, ()), ())
 
     u1 = upper_bound_u1(pair_map.attributions)
     u2 = upper_bound_u2(pair_map)
-    bound = u1 + u2
     scored = [(p, float(pair_map.cig[p])) for p in positive]
-    excluded = set(solve_greedy(scored, bound))
-    retained = tuple(p for p in positive if p not in excluded)
-    words = tuple(sorted({pos for pair in retained for pos in pair}))
-    frequencies = {p: 1.0 for p in retained}
-    return MinimalFeatureSet(
-        pairs=retained,
-        frequencies=frequencies,
-        candidate_frequencies=frequencies,
-        words=words,
-        config=config,
-        bounds=Bounds(u1=u1, u2=u2, u2_prime=()),
-        iterations=(
-            IterationRecord(
-                iteration=0,
-                u2_prime=u2,
-                capacity=bound,
-                excluded=tuple(sorted(excluded)),
-                excluded_score=float(sum(float(pair_map.cig[p]) for p in excluded)),
-                candidate=retained,
-            ),
-        ),
-        pair_scores=pair_map,
-        target_class=target,
-        degenerate=False,
-    )
+    excluded = tuple(sorted(solve_greedy(scored, u1 + u2)))
+    iteration = _iteration(0, pair_map, u2, u1 + u2, excluded)
+    return _assemble(config, pair_map, target, Bounds(u1, u2, ()), (iteration,))

@@ -199,7 +199,7 @@ def test_05_bounds_recomputed_from_raw_scores(capsys):
         beta = pair_map.beta
         expected_u2 = beta * sum(raw[p][0] + raw[p][1] for p in positive)
         perturbations = sample_perturbations(positive, seed=fixture, iteration=0)
-        expected_u2p = beta * sum(perturbations.values[p] * (raw[p][0] + raw[p][1]) for p in positive)
+        expected_u2p = beta * sum(v * (raw[p][0] + raw[p][1]) for v, p in zip(perturbations, positive))
 
         u1 = upper_bound_u1(att)
         u2 = upper_bound_u2(pair_map)

@@ -50,6 +50,19 @@ def test_refine_records_bound_and_solver_spans(tracer, toy_model, toy_instances)
     assert {"pipeline.refine", "pipeline.perturbed_upper_bound", "knapsack.solve_dp"} <= names
 
 
+def test_refine_counts_match_the_exact_count_gate(tracer, toy_model, toy_instances):
+    # perfbench/run.py gates on these counts repeating exactly; its counters
+    # read positional arguments, so a changed call shape would break them.
+    config = pipeline.CidrConfig(n_iter=3, steps=12)
+    with tracer.Tracer("contract") as trace:
+        mfs = pipeline.refine(toy_model, toy_instances[1], config)
+    n_pairs = len(mfs.pair_scores.positive_pairs)
+    solves = sum(1 for span in trace.spans if span.name == "knapsack.solve_dp")
+    assert n_pairs > 0 and solves > 0
+    assert trace.counts["pipeline.sample_perturbations.pairs"] == config.n_iter * n_pairs
+    assert trace.counts["knapsack.solve_dp.items"] == solves * n_pairs
+
+
 def test_evaluate_records_every_metric_span(tracer, toy_model, toy_instances):
     config = pipeline.CidrConfig(n_iter=2, steps=8)
     with tracer.Tracer("contract") as trace:

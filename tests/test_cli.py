@@ -226,6 +226,14 @@ class TestExplain:
         assert self._explain(cli_env, out, extra=["--seed", "11"]) == 0
         assert read_reports(str(out))[0].seed == 11
 
+    def test_seed_beyond_64_bits_exits_2(self, cli_env, tmp_path, capsys):
+        # Philox keys are unsigned 64-bit words; 2**64 is a named config
+        # error, not an overflow traceback.
+        out = tmp_path / "r.jsonl"
+        assert self._explain(cli_env, out, extra=["--seed", str(2**64)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "corrupt, named",
         [

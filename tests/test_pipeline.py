@@ -11,8 +11,8 @@ from conftest import make_random_instance, make_random_model
 from minfeat.attribution import cooperative_integrated_gradients
 from minfeat.errors import ConfigError, InputError, InternalError
 from minfeat.pipeline import (
+    Bounds,
     CidrConfig,
-    PerturbationMap,
     cidr_without_refinement,
     perturbed_upper_bound,
     refine,
@@ -48,6 +48,7 @@ class TestCidrConfig:
             {"steps": 0},
             {"q": -1},
             {"seed": -1},
+            {"seed": 2**64},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -83,8 +84,8 @@ class TestBounds:
         _, _, pm = pair_map_for(3, length=6)
         perturbations = sample_perturbations(pm.positive_pairs, seed=0, iteration=0)
         expected = pm.beta * sum(
-            perturbations.values[(i, j)] * (pm.loo[j, i] + pm.loo[i, j])
-            for i, j in pm.positive_pairs
+            perturbations[k] * (pm.loo[j, i] + pm.loo[i, j])
+            for k, (i, j) in enumerate(pm.positive_pairs)
         )
         assert perturbed_upper_bound(pm, perturbations) == pytest.approx(expected, abs=1e-12)
 
@@ -92,9 +93,17 @@ class TestBounds:
         _, _, pm = pair_map_for(4, length=5)
         if not pm.positive_pairs:
             pytest.skip("no positive pairs in this draw")
-        incomplete = PerturbationMap(values={}, seed=0, iteration=0)
+        incomplete = (0.5,) * (len(pm.positive_pairs) - 1)
         with pytest.raises(InternalError):
             perturbed_upper_bound(pm, incomplete)
+
+    @given(seed=st.integers(0, 500), length=st.integers(2, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_unit_perturbations_give_u2_exactly(self, seed, length):
+        # Both bounds run through one sum, and 1.0 * x == x.
+        _, _, pm = pair_map_for(seed, length=length)
+        ones = (1.0,) * len(pm.positive_pairs)
+        assert perturbed_upper_bound(pm, ones) == upper_bound_u2(pm)
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=25)
@@ -104,7 +113,7 @@ class TestBounds:
         _, _, pm = pair_map_for(seed, length=5)
         perturbations = sample_perturbations(pm.positive_pairs, seed=seed, iteration=0)
         loo_sums = [pm.loo[j, i] + pm.loo[i, j] for i, j in pm.positive_pairs]
-        if all(s >= 0 for s in loo_sums) and all(v < 1 for v in perturbations.values.values()):
+        if all(s >= 0 for s in loo_sums) and all(v < 1 for v in perturbations):
             assert perturbed_upper_bound(pm, perturbations) <= upper_bound_u2(pm) + 1e-15
 
 
@@ -113,34 +122,40 @@ class TestPerturbations:
         pairs = [(0, 1), (0, 2), (1, 2)]
         a = sample_perturbations(pairs, seed=7, iteration=3)
         b = sample_perturbations(pairs, seed=7, iteration=3)
-        assert a.values == b.values
+        assert a == b
 
     def test_iteration_and_seed_change_the_draw(self):
         pairs = [(0, 1), (2, 5)]
         base = sample_perturbations(pairs, seed=7, iteration=0)
-        assert sample_perturbations(pairs, seed=7, iteration=1).values != base.values
-        assert sample_perturbations(pairs, seed=8, iteration=0).values != base.values
+        assert sample_perturbations(pairs, seed=7, iteration=1) != base
+        assert sample_perturbations(pairs, seed=8, iteration=0) != base
+
+    def test_values_follow_the_given_pair_order(self):
+        pairs = [(0, 1), (2, 5), (1, 3)]
+        forward = sample_perturbations(pairs, seed=3, iteration=0)
+        backward = sample_perturbations(pairs[::-1], seed=3, iteration=0)
+        assert backward == forward[::-1]
 
     def test_value_independent_of_other_pairs(self):
         # Counter-based streams: a pair's value must not change when the
         # pair set around it grows.
         small = sample_perturbations([(1, 4)], seed=0, iteration=0)
         large = sample_perturbations([(0, 1), (1, 4), (2, 3)], seed=0, iteration=0)
-        assert small.values[(1, 4)] == large.values[(1, 4)]
+        assert small[0] == large[1]
 
     def test_values_strictly_inside_unit_interval(self):
         pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-        pm = sample_perturbations(pairs, seed=11, iteration=2)
-        assert all(0.0 < v < 1.0 for v in pm.values.values())
-        assert set(pm.values) == set(pairs)
+        values = sample_perturbations(pairs, seed=11, iteration=2)
+        assert all(0.0 < v < 1.0 for v in values)
+        assert len(values) == len(pairs)
 
     def test_triangular_stream_mapping(self):
         # One pair, reproduced by hand from the iteration's Philox stream.
         i, j = 2, 7
-        pm = sample_perturbations([(i, j)], seed=5, iteration=1)
+        values = sample_perturbations([(i, j)], seed=5, iteration=1)
         t = j * (j - 1) // 2 + i
         stream = np.random.Generator(np.random.Philox(key=[5, 1]))
-        assert pm.values[(i, j)] == stream.random(t + 1)[t]
+        assert values[0] == stream.random(t + 1)[t]
 
     @given(
         n=st.integers(2, 64),
@@ -152,25 +167,26 @@ class TestPerturbations:
     def test_value_equals_value_sampled_alone(self, n, data, seed, iteration):
         all_pairs = [(i, j) for j in range(n) for i in range(j)]
         subset = data.draw(st.lists(st.sampled_from(all_pairs), min_size=1, unique=True))
-        pm = sample_perturbations(subset, seed=seed, iteration=iteration)
-        for pair in subset:
+        values = sample_perturbations(subset, seed=seed, iteration=iteration)
+        for pair, value in zip(subset, values):
             alone = sample_perturbations([pair], seed=seed, iteration=iteration)
-            assert pm.values[pair] == alone.values[pair]
+            assert value == alone[0]
 
     def test_empty_pair_list(self):
-        pm = sample_perturbations([], seed=0, iteration=0)
-        assert pm.values == {}
+        assert sample_perturbations([], seed=0, iteration=0) == ()
 
     @pytest.mark.parametrize("pair", [(3, 3), (4, 2), (-1, 2)])
     def test_malformed_pair_rejected(self, pair):
         with pytest.raises(InputError):
             sample_perturbations([(0, 1), pair], seed=0, iteration=0)
 
-    def test_out_of_range_value_rejected(self):
-        with pytest.raises(InternalError):
-            PerturbationMap(values={(0, 1): 1.0}, seed=0, iteration=0)
-        with pytest.raises(InternalError):
-            PerturbationMap(values={(0, 1): 0.0}, seed=0, iteration=0)
+    def test_seeds_above_2_63_do_not_collide(self):
+        # Keys are exact unsigned 64-bit words, so seeds that a float64
+        # conversion would merge still draw different streams.
+        pairs = [(0, 1), (2, 5)]
+        assert sample_perturbations(pairs, seed=2**63, iteration=0) != sample_perturbations(
+            pairs, seed=2**63 + 1, iteration=0
+        )
 
 
 class TestRefine:
@@ -212,14 +228,17 @@ class TestRefine:
         for freq in mfs.candidate_frequencies.values():
             assert 0.0 < freq <= 1.0
 
-    def test_single_token_instance_degenerate(self, toy_model):
+    @pytest.mark.parametrize("method", [refine, cidr_without_refinement])
+    def test_single_token_instance_degenerate(self, toy_model, method):
         from minfeat.model import instance_from_words
 
         inst, _ = instance_from_words(toy_model, ["good"], 1)
-        mfs = refine(toy_model, inst, CidrConfig(n_iter=2, steps=5))
+        mfs = method(toy_model, inst, CidrConfig(n_iter=2, steps=5))
         assert mfs.degenerate
         assert mfs.pairs == ()
         assert mfs.words == ()
+        assert mfs.iterations == ()
+        assert mfs.bounds == Bounds(0.0, 0.0, ())
 
     def test_precomputed_pair_map_matches_internal(self, toy_model, toy_instances):
         inst = toy_instances[3]
