@@ -21,7 +21,6 @@ from .knapsack import (
     KnapsackInstance,
     KnapsackSolution,
     quantize,
-    solve_bruteforce,
     solve_dp,
     solve_greedy,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "sample_perturbations",
     "save_corpus",
     "save_model",
-    "solve_bruteforce",
     "solve_dp",
     "solve_greedy",
     "tokenize",

@@ -177,12 +177,12 @@ def run_evaluate(args: argparse.Namespace) -> int:
 
     rows = evaluate_methods(model, instances, methods, config)
 
-    header = f"{'method':<18}{'LO':>12}{'Comp':>12}{'FMS':>12}{'N':>8}{'seed':>8}"
+    header = f"{'method':<18}{'LO':>12}{'Comp':>12}{'FMS':>12}{'N':>8}{'seed':>21}"
     print(header)
     for row in rows:
         print(
             f"{row.method:<18}{row.lo:>12.6f}{row.comp:>12.6f}{row.fms:>12.6f}"
-            f"{row.n:>8d}{row.seed:>8d}"
+            f"{row.n:>8d}{row.seed:>21d}"
         )
     if args.out:
         with atomic_write(args.out) as fh:

@@ -5,10 +5,10 @@ the sampled perturbations, and the capacity is the attribution upper
 bound. Real weights are quantized to integers before the dynamic program
 runs; see quantize for the rounding rules.
 
-Tie-break shared by the exact solvers: among equal-value selections,
-prefer not selecting an item. Applied per item from the last to the
-first during backtracking, this picks the selection whose membership
-bitmask is smallest.
+Tie-break of the exact solver: among equal-value selections, prefer
+not selecting an item. Applied per item from the last to the first
+during backtracking, this picks the selection whose membership bitmask
+is smallest.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .errors import ConfigError, InputError
 
 # Guard for the DP table: items x (capacity+1) cells.
 MAX_TABLE_CELLS = 200_000_000
-
-BRUTEFORCE_MAX_ITEMS = 20
 
 
 @dataclass(frozen=True)
@@ -143,35 +141,6 @@ def solve_dp(instance: KnapsackInstance) -> KnapsackSolution:
             c -= instance.weights[i]
     selected.reverse()
     return KnapsackSolution(selected=tuple(selected), value=value, weight=weight)
-
-
-def solve_bruteforce(instance: KnapsackInstance) -> KnapsackSolution:
-    """Exhaustive oracle over all subsets, same tie-break as solve_dp.
-
-    Refuses instances above 20 items. Subset index bit k set means item k
-    selected; among equal-value feasible subsets the smallest index wins,
-    which matches the prefer-not-selecting backtrack.
-    """
-    n = len(instance.items)
-    if n > BRUTEFORCE_MAX_ITEMS:
-        raise InputError(f"brute force refuses more than {BRUTEFORCE_MAX_ITEMS} items, got {n}")
-
-    subset_weight = np.zeros(1, dtype=np.int64)
-    subset_value = np.zeros(1, dtype=np.float64)
-    for k in range(n):
-        subset_weight = np.concatenate([subset_weight, subset_weight + instance.weights[k]])
-        subset_value = np.concatenate([subset_value, subset_value + instance.values[k]])
-
-    feasible = subset_weight <= instance.capacity
-    values = np.where(feasible, subset_value, -np.inf)
-    # argmax returns the first (smallest) index among ties
-    best_mask = int(np.argmax(values))
-    selected = tuple(instance.items[k] for k in range(n) if best_mask >> k & 1)
-    return KnapsackSolution(
-        selected=selected,
-        value=float(subset_value[best_mask]),
-        weight=int(subset_weight[best_mask]),
-    )
 
 
 def solve_greedy(pairs: Sequence[tuple[Hashable, float]], bound: float) -> tuple[Hashable, ...]:

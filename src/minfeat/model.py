@@ -175,12 +175,15 @@ class Model:
             raise NumericError("embedding matrix contains non-finite values")
         return arr
 
+    def _head(self, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden activations and class probabilities of a (d,) pooled vector
+        or a (B, d) stack of them, one row per input."""
+        hidden = np.tanh(pooled @ self.w1.T + self.b1)
+        return hidden, _softmax(hidden @ self.w2.T + self.b2)
+
     def forward(self, embeddings: np.ndarray) -> np.ndarray:
         """Class probability vector for one embedded sentence."""
-        arr = self._check_input(embeddings)
-        pooled = arr.mean(axis=0)
-        hidden = np.tanh(self.w1 @ pooled + self.b1)
-        return _softmax(self.w2 @ hidden + self.b2)
+        return self._head(self._check_input(embeddings).mean(axis=0))[1]
 
     def input_gradient(self, embeddings: np.ndarray, target_class: int) -> np.ndarray:
         """Exact gradient of forward(...)[target_class] w.r.t. every input entry.
@@ -196,9 +199,7 @@ class Model:
             raise InputError(f"class index {target_class} out of range [0, {self.num_classes})")
         stack = arr if arr.ndim == 3 else arr[np.newaxis]
         n = stack.shape[1]
-        pooled = stack.mean(axis=1)  # (B, d)
-        hidden = np.tanh(pooled @ self.w1.T + self.b1)  # (B, H)
-        probs = _softmax(hidden @ self.w2.T + self.b2)  # (B, C)
+        hidden, probs = self._head(stack.mean(axis=1))  # (B, H), (B, C)
         # d p_c / d logits = p_c * (onehot(c) - p)
         p_target = probs[:, target_class : target_class + 1]
         grad_logits = -p_target * probs
@@ -233,8 +234,8 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must lie in [0, 2**64)")
 
 
 def _init_model(vocab: Vocabulary, hidden_dim: int, num_classes: int, rng: np.random.Generator) -> Model:
@@ -257,9 +258,12 @@ def train_toy(
 ) -> Model:
     """Train the toy classifier with minibatch SGD on cross-entropy.
 
-    Deterministic under a fixed config seed: the same seed yields bitwise
-    identical parameters. Raises InputError for an empty corpus or labels
-    outside the inferred class range.
+    Each minibatch is one matrix step: one gather of its padded token ids,
+    one pass through the model's own head, and every gradient taken from
+    the parameters before the step. Deterministic under a fixed config
+    seed: the same seed yields bitwise identical parameters. Raises
+    InputError for an empty corpus or labels outside the inferred class
+    range.
     """
     if not examples:
         raise InputError("training corpus is empty")
@@ -274,56 +278,44 @@ def train_toy(
     rng = np.random.default_rng(config.seed)
     model = _init_model(vocab, hidden_dim, num_classes, rng)
 
-    # Pad every sequence to the longest one; padding only makes the batch
-    # shapes equal. The PAD row is trained only through the sentences that
-    # carry it (on the bundled corpus, the 69.5% shorter than 13 tokens),
-    # and nothing pulls the all-PAD baseline toward a uniform prediction:
-    # there it predicts class 1 with p = 0.98. Baseline neutrality is not
-    # enforced (ROADMAP item 3).
+    # Pad every sequence to the longest one, so a minibatch is one (B, L)
+    # block and every row pools over L positions. The PAD row is trained
+    # only through the sentences that carry it (on the bundled corpus, the
+    # 69.5% shorter than 13 tokens), and nothing pulls the all-PAD
+    # baseline toward a uniform prediction: there it predicts class 1 with
+    # p = 0.98. Baseline neutrality is not enforced (ROADMAP item 3).
     max_len = max(len(toks) for toks, _ in examples)
-    token_ids = [
-        np.asarray(
-            [vocab.token_to_index[t] for t in toks] + [vocab.pad_index] * (max_len - len(toks)),
-            dtype=np.intp,
-        )
-        for toks, _ in examples
-    ]
+    token_ids = np.asarray(
+        [
+            [vocab.token_to_index[t] for t in toks] + [vocab.pad_index] * (max_len - len(toks))
+            for toks, _ in examples
+        ],
+        dtype=np.intp,
+    )
     y = np.asarray(labels, dtype=np.intp)
-    n_examples = len(examples)
 
     for _ in range(config.epochs):
-        order = rng.permutation(n_examples)
-        for start in range(0, n_examples, config.batch_size):
+        order = rng.permutation(len(examples))
+        for start in range(0, len(examples), config.batch_size):
             batch = order[start : start + config.batch_size]
+            ids = token_ids[batch]  # (B, L)
+            pooled = model.embedding[ids].mean(axis=1)  # (B, d)
+            hidden, probs = model._head(pooled)
+            # Cross-entropy gradient at the logits, one row per example.
+            delta = probs.copy()
+            delta[np.arange(len(batch)), y[batch]] -= 1.0
+            grad_pre = (delta @ model.w2) * (1.0 - hidden**2)  # (B, H)
+            grad_pooled = grad_pre @ model.w1 / max_len  # (B, d)
+            # add.at sums every occurrence of a repeated id (PAD included);
+            # plain fancy-index += would keep only the last one.
             grad_emb = np.zeros_like(model.embedding)
-            grad_w1 = np.zeros_like(model.w1)
-            grad_b1 = np.zeros_like(model.b1)
-            grad_w2 = np.zeros_like(model.w2)
-            grad_b2 = np.zeros_like(model.b2)
-            for idx in batch:
-                ids = token_ids[idx]
-                rows = model.embedding[ids]
-                pooled = rows.mean(axis=0)
-                pre = model.w1 @ pooled + model.b1
-                hidden = np.tanh(pre)
-                probs = _softmax(model.w2 @ hidden + model.b2)
-                # Cross-entropy gradient at the logits.
-                delta = probs.copy()
-                delta[y[idx]] -= 1.0
-                grad_w2 += np.outer(delta, hidden)
-                grad_b2 += delta
-                grad_hidden = model.w2.T @ delta
-                grad_pre = grad_hidden * (1.0 - hidden**2)
-                grad_w1 += np.outer(grad_pre, pooled)
-                grad_b1 += grad_pre
-                grad_pooled = model.w1.T @ grad_pre
-                np.add.at(grad_emb, ids, grad_pooled / len(ids))
+            np.add.at(grad_emb, ids, grad_pooled[:, np.newaxis, :])
             scale = config.learning_rate / len(batch)
             model.embedding -= scale * grad_emb
-            model.w1 -= scale * grad_w1
-            model.b1 -= scale * grad_b1
-            model.w2 -= scale * grad_w2
-            model.b2 -= scale * grad_b2
+            model.w1 -= scale * (grad_pre.T @ pooled)
+            model.b1 -= scale * grad_pre.sum(axis=0)
+            model.w2 -= scale * (delta.T @ hidden)
+            model.b2 -= scale * delta.sum(axis=0)
     return model
 
 

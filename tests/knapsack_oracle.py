@@ -1,0 +1,39 @@
+"""Exhaustive knapsack oracle that the exact DP solver is checked against."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from minfeat.errors import InputError
+from minfeat.knapsack import KnapsackInstance, KnapsackSolution
+
+BRUTEFORCE_MAX_ITEMS = 20
+
+
+def solve_bruteforce(instance: KnapsackInstance) -> KnapsackSolution:
+    """Exhaustive oracle over all subsets, same tie-break as solve_dp.
+
+    Refuses instances above 20 items. Subset index bit k set means item k
+    selected; among equal-value feasible subsets the smallest index wins,
+    which matches the prefer-not-selecting backtrack.
+    """
+    n = len(instance.items)
+    if n > BRUTEFORCE_MAX_ITEMS:
+        raise InputError(f"brute force refuses more than {BRUTEFORCE_MAX_ITEMS} items, got {n}")
+
+    subset_weight = np.zeros(1, dtype=np.int64)
+    subset_value = np.zeros(1, dtype=np.float64)
+    for k in range(n):
+        subset_weight = np.concatenate([subset_weight, subset_weight + instance.weights[k]])
+        subset_value = np.concatenate([subset_value, subset_value + instance.values[k]])
+
+    feasible = subset_weight <= instance.capacity
+    values = np.where(feasible, subset_value, -np.inf)
+    # argmax returns the first (smallest) index among ties
+    best_mask = int(np.argmax(values))
+    selected = tuple(instance.items[k] for k in range(n) if best_mask >> k & 1)
+    return KnapsackSolution(
+        selected=selected,
+        value=float(subset_value[best_mask]),
+        weight=int(subset_weight[best_mask]),
+    )

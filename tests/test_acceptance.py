@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_instance, make_random_model
+from knapsack_oracle import solve_bruteforce
 from stubs import LinearModel, ScriptedModel, linear_instance, scripted_instance
 
 from minfeat.attribution import (
@@ -28,7 +29,7 @@ from minfeat.attribution import (
 )
 from minfeat.cli import main
 from minfeat.corpus import save_corpus
-from minfeat.knapsack import KnapsackInstance, solve_bruteforce, solve_dp
+from minfeat.knapsack import KnapsackInstance, solve_dp
 from minfeat.metrics import RemovalSet, comprehensiveness, fms_pairs, log_odds
 from minfeat.model import save_model
 from minfeat.pipeline import (

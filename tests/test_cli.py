@@ -89,6 +89,14 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_seed_beyond_64_bits_exits_2(self, cli_env, tmp_path, capsys):
+        # The seed key is shared with explain and evaluate, which reject it.
+        out = tmp_path / "m.json"
+        args = ["train", "--corpus", str(cli_env["corpus"]), "--out", str(out)]
+        assert main(args + ["--seed", str(2**64)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, cli_env, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"warmup": 3}), encoding="utf-8")
@@ -301,6 +309,33 @@ class TestEvaluate:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert [row["method"] for row in rows] == ["cidr", "random"]
         assert all(row["n"] == 24 for row in rows)
+
+    def test_widest_seed_keeps_table_columns(self, cli_env, capsys):
+        seed = 2**64 - 1
+        code = main(
+            [
+                "evaluate",
+                "--corpus",
+                str(cli_env["corpus"]),
+                "--model",
+                str(cli_env["model"]),
+                "--config",
+                str(cli_env["config"]),
+                "--methods",
+                "cidr,random",
+                "--seed",
+                str(seed),
+            ]
+        )
+        assert code == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["method", "LO", "Comp", "FMS", "N", "seed"]
+        assert [row.split()[0] for row in rows] == ["cidr", "random"]
+        for row in rows:
+            fields = row.split()
+            assert len(fields) == 6
+            assert int(fields[4]) == 24
+            assert int(fields[5]) == seed
 
     def test_unknown_method_exits_2(self, cli_env, capsys):
         code = main(

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knapsack_oracle import solve_bruteforce
 from minfeat.errors import ConfigError, InputError
 from minfeat.knapsack import (
     KnapsackInstance,
     KnapsackSolution,
     quantize,
-    solve_bruteforce,
     solve_dp,
     solve_greedy,
 )

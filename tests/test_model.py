@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_instance, make_random_model
+from minfeat import build_toy_corpus, tokenize
 from minfeat.errors import ConfigError, InputError, NumericError
 from minfeat.model import (
     PAD_TOKEN,
@@ -15,6 +16,7 @@ from minfeat.model import (
     Model,
     TrainConfig,
     Vocabulary,
+    _init_model,
     embed,
     instance_from_words,
     load_model,
@@ -36,6 +38,57 @@ def central_difference_gradient(model, embeddings: np.ndarray, target: int, h: f
             minus[i, j] -= h
             grad[i, j] = (model.forward(plus)[target] - model.forward(minus)[target]) / (2 * h)
     return grad
+
+
+def reference_train(examples, config: TrainConfig, embed_dim: int = 16, hidden_dim: int = 16) -> Model:
+    """Per-example minibatch SGD, the loop form of train_toy.
+
+    Same initialization, draw order and update rule; each example runs its
+    own forward and backward pass into five zero-filled accumulators.
+    """
+    labels = [label for _, label in examples]
+    vocab = Vocabulary.build([toks for toks, _ in examples], embed_dim)
+    rng = np.random.default_rng(config.seed)
+    model = _init_model(vocab, hidden_dim, max(max(labels) + 1, 2), rng)
+    max_len = max(len(toks) for toks, _ in examples)
+    token_ids = [
+        np.asarray(
+            [vocab.token_to_index[t] for t in toks] + [vocab.pad_index] * (max_len - len(toks)),
+            dtype=np.intp,
+        )
+        for toks, _ in examples
+    ]
+    for _ in range(config.epochs):
+        order = rng.permutation(len(examples))
+        for start in range(0, len(examples), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            grad_emb = np.zeros_like(model.embedding)
+            grad_w1 = np.zeros_like(model.w1)
+            grad_b1 = np.zeros_like(model.b1)
+            grad_w2 = np.zeros_like(model.w2)
+            grad_b2 = np.zeros_like(model.b2)
+            for idx in batch:
+                ids = token_ids[idx]
+                pooled = model.embedding[ids].mean(axis=0)
+                hidden = np.tanh(model.w1 @ pooled + model.b1)
+                logits = model.w2 @ hidden + model.b2
+                probs = np.exp(logits - logits.max())
+                probs /= probs.sum()
+                delta = probs.copy()
+                delta[labels[idx]] -= 1.0
+                grad_w2 += np.outer(delta, hidden)
+                grad_b2 += delta
+                grad_pre = (model.w2.T @ delta) * (1.0 - hidden**2)
+                grad_w1 += np.outer(grad_pre, pooled)
+                grad_b1 += grad_pre
+                np.add.at(grad_emb, ids, (model.w1.T @ grad_pre) / len(ids))
+            scale = config.learning_rate / len(batch)
+            model.embedding -= scale * grad_emb
+            model.w1 -= scale * grad_w1
+            model.b1 -= scale * grad_b1
+            model.w2 -= scale * grad_w2
+            model.b2 -= scale * grad_b2
+    return model
 
 
 class TestVocabulary:
@@ -227,6 +280,7 @@ class TestTrainConfig:
             {"seed": -1},
             {"learning_rate": float("nan")},
             {"learning_rate": float("inf")},
+            {"seed": 2**64},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -264,8 +318,38 @@ class TestTrainToy:
         with pytest.raises(InputError):
             train_toy([(["a"], -1)], TrainConfig())
 
+    @pytest.mark.parametrize(
+        "examples, config",
+        [
+            (
+                [(tokenize(r.text), r.label) for r in build_toy_corpus()],
+                TrainConfig(epochs=3),
+            ),
+            (
+                # Mixed lengths pad the short rows, and one sentence repeats
+                # a word, so a batch gathers the same id more than once.
+                [
+                    (["good", "good", "fine"], 1),
+                    (["bad"], 0),
+                    (["poor", "bad", "awful", "dull", "bad"], 0),
+                    (["fine", "great"], 1),
+                    (["awful", "poor", "dull"], 0),
+                    (["great", "good", "fine", "good"], 1),
+                    (["dull"], 0),
+                ],
+                TrainConfig(epochs=6, batch_size=3, seed=9),
+            ),
+        ],
+        ids=["bundled-corpus", "mixed-lengths"],
+    )
+    def test_matches_per_example_reference(self, examples, config):
+        trained = train_toy(examples, config)
+        reference = reference_train(examples, config)
+        assert trained.vocab == reference.vocab
+        for name in ("embedding", "w1", "b1", "w2", "b2"):
+            assert np.abs(getattr(trained, name) - getattr(reference, name)).max() <= 1e-12, name
+
     def test_separates_bundled_corpus(self, toy_model, toy_corpus):
-        from minfeat import tokenize
         from minfeat.model import training_accuracy
 
         examples = [(tokenize(r.text), r.label) for r in toy_corpus]
