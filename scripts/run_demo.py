@@ -41,14 +41,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  text: {record.text}")
     print(f"  predicted class {mfs.target_class} with probability {probs[mfs.target_class]:.3f}\n")
 
-    att = mfs.pair_scores.attributions
+    ig = mfs.pair_scores.ig
     print("per-token attribution (positive tokens marked *):")
     for pos, word in enumerate(words):
-        mark = "*" if pos in att.positive_words else " "
-        print(f"  {pos:>3} {mark} {word:<14} {att.scores[pos]:+.4f}")
+        mark = "*" if ig[pos] > 0 else " "
+        print(f"  {pos:>3} {mark} {word:<14} {ig[pos]:+.4f}")
 
     print(f"\npositive pairs: {len(mfs.pair_scores.positive_pairs)}")
-    print(f"bounds: u1={mfs.bounds.u1:.4f} u2={mfs.bounds.u2:.4f}")
+    print(f"bounds: u1={mfs.u1:.4f} u2={mfs.u2:.4f}")
     if mfs.degenerate:
         print("instance is degenerate; no pairs to refine")
         return 0

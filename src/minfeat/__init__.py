@@ -6,12 +6,7 @@ result over resampled pair values into a minimal feature set. It ships a
 trainable toy classifier, faithfulness metrics, and a CLI.
 """
 
-from .attribution import (
-    AttributionSet,
-    PairScoreMap,
-    cooperative_integrated_gradients,
-    integrated_gradients,
-)
+from .attribution import PairScoreMap, cooperative_integrated_gradients, integrated_gradients
 from .config import load_config
 from .corpus import CorpusRecord, load_corpus, save_corpus, tokenize
 from .data import build_toy_corpus
@@ -45,7 +40,6 @@ from .model import (
     train_toy,
 )
 from .pipeline import (
-    Bounds,
     CidrConfig,
     MinimalFeatureSet,
     cidr_without_refinement,
@@ -59,8 +53,6 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributionSet",
-    "Bounds",
     "CidrConfig",
     "ConfigError",
     "CorpusRecord",

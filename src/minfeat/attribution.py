@@ -14,6 +14,9 @@ Three score families are computed, each as one dense array:
   token i along the path toward the input with token j padded out,
 - pairwise cooperative scores cig, shape (n, n), weighted by beta:
   cig[i, j] = ig[i] + ig[j] + beta * (loo[j, i] + loo[i, j]).
+
+integrated_gradients returns the ig array, and PairScoreMap holds ig,
+loo and cig together. A non-finite per-token score raises NumericError.
 """
 
 from __future__ import annotations
@@ -31,23 +34,6 @@ Pair = tuple[int, int]
 
 
 @dataclass(frozen=True)
-class AttributionSet:
-    """Per-token attribution scores for one instance and one class.
-
-    positive_words holds exactly the indices with score > 0.
-    """
-
-    scores: np.ndarray
-    positive_words: tuple[int, ...]
-    steps: int
-    target_class: int
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.scores).all():
-            raise NumericError("attribution scores contain non-finite values")
-
-
-@dataclass(frozen=True)
 class PairScoreMap:
     """Cooperative scores over all token pairs of one instance, as arrays.
 
@@ -55,19 +41,17 @@ class PairScoreMap:
     is 0), and cig is symmetric: cig[i, j] == cig[j, i] is the score of
     the unordered pair {i, j}. The diagonal of cig is no pair and is never
     read. positive_pairs lists every (i, j) with i < j and cig[i, j] > 0 in
-    ascending order. degenerate marks inputs with fewer than two tokens,
-    which have no pairs.
+    ascending order; it is empty for inputs with fewer than two tokens.
     """
 
-    attributions: AttributionSet
+    ig: np.ndarray
     loo: np.ndarray
     beta: float
     cig: np.ndarray
     positive_pairs: tuple[Pair, ...]
-    degenerate: bool
 
     @classmethod
-    def from_components(cls, attributions: AttributionSet, loo: np.ndarray, beta: float) -> "PairScoreMap":
+    def from_components(cls, ig: np.ndarray, loo: np.ndarray, beta: float) -> "PairScoreMap":
         """Combine per-token and leave-one-out scores under beta.
 
         Entry [i, j] is ig[i] + ig[j] + beta * (loo[j, i] + loo[i, j]),
@@ -75,19 +59,11 @@ class PairScoreMap:
         """
         if not 0.0 <= beta <= 1.0:
             raise InputError("beta must lie in [0, 1]")
-        ig = attributions.scores
         cig = ig[:, np.newaxis] + ig[np.newaxis, :] + beta * (loo.T + loo)
         positive = tuple(
             (int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(cig > 0.0, k=1)))
         )
-        return cls(
-            attributions=attributions,
-            loo=loo,
-            beta=beta,
-            cig=cig,
-            positive_pairs=positive,
-            degenerate=len(ig) < 2,
-        )
+        return cls(ig=ig, loo=loo, beta=beta, cig=cig, positive_pairs=positive)
 
     def with_beta(self, beta: float) -> "PairScoreMap":
         """Recombine the stored components under a different beta.
@@ -95,7 +71,7 @@ class PairScoreMap:
         No gradients are recomputed; only cig and the positive pair set
         change.
         """
-        return PairScoreMap.from_components(self.attributions, self.loo, beta)
+        return PairScoreMap.from_components(self.ig, self.loo, beta)
 
 
 def _average_path_gradient(model, start: np.ndarray, end: np.ndarray, target_class: int, steps: int) -> np.ndarray:
@@ -116,11 +92,12 @@ def _average_path_gradient(model, start: np.ndarray, end: np.ndarray, target_cla
     return (weights[:, np.newaxis, np.newaxis] * grads).sum(axis=0) / steps
 
 
-def integrated_gradients(model, instance: Instance, target_class: int, steps: int = DEFAULT_STEPS) -> AttributionSet:
-    """Per-token attribution against the all-PAD baseline.
+def integrated_gradients(model, instance: Instance, target_class: int, steps: int = DEFAULT_STEPS) -> np.ndarray:
+    """Per-token attribution against the all-PAD baseline, shape (n,).
 
     The sum of scores approximates F(input) - F(baseline); the residual
-    shrinks as steps grow and vanishes for linear models.
+    shrinks as steps grow and vanishes for linear models. A non-finite
+    score raises NumericError.
     """
     if steps < 1:
         raise InputError("step count must be at least 1")
@@ -128,8 +105,9 @@ def integrated_gradients(model, instance: Instance, target_class: int, steps: in
     baseline = model.baseline_embeddings(len(instance))
     avg = _average_path_gradient(model, baseline, x, target_class, steps)
     scores = ((x - baseline) * avg).sum(axis=1)
-    positive = tuple(int(i) for i in range(len(instance)) if scores[i] > 0.0)
-    return AttributionSet(scores=scores, positive_words=positive, steps=steps, target_class=target_class)
+    if not np.isfinite(scores).all():
+        raise NumericError("attribution scores contain non-finite values")
+    return scores
 
 
 def _leave_one_out_scores(model, instance: Instance, removed: int, target_class: int, steps: int) -> np.ndarray:
@@ -153,9 +131,9 @@ def cooperative_integrated_gradients(
     """Pairwise cooperative scores over all unordered token pairs.
 
     beta weighs the leave-one-out components against the plain per-token
-    scores. A single-token instance yields a degenerate map without pairs.
+    scores. A single-token instance yields a map without pairs.
     """
-    att = integrated_gradients(model, instance, target_class, steps)
+    ig = integrated_gradients(model, instance, target_class, steps)
     n = len(instance)
     # Row j holds every token's score with token j removed. A single token
     # forms no pair, so its sweep is skipped.
@@ -163,4 +141,4 @@ def cooperative_integrated_gradients(
         loo = np.zeros((n, n))
     else:
         loo = np.stack([_leave_one_out_scores(model, instance, j, target_class, steps) for j in range(n)])
-    return PairScoreMap.from_components(att, loo, beta)
+    return PairScoreMap.from_components(ig, loo, beta)

@@ -106,7 +106,6 @@ def _build_report(
     t: float,
 ) -> ExplanationReport:
     pair_map = mfs.pair_scores
-    att = pair_map.attributions
     probs = model.forward(instance.embeddings)
     comp, lo, fms = single_instance_metrics(model, instance, mfs, t)
     return ExplanationReport(
@@ -114,7 +113,7 @@ def _build_report(
         tokens=tuple(words),
         predicted_class=mfs.target_class,
         predicted_probability=float(probs[mfs.target_class]),
-        ig=tuple(float(s) for s in att.scores),
+        ig=tuple(float(s) for s in pair_map.ig),
         positive_pairs=tuple(
             PairScoreEntry(i=i, j=j, cig=float(pair_map.cig[i, j]))
             for (i, j) in pair_map.positive_pairs
@@ -123,9 +122,9 @@ def _build_report(
             MfsEntry(i=i, j=j, frequency=mfs.frequencies[(i, j)]) for (i, j) in mfs.pairs
         ),
         mfs_words=mfs.words,
-        u1=mfs.bounds.u1,
-        u2=mfs.bounds.u2,
-        u2_prime=mfs.bounds.u2_prime,
+        u1=mfs.u1,
+        u2=mfs.u2,
+        u2_prime=tuple(it.u2_prime for it in mfs.iterations),
         degenerate=mfs.degenerate,
         oov_count=oov,
         config=dict(config_echo),

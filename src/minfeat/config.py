@@ -9,22 +9,21 @@ environment variables are hard errors, so typos never pass silently.
 from __future__ import annotations
 
 import json
-import math
 import os
+from dataclasses import fields
 from typing import Any, Mapping
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, checked_value, is_int_field
 from .model import TrainConfig
 from .pipeline import CidrConfig
 
 ENV_PREFIX = "MINFEAT_"
 
-# key -> (python type, belongs-to) ; seed is shared by both configs
-_FLOAT_KEYS = ("beta", "t", "epsilon", "learning_rate")
-_INT_KEYS = ("n_iter", "steps", "q", "seed", "epochs", "batch_size")
-
-_CIDR_KEYS = ("beta", "t", "epsilon", "n_iter", "steps", "q", "seed")
-_TRAIN_KEYS = ("learning_rate", "epochs", "batch_size", "seed")
+# Keys and their int/float types come from the config dataclasses; seed
+# is shared by both.
+_CIDR_KEYS = tuple(f.name for f in fields(CidrConfig))
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
+_INT_KEYS = {f.name for cls in (CidrConfig, TrainConfig) for f in fields(cls) if is_int_field(f)}
 
 ALL_KEYS = tuple(sorted(set(_CIDR_KEYS) | set(_TRAIN_KEYS)))
 
@@ -39,34 +38,18 @@ def _defaults() -> dict[str, Any]:
     return values
 
 
-def _finite(key: str, value: float) -> float:
-    # JSON's Infinity and NaN literals and float("inf") would otherwise pass.
-    if not math.isfinite(value):
-        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
-    return value
-
-
 def _coerce(key: str, value: Any) -> Any:
-    if key in _INT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-        return int(value)
-    if key in _FLOAT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-        return _finite(key, float(value))
-    raise ConfigError(f"unknown config key {key!r}; valid keys: {list(ALL_KEYS)}")
+    """The value of a known key, type-checked and converted to int or float."""
+    integer = key in _INT_KEYS
+    return (int if integer else float)(checked_value(key, value, integer))
 
 
 def _coerce_env(key: str, raw: str) -> Any:
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return _finite(key, float(raw))
+        value = int(raw) if key in _INT_KEYS else float(raw)
     except ValueError as exc:
         raise ConfigError(f"environment override {ENV_PREFIX}{key.upper()}={raw!r}: {exc}") from exc
-    raise ConfigError(f"unknown config key {key!r}; valid keys: {list(ALL_KEYS)}")
+    return _coerce(key, value)
 
 
 def load_config(path: str | None = None, env: Mapping[str, str] | None = None) -> dict[str, Any]:

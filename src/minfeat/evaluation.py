@@ -25,12 +25,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .attribution import (
-    AttributionSet,
-    PairScoreMap,
-    cooperative_integrated_gradients,
-    integrated_gradients,
-)
+from .attribution import PairScoreMap, cooperative_integrated_gradients, integrated_gradients
 from .errors import ConfigError, InputError
 from .metrics import (
     PAIR_MODE,
@@ -83,7 +78,7 @@ class _Shared:
 
     instance: Instance
     target: int
-    attributions: AttributionSet | None = None
+    ig: np.ndarray | None = None
     pair_map: PairScoreMap | None = None
     cidr_mfs: MinimalFeatureSet | None = None
 
@@ -161,7 +156,7 @@ def _removal(
     if method == "random":
         return _random_words(len(instance), len(shared.cidr_mfs.words), config.seed, index)
     if method == "ig-top2k":
-        scores = shared.attributions.scores
+        scores = shared.ig
     else:  # gradinput-top2k
         scores = gradient_input_scores(model, instance, shared.target)
     return _word_removal(top_k_baseline(scores, _word_budget(len(instance))), scores)
@@ -201,9 +196,9 @@ def evaluate_methods(
             shared.pair_map = cooperative_integrated_gradients(
                 model, instance, shared.target, config.beta, config.steps
             )
-            shared.attributions = shared.pair_map.attributions
+            shared.ig = shared.pair_map.ig
         elif need_attr:
-            shared.attributions = integrated_gradients(model, instance, shared.target, config.steps)
+            shared.ig = integrated_gradients(model, instance, shared.target, config.steps)
         if need_cidr:
             shared.cidr_mfs = refine(model, instance, config, shared.pair_map)
         return shared

@@ -19,7 +19,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, check_field_types
 from .files import atomic_write
 
 PAD_TOKEN = "[pad]"
@@ -230,7 +230,8 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+        check_field_types(self)
+        if not self.learning_rate >= 0:
             raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")

@@ -21,8 +21,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .attribution import AttributionSet, Pair, PairScoreMap, cooperative_integrated_gradients
-from .errors import ConfigError, InputError, InternalError
+from .attribution import Pair, PairScoreMap, cooperative_integrated_gradients
+from .errors import ConfigError, InputError, InternalError, check_field_types
 from .knapsack import quantize, solve_dp, solve_greedy
 from .model import Instance, Model
 
@@ -50,6 +50,7 @@ class CidrConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError("beta must lie in [0, 1]")
         if not 0.0 < self.t < 1.0:
@@ -67,17 +68,8 @@ class CidrConfig:
 
 
 @dataclass(frozen=True)
-class Bounds:
-    """Attribution upper bounds; u2_prime holds one entry per iteration."""
-
-    u1: float
-    u2: float
-    u2_prime: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class IterationRecord:
-    """Audit trail of one knapsack repetition."""
+    """Audit trail of one knapsack repetition; capacity is u1 + u2_prime."""
 
     iteration: int
     u2_prime: float
@@ -94,29 +86,34 @@ class MinimalFeatureSet:
     words is the flat sorted union of pair members. candidate_frequencies
     covers every pair that appeared in any candidate set, retained or
     not. pair_scores holds the instance's score arrays; the cooperative
-    score of a pair (i, j) is pair_scores.cig[i, j]. degenerate marks
-    instances too short to form pairs or without any positive pair.
+    score of a pair (i, j) is pair_scores.cig[i, j]. u1 and u2 are the
+    unperturbed attribution bounds, and each iteration's perturbed bound
+    is its IterationRecord.u2_prime. degenerate marks instances without
+    any positive pair (fewer than two tokens included); they have no
+    iterations and zero bounds.
     """
 
     pairs: tuple[Pair, ...]
     frequencies: Mapping[Pair, float]
     candidate_frequencies: Mapping[Pair, float]
     words: tuple[int, ...]
-    config: CidrConfig
-    bounds: Bounds
+    u1: float
+    u2: float
     iterations: tuple[IterationRecord, ...]
     pair_scores: PairScoreMap
     target_class: int
     degenerate: bool = False
 
 
-def upper_bound_u1(attributions: AttributionSet) -> float:
-    """2 * (|positive words| - 1) * sum of their scores; 0 for one or none."""
-    positive = attributions.positive_words
+def upper_bound_u1(ig: np.ndarray) -> float:
+    """2 * (|positive words| - 1) * sum of their scores; 0 for one or none.
+
+    The positive scores are summed left to right in token order.
+    """
+    positive = [float(s) for s in ig if s > 0.0]
     if len(positive) <= 1:
         return 0.0
-    total = float(sum(float(attributions.scores[i]) for i in positive))
-    return 2.0 * (len(positive) - 1) * total
+    return 2.0 * (len(positive) - 1) * sum(positive)
 
 
 def _scaled_loo_sum(pair_map: PairScoreMap, scales: Sequence[float]) -> float:
@@ -202,7 +199,8 @@ def _assemble(
     config: CidrConfig,
     pair_map: PairScoreMap,
     target: int,
-    bounds: Bounds,
+    u1: float,
+    u2: float,
     iterations: Sequence[IterationRecord],
 ) -> MinimalFeatureSet:
     """Retain the pairs kept in at least epsilon of the candidate sets.
@@ -217,8 +215,8 @@ def _assemble(
         frequencies={p: frequencies[p] for p in retained},
         candidate_frequencies=frequencies,
         words=tuple(sorted({pos for pair in retained for pos in pair})),
-        config=config,
-        bounds=bounds,
+        u1=u1,
+        u2=u2,
         iterations=tuple(iterations),
         pair_scores=pair_map,
         target_class=target,
@@ -242,13 +240,14 @@ def refine(
     the solver capacity tightened by half a quantization unit per item so
     that the excluded real scores can never exceed the true capacity.
     Pairs kept in at least epsilon of the candidate sets are retained.
+    Each iteration's u2' is kept in its IterationRecord.
     """
     target, pair_map = _target_and_pairs(model, instance, config, pair_map)
     positive = pair_map.positive_pairs
-    if pair_map.degenerate or not positive:
-        return _assemble(config, pair_map, target, Bounds(0.0, 0.0, ()), ())
+    if not positive:
+        return _assemble(config, pair_map, target, 0.0, 0.0, ())
 
-    u1 = upper_bound_u1(pair_map.attributions)
+    u1 = upper_bound_u1(pair_map.ig)
     u2 = upper_bound_u2(pair_map)
     weights = tuple(float(pair_map.cig[p]) for p in positive)
     # round-to-nearest can shave up to half a unit off each item's weight
@@ -264,9 +263,7 @@ def refine(
             instance_k = quantize(positive, weights, values, solver_capacity, config.q)
             excluded = solve_dp(instance_k).selected
         iterations.append(_iteration(k, pair_map, u2p, capacity, excluded))
-
-    bounds = Bounds(u1, u2, tuple(it.u2_prime for it in iterations))
-    return _assemble(config, pair_map, target, bounds, iterations)
+    return _assemble(config, pair_map, target, u1, u2, iterations)
 
 
 def cidr_without_refinement(
@@ -284,12 +281,12 @@ def cidr_without_refinement(
     """
     target, pair_map = _target_and_pairs(model, instance, config, pair_map)
     positive = pair_map.positive_pairs
-    if pair_map.degenerate or not positive:
-        return _assemble(config, pair_map, target, Bounds(0.0, 0.0, ()), ())
+    if not positive:
+        return _assemble(config, pair_map, target, 0.0, 0.0, ())
 
-    u1 = upper_bound_u1(pair_map.attributions)
+    u1 = upper_bound_u1(pair_map.ig)
     u2 = upper_bound_u2(pair_map)
     scored = [(p, float(pair_map.cig[p])) for p in positive]
     excluded = tuple(sorted(solve_greedy(scored, u1 + u2)))
     iteration = _iteration(0, pair_map, u2, u1 + u2, excluded)
-    return _assemble(config, pair_map, target, Bounds(u1, u2, ()), (iteration,))
+    return _assemble(config, pair_map, target, u1, u2, (iteration,))

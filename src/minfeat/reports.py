@@ -172,9 +172,17 @@ def write_reports(reports: list[ExplanationReport], path: str) -> None:
 
 
 def read_reports(path: str) -> list[ExplanationReport]:
+    """Parse one report per non-blank line; errors name the line number."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read report file: {exc}") from exc
-    return [report_from_line(line) for line in lines if line.strip()]
+    reports = []
+    for line_no, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                reports.append(report_from_line(line))
+            except InputError as exc:
+                raise InputError(f"line {line_no}: {exc}") from exc
+    return reports

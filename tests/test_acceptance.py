@@ -21,12 +21,7 @@ from conftest import make_random_instance, make_random_model
 from knapsack_oracle import solve_bruteforce
 from stubs import LinearModel, ScriptedModel, linear_instance, scripted_instance
 
-from minfeat.attribution import (
-    AttributionSet,
-    PairScoreMap,
-    cooperative_integrated_gradients,
-    integrated_gradients,
-)
+from minfeat.attribution import PairScoreMap, cooperative_integrated_gradients, integrated_gradients
 from minfeat.cli import main
 from minfeat.corpus import save_corpus
 from minfeat.knapsack import KnapsackInstance, solve_dp
@@ -63,10 +58,10 @@ def _central_difference(model, embeddings: np.ndarray, target: int, h: float = 1
 
 
 def _completeness_residual(model, instance, target: int, steps: int) -> float:
-    att = integrated_gradients(model, instance, target, steps=steps)
+    ig = integrated_gradients(model, instance, target, steps=steps)
     full = model.forward(instance.embeddings)[target]
     empty = model.forward(model.baseline_embeddings(len(instance)))[target]
-    return abs(float(att.scores.sum()) - float(full - empty))
+    return abs(float(ig.sum()) - float(full - empty))
 
 
 def test_01_analytic_gradient_matches_central_differences(capsys):
@@ -113,11 +108,11 @@ def test_03_linear_model_closed_forms(capsys):
     closed = x @ weights / 10.0
 
     worst = 0.0
-    att = integrated_gradients(model, inst, target_class=1, steps=40)
-    worst = max(worst, float(np.abs(att.scores - closed).max()))
+    ig = integrated_gradients(model, inst, target_class=1, steps=40)
+    worst = max(worst, float(np.abs(ig - closed).max()))
     for beta in (0.0, 0.5, 1.0):
         pair_map = cooperative_integrated_gradients(model, inst, 1, beta, steps=40)
-        ig = pair_map.attributions.scores
+        ig = pair_map.ig
         for i in range(10):
             for j in range(i + 1, 10):
                 worst = max(
@@ -161,12 +156,6 @@ def _random_pair_fixture(rng) -> tuple[PairScoreMap, dict, tuple, bool]:
     scores = rng.normal(0.0, 1.0, size=n)
     beta = float(rng.uniform(0.0, 1.0))
     nonneg = bool(rng.integers(0, 2))
-    att = AttributionSet(
-        scores=scores,
-        positive_words=tuple(int(i) for i in range(n) if scores[i] > 0.0),
-        steps=1,
-        target_class=0,
-    )
     raw = {}
     loo = np.zeros((n, n))
     for i in range(n):
@@ -182,7 +171,7 @@ def _random_pair_fixture(rng) -> tuple[PairScoreMap, dict, tuple, bool]:
             if float(scores[i]) + float(scores[j]) + beta * (loo_i + loo_j) > 0.0
         )
     )
-    return PairScoreMap.from_components(att, loo, beta), raw, positive, nonneg
+    return PairScoreMap.from_components(scores, loo, beta), raw, positive, nonneg
 
 
 def test_05_bounds_recomputed_from_raw_scores(capsys):
@@ -191,18 +180,18 @@ def test_05_bounds_recomputed_from_raw_scores(capsys):
     ordering_ok = True
     for fixture in range(50):
         pair_map, raw, positive, nonneg = _random_pair_fixture(rng)
-        att = pair_map.attributions
+        ig = pair_map.ig
 
-        pos_words = att.positive_words
+        pos_words = [i for i in range(len(ig)) if ig[i] > 0.0]
         expected_u1 = 0.0
         if len(pos_words) > 1:
-            expected_u1 = 2.0 * (len(pos_words) - 1) * sum(float(att.scores[i]) for i in pos_words)
+            expected_u1 = 2.0 * (len(pos_words) - 1) * sum(float(ig[i]) for i in pos_words)
         beta = pair_map.beta
         expected_u2 = beta * sum(raw[p][0] + raw[p][1] for p in positive)
         perturbations = sample_perturbations(positive, seed=fixture, iteration=0)
         expected_u2p = beta * sum(v * (raw[p][0] + raw[p][1]) for v, p in zip(perturbations, positive))
 
-        u1 = upper_bound_u1(att)
+        u1 = upper_bound_u1(ig)
         u2 = upper_bound_u2(pair_map)
         u2p = perturbed_upper_bound(pair_map, perturbations)
         worst = max(worst, abs(u1 - expected_u1), abs(u2 - expected_u2), abs(u2p - expected_u2p))
@@ -225,7 +214,7 @@ def test_06_refinement_feasibility_audit(capsys, toy_model, toy_instances):
             continue
         cig = mfs.pair_scores.cig
         for rec in mfs.iterations:
-            bound = mfs.bounds.u1 + mfs.bounds.u2_prime[rec.iteration]
+            bound = mfs.u1 + rec.u2_prime
             total = sum(cig[p] for p in rec.excluded)
             if total > bound + 1e-9:
                 violations.append(f"instance {idx} iter {rec.iteration}: {total} > {bound}")
@@ -257,10 +246,7 @@ def test_07_pair_sum_combination_identity(capsys):
             a = rng.integers(1, 32, size=n) / 16.0
             lhs = sum(float(a[i]) + float(a[j]) for i in range(n) for j in range(i + 1, n))
             rhs = (n - 1) * float(a.sum())
-            att = AttributionSet(
-                scores=np.asarray(a), positive_words=tuple(range(n)), steps=1, target_class=0
-            )
-            if lhs != rhs or upper_bound_u1(att) != 2.0 * rhs:
+            if lhs != rhs or upper_bound_u1(np.asarray(a)) != 2.0 * rhs:
                 exact = False
     _verdict(capsys, 7, "pairwise sum identity, sizes 2-12, exact", exact,
              "all-positive dyadic scores" if exact else "identity violated")

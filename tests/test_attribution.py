@@ -16,7 +16,8 @@ from minfeat.attribution import (
     cooperative_integrated_gradients,
     integrated_gradients,
 )
-from minfeat.errors import InputError
+from minfeat.errors import InputError, NumericError
+from minfeat.pipeline import upper_bound_u1
 from stubs import LinearModel, linear_instance
 
 
@@ -35,10 +36,10 @@ def loo_integrated_gradients(
 
 
 def completeness_residual(model, instance, target: int, steps: int) -> float:
-    att = integrated_gradients(model, instance, target, steps=steps)
+    ig = integrated_gradients(model, instance, target, steps=steps)
     full = model.forward(instance.embeddings)[target]
     empty = model.forward(model.baseline_embeddings(len(instance)))[target]
-    return abs(float(att.scores.sum()) - float(full - empty))
+    return abs(float(ig.sum()) - float(full - empty))
 
 
 class TestIntegratedGradients:
@@ -69,11 +70,17 @@ class TestIntegratedGradients:
             assert fine < coarse / 3.0
 
     def test_positive_words_match_scores(self):
+        # u1 sums exactly the positive-scored words, left to right in
+        # token order, so it is bitwise equal to the scalar formula.
         model = make_random_model(15)
         inst = make_random_instance(model, 16)
-        att = integrated_gradients(model, inst, 0)
-        expected = tuple(i for i in range(len(inst)) if att.scores[i] > 0)
-        assert att.positive_words == expected
+        ig = integrated_gradients(model, inst, 0)
+        assert ig.shape == (len(inst),)
+        positive = [i for i in range(len(inst)) if ig[i] > 0]
+        expected = 0.0
+        if len(positive) > 1:
+            expected = 2.0 * (len(positive) - 1) * sum(float(ig[i]) for i in positive)
+        assert upper_bound_u1(ig) == expected
 
     def test_zero_steps_rejected(self):
         model = make_random_model(17)
@@ -81,15 +88,26 @@ class TestIntegratedGradients:
         with pytest.raises(InputError):
             integrated_gradients(model, inst, 0, steps=0)
 
+    def test_non_finite_score_raises_numeric_error(self):
+        class NanGradientModel(LinearModel):
+            def input_gradient(self, embeddings, target_class):
+                grads = super().input_gradient(embeddings, target_class)
+                grads[..., 1, 0] = np.nan
+                return grads
+
+        inst = linear_instance(np.ones((3, 2)))
+        with pytest.raises(NumericError):
+            integrated_gradients(NanGradientModel([1.0, -1.0]), inst, 1, steps=4)
+
     def test_linear_model_closed_form(self):
         rng = np.random.default_rng(42)
         w = rng.normal(size=4)
         model = LinearModel(w)
         x = rng.normal(size=(7, 4))
         inst = linear_instance(x)
-        att = integrated_gradients(model, inst, 1, steps=3)
+        ig = integrated_gradients(model, inst, 1, steps=3)
         expected = x @ w / x.shape[0]
-        assert np.abs(att.scores - expected).max() < 1e-12
+        assert np.abs(ig - expected).max() < 1e-12
 
 
 def per_point_path_gradient(model, start, end, target_class, steps):
@@ -142,9 +160,9 @@ class TestLeaveOneOut:
         from minfeat.model import pad_positions
 
         padded = pad_positions(toy_model, inst, [2])
-        att = integrated_gradients(toy_model, padded, 1)
+        ig = integrated_gradients(toy_model, padded, 1)
         loo = loo_integrated_gradients(toy_model, padded, 0, 2, 1)
-        assert abs(loo - float(att.scores[0])) < 1e-12
+        assert abs(loo - float(ig[0])) < 1e-12
 
     def test_removed_position_scores_zero(self):
         model = make_random_model(20)
@@ -173,13 +191,13 @@ class TestLeaveOneOut:
         model = LinearModel(w)
         x = rng.normal(size=(6, 3))
         inst = linear_instance(x)
-        att = integrated_gradients(model, inst, 1, steps=2)
+        ig = integrated_gradients(model, inst, 1, steps=2)
         for i in range(6):
             for j in range(6):
                 if i == j:
                     continue
                 loo = loo_integrated_gradients(model, inst, i, j, 1, steps=2)
-                assert abs(loo - float(att.scores[i])) < 1e-12
+                assert abs(loo - float(ig[i])) < 1e-12
 
 
 class TestCooperative:
@@ -187,7 +205,7 @@ class TestCooperative:
         model = make_random_model(30)
         inst = make_random_instance(model, 31, length=5)
         pm = cooperative_integrated_gradients(model, inst, 0, beta=0.5)
-        ig = pm.attributions.scores
+        ig = pm.ig
         assert pm.cig.shape == pm.loo.shape == (5, 5)
         for i in range(5):
             assert pm.loo[i, i] == 0.0
@@ -222,7 +240,6 @@ class TestCooperative:
         model = make_random_model(38)
         inst = make_random_instance(model, 39, length=1)
         pm = cooperative_integrated_gradients(model, inst, 0, beta=0.5)
-        assert pm.degenerate
         assert pm.cig.shape == pm.loo.shape == (1, 1)
         assert pm.positive_pairs == ()
 
@@ -254,8 +271,7 @@ class TestCooperative:
         inst = linear_instance(rng.normal(size=(8, 5)))
         beta = 0.7
         pm = cooperative_integrated_gradients(model, inst, 1, beta=beta, steps=4)
-        att = pm.attributions
         for i in range(8):
             for j in range(i + 1, 8):
-                expected = (1 + beta) * (float(att.scores[i]) + float(att.scores[j]))
+                expected = (1 + beta) * (float(pm.ig[i]) + float(pm.ig[j]))
                 assert abs(pm.cig[i, j] - expected) < 1e-10

@@ -1,8 +1,11 @@
-"""The functions the benchmark's tracer wraps must stay where it looks.
+"""The functions the benchmark's tracer wraps must stay where it looks,
+and the outputs its checks read must pass them.
 
 perfbench/tracer.py patches minfeat's layers from outside the package by
 name. Renaming, moving or inlining one of its targets would break
 ``perfbench/run.py --trace 1``; these checks catch that in the unit suite.
+perfbench/checks.py validates every report and metrics table the
+benchmark writes; a report field built wrong fails them here first.
 """
 
 from __future__ import annotations
@@ -15,18 +18,24 @@ from pathlib import Path
 import pytest
 
 from minfeat import cli, evaluation, pipeline
+from minfeat.config import load_config
 from minfeat.corpus import save_corpus
 from minfeat.model import save_model
+from minfeat.reports import read_reports
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
 
 
 def test_every_target_resolves(tracer):
@@ -85,3 +94,21 @@ def test_explain_records_single_instance_metrics_span(tracer, toy_model, toy_cor
     with tracer.Tracer("contract") as trace:
         assert cli.main(argv + ["--out", str(tmp_path / "r.jsonl")]) == 0
     assert "evaluation.single_instance_metrics" in {span.name for span in trace.spans}
+
+
+def test_cli_outputs_pass_the_benchmark_checks(toy_model, toy_corpus, tmp_path):
+    checks = _load("checks")
+    model, corpus, config = tmp_path / "model.json", tmp_path / "corpus.jsonl", tmp_path / "c.json"
+    records = toy_corpus[:2]
+    save_model(toy_model, str(model))
+    save_corpus(records, str(corpus))
+    config.write_text(json.dumps({"n_iter": 3}), encoding="utf-8")
+    common = ["--corpus", str(corpus), "--model", str(model), "--config", str(config)]
+    reports, table = tmp_path / "r.jsonl", tmp_path / "m.jsonl"
+    assert cli.main(["explain", *common, "--out", str(reports)]) == 0
+    assert cli.main(["evaluate", *common, "--out", str(table)]) == 0
+    # the u2_prime count is only checked on non-degenerate reports
+    assert not all(r.degenerate for r in read_reports(str(reports)))
+    values = load_config(str(config), env={})
+    assert checks.check_reports(str(reports), records, toy_model, values) == []
+    assert checks.check_metrics_table(str(table), records) == []

@@ -137,7 +137,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path=None, env={ENV_PREFIX + "STEPS": "many"})
 
-    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize(
+        "literal",
+        ["Infinity", "-Infinity", "NaN", "1" + "0" * 400],
+        ids=["Infinity", "-Infinity", "NaN", "int-beyond-float"],
+    )
     def test_non_finite_file_value_rejected(self, tmp_path, literal):
         path = tmp_path / "cfg.json"
         path.write_text('{"learning_rate": %s}' % literal, encoding="utf-8")

@@ -281,10 +281,16 @@ class TestTrainConfig:
             {"learning_rate": float("nan")},
             {"learning_rate": float("inf")},
             {"seed": 2**64},
+            {"epochs": 2.5},
+            {"batch_size": 2.5},
+            {"seed": 1.5},
+            {"learning_rate": True},
+            {"learning_rate": 10**400},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
+        (field,) = kwargs
+        with pytest.raises(ConfigError, match=field):
             TrainConfig(**kwargs)
 
 

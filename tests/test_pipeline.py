@@ -11,7 +11,6 @@ from conftest import make_random_instance, make_random_model
 from minfeat.attribution import cooperative_integrated_gradients
 from minfeat.errors import ConfigError, InputError, InternalError
 from minfeat.pipeline import (
-    Bounds,
     CidrConfig,
     cidr_without_refinement,
     perturbed_upper_bound,
@@ -49,31 +48,32 @@ class TestCidrConfig:
             {"q": -1},
             {"seed": -1},
             {"seed": 2**64},
+            {"seed": 1.5},
+            {"q": 1.5},
+            {"beta": True},
+            {"n_iter": 2.5},
+            {"steps": 2.5},
+            {"t": "0.5"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
+        (field,) = kwargs
+        with pytest.raises(ConfigError, match=field):
             CidrConfig(**kwargs)
 
 
 class TestBounds:
     def test_u1_recomputed_independently(self):
         _, _, pm = pair_map_for(1, length=6)
-        att = pm.attributions
-        positive = [i for i in range(len(att.scores)) if att.scores[i] > 0]
+        positive = [i for i in range(len(pm.ig)) if pm.ig[i] > 0]
         if len(positive) <= 1:
             expected = 0.0
         else:
-            expected = 2.0 * (len(positive) - 1) * sum(float(att.scores[i]) for i in positive)
-        assert upper_bound_u1(att) == pytest.approx(expected, abs=1e-12)
+            expected = 2.0 * (len(positive) - 1) * sum(float(pm.ig[i]) for i in positive)
+        assert upper_bound_u1(pm.ig) == pytest.approx(expected, abs=1e-12)
 
     def test_u1_zero_for_at_most_one_positive(self):
-        from minfeat.attribution import AttributionSet
-
-        att = AttributionSet(
-            scores=np.array([-1.0, 2.0, -0.5]), positive_words=(1,), steps=5, target_class=0
-        )
-        assert upper_bound_u1(att) == 0.0
+        assert upper_bound_u1(np.array([-1.0, 2.0, -0.5])) == 0.0
 
     def test_u2_recomputed_independently(self):
         _, _, pm = pair_map_for(2, length=6)
@@ -196,13 +196,14 @@ class TestRefine:
         b = refine(toy_model, toy_instances[0], cfg)
         assert a.pairs == b.pairs
         assert a.frequencies == b.frequencies
-        assert a.bounds == b.bounds
+        assert (a.u1, a.u2) == (b.u1, b.u2)
+        assert a.iterations == b.iterations
 
     def test_seed_changes_candidates(self, toy_model, toy_instances):
         a = refine(toy_model, toy_instances[0], CidrConfig(seed=0, n_iter=4, steps=12))
         b = refine(toy_model, toy_instances[0], CidrConfig(seed=99, n_iter=4, steps=12))
-        assert a.bounds.u1 == b.bounds.u1  # scores do not depend on the seed
-        assert a.bounds.u2_prime != b.bounds.u2_prime
+        assert a.u1 == b.u1  # scores do not depend on the seed
+        assert [it.u2_prime for it in a.iterations] != [it.u2_prime for it in b.iterations]
 
     def test_feasibility_every_iteration(self, toy_model, toy_instances):
         cfg = CidrConfig(n_iter=6, steps=12)
@@ -238,7 +239,7 @@ class TestRefine:
         assert mfs.pairs == ()
         assert mfs.words == ()
         assert mfs.iterations == ()
-        assert mfs.bounds == Bounds(0.0, 0.0, ())
+        assert (mfs.u1, mfs.u2) == (0.0, 0.0)
 
     def test_precomputed_pair_map_matches_internal(self, toy_model, toy_instances):
         inst = toy_instances[3]
@@ -252,7 +253,7 @@ class TestRefine:
         mfs = refine(toy_model, toy_instances[4], cfg)
         if not mfs.degenerate:
             assert len(mfs.iterations) == 7
-            assert len(mfs.bounds.u2_prime) == 7
+            assert [it.iteration for it in mfs.iterations] == list(range(7))
 
 
 class TestGreedyVariant:
@@ -261,7 +262,7 @@ class TestGreedyVariant:
         mfs = cidr_without_refinement(toy_model, toy_instances[0], cfg)
         if mfs.degenerate:
             pytest.skip("degenerate draw")
-        bound = mfs.bounds.u1 + mfs.bounds.u2
+        bound = mfs.u1 + mfs.u2
         it = mfs.iterations[0]
         assert it.capacity == pytest.approx(bound, abs=1e-12)
         # The greedy pass admits the top-score prefix; every admitted pair
@@ -287,4 +288,4 @@ class TestGreedyVariant:
         mfs = cidr_without_refinement(toy_model, toy_instances[6], CidrConfig(steps=12))
         if not mfs.degenerate:
             assert len(mfs.iterations) == 1
-            assert mfs.bounds.u2_prime == ()
+            assert mfs.iterations[0].u2_prime == mfs.u2

@@ -180,6 +180,24 @@ class TestFiles:
         with pytest.raises(InputError):
             read_reports(str(tmp_path / "absent.jsonl"))
 
+    @pytest.mark.parametrize(
+        "bad_line,cause",
+        [
+            (report_to_line(sample_report())[:40], "not valid JSON"),
+            (_line_with("u1", "x"), "'u1'"),
+        ],
+        ids=["truncated-json", "malformed-field"],
+    )
+    def test_bad_line_named_by_number(self, tmp_path, bad_line, cause):
+        # A blank line 2 still counts, so the bad record is line 4.
+        good = report_to_line(sample_report())
+        path = tmp_path / "reports.jsonl"
+        path.write_text("\n".join([good, "", good, bad_line, good]) + "\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            read_reports(str(path))
+        assert str(err.value).startswith("line 4: ")
+        assert cause in str(err.value)
+
     def test_identical_inputs_identical_bytes(self, tmp_path):
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_reports([sample_report()], str(first))
