@@ -2,21 +2,25 @@
 
 All scores integrate model gradients along the straight line from the
 all-PAD baseline to the input, using the trapezoidal rule, which is exact
-for models whose output is linear in the embeddings. The per-token score
-is the sum over embedding coordinates of (input - baseline) times the
-path-averaged gradient.
+for models whose output is linear in the embeddings. The model mean-pools
+its n token rows, so a path is integrated in pooled space: with
+delta = input - baseline, it runs from the pooled baseline by the offset
+delta.sum(0) / n, and token i's score is delta[i] times the path-averaged
+pooled gradient, divided by n.
 
 Three score families are computed, each as one dense array:
 
 - plain per-token scores ig, shape (n,), whose total matches the output
   difference between input and baseline (completeness),
 - leave-one-out scores loo, shape (n, n): loo[j, i] is the score of
-  token i along the path toward the input with token j padded out,
+  token i along the path toward the input with token j padded out, whose
+  pooled offset is (delta.sum(0) - delta[j]) / n,
 - pairwise cooperative scores cig, shape (n, n), weighted by beta:
   cig[i, j] = ig[i] + ig[j] + beta * (loo[j, i] + loo[i, j]).
 
-integrated_gradients returns the ig array, and PairScoreMap holds ig,
-loo and cig together. A non-finite per-token score raises NumericError.
+A model needs only baseline_embeddings and pooled_gradient. Tokens with
+equal embeddings get bitwise equal scores in every family. A non-finite
+score in any family raises NumericError.
 """
 
 from __future__ import annotations
@@ -74,22 +78,34 @@ class PairScoreMap:
         return PairScoreMap.from_components(self.ig, self.loo, beta)
 
 
-def _average_path_gradient(model, start: np.ndarray, end: np.ndarray, target_class: int, steps: int) -> np.ndarray:
-    """Trapezoidal average of input gradients along the straight path.
+def _path_scores(model, instance: Instance, target_class: int, steps: int, leave_one_out: bool) -> np.ndarray:
+    """Token scores along the path to the input (row 0) and, with
+    leave_one_out, along the path with token j padded out (row 1 + j).
 
-    steps is the number of trapezoid panels. The steps+1 path points, at
-    alpha = 0, 1/steps, ..., 1, are stacked into one (steps+1, n, d) array
-    and their gradients come from one batched input_gradient call. The
-    weighted gradients are then summed over the stack axis, whose
-    reduction order is fixed by the array shape, so results are bitwise
-    deterministic.
+    Each path takes one pooled_gradient call on its steps+1 points, at
+    alpha = 0, 1/steps, ..., 1, and a trapezoid-weighted sum over them.
+    Returns shape (1, n), or (n + 1, n) with zeros where j scores itself.
     """
-    alphas = np.arange(steps + 1) / steps
-    points = start + alphas[:, np.newaxis, np.newaxis] * (end - start)
+    if steps < 1:
+        raise InputError("step count must be at least 1")
+    n = len(instance)
+    baseline = model.baseline_embeddings(n)
+    delta = instance.embeddings - baseline
+    start = baseline.mean(axis=0)
+    total = delta.sum(axis=0)
+    offsets = [total] + ([total - delta[j] for j in range(n)] if leave_one_out else [])
+    alphas = np.arange(steps + 1)[:, np.newaxis] / steps
     weights = np.ones(steps + 1)
     weights[[0, -1]] = 0.5
-    grads = model.input_gradient(points, target_class)
-    return (weights[:, np.newaxis, np.newaxis] * grads).sum(axis=0) / steps
+    # One gradient call per path, so the peak array stays (steps+1, d).
+    sums = np.stack(
+        [weights @ model.pooled_gradient(start + alphas * (offset / n), target_class) for offset in offsets]
+    )
+    scores = (delta * sums[:, np.newaxis, :]).sum(axis=2) / (steps * n)
+    if not np.isfinite(scores).all():
+        raise NumericError("attribution scores contain non-finite values")
+    np.fill_diagonal(scores[1:], 0.0)
+    return scores
 
 
 def integrated_gradients(model, instance: Instance, target_class: int, steps: int = DEFAULT_STEPS) -> np.ndarray:
@@ -99,30 +115,7 @@ def integrated_gradients(model, instance: Instance, target_class: int, steps: in
     shrinks as steps grow and vanishes for linear models. A non-finite
     score raises NumericError.
     """
-    if steps < 1:
-        raise InputError("step count must be at least 1")
-    x = instance.embeddings
-    baseline = model.baseline_embeddings(len(instance))
-    avg = _average_path_gradient(model, baseline, x, target_class, steps)
-    scores = ((x - baseline) * avg).sum(axis=1)
-    if not np.isfinite(scores).all():
-        raise NumericError("attribution scores contain non-finite values")
-    return scores
-
-
-def _leave_one_out_scores(model, instance: Instance, removed: int, target_class: int, steps: int) -> np.ndarray:
-    """Scores of every token along the path toward "removed" padded out.
-
-    One gradient sweep serves all tokens at once, because the integrand
-    only depends on the removed position through the path endpoint. Entry
-    [removed] is 0 by construction (that coordinate block never moves).
-    """
-    x = instance.embeddings
-    baseline = model.baseline_embeddings(len(instance))
-    endpoint = np.array(x, copy=True)
-    endpoint[removed] = baseline[removed]
-    avg = _average_path_gradient(model, baseline, endpoint, target_class, steps)
-    return ((endpoint - baseline) * avg).sum(axis=1)
+    return _path_scores(model, instance, target_class, steps, leave_one_out=False)[0]
 
 
 def cooperative_integrated_gradients(
@@ -131,14 +124,9 @@ def cooperative_integrated_gradients(
     """Pairwise cooperative scores over all unordered token pairs.
 
     beta weighs the leave-one-out components against the plain per-token
-    scores. A single-token instance yields a map without pairs.
+    scores; the n + 1 paths are integrated once each. A non-finite score
+    on any path raises NumericError. A single-token instance yields a map
+    without pairs.
     """
-    ig = integrated_gradients(model, instance, target_class, steps)
-    n = len(instance)
-    # Row j holds every token's score with token j removed. A single token
-    # forms no pair, so its sweep is skipped.
-    if n < 2:
-        loo = np.zeros((n, n))
-    else:
-        loo = np.stack([_leave_one_out_scores(model, instance, j, target_class, steps) for j in range(n)])
-    return PairScoreMap.from_components(ig, loo, beta)
+    scores = _path_scores(model, instance, target_class, steps, leave_one_out=True)
+    return PairScoreMap.from_components(scores[0], scores[1:], beta)

@@ -81,16 +81,17 @@ def quantize(
     if digits < 0:
         raise InputError("quantization digits must be non-negative")
     scale = 10**digits
-    int_weights = tuple(max(1, int(np.floor(w * scale + 0.5))) for w in weights)
-    int_capacity = int(np.floor(capacity * scale))
-    cells = (len(items) + 1) * (int_capacity + 1)
+    # Checked in floats first, so a capacity scaled to inf is a named error.
+    scaled_capacity = np.floor(capacity * scale)
+    cells = (len(items) + 1) * (scaled_capacity + 1)
     if cells > MAX_TABLE_CELLS:
         raise ConfigError(
-            f"quantized capacity {int_capacity} needs {cells} table cells "
+            f"quantized capacity {scaled_capacity:.0f} needs {cells:.0f} table cells "
             f"(limit {MAX_TABLE_CELLS}); lower the quantization digits"
         )
+    int_weights = tuple(max(1, int(np.floor(w * scale + 0.5))) for w in weights)
     return KnapsackInstance(
-        items=tuple(items), weights=int_weights, values=tuple(values), capacity=int_capacity
+        items=tuple(items), weights=int_weights, values=tuple(values), capacity=int(scaled_capacity)
     )
 
 

@@ -133,10 +133,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 class Model:
     """Mean-pool -> affine -> tanh -> affine -> softmax classifier.
 
-    Immutable after training by convention: `forward` and `input_gradient`
-    are pure and safe to call concurrently. `forward` scores one (n, d)
-    sentence; `input_gradient` also takes a (B, n, d) stack, so a whole
-    integration path costs one call.
+    Immutable after training by convention: every method is pure and safe
+    to call concurrently. `forward` and `input_gradient` take one (n, d)
+    sentence; the output depends on it only through its (d,) pooled mean,
+    so `pooled_gradient` takes a (B, d) stack of pooled vectors.
     """
 
     vocab: Vocabulary
@@ -161,15 +161,12 @@ class Model:
     def embed(self, tokens: Sequence[int], pad_mask: Sequence[bool] | None = None) -> np.ndarray:
         return embed(self.embedding, self.vocab.pad_index, tokens, pad_mask)
 
-    def _check_input(self, embeddings: np.ndarray, stacked: bool = False) -> np.ndarray:
-        """Validate one (n, d) sentence, or also a (B, n, d) stack when stacked."""
+    def _check_input(self, embeddings: np.ndarray) -> np.ndarray:
+        """Validate one (n, d) sentence or one (B, d) stack of pooled vectors."""
         arr = np.asarray(embeddings, dtype=np.float64)
-        ndims = (2, 3) if stacked else (2,)
-        if arr.ndim not in ndims or arr.shape[-1] != self.embed_dim:
-            expected = "(n, d) or (B, n, d)" if stacked else "(n, d)"
+        if arr.ndim != 2 or arr.shape[-1] != self.embed_dim:
             raise InputError(
-                f"expected an {expected} embedding array with d = {self.embed_dim}, "
-                f"got shape {arr.shape}"
+                f"expected a 2-D array of rows of d = {self.embed_dim}, got shape {arr.shape}"
             )
         if not np.isfinite(arr).all():
             raise NumericError("embedding matrix contains non-finite values")
@@ -185,29 +182,32 @@ class Model:
         """Class probability vector for one embedded sentence."""
         return self._head(self._check_input(embeddings).mean(axis=0))[1]
 
-    def input_gradient(self, embeddings: np.ndarray, target_class: int) -> np.ndarray:
-        """Exact gradient of forward(...)[target_class] w.r.t. every input entry.
+    def pooled_gradient(self, pooled: np.ndarray, target_class: int) -> np.ndarray:
+        """Exact gradient of the target probability w.r.t. each pooled vector.
 
-        Takes one (n, d) sentence or a (B, n, d) stack of sentences of equal
-        length and returns gradients of the same shape; a 2-D input is
-        computed as a stack of one. Reverse-mode accumulation through the
-        softmax head, both affine layers, and the mean pooling, with each
-        sentence of the stack independent of the others.
+        Maps a (B, d) stack of pooled vectors to (B, d) gradients, one row
+        per input: reverse-mode accumulation through the softmax head and
+        both affine layers.
         """
-        arr = self._check_input(embeddings, stacked=True)
+        arr = self._check_input(pooled)
         if not 0 <= target_class < self.num_classes:
             raise InputError(f"class index {target_class} out of range [0, {self.num_classes})")
-        stack = arr if arr.ndim == 3 else arr[np.newaxis]
-        n = stack.shape[1]
-        hidden, probs = self._head(stack.mean(axis=1))  # (B, H), (B, C)
+        hidden, probs = self._head(arr)  # (B, H), (B, C)
         # d p_c / d logits = p_c * (onehot(c) - p)
         p_target = probs[:, target_class : target_class + 1]
         grad_logits = -p_target * probs
         grad_logits[:, target_class] += p_target[:, 0]
-        grad_pre = (grad_logits @ self.w2) * (1.0 - hidden**2)
-        grad_pooled = grad_pre @ self.w1  # (B, d)
-        grads = np.repeat((grad_pooled / n)[:, np.newaxis, :], n, axis=1)
-        return grads if arr.ndim == 3 else grads[0]
+        return ((grad_logits @ self.w2) * (1.0 - hidden**2)) @ self.w1
+
+    def input_gradient(self, embeddings: np.ndarray, target_class: int) -> np.ndarray:
+        """Exact gradient of forward(...)[target_class] w.r.t. every input entry.
+
+        Takes one (n, d) sentence. Mean pooling spreads the pooled gradient
+        evenly, so every row is that gradient divided by n.
+        """
+        arr = self._check_input(embeddings)
+        grad = self.pooled_gradient(arr.mean(axis=0, keepdims=True), target_class)
+        return np.repeat(grad / len(arr), len(arr), axis=0)
 
     def predicted_class(self, embeddings: np.ndarray) -> int:
         """Argmax class of the forward pass; ties go to the lower index."""
@@ -406,7 +406,7 @@ def _check_parameters(
 ) -> None:
     """Reject parameters whose shapes disagree with the declared dimensions.
 
-    The forward pass and the batched gradient trust these shapes, so a
+    The forward pass and the gradients trust these shapes, so a
     mismatch must stop at load time instead of broadcasting or failing
     deep inside a run.
     """

@@ -15,6 +15,7 @@ once: one greedy exclusion under the unperturbed bound.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -61,8 +62,8 @@ class CidrConfig:
             raise ConfigError("n_iter must be >= 1")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
-        if self.q < 0:
-            raise ConfigError("q must be >= 0")
+        if not 0 <= self.q <= sys.float_info.max_10_exp:
+            raise ConfigError(f"q must lie in [0, {sys.float_info.max_10_exp}]: 10**q must be a finite float")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must lie in [0, 2**64)")
 

@@ -30,11 +30,16 @@ class LinearModel:
         s = float(x.mean(axis=0) @ self.weights) + self.bias
         return np.array([self.center - s, self.center + s], dtype=np.float64)
 
-    def input_gradient(self, embeddings, target_class: int) -> np.ndarray:
-        """Constant gradient w / n for one (n, d) sentence or a (B, n, d) stack."""
-        x = np.asarray(embeddings, dtype=np.float64)
+    def pooled_gradient(self, pooled, target_class: int) -> np.ndarray:
+        """Constant gradient +-w for each row of a (B, d) stack of pooled vectors."""
+        x = np.asarray(pooled, dtype=np.float64)
         sign = 1.0 if target_class == 1 else -1.0
-        return sign * np.broadcast_to(self.weights / x.shape[-2], x.shape).copy()
+        return sign * np.broadcast_to(self.weights, x.shape).copy()
+
+    def input_gradient(self, embeddings, target_class: int) -> np.ndarray:
+        """Constant gradient +-w / n for one (n, d) sentence."""
+        x = np.asarray(embeddings, dtype=np.float64)
+        return self.pooled_gradient(x, target_class) / x.shape[0]
 
     def predicted_class(self, embeddings) -> int:
         return int(np.argmax(self.forward(embeddings)))

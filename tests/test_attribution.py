@@ -11,12 +11,12 @@ from conftest import make_random_instance, make_random_model
 from minfeat.attribution import (
     DEFAULT_STEPS,
     PairScoreMap,
-    _average_path_gradient,
-    _leave_one_out_scores,
     cooperative_integrated_gradients,
     integrated_gradients,
 )
+from minfeat.corpus import tokenize
 from minfeat.errors import InputError, NumericError
+from minfeat.model import pad_positions
 from minfeat.pipeline import upper_bound_u1
 from stubs import LinearModel, linear_instance
 
@@ -24,15 +24,13 @@ from stubs import LinearModel, linear_instance
 def loo_integrated_gradients(
     model, instance, i: int, j: int, target_class: int, steps: int = DEFAULT_STEPS
 ) -> float:
-    """Reference: attribution of token i with token j padded out of the path endpoint."""
+    """Reference: plain score of token i on the instance with token j padded."""
     if i == j:
         raise InputError("leave-one-out requires two distinct positions")
     n = len(instance)
     if not (0 <= i < n and 0 <= j < n):
         raise InputError(f"positions ({i}, {j}) out of range for length {n}")
-    if steps < 1:
-        raise InputError("step count must be at least 1")
-    return float(_leave_one_out_scores(model, instance, j, target_class, steps)[i])
+    return float(integrated_gradients(model, pad_positions(model, instance, [j]), target_class, steps)[i])
 
 
 def completeness_residual(model, instance, target: int, steps: int) -> float:
@@ -90,9 +88,9 @@ class TestIntegratedGradients:
 
     def test_non_finite_score_raises_numeric_error(self):
         class NanGradientModel(LinearModel):
-            def input_gradient(self, embeddings, target_class):
-                grads = super().input_gradient(embeddings, target_class)
-                grads[..., 1, 0] = np.nan
+            def pooled_gradient(self, pooled, target_class):
+                grads = super().pooled_gradient(pooled, target_class)
+                grads[1, 0] = np.nan
                 return grads
 
         inst = linear_instance(np.ones((3, 2)))
@@ -110,14 +108,19 @@ class TestIntegratedGradients:
         assert np.abs(ig - expected).max() < 1e-12
 
 
-def per_point_path_gradient(model, start, end, target_class, steps):
-    """Reference: one input_gradient call per path point, summed in order."""
-    delta = end - start
+def per_point_scores(model, instance, removed, target_class, steps):
+    """Reference: token scores along the path to the input with "removed"
+    padded out (None pads nothing), one (n, d) input_gradient call per
+    path point, summed in order."""
+    start = model.baseline_embeddings(len(instance))
+    end = np.array(instance.embeddings, copy=True)
+    if removed is not None:
+        end[removed] = start[removed]
     total = np.zeros_like(start)
     for k in range(steps + 1):
         weight = 0.5 if k in (0, steps) else 1.0
-        total += weight * model.input_gradient(start + (k / steps) * delta, target_class)
-    return total / steps
+        total += weight * model.input_gradient(start + (k / steps) * (end - start), target_class)
+    return ((end - start) * total / steps).sum(axis=1)
 
 
 class TestTrapezoid:
@@ -126,50 +129,51 @@ class TestTrapezoid:
         random_model = make_random_model(40)
         random_inst = make_random_instance(random_model, 41, length=7)
         for model, inst in ((toy_model, toy_instances[5]), (random_model, random_inst)):
-            start = model.baseline_embeddings(len(inst))
             for target in (0, 1):
-                batched = _average_path_gradient(model, start, inst.embeddings, target, steps)
-                reference = per_point_path_gradient(model, start, inst.embeddings, target, steps)
-                assert np.abs(batched - reference).max() <= 1e-13
+                pm = cooperative_integrated_gradients(model, inst, target, beta=0.5, steps=steps)
+                reference = per_point_scores(model, inst, None, target, steps)
+                assert np.abs(pm.ig - reference).max() <= 1e-13
+                for j in range(len(inst)):
+                    reference = per_point_scores(model, inst, j, target, steps)
+                    assert np.abs(pm.loo[j] - reference).max() <= 1e-13
 
     def test_exact_for_constant_gradient(self):
         w = np.array([1.0, -2.0, 0.5])
         model = LinearModel(w)
-        start = np.zeros((4, 3))
-        end = np.arange(12, dtype=np.float64).reshape(4, 3)
+        x = np.arange(12, dtype=np.float64).reshape(4, 3)
+        expected = x @ w / 4.0
         for steps in (1, 2, 7):
-            avg = _average_path_gradient(model, start, end, 1, steps)
-            assert np.abs(avg - w / 4.0).max() < 1e-15
+            pm = cooperative_integrated_gradients(model, linear_instance(x), 1, beta=0.5, steps=steps)
+            assert np.abs(pm.ig - expected).max() < 1e-15
+            assert np.abs(pm.loo - (expected - np.diag(expected))).max() < 1e-15
 
     def test_endpoint_weights_are_halved(self):
         # With 1 panel the average must be (g(start) + g(end)) / 2.
         class TwoPointModel:
-            def input_gradient(self, emb, target):
-                # One gradient per stacked point: 1 where the point sums to 0, else 3.
-                emb = np.asarray(emb)
-                at_zero = emb.sum(axis=(-2, -1), keepdims=True) == 0
-                return np.where(at_zero, 1.0, 3.0) * np.ones_like(emb)
+            def baseline_embeddings(self, n):
+                return np.zeros((n, 2))
 
-        avg = _average_path_gradient(TwoPointModel(), np.zeros((2, 2)), np.ones((2, 2)), 0, 1)
-        assert np.abs(avg - 2.0).max() < 1e-15
+            def pooled_gradient(self, pooled, target):
+                # One gradient per pooled point: 1 where the point sums to 0, else 3.
+                at_zero = pooled.sum(axis=1, keepdims=True) == 0
+                return np.where(at_zero, 1.0, 3.0) * np.ones_like(pooled)
+
+        # Each of the 2 tokens scores (1, 1) . (2, 2) / 2 = 2.
+        ig = integrated_gradients(TwoPointModel(), linear_instance(np.ones((2, 2))), 0, steps=1)
+        assert np.abs(ig - 2.0).max() < 1e-15
 
 
 class TestLeaveOneOut:
     def test_equals_plain_score_when_other_already_padded(self, toy_model, toy_instances):
-        inst = toy_instances[0]
-        from minfeat.model import pad_positions
-
-        padded = pad_positions(toy_model, inst, [2])
-        ig = integrated_gradients(toy_model, padded, 1)
-        loo = loo_integrated_gradients(toy_model, padded, 0, 2, 1)
-        assert abs(loo - float(ig[0])) < 1e-12
+        padded = pad_positions(toy_model, toy_instances[0], [2])
+        pm = cooperative_integrated_gradients(toy_model, padded, 1, beta=0.5)
+        assert abs(pm.loo[2, 0] - pm.ig[0]) < 1e-12
 
     def test_removed_position_scores_zero(self):
         model = make_random_model(20)
         inst = make_random_instance(model, 21, length=5)
-        for removed in range(5):
-            scores = _leave_one_out_scores(model, inst, removed, 0, 20)
-            assert scores[removed] == 0.0
+        pm = cooperative_integrated_gradients(model, inst, 0, beta=0.5, steps=20)
+        assert (np.diag(pm.loo) == 0.0).all()
 
     def test_identical_positions_rejected(self):
         model = make_random_model(22)
@@ -189,15 +193,53 @@ class TestLeaveOneOut:
         rng = np.random.default_rng(7)
         w = rng.normal(size=3)
         model = LinearModel(w)
-        x = rng.normal(size=(6, 3))
-        inst = linear_instance(x)
-        ig = integrated_gradients(model, inst, 1, steps=2)
+        inst = linear_instance(rng.normal(size=(6, 3)))
+        pm = cooperative_integrated_gradients(model, inst, 1, beta=0.5, steps=2)
         for i in range(6):
             for j in range(6):
-                if i == j:
-                    continue
-                loo = loo_integrated_gradients(model, inst, i, j, 1, steps=2)
-                assert abs(loo - float(ig[i])) < 1e-12
+                if i != j:
+                    assert abs(pm.loo[j, i] - pm.ig[i]) < 1e-12
+
+    def test_non_finite_on_one_path_raises_numeric_error(self):
+        # The gradient is NaN only on the path that pads token 0 out, so
+        # ig is finite and only the leave-one-out row 0 is not.
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        without_first = (x.sum(axis=0) - x[0]) / 3
+
+        class OnePathNanModel(LinearModel):
+            def pooled_gradient(self, pooled, target_class):
+                grads = super().pooled_gradient(pooled, target_class)
+                if np.array_equal(pooled[-1], without_first):
+                    grads[:] = np.nan
+                return grads
+
+        model, inst = OnePathNanModel([1.0, -1.0]), linear_instance(x)
+        assert np.isfinite(integrated_gradients(model, inst, 1, steps=4)).all()
+        with pytest.raises(NumericError):
+            cooperative_integrated_gradients(model, inst, 1, beta=0.5, steps=4)
+
+
+class TestRepeatedWords:
+    def test_repeated_words_tie_exactly(self, toy_model, toy_corpus, toy_instances):
+        # Equal embeddings give bitwise equal scores, so tie-breaks follow
+        # the documented rule (lower element first), not rounding.
+        compared = 0
+        for record, inst in zip(toy_corpus, toy_instances):
+            words = tokenize(record.text)
+            target = toy_model.predicted_class(inst.embeddings)
+            pm = cooperative_integrated_gradients(toy_model, inst, target, beta=0.5, steps=50)
+            n = len(words)
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if words[a] != words[b]:
+                        continue
+                    assert pm.ig[a] == pm.ig[b]
+                    for k in set(range(n)) - {a, b}:
+                        assert pm.loo[k, a] == pm.loo[k, b]
+                        assert pm.loo[a, k] == pm.loo[b, k]
+                        assert pm.cig[a, k] == pm.cig[b, k]
+                        compared += 1
+        assert compared > 0
 
 
 class TestCooperative:

@@ -112,3 +112,19 @@ def test_cli_outputs_pass_the_benchmark_checks(toy_model, toy_corpus, tmp_path):
     values = load_config(str(config), env={})
     assert checks.check_reports(str(reports), records, toy_model, values) == []
     assert checks.check_metrics_table(str(table), records) == []
+
+
+def test_fine_explain_passes_the_report_checks(toy_model, toy_corpus, tmp_path):
+    # explain-fine's config: at 300 steps the checks hold the completeness
+    # residual to 1e-3 on the path the benchmark times.
+    checks = _load("checks")
+    model, corpus, config = tmp_path / "model.json", tmp_path / "corpus.jsonl", tmp_path / "c.json"
+    records = toy_corpus[:2]
+    save_model(toy_model, str(model))
+    save_corpus(records, str(corpus))
+    config.write_text(json.dumps({"steps": 300}), encoding="utf-8")
+    reports = tmp_path / "r.jsonl"
+    argv = ["explain", "--corpus", str(corpus), "--model", str(model), "--config", str(config)]
+    assert cli.main(argv + ["--out", str(reports)]) == 0
+    values = load_config(str(config), env={})
+    assert checks.check_reports(str(reports), records, toy_model, values) == []

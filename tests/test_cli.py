@@ -242,6 +242,18 @@ class TestExplain:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("q, named", [(308, "quantization digits"), (400, "q must lie in")])
+    def test_quantization_digits_beyond_float_range_exit_2(self, cli_env, tmp_path, capsys, q, named):
+        # 10**400 is no finite float; 10**308 is, but scales the capacity
+        # to inf. Both are named config errors, not overflow tracebacks.
+        config = tmp_path / "q.json"
+        config.write_text(json.dumps({"steps": 10, "n_iter": 3, "q": q}), encoding="utf-8")
+        out = tmp_path / "r.jsonl"
+        args = ["explain", "--corpus", str(cli_env["corpus"]), "--model", str(cli_env["model"])]
+        assert main(args + ["--out", str(out), "--config", str(config)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "corrupt, named",
         [

@@ -50,6 +50,9 @@ class TestQuantize:
     def test_table_size_guard(self):
         with pytest.raises(ConfigError):
             quantize(items=("a",), weights=(1.0,), values=(1.0,), capacity=1e9, digits=3)
+        # 2.0 * 10**308 is inf as a float: a named error, not an overflow.
+        with pytest.raises(ConfigError, match="inf"):
+            quantize(items=("a",), weights=(3.0,), values=(1.0,), capacity=2.0, digits=308)
 
     def test_validation(self):
         with pytest.raises(InputError):

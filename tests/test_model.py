@@ -231,34 +231,36 @@ class TestInputGradient:
     def test_bad_class_index_rejected(self):
         model = make_random_model(9)
         inst = make_random_instance(model, 10)
-        stack = np.stack([inst.embeddings] * 3)
-        for embeddings in (inst.embeddings, stack):
+        pooled = np.stack([inst.embeddings.mean(axis=0)] * 3)
+        for gradient, arr in ((model.input_gradient, inst.embeddings), (model.pooled_gradient, pooled)):
             with pytest.raises(InputError):
-                model.input_gradient(embeddings, 2)
+                gradient(arr, 2)
             with pytest.raises(InputError):
-                model.input_gradient(embeddings, -1)
+                gradient(arr, -1)
 
-    def test_stack_matches_separate_calls(self):
-        # Batched matrix products round differently from per-sentence ones,
-        # so equality holds to a few ulps rather than bit for bit.
+    def test_pooled_stack_matches_per_sentence_gradients(self):
+        # Row b of a pooled stack is n times any row of sentence b's input
+        # gradient; the batched product rounds within a few ulps of it.
         rng = np.random.default_rng(31)
         for seed in range(4):
             model = make_random_model(seed)
-            stack = rng.normal(0.0, 1.0, size=(7, 6, model.embed_dim))
+            sentences = rng.normal(0.0, 1.0, size=(7, 6, model.embed_dim))
             for target in (0, 1):
-                batched = model.input_gradient(stack, target)
-                assert batched.shape == stack.shape
-                separate = np.stack([model.input_gradient(x, target) for x in stack])
-                assert np.abs(batched - separate).max() <= 1e-15
+                pooled = model.pooled_gradient(sentences.mean(axis=1), target)
+                assert pooled.shape == (7, model.embed_dim)
+                separate = np.stack([model.input_gradient(x, target)[0] * 6 for x in sentences])
+                assert np.abs(pooled - separate).max() <= 1e-15
 
-    def test_non_finite_anywhere_in_stack_rejected(self):
+    def test_pooled_gradient_non_finite_rejected(self):
         model = make_random_model(11)
-        stack = np.zeros((4, 3, model.embed_dim))
-        stack[3, 2, 1] = np.nan
+        pooled = np.zeros((4, model.embed_dim))
+        pooled[3, 1] = np.nan
         with pytest.raises(NumericError):
-            model.input_gradient(stack, 0)
+            model.pooled_gradient(pooled, 0)
 
-    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), (2, 3, 6), (1, 2, 3, 5), (3, 4)])
+    # (2, 3, 5) is a well-formed stack of sentences: input_gradient takes
+    # one sentence, and a path goes through pooled_gradient instead.
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), (2, 3, 6), (1, 2, 3, 5), (3, 4), (2, 3, 5)])
     def test_bad_shape_rejected(self, shape):
         model = make_random_model(12)  # embed_dim 5
         with pytest.raises(InputError):

@@ -54,6 +54,7 @@ class TestCidrConfig:
             {"n_iter": 2.5},
             {"steps": 2.5},
             {"t": "0.5"},
+            {"q": 400},
         ],
     )
     def test_invalid_rejected(self, kwargs):
