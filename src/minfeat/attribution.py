@@ -26,6 +26,7 @@ score in any family raises NumericError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,16 @@ class PairScoreMap:
         change.
         """
         return PairScoreMap.from_components(self.ig, self.loo, beta)
+
+    @cached_property
+    def positive_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """positive_pairs as two index arrays, first and second members.
+
+        Computed on first use and kept, so every array step of one
+        record's refinement indexes its pairs without rebuilding them.
+        """
+        members = np.array(self.positive_pairs, dtype=np.intp).reshape(-1, 2)
+        return members[:, 0], members[:, 1]
 
 
 def _path_scores(model, instance: Instance, target_class: int, steps: int, leave_one_out: bool) -> np.ndarray:

@@ -3,7 +3,9 @@
 Items are token pairs, weights are their cooperative scores, values are
 the sampled perturbations, and the capacity is the attribution upper
 bound. Real weights are quantized to integers before the dynamic program
-runs; see quantize for the rounding rules.
+runs; see quantize for the rounding rules. One quantize call builds the
+instances of every refinement iteration at once: the weights are scaled
+once and shared, and only the values and the capacity differ.
 
 Tie-break of the exact solver: among equal-value selections, prefer
 not selecting an item. Applied per item from the last to the first
@@ -13,6 +15,7 @@ is smallest.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -62,36 +65,59 @@ class KnapsackSolution:
 def quantize(
     items: Sequence[Hashable],
     weights: Sequence[float],
-    values: Sequence[float],
-    capacity: float,
+    values: np.ndarray,
+    capacities: Sequence[float],
     digits: int,
-) -> KnapsackInstance:
-    """Build the integer instance for real weights and a real capacity.
+) -> tuple[KnapsackInstance, ...]:
+    """Build one integer instance per capacity from shared real weights.
 
-    Weights and capacity are scaled by 10**digits. Weights round to
-    nearest (half away from zero); the capacity is floored, so
-    quantization never admits a selection the real capacity would reject
-    by more than the documented slack. Weights that round to zero are
-    clamped to 1.
+    values has shape (K, P): row k values the P items of the instance for
+    capacities[k]. Weights and capacities are scaled by 10**digits, the
+    weights once for all K instances, which share one weight tuple.
+    Weights round to nearest (half away from zero), each exactly
+    max(1, int(floor(w * 10**digits + 0.5))) however large; the capacities
+    are floored, so quantization never admits a selection the real
+    capacity would reject by more than the documented slack. The table
+    size guard is applied to the largest capacity.
     """
-    if any(not w > 0 for w in weights):
-        raise InputError("weights must be strictly positive")
-    if not capacity >= 0:
+    weights = np.asarray(weights, dtype=np.float64)
+    capacities = np.asarray(capacities, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if not ((weights > 0) & np.isfinite(weights)).all():
+        raise InputError("weights must be finite and strictly positive")
+    if not (capacities >= 0).all():
         raise InputError("capacity must be non-negative")
-    if digits < 0:
-        raise InputError("quantization digits must be non-negative")
-    scale = 10**digits
-    # Checked in floats first, so a capacity scaled to inf is a named error.
-    scaled_capacity = np.floor(capacity * scale)
-    cells = (len(items) + 1) * (scaled_capacity + 1)
+    if not 0 <= digits <= sys.float_info.max_10_exp:
+        raise InputError(
+            f"quantization digits {digits} must lie in [0, {sys.float_info.max_10_exp}]: "
+            "10**digits must be a finite float"
+        )
+    if capacities.ndim != 1 or values.shape != (len(capacities), len(weights)):
+        raise InputError(
+            f"values of shape {values.shape} must hold one row of {len(weights)} "
+            f"per capacity ({capacities.shape})"
+        )
+    scale = float(10**digits)
+    # Scaled in floats and checked before any conversion to int, so a
+    # capacity or weight that overflows to inf is a named error.
+    with np.errstate(over="ignore"):
+        scaled_capacities = np.floor(capacities * scale)
+        scaled_weights = np.floor(weights * scale + 0.5)
+    largest = scaled_capacities.max(initial=0.0)
+    cells = (len(weights) + 1) * (largest + 1)
     if cells > MAX_TABLE_CELLS:
         raise ConfigError(
-            f"quantized capacity {scaled_capacity:.0f} needs {cells:.0f} table cells "
+            f"quantized capacity {largest:.0f} needs {cells:.0f} table cells "
             f"(limit {MAX_TABLE_CELLS}); lower the quantization digits"
         )
-    int_weights = tuple(max(1, int(np.floor(w * scale + 0.5))) for w in weights)
-    return KnapsackInstance(
-        items=tuple(items), weights=int_weights, values=tuple(values), capacity=int(scaled_capacity)
+    if not np.isfinite(scaled_weights).all():
+        raise ConfigError(f"weights scaled by 10**{digits} overflow to inf; lower the quantization digits")
+    # Python ints, not int64: a weight may exceed 2**63 at large digits.
+    int_weights = tuple(max(1, int(w)) for w in scaled_weights.tolist())
+    items = tuple(items)
+    return tuple(
+        KnapsackInstance(items=items, weights=int_weights, values=tuple(row), capacity=int(capacity))
+        for row, capacity in zip(values.tolist(), scaled_capacities.tolist())
     )
 
 
@@ -120,15 +146,17 @@ def solve_dp(instance: KnapsackInstance) -> KnapsackSolution:
 
     best = np.zeros(capacity + 1, dtype=np.float64)
     take = np.zeros((n, capacity + 1), dtype=bool)
+    candidate = np.empty(capacity + 1, dtype=np.float64)
     for i in range(n):
         w = instance.weights[i]
         v = instance.values[i]
         if w > capacity:
             continue
-        candidate = best[: capacity + 1 - w] + v
-        improved = candidate > best[w:]
-        take[i, w:] = improved
-        best[w:] = np.where(improved, candidate, best[w:])
+        shifted = candidate[: capacity + 1 - w]
+        np.add(best[: capacity + 1 - w], v, out=shifted)
+        improved = take[i, w:]
+        np.greater(shifted, best[w:], out=improved)
+        np.copyto(best[w:], shifted, where=improved)
 
     selected: list[Hashable] = []
     value = 0.0

@@ -7,7 +7,11 @@ capacity; the pairs left over form a candidate set. refine repeats the
 exclusion n_iter times, each time valuing the pairs with fresh uniform
 draws from a counter-based stream keyed by (seed, iteration), and pairs
 that survive in at least an epsilon fraction of the candidate sets form
-the final minimal feature set.
+the final minimal feature set. What depends only on the record (the
+pairs, their weights and leave-one-out sums, their stream indices, the
+integer weights) is computed once per refine; the draws form one
+(n_iter, P) matrix over the P positive pairs, and its n_iter perturbed
+bounds u2' are summed left to right in pair order, row by row.
 
 cidr_without_refinement, the no-refinement ablation, runs the same core
 once: one greedy exclusion under the unperturbed bound.
@@ -117,58 +121,73 @@ def upper_bound_u1(ig: np.ndarray) -> float:
     return 2.0 * (len(positive) - 1) * sum(positive)
 
 
-def _scaled_loo_sum(pair_map: PairScoreMap, scales: Sequence[float]) -> float:
-    """beta * sum of scale * (loo[j, i] + loo[i, j]) over the positive pairs.
-
-    The sum runs left to right in pair order; a pairwise array reduction
-    would round differently.
-    """
-    if len(scales) != len(pair_map.positive_pairs):
-        raise InternalError(
-            f"{len(scales)} perturbations for {len(pair_map.positive_pairs)} positive pairs"
-        )
-    loo_sums = pair_map.loo.T + pair_map.loo
-    total = 0.0
-    for scale, pair in zip(scales, pair_map.positive_pairs):
-        total += scale * float(loo_sums[pair])
-    return pair_map.beta * total
-
-
 def upper_bound_u2(pair_map: PairScoreMap) -> float:
     """beta times the sum of leave-one-out components over positive pairs."""
-    return _scaled_loo_sum(pair_map, (1.0,) * len(pair_map.positive_pairs))
+    return float(perturbed_upper_bound(pair_map, np.ones(len(pair_map.positive_pairs))))
 
 
-def perturbed_upper_bound(pair_map: PairScoreMap, values: Sequence[float]) -> float:
+def perturbed_upper_bound(pair_map: PairScoreMap, values: np.ndarray) -> np.ndarray:
     """Like upper_bound_u2 but with each pair's term scaled by its value.
 
-    values holds one perturbation per positive pair, aligned with
-    pair_map.positive_pairs; a length mismatch is an InternalError.
+    values has shape (..., P), one perturbation per positive pair in its
+    last axis, aligned with pair_map.positive_pairs; a length mismatch is
+    an InternalError. The result has shape (...): an (n_iter, P) matrix
+    gives every iteration's u2' at once. Each row is beta times the sum of
+    value * (loo[j, i] + loo[i, j]) taken left to right in pair order,
+    from 0.0; a pairwise reduction would round differently.
     """
-    return _scaled_loo_sum(pair_map, values)
+    values = np.asarray(values, dtype=np.float64)
+    n_pairs = len(pair_map.positive_pairs)
+    if values.shape[-1:] != (n_pairs,):
+        raise InternalError(f"perturbations of shape {values.shape} for {n_pairs} positive pairs")
+    i, j = pair_map.positive_index
+    # A leading 0.0 column: the running sum starts from 0.0, as a loop would.
+    terms = np.zeros(values.shape[:-1] + (n_pairs + 1,))
+    np.multiply(values, pair_map.loo[j, i] + pair_map.loo[i, j], out=terms[..., 1:])
+    return pair_map.beta * np.cumsum(terms, axis=-1)[..., -1]
 
 
-def sample_perturbations(pairs: Sequence[Pair], seed: int, iteration: int) -> tuple[float, ...]:
-    """Deterministic values in (0, 1), one per pair, in the order given.
+def sample_perturbations(pairs: Sequence[Pair], seed: int, n_iter: int) -> np.ndarray:
+    """Deterministic values in (0, 1), shape (n_iter, len(pairs)).
 
-    One Philox generator keyed by the unsigned 64-bit words (seed,
-    iteration) draws a stream of uniform doubles, and pair (i, j) takes
-    the draw at its triangular index j*(j-1)/2 + i, clipped away from the
-    endpoints. Each double consumes one 64-bit word of the stream, so the
-    draw at an index is the same however long the stream is: a pair's
-    value is fixed by (seed, iteration, i, j) alone, whatever other pairs
-    are sampled. The stream is as long as the largest index, about n*n/2
-    doubles for an n-token sentence. Pairs must satisfy 0 <= i < j.
+    Row k is iteration k: one Philox generator keyed by the unsigned
+    64-bit words (seed, k) draws a stream of uniform doubles, and pair
+    (i, j) takes the draw at its triangular index j*(j-1)/2 + i, clipped
+    away from the endpoints. Columns follow the order of pairs. Each
+    double is one 64-bit word of the stream shifted right by 11 and
+    scaled by 2**-53, as numpy's Generator.random draws it, so the draw at
+    an index is the same however long the stream is: a pair's value is
+    fixed by (seed, k, i, j) alone, whatever other pairs are sampled. The
+    stream is as long as the largest index, about n*n/2 words for an
+    n-token sentence. Pairs must satisfy 0 <= i < j, and n_iter >= 1.
     """
-    for i, j in pairs:
-        if not 0 <= i < j:
-            raise InputError(f"perturbation pair ({i}, {j}) must satisfy 0 <= i < j")
-    index = [j * (j - 1) // 2 + i for i, j in pairs]
-    if not index:
-        return ()
-    key = np.array([seed, iteration], dtype=np.uint64)
-    draws = np.random.Generator(np.random.Philox(key=key)).random(max(index) + 1)[index]
-    return tuple(np.clip(draws, PERTURBATION_CLIP, 1.0 - PERTURBATION_CLIP).tolist())
+    if n_iter < 1:
+        raise InputError(f"n_iter must be >= 1, got {n_iter}")
+    members = np.asarray(pairs) if len(pairs) else np.empty((0, 2), dtype=np.int64)
+    if members.ndim != 2 or members.shape[1] != 2 or members.dtype.kind not in "iu":
+        raise InputError(
+            f"perturbation pairs must be integer (i, j) pairs, not {members.dtype} of shape {members.shape}"
+        )
+    i, j = members[:, 0], members[:, 1]
+    bad = np.flatnonzero((i < 0) | (i >= j))
+    if bad.size:
+        k = bad[0]
+        raise InputError(f"perturbation pair ({i[k]}, {j[k]}) must satisfy 0 <= i < j")
+    index = j * (j - 1) // 2 + i
+    draws = np.empty((n_iter, len(index)))
+    if not len(index):
+        return draws
+    length = int(index.max()) + 1
+    stream = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    # A fresh generator's state with the key swapped is the generator
+    # Philox(key=(seed, k)) builds, without a construction per iteration.
+    fresh = stream.state
+    for k in range(n_iter):
+        fresh["state"]["key"] = np.array([seed, k], dtype=np.uint64)
+        stream.state = fresh
+        words = stream.random_raw(length)[index]
+        np.multiply(words >> np.uint64(11), 2.0**-53, out=draws[k])
+    return np.clip(draws, PERTURBATION_CLIP, 1.0 - PERTURBATION_CLIP, out=draws)
 
 
 def _target_and_pairs(
@@ -242,6 +261,11 @@ def refine(
     that the excluded real scores can never exceed the true capacity.
     Pairs kept in at least epsilon of the candidate sets are retained.
     Each iteration's u2' is kept in its IterationRecord.
+
+    The n_iter repetitions run as array work: one (n_iter, P) matrix of
+    perturbations, all n_iter u2' in one call, and one quantize call whose
+    instances share the integer weights; solve_dp then runs once for each
+    iteration whose solver capacity is positive.
     """
     target, pair_map = _target_and_pairs(model, instance, config, pair_map)
     positive = pair_map.positive_pairs
@@ -250,20 +274,23 @@ def refine(
 
     u1 = upper_bound_u1(pair_map.ig)
     u2 = upper_bound_u2(pair_map)
-    weights = tuple(float(pair_map.cig[p]) for p in positive)
+    values = sample_perturbations(positive, config.seed, config.n_iter)
+    u2_prime = perturbed_upper_bound(pair_map, values)
+    capacities = u1 + u2_prime
     # round-to-nearest can shave up to half a unit off each item's weight
     margin = len(positive) * 10.0 ** (-config.q) / 2.0
-    iterations = []
-    for k in range(config.n_iter):
-        values = sample_perturbations(positive, config.seed, k)
-        u2p = perturbed_upper_bound(pair_map, values)
-        capacity = u1 + u2p
-        solver_capacity = max(0.0, capacity - margin)
-        excluded = ()
-        if solver_capacity > 0.0:
-            instance_k = quantize(positive, weights, values, solver_capacity, config.q)
-            excluded = solve_dp(instance_k).selected
-        iterations.append(_iteration(k, pair_map, u2p, capacity, excluded))
+    solver_capacities = capacities - margin
+    solved = np.flatnonzero(solver_capacities > 0.0)
+    excluded: list[tuple[Pair, ...]] = [()] * config.n_iter
+    if solved.size:
+        weights = pair_map.cig[pair_map.positive_index]
+        instances = quantize(positive, weights, values[solved], solver_capacities[solved], config.q)
+        for k, instance_k in zip(solved.tolist(), instances):
+            excluded[k] = solve_dp(instance_k).selected
+    iterations = [
+        _iteration(k, pair_map, u2p, capacity, excluded[k])
+        for k, (u2p, capacity) in enumerate(zip(u2_prime.tolist(), capacities.tolist()))
+    ]
     return _assemble(config, pair_map, target, u1, u2, iterations)
 
 

@@ -11,7 +11,7 @@ bytes and every file round-trips losslessly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .errors import InputError
@@ -66,10 +66,32 @@ class ExplanationReport:
 
 
 def report_to_dict(report: ExplanationReport) -> dict[str, Any]:
-    payload = asdict(report)
-    payload["tokens"] = list(report.tokens)
-    payload["config"] = dict(report.config)
-    return payload
+    """The report as a JSON-ready dict, one key per field.
+
+    Written out field by field rather than with dataclasses.asdict, which
+    deep-copies every nested value; tuples of numbers are immutable and
+    shared as they are.
+    """
+    return {
+        "instance_id": report.instance_id,
+        "tokens": list(report.tokens),
+        "predicted_class": report.predicted_class,
+        "predicted_probability": report.predicted_probability,
+        "ig": report.ig,
+        "positive_pairs": tuple({"i": e.i, "j": e.j, "cig": e.cig} for e in report.positive_pairs),
+        "mfs_pairs": tuple({"i": e.i, "j": e.j, "frequency": e.frequency} for e in report.mfs_pairs),
+        "mfs_words": report.mfs_words,
+        "u1": report.u1,
+        "u2": report.u2,
+        "u2_prime": report.u2_prime,
+        "degenerate": report.degenerate,
+        "oov_count": report.oov_count,
+        "config": dict(report.config),
+        "seed": report.seed,
+        "comp": report.comp,
+        "lo": report.lo,
+        "fms": report.fms,
+    }
 
 
 def _field(raw: Mapping[str, Any], name: str, convert: Callable[[Any], Any]) -> Any:

@@ -188,14 +188,19 @@ def test_05_bounds_recomputed_from_raw_scores(capsys):
             expected_u1 = 2.0 * (len(pos_words) - 1) * sum(float(ig[i]) for i in pos_words)
         beta = pair_map.beta
         expected_u2 = beta * sum(raw[p][0] + raw[p][1] for p in positive)
-        perturbations = sample_perturbations(positive, seed=fixture, iteration=0)
-        expected_u2p = beta * sum(v * (raw[p][0] + raw[p][1]) for v, p in zip(perturbations, positive))
+        # One row of perturbations per iteration, one u2' per row.
+        perturbations = sample_perturbations(positive, seed=fixture, n_iter=3)
+        expected_u2p = [
+            beta * sum(v * (raw[p][0] + raw[p][1]) for v, p in zip(row, positive))
+            for row in perturbations.tolist()
+        ]
 
         u1 = upper_bound_u1(ig)
         u2 = upper_bound_u2(pair_map)
         u2p = perturbed_upper_bound(pair_map, perturbations)
-        worst = max(worst, abs(u1 - expected_u1), abs(u2 - expected_u2), abs(u2p - expected_u2p))
-        if nonneg and not u2p <= u2 + 1e-12:
+        worst = max(worst, abs(u1 - expected_u1), abs(u2 - expected_u2))
+        worst = max([worst] + [abs(a - b) for a, b in zip(u2p.tolist(), expected_u2p)])
+        if len(u2p) != 3 or nonneg and not (u2p <= u2 + 1e-12).all():
             ordering_ok = False
     ok = worst <= 1e-12 and ordering_ok
     _verdict(capsys, 5, "upper bounds re-derived by hand, 50 fixtures", ok,

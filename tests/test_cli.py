@@ -9,6 +9,7 @@ import pytest
 from minfeat.cli import main
 from minfeat.corpus import save_corpus
 from minfeat.data import build_toy_corpus
+from minfeat.knapsack import MAX_TABLE_CELLS
 from minfeat.model import load_model
 from minfeat.reports import read_reports
 
@@ -252,6 +253,18 @@ class TestExplain:
         args = ["explain", "--corpus", str(cli_env["corpus"]), "--model", str(cli_env["model"])]
         assert main(args + ["--out", str(out), "--config", str(config)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_table_beyond_cell_limit_exits_2(self, cli_env, tmp_path, capsys):
+        # At q = 8 a finite capacity of a few units needs more than
+        # MAX_TABLE_CELLS cells: the batched quantize still names the limit.
+        config = tmp_path / "q.json"
+        config.write_text(json.dumps({"steps": 10, "n_iter": 3, "q": 8}), encoding="utf-8")
+        out = tmp_path / "r.jsonl"
+        args = ["explain", "--corpus", str(cli_env["corpus"]), "--model", str(cli_env["model"])]
+        assert main(args + ["--out", str(out), "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "table cells" in err and f"limit {MAX_TABLE_CELLS}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

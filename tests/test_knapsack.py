@@ -28,9 +28,15 @@ def random_integer_instance(rng: np.random.Generator, max_items: int = 12) -> Kn
     )
 
 
+def quantize_one(items, weights, values, capacity, digits) -> KnapsackInstance:
+    """quantize on a single capacity, unpacked."""
+    (instance,) = quantize(items, weights, [values], [capacity], digits)
+    return instance
+
+
 class TestQuantize:
     def test_rounds_half_away_from_zero(self):
-        q = quantize(
+        q = quantize_one(
             items=("a", "b", "c"),
             weights=(0.0015, 0.00249, 0.00251),
             values=(1.0, 1.0, 1.0),
@@ -40,35 +46,78 @@ class TestQuantize:
         assert q.weights == (2, 2, 3)  # 1.5 -> 2, 2.49 -> 2, 2.51 -> 3
 
     def test_capacity_is_floored(self):
-        q = quantize(items=("a",), weights=(1.0,), values=(1.0,), capacity=2.999, digits=0)
+        q = quantize_one(items=("a",), weights=(1.0,), values=(1.0,), capacity=2.999, digits=0)
         assert q.capacity == 2
 
     def test_tiny_weights_clamped_to_one(self):
-        q = quantize(items=("a",), weights=(1e-9,), values=(1.0,), capacity=1.0, digits=3)
+        q = quantize_one(items=("a",), weights=(1e-9,), values=(1.0,), capacity=1.0, digits=3)
         assert q.weights == (1,)
+
+    def test_one_instance_per_capacity_sharing_the_weights(self):
+        items, weights = ("a", "b"), (0.4, 1.25)
+        values = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        capacities = (1.0, 0.0, 2.5)
+        batch = quantize(items, weights, values, capacities, 1)
+        assert [b.capacity for b in batch] == [10, 0, 25]
+        assert all(b.weights is batch[0].weights for b in batch)
+        for row, capacity, instance in zip(values.tolist(), capacities, batch):
+            assert instance == quantize_one(items, weights, row, capacity, 1)
+        assert quantize(items, weights, np.empty((0, 2)), (), 1) == ()
+
+    @pytest.mark.parametrize("digits", [0, 3, 15, 18, 19, 25, 300])
+    def test_weights_exact_beyond_int64(self, digits):
+        # Each weight is max(1, int(floor(w * 10**q + 0.5))) exactly, as a
+        # Python int, also past 2**63 (10.0 at q = 18 is 1e19), and no
+        # numpy cast warning is raised.
+        weights = (10.0, 1e-3, 0.4999, 7.25, 1.0)
+        q = quantize_one(("a", "b", "c", "d", "e"), weights, (1.0,) * 5, 0.0, digits)
+        assert q.weights == tuple(max(1, int(np.floor(w * 10**digits + 0.5))) for w in weights)
+        assert all(type(w) is int for w in q.weights)
+        if digits == 18:
+            assert q.weights[0] == 10**19 > 2**63
 
     def test_table_size_guard(self):
         with pytest.raises(ConfigError):
-            quantize(items=("a",), weights=(1.0,), values=(1.0,), capacity=1e9, digits=3)
+            quantize_one(items=("a",), weights=(1.0,), values=(1.0,), capacity=1e9, digits=3)
         # 2.0 * 10**308 is inf as a float: a named error, not an overflow.
         with pytest.raises(ConfigError, match="inf"):
-            quantize(items=("a",), weights=(3.0,), values=(1.0,), capacity=2.0, digits=308)
+            quantize_one(items=("a",), weights=(3.0,), values=(1.0,), capacity=2.0, digits=308)
+        # The guard reads the largest capacity of the batch.
+        with pytest.raises(ConfigError, match="table cells"):
+            quantize(("a",), (1.0,), [[1.0], [1.0]], (1.0, 1e9), 3)
+        # A weight scaled past the float range is named too.
+        with pytest.raises(ConfigError, match=r"weights scaled by 10\*\*308"):
+            quantize_one(items=("a",), weights=(3.0,), values=(1.0,), capacity=0.0, digits=308)
+
+    @pytest.mark.parametrize("digits", [309, 400])
+    def test_digits_beyond_float_range_rejected(self, digits):
+        # 10**309 is no finite float: an InputError naming the digits, not
+        # an OverflowError.
+        with pytest.raises(InputError, match=f"digits {digits}"):
+            quantize(("a",), (1.0,), [(1.0,)], (1.0,), digits)
 
     def test_validation(self):
         with pytest.raises(InputError):
-            quantize(items=("a", "a"), weights=(1.0, 1.0), values=(1.0, 1.0), capacity=1.0, digits=0)
+            quantize_one(items=("a", "a"), weights=(1.0, 1.0), values=(1.0, 1.0), capacity=1.0, digits=0)
         with pytest.raises(InputError):
-            quantize(items=("a",), weights=(0.0,), values=(1.0,), capacity=1.0, digits=0)
+            quantize_one(items=("a",), weights=(0.0,), values=(1.0,), capacity=1.0, digits=0)
         with pytest.raises(InputError):
-            quantize(items=("a",), weights=(1.0,), values=(-1.0,), capacity=1.0, digits=0)
+            quantize_one(items=("a",), weights=(np.inf,), values=(1.0,), capacity=1.0, digits=0)
         with pytest.raises(InputError):
-            quantize(items=("a",), weights=(1.0,), values=(1.0,), capacity=-0.1, digits=0)
+            quantize_one(items=("a",), weights=(1.0,), values=(-1.0,), capacity=1.0, digits=0)
         with pytest.raises(InputError):
-            quantize(items=("a",), weights=(1.0,), values=(1.0,), capacity=1.0, digits=-1)
+            quantize_one(items=("a",), weights=(1.0,), values=(1.0,), capacity=-0.1, digits=0)
         with pytest.raises(InputError):
-            quantize(items=("a",), weights=(float("nan"),), values=(1.0,), capacity=1.0, digits=0)
+            quantize_one(items=("a",), weights=(1.0,), values=(1.0,), capacity=1.0, digits=-1)
         with pytest.raises(InputError):
-            quantize(items=("a",), weights=(1.0,), values=(1.0,), capacity=float("nan"), digits=0)
+            quantize_one(items=("a",), weights=(float("nan"),), values=(1.0,), capacity=1.0, digits=0)
+        with pytest.raises(InputError):
+            quantize_one(items=("a",), weights=(1.0,), values=(1.0,), capacity=float("nan"), digits=0)
+        # One row of values per capacity, one value per weight.
+        with pytest.raises(InputError):
+            quantize(("a",), (1.0,), [[1.0], [1.0]], (1.0,), 0)
+        with pytest.raises(InputError):
+            quantize(("a",), (1.0,), [[1.0, 2.0]], (1.0,), 0)
 
 
 class TestSolveDp:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_instance, make_random_model
+from refine_oracle import refine_per_iteration
 from minfeat.attribution import cooperative_integrated_gradients
 from minfeat.errors import ConfigError, InputError, InternalError
 from minfeat.pipeline import (
@@ -82,29 +85,36 @@ class TestBounds:
         assert upper_bound_u2(pm) == pytest.approx(expected, abs=1e-12)
 
     def test_perturbed_bound_recomputed_independently(self):
+        # Every row is summed left to right in pair order from 0.0, so each
+        # u2' equals the scalar loop bit for bit.
         _, _, pm = pair_map_for(3, length=6)
-        perturbations = sample_perturbations(pm.positive_pairs, seed=0, iteration=0)
-        expected = pm.beta * sum(
-            perturbations[k] * (pm.loo[j, i] + pm.loo[i, j])
-            for k, (i, j) in enumerate(pm.positive_pairs)
-        )
-        assert perturbed_upper_bound(pm, perturbations) == pytest.approx(expected, abs=1e-12)
+        perturbations = sample_perturbations(pm.positive_pairs, seed=0, n_iter=4)
+        bounds = perturbed_upper_bound(pm, perturbations)
+        assert bounds.shape == (4,)
+        for row, bound in zip(perturbations, bounds):
+            total = 0.0
+            for v, (i, j) in zip(row.tolist(), pm.positive_pairs):
+                total += v * float(pm.loo[j, i] + pm.loo[i, j])
+            assert bound == pm.beta * total
+            assert perturbed_upper_bound(pm, row) == bound
 
     def test_perturbed_bound_missing_pair_is_internal_error(self):
         _, _, pm = pair_map_for(4, length=5)
         if not pm.positive_pairs:
             pytest.skip("no positive pairs in this draw")
-        incomplete = (0.5,) * (len(pm.positive_pairs) - 1)
+        incomplete = np.full((3, len(pm.positive_pairs) - 1), 0.5)
         with pytest.raises(InternalError):
             perturbed_upper_bound(pm, incomplete)
+        with pytest.raises(InternalError):
+            perturbed_upper_bound(pm, incomplete[0])
 
     @given(seed=st.integers(0, 500), length=st.integers(2, 8))
     @settings(max_examples=25, deadline=None)
     def test_unit_perturbations_give_u2_exactly(self, seed, length):
         # Both bounds run through one sum, and 1.0 * x == x.
         _, _, pm = pair_map_for(seed, length=length)
-        ones = (1.0,) * len(pm.positive_pairs)
-        assert perturbed_upper_bound(pm, ones) == upper_bound_u2(pm)
+        ones = np.ones((2, len(pm.positive_pairs)))
+        assert perturbed_upper_bound(pm, ones).tolist() == [upper_bound_u2(pm)] * 2
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=25)
@@ -112,82 +122,105 @@ class TestBounds:
         # The ordering is only guaranteed when every value is < 1 and
         # every leave-one-out sum is non-negative.
         _, _, pm = pair_map_for(seed, length=5)
-        perturbations = sample_perturbations(pm.positive_pairs, seed=seed, iteration=0)
+        perturbations = sample_perturbations(pm.positive_pairs, seed=seed, n_iter=3)
         loo_sums = [pm.loo[j, i] + pm.loo[i, j] for i, j in pm.positive_pairs]
-        if all(s >= 0 for s in loo_sums) and all(v < 1 for v in perturbations):
-            assert perturbed_upper_bound(pm, perturbations) <= upper_bound_u2(pm) + 1e-15
+        if all(s >= 0 for s in loo_sums) and (perturbations < 1).all():
+            assert (perturbed_upper_bound(pm, perturbations) <= upper_bound_u2(pm) + 1e-15).all()
+
+
+def philox_draw(seed: int, iteration: int, index: int) -> float:
+    """The draw at one index of the (seed, iteration) stream, by numpy's Generator."""
+    stream = np.random.Generator(np.random.Philox(key=np.array([seed, iteration], dtype=np.uint64)))
+    return float(stream.random(index + 1)[index])
 
 
 class TestPerturbations:
     def test_deterministic_per_key(self):
+        # Row k depends on (seed, k) alone, not on how many rows are drawn.
         pairs = [(0, 1), (0, 2), (1, 2)]
-        a = sample_perturbations(pairs, seed=7, iteration=3)
-        b = sample_perturbations(pairs, seed=7, iteration=3)
-        assert a == b
+        a = sample_perturbations(pairs, seed=7, n_iter=4)
+        b = sample_perturbations(pairs, seed=7, n_iter=4)
+        assert a.shape == (4, 3)
+        assert np.array_equal(a, b)
+        assert np.array_equal(sample_perturbations(pairs, seed=7, n_iter=2), a[:2])
 
     def test_iteration_and_seed_change_the_draw(self):
         pairs = [(0, 1), (2, 5)]
-        base = sample_perturbations(pairs, seed=7, iteration=0)
-        assert sample_perturbations(pairs, seed=7, iteration=1) != base
-        assert sample_perturbations(pairs, seed=8, iteration=0) != base
+        base = sample_perturbations(pairs, seed=7, n_iter=2)
+        assert not np.array_equal(base[0], base[1])
+        assert not np.array_equal(sample_perturbations(pairs, seed=8, n_iter=2)[0], base[0])
 
     def test_values_follow_the_given_pair_order(self):
         pairs = [(0, 1), (2, 5), (1, 3)]
-        forward = sample_perturbations(pairs, seed=3, iteration=0)
-        backward = sample_perturbations(pairs[::-1], seed=3, iteration=0)
-        assert backward == forward[::-1]
+        forward = sample_perturbations(pairs, seed=3, n_iter=3)
+        backward = sample_perturbations(pairs[::-1], seed=3, n_iter=3)
+        assert np.array_equal(backward, forward[:, ::-1])
 
     def test_value_independent_of_other_pairs(self):
         # Counter-based streams: a pair's value must not change when the
         # pair set around it grows.
-        small = sample_perturbations([(1, 4)], seed=0, iteration=0)
-        large = sample_perturbations([(0, 1), (1, 4), (2, 3)], seed=0, iteration=0)
-        assert small[0] == large[1]
+        small = sample_perturbations([(1, 4)], seed=0, n_iter=3)
+        large = sample_perturbations([(0, 1), (1, 4), (2, 3)], seed=0, n_iter=3)
+        assert np.array_equal(small[:, 0], large[:, 1])
 
     def test_values_strictly_inside_unit_interval(self):
         pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-        values = sample_perturbations(pairs, seed=11, iteration=2)
-        assert all(0.0 < v < 1.0 for v in values)
-        assert len(values) == len(pairs)
+        values = sample_perturbations(pairs, seed=11, n_iter=3)
+        assert values.shape == (3, len(pairs))
+        assert ((0.0 < values) & (values < 1.0)).all()
 
     def test_triangular_stream_mapping(self):
-        # One pair, reproduced by hand from the iteration's Philox stream.
-        i, j = 2, 7
-        values = sample_perturbations([(i, j)], seed=5, iteration=1)
-        t = j * (j - 1) // 2 + i
-        stream = np.random.Generator(np.random.Philox(key=[5, 1]))
-        assert values[0] == stream.random(t + 1)[t]
+        # Row k, reproduced by hand from the (seed, k) Philox stream.
+        pairs = [(2, 7), (0, 1), (4, 12)]
+        values = sample_perturbations(pairs, seed=5, n_iter=3)
+        for k in range(3):
+            for col, (i, j) in enumerate(pairs):
+                assert values[k, col] == philox_draw(5, k, j * (j - 1) // 2 + i)
 
     @given(
         n=st.integers(2, 64),
         data=st.data(),
-        seed=st.integers(0, 2**32),
-        iteration=st.integers(0, 20),
+        seed=st.integers(0, 2**64 - 1),
+        n_iter=st.integers(1, 12),
     )
     @settings(max_examples=50, deadline=None)
-    def test_value_equals_value_sampled_alone(self, n, data, seed, iteration):
+    def test_value_equals_value_sampled_alone(self, n, data, seed, n_iter):
         all_pairs = [(i, j) for j in range(n) for i in range(j)]
         subset = data.draw(st.lists(st.sampled_from(all_pairs), min_size=1, unique=True))
-        values = sample_perturbations(subset, seed=seed, iteration=iteration)
-        for pair, value in zip(subset, values):
-            alone = sample_perturbations([pair], seed=seed, iteration=iteration)
-            assert value == alone[0]
+        values = sample_perturbations(subset, seed=seed, n_iter=n_iter)
+        for col, pair in enumerate(subset):
+            alone = sample_perturbations([pair], seed=seed, n_iter=n_iter)
+            assert np.array_equal(values[:, col], alone[:, 0])
+        i, j = subset[-1]
+        assert values[-1, -1] == philox_draw(seed, n_iter - 1, j * (j - 1) // 2 + i)
 
     def test_empty_pair_list(self):
-        assert sample_perturbations([], seed=0, iteration=0) == ()
+        assert sample_perturbations([], seed=0, n_iter=3).shape == (3, 0)
 
     @pytest.mark.parametrize("pair", [(3, 3), (4, 2), (-1, 2)])
     def test_malformed_pair_rejected(self, pair):
-        with pytest.raises(InputError):
-            sample_perturbations([(0, 1), pair], seed=0, iteration=0)
+        with pytest.raises(InputError, match=re.escape(str(pair))):
+            sample_perturbations([(0, 1), pair], seed=0, n_iter=1)
+
+    @pytest.mark.parametrize("pairs", [[(0, 1), (0.5, 2.7)], [(0, 1, 2)], [(0, 1, 2, 3)], [(0, 2**64)]])
+    def test_non_integer_pairs_rejected(self, pairs):
+        # Cast to int, (0.5, 2.7) would be read as (0, 2), and (0, 1, 2, 3)
+        # as two pairs.
+        with pytest.raises(InputError, match="integer"):
+            sample_perturbations(pairs, seed=0, n_iter=1)
+
+    @pytest.mark.parametrize("n_iter", [0, -1])
+    def test_iteration_count_below_one_rejected(self, n_iter):
+        with pytest.raises(InputError, match="n_iter"):
+            sample_perturbations([(0, 1)], seed=0, n_iter=n_iter)
 
     def test_seeds_above_2_63_do_not_collide(self):
         # Keys are exact unsigned 64-bit words, so seeds that a float64
         # conversion would merge still draw different streams.
         pairs = [(0, 1), (2, 5)]
-        assert sample_perturbations(pairs, seed=2**63, iteration=0) != sample_perturbations(
-            pairs, seed=2**63 + 1, iteration=0
-        )
+        high = sample_perturbations(pairs, seed=2**63, n_iter=2)
+        assert not np.array_equal(high, sample_perturbations(pairs, seed=2**63 + 1, n_iter=2))
+        assert high[1, 1] == philox_draw(2**63, 1, 5 * 4 // 2 + 2)
 
 
 class TestRefine:
@@ -255,6 +288,47 @@ class TestRefine:
         if not mfs.degenerate:
             assert len(mfs.iterations) == 7
             assert [it.iteration for it in mfs.iterations] == list(range(7))
+
+
+def bitwise(mfs) -> tuple:
+    """Every fact refine returns, floats as their exact hex form."""
+    iterations = tuple(
+        (it.iteration, it.u2_prime.hex(), it.capacity.hex(), it.excluded, it.excluded_score.hex(),
+         it.candidate)
+        for it in mfs.iterations
+    )
+    frequencies = tuple((p, f.hex()) for p, f in mfs.frequencies.items())
+    candidates = tuple((p, f.hex()) for p, f in mfs.candidate_frequencies.items())
+    return (mfs.u1.hex(), mfs.u2.hex(), mfs.pairs, frequencies, candidates, mfs.words, iterations,
+            mfs.target_class, mfs.degenerate)
+
+
+@pytest.fixture(scope="module")
+def corpus_pair_maps(toy_model, toy_instances):
+    maps = []
+    for inst in toy_instances:
+        target = toy_model.predicted_class(inst.embeddings)
+        maps.append(cooperative_integrated_gradients(toy_model, inst, target, 0.5))
+    return maps
+
+
+class TestAgainstPerIterationOracle:
+    @pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n_iter", [1, 10])
+    @pytest.mark.parametrize("beta", [0.5, 0.0])
+    def test_batched_refine_is_bitwise_the_loop(
+        self, toy_model, toy_instances, corpus_pair_maps, beta, n_iter, q
+    ):
+        # The bundled corpus, every record: u1, u2, pairs, frequencies and
+        # each IterationRecord equal the per-iteration loop bit for bit.
+        config = CidrConfig(beta=beta, n_iter=n_iter, q=q)
+        solved = 0
+        for inst, pm in zip(toy_instances, corpus_pair_maps):
+            pm = pm.with_beta(beta)
+            batched = refine(toy_model, inst, config, pm)
+            assert bitwise(batched) == bitwise(refine_per_iteration(toy_model, inst, config, pm))
+            solved += sum(1 for it in batched.iterations if it.excluded)
+        assert solved > 0
 
 
 class TestGreedyVariant:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -160,6 +161,52 @@ class TestRoundTrip:
         with pytest.raises(InputError) as err:
             report_from_line(line)
         assert cause in str(err.value)
+
+
+def asdict_form(report: ExplanationReport) -> dict:
+    """report_to_dict as dataclasses.asdict builds it: the reference."""
+    payload = asdict(report)
+    payload["tokens"] = list(report.tokens)
+    payload["config"] = dict(report.config)
+    return payload
+
+
+def many_pair_report() -> ExplanationReport:
+    n = 13
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    return sample_report(
+        tokens=tuple(f"w{k}" for k in range(n)),
+        ig=tuple(0.1 * k - 0.4 for k in range(n)),
+        positive_pairs=tuple(PairScoreEntry(i=i, j=j, cig=0.01 * (i + j) + 1e-17) for i, j in pairs),
+        mfs_pairs=tuple(MfsEntry(i=i, j=j, frequency=0.1 * (j % 10)) for i, j in pairs[::7]),
+        mfs_words=tuple(sorted({k for p in pairs[::7] for k in p})),
+        u2_prime=tuple(0.001 * k for k in range(10)),
+        config={"beta": 0.5, "n_iter": 10, "q": 3, "seed": 0, "steps": 300},
+    )
+
+
+class TestHandWrittenDict:
+    @pytest.mark.parametrize(
+        "report",
+        [
+            sample_report(),
+            sample_report(
+                degenerate=True, positive_pairs=(), mfs_pairs=(), mfs_words=(), u1=0.0, u2=0.0, u2_prime=()
+            ),
+            sample_report(tokens=("good", "<unk>", "<unk>"), oov_count=2),
+            many_pair_report(),
+        ],
+        ids=["plain", "degenerate", "oov", "many-pairs"],
+    )
+    def test_matches_the_asdict_form(self, report):
+        assert report_to_dict(report) == asdict_form(report)
+        expected = json.dumps(asdict_form(report), sort_keys=True, separators=(",", ":"))
+        assert report_to_line(report) == expected
+
+    def test_config_is_a_copy(self):
+        report = sample_report()
+        report_to_dict(report)["config"]["beta"] = 9.0
+        assert report.config["beta"] == 0.5
 
 
 class TestFiles:
