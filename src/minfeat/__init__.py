@@ -35,7 +35,6 @@ from .model import (
     Vocabulary,
     instance_from_words,
     load_model,
-    pad_positions,
     save_model,
     train_toy,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "load_corpus",
     "load_model",
     "log_odds",
-    "pad_positions",
     "perturbed_upper_bound",
     "quantize",
     "refine",

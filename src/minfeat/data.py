@@ -6,9 +6,12 @@ polarity against one intense keyword of the opposite polarity; the
 rest anchor the intense tier by pitting one intense label keyword
 against a single mild opposite word. Training on the mix pins the
 strength ordering mild < intense < 2 x mild, so the two mild keywords
-of a sentence only win together. That gives the explanation pipeline a
-known ground truth: the mild keyword pair is the minimal feature set,
-and no single word is sufficient on its own.
+of a sentence only win together. The mild keyword pair is what keeps
+the label (sufficiency): no single word is sufficient on its own. It
+is not the removal minimal feature set. With the CLI's seed-0 model,
+removing either mild keyword alone drives the predicted-class
+probability to at most 0.5 on all 141 non-anchor records, so every
+record has a one-word essence set.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 All metrics fix the evaluated class c as the model's argmax on the
 unmodified input (ties to the lower class index) and simulate removal by
-padding token positions.
+padding token positions. Each record's removals are one boolean mask
+stack, scored by one `Model.removal_probabilities` call.
 
 An explanation is a RemovalSet: token pairs or single tokens, as its
 mode says, each with a ranking score. Comprehensiveness and log-odds
@@ -22,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InputError, InternalError
-from .model import Instance, Model, pad_positions
+from .model import Instance, Model
 
 PROBABILITY_FLOOR = 1e-12
 
@@ -73,16 +74,6 @@ class MetricsRow:
                 raise InternalError(f"metric {name} is not finite: {value}")
 
 
-def _positions_of(elements: Sequence) -> tuple[int, ...]:
-    positions: set[int] = set()
-    for el in elements:
-        if isinstance(el, tuple):
-            positions.update(el)
-        else:
-            positions.add(int(el))
-    return tuple(sorted(positions))
-
-
 def _check_corpus(instances: Sequence[Instance], sets: Sequence, kind: str) -> None:
     if not instances:
         raise InputError("metrics need at least one instance")
@@ -95,8 +86,18 @@ def _k_for(n_tokens: int, set_size: int) -> int:
     return min(max(1, n_tokens // 10), set_size)
 
 
-def _truncated_positions(instance: Instance, removal: RemovalSet) -> tuple[int, ...]:
-    return _positions_of(removal.top_elements(_k_for(len(instance), len(removal.elements))))
+def _removal_masks(n: int, removals: Sequence[Sequence]) -> np.ndarray:
+    """(len(removals), n) mask stack, row r True at every position of
+    removal r's elements (bare token indices or index pairs). Positions
+    outside [0, n) are rejected, so -1 cannot wrap."""
+    masks = np.zeros((len(removals), n), dtype=bool)
+    for row, elements in zip(masks, removals):
+        for element in elements:
+            for pos in np.ravel(element):
+                if not 0 <= pos < n:
+                    raise InputError(f"pad position {pos} out of range for length {n}")
+                row[pos] = True
+    return masks
 
 
 def _removal_probabilities(
@@ -108,11 +109,11 @@ def _removal_probabilities(
     for instance, removal in zip(instances, removal_sets):
         if not removal.elements:
             continue
-        probs = model.forward(instance.embeddings)
-        c = int(np.argmax(probs))
-        padded = pad_positions(model, instance, _truncated_positions(instance, removal))
-        after = float(model.forward(padded.embeddings)[c])
-        yield float(probs[c]), after
+        top = removal.top_elements(_k_for(len(instance), len(removal.elements)))
+        masks = _removal_masks(len(instance), [(), top])
+        before, after = model.removal_probabilities(instance, masks)
+        c = int(np.argmax(before))
+        yield float(before[c]), float(after[c])
 
 
 def comprehensiveness(
@@ -145,34 +146,33 @@ def log_odds(
     return total / len(instances)
 
 
-def _essence_and_minimality(
-    model: Model,
-    instance: Instance,
-    element_positions: Sequence[tuple[int, ...]],
-    t: float,
+def _essence_and_minimality(model: Model, instance: Instance, elements: Sequence, t: float) -> float:
+    """1.0 iff removing every element drives the predicted-class
+    probability to <= t and restoring any single element lifts it back
+    above t. Empty sets score 0."""
+    if len(elements) == 0:
+        return 0.0
+    groups = _removal_masks(len(instance), [(el,) for el in elements])  # row g: element g
+    everything = groups.any(axis=0)
+    full, removed = model.removal_probabilities(instance, [np.zeros_like(everything), everything])
+    c = int(np.argmax(full))
+    if removed[c] > t:
+        return 0.0
+    # Restoring element g keeps removed every position another element owns.
+    restored = model.removal_probabilities(instance, groups.sum(axis=0) - groups > 0)
+    return float((restored[:, c] > t).all())
+
+
+def _feature_minimality(
+    model: Model, instances: Sequence[Instance], sets: Sequence[Sequence], t: float, kind: str
 ) -> float:
-    """Shared indicator logic: 1.0 iff removal of the full set drives the
-    predicted-class probability to <= t and every single-element
-    restoration lifts it back above t. Empty sets score 0."""
-    if not element_positions:
-        return 0.0
-    c = model.predicted_class(instance.embeddings)
-    all_positions = sorted({pos for group in element_positions for pos in group})
-    removed = pad_positions(model, instance, all_positions)
-    if float(model.forward(removed.embeddings)[c]) > t:
-        return 0.0
-    for k in range(len(element_positions)):
-        rest = sorted({pos for g, group in enumerate(element_positions) if g != k for pos in group})
-        partial = pad_positions(model, instance, rest)
-        if not float(model.forward(partial.embeddings)[c]) > t:
-            return 0.0
-    return 1.0
-
-
-def _check_fms_args(instances: Sequence[Instance], sets: Sequence, t: float, kind: str) -> None:
     if not 0.0 < t < 1.0:
         raise InputError("t must lie strictly between 0 and 1")
     _check_corpus(instances, sets, kind)
+    total = 0.0
+    for instance, elements in zip(instances, sets):
+        total += _essence_and_minimality(model, instance, elements, t)
+    return total / len(instances)
 
 
 def fms_pairs(
@@ -186,12 +186,7 @@ def fms_pairs(
     Restoration granularity is a whole pair: both member positions come
     back together (positions shared with another pair stay removed).
     """
-    _check_fms_args(instances, pair_sets, t, "pair")
-    total = 0.0
-    for instance, pairs in zip(instances, pair_sets):
-        groups = [tuple(pair) for pair in pairs]
-        total += _essence_and_minimality(model, instance, groups, t)
-    return total / len(instances)
+    return _feature_minimality(model, instances, pair_sets, t, "pair")
 
 
 def fms_words(
@@ -201,12 +196,7 @@ def fms_words(
     t: float,
 ) -> float:
     """Word-level variant: restoration brings back one token at a time."""
-    _check_fms_args(instances, word_sets, t, "word")
-    total = 0.0
-    for instance, words in zip(instances, word_sets):
-        groups = [(int(w),) for w in words]
-        total += _essence_and_minimality(model, instance, groups, t)
-    return total / len(instances)
+    return _feature_minimality(model, instances, word_sets, t, "word")
 
 
 def top_k_baseline(scores: Sequence[float], k: int) -> tuple[int, ...]:

@@ -136,7 +136,9 @@ class Model:
     Immutable after training by convention: every method is pure and safe
     to call concurrently. `forward` and `input_gradient` take one (n, d)
     sentence; the output depends on it only through its (d,) pooled mean,
-    so `pooled_gradient` takes a (B, d) stack of pooled vectors.
+    so `pooled_gradient` takes a (B, d) stack of pooled vectors and
+    `removal_probabilities` scores B removals from one sentence in one
+    head call.
     """
 
     vocab: Vocabulary
@@ -208,6 +210,22 @@ class Model:
         arr = self._check_input(embeddings)
         grad = self.pooled_gradient(arr.mean(axis=0, keepdims=True), target_class)
         return np.repeat(grad / len(arr), len(arr), axis=0)
+
+    def removal_probabilities(self, instance: Instance, masks: np.ndarray) -> np.ndarray:
+        """Class probabilities of one sentence under each of a (B, n) stack
+        of removal masks, as one (B, C) head call.
+
+        Row b pads every position where masks[b] is True; a position the
+        instance already pads stays padded either way.
+        """
+        masks = np.asarray(masks, dtype=bool)
+        if masks.ndim != 2 or masks.shape[1] != len(instance):
+            raise InputError(
+                f"expected a (B, {len(instance)}) removal mask stack, got shape {masks.shape}"
+            )
+        pad = self.embedding[self.vocab.pad_index]
+        rows = np.where(masks[:, :, np.newaxis], pad, instance.embeddings)  # (B, n, d)
+        return self._head(self._check_input(rows.mean(axis=1)))[1]
 
     def predicted_class(self, embeddings: np.ndarray) -> int:
         """Argmax class of the forward pass; ties go to the lower index."""
@@ -355,25 +373,6 @@ def instance_from_words(
         pad_mask=mask_arr,
     )
     return inst, oov
-
-
-def pad_positions(model: Model, instance: Instance, positions: Sequence[int]) -> Instance:
-    """Return a copy of the instance with the given positions padded.
-
-    Idempotent: padding an already-padded position changes nothing.
-    """
-    n = len(instance)
-    for pos in positions:
-        if not 0 <= pos < n:
-            raise InputError(f"pad position {pos} out of range for length {n}")
-    mask = np.array(instance.pad_mask, copy=True)
-    mask[list(positions)] = True
-    return Instance(
-        tokens=instance.tokens,
-        embeddings=model.embed(instance.tokens, mask),
-        label=instance.label,
-        pad_mask=mask,
-    )
 
 
 def save_model(model: Model, path: str) -> None:

@@ -41,9 +41,6 @@ class LinearModel:
         x = np.asarray(embeddings, dtype=np.float64)
         return self.pooled_gradient(x, target_class) / x.shape[0]
 
-    def predicted_class(self, embeddings) -> int:
-        return int(np.argmax(self.forward(embeddings)))
-
     def baseline_embeddings(self, n: int) -> np.ndarray:
         return np.zeros((n, self.weights.shape[0]), dtype=np.float64)
 
@@ -62,35 +59,26 @@ def linear_instance(embeddings, label: int = 1) -> Instance:
 class ScriptedModel:
     """Returns scripted probabilities keyed by the set of removed rows.
 
-    Metric code removes a word by re-embedding it as the PAD row; this
-    stub embeds position i as the i-th standard basis vector and PAD as
-    zero, so the set of all-zero rows identifies the removal pattern
-    exactly. Unscripted patterns fail loudly.
+    Metric code scores removals as a stack of boolean masks; each mask
+    row's True positions are the removal pattern looked up in the table.
+    Unscripted patterns fail loudly.
     """
 
     def __init__(self, table: dict) -> None:
         self.table = {frozenset(k): tuple(v) for k, v in table.items()}
 
-    def embed(self, tokens, pad_mask=None) -> np.ndarray:
-        n = len(tokens)
-        x = np.eye(n, dtype=np.float64)
-        if pad_mask is not None:
-            x[np.asarray(pad_mask, dtype=bool)] = 0.0
-        return x
-
-    def forward(self, embeddings) -> np.ndarray:
-        x = np.asarray(embeddings, dtype=np.float64)
-        removed = frozenset(i for i in range(x.shape[0]) if not x[i].any())
-        if removed not in self.table:
-            raise AssertionError(f"unscripted removal pattern: {sorted(removed)}")
-        return np.asarray(self.table[removed], dtype=np.float64)
-
-    def predicted_class(self, embeddings) -> int:
-        return int(np.argmax(self.forward(embeddings)))
+    def removal_probabilities(self, instance: Instance, masks) -> np.ndarray:
+        rows = []
+        for mask in np.asarray(masks, dtype=bool):
+            removed = frozenset(np.flatnonzero(mask).tolist())
+            if removed not in self.table:
+                raise AssertionError(f"unscripted removal pattern: {sorted(removed)}")
+            rows.append(self.table[removed])
+        return np.asarray(rows, dtype=np.float64)
 
 
 def scripted_instance(n: int, label: int = 0) -> Instance:
-    """Instance whose embeddings follow the ScriptedModel convention."""
+    """Unpadded n-token instance for use with ScriptedModel."""
     return Instance(
         tokens=tuple(range(1, n + 1)),
         embeddings=np.eye(n, dtype=np.float64),

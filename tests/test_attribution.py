@@ -16,9 +16,21 @@ from minfeat.attribution import (
 )
 from minfeat.corpus import tokenize
 from minfeat.errors import InputError, NumericError
-from minfeat.model import pad_positions
+from minfeat.model import Instance
 from minfeat.pipeline import upper_bound_u1
 from stubs import LinearModel, linear_instance
+
+
+def padded(model, instance, positions) -> Instance:
+    """Copy of the instance with the given positions re-embedded as PAD."""
+    mask = np.array(instance.pad_mask, copy=True)
+    mask[list(positions)] = True
+    return Instance(
+        tokens=instance.tokens,
+        embeddings=model.embed(instance.tokens, mask),
+        label=instance.label,
+        pad_mask=mask,
+    )
 
 
 def loo_integrated_gradients(
@@ -30,7 +42,7 @@ def loo_integrated_gradients(
     n = len(instance)
     if not (0 <= i < n and 0 <= j < n):
         raise InputError(f"positions ({i}, {j}) out of range for length {n}")
-    return float(integrated_gradients(model, pad_positions(model, instance, [j]), target_class, steps)[i])
+    return float(integrated_gradients(model, padded(model, instance, [j]), target_class, steps)[i])
 
 
 def completeness_residual(model, instance, target: int, steps: int) -> float:
@@ -165,8 +177,8 @@ class TestTrapezoid:
 
 class TestLeaveOneOut:
     def test_equals_plain_score_when_other_already_padded(self, toy_model, toy_instances):
-        padded = pad_positions(toy_model, toy_instances[0], [2])
-        pm = cooperative_integrated_gradients(toy_model, padded, 1, beta=0.5)
+        inst = padded(toy_model, toy_instances[0], [2])
+        pm = cooperative_integrated_gradients(toy_model, inst, 1, beta=0.5)
         assert abs(pm.loo[2, 0] - pm.ig[0]) < 1e-12
 
     def test_removed_position_scores_zero(self):

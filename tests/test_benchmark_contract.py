@@ -87,6 +87,22 @@ def test_evaluate_records_every_metric_span(tracer, toy_model, toy_instances):
     } <= names
 
 
+def test_metrics_score_removals_without_forward(tracer, toy_model, toy_instances):
+    # Every metric removal goes through Model.removal_probabilities, one
+    # head call per mask stack; a Model.forward under a metric span means
+    # a per-removal loop came back.
+    config = pipeline.CidrConfig(n_iter=2, steps=8)
+    with tracer.Tracer("contract") as trace:
+        evaluation.evaluate_methods(toy_model, toy_instances[:2], list(evaluation.METHODS), config)
+    names = {span.span_id: span.name for span in trace.spans}
+    assert any(name.startswith("metrics.") for name in names.values())
+    under_metrics = [
+        span for span in trace.spans
+        if span.name == "model.forward" and names.get(span.parent, "").startswith("metrics.")
+    ]
+    assert under_metrics == []
+
+
 def test_explain_records_single_instance_metrics_span(tracer, toy_model, toy_corpus, tmp_path):
     model, corpus, config = tmp_path / "model.json", tmp_path / "corpus.jsonl", tmp_path / "c.json"
     save_model(toy_model, str(model))

@@ -49,6 +49,16 @@ class TestProtocol:
         with pytest.raises(InputError):
             RemovalSet(mode=WORD_MODE, elements=(1, 2), scores=(0.5,))
 
+    def test_out_of_range_positions_rejected(self, toy_model, toy_instances):
+        # -1 must not wrap around to the last token.
+        inst = toy_instances[0]
+        for pos in (len(inst), -1):
+            with pytest.raises(InputError):
+                fms_words(toy_model, [inst], [[pos]], t=0.5)
+            removal = RemovalSet(mode=WORD_MODE, elements=(pos,), scores=(1.0,))
+            with pytest.raises(InputError):
+                comprehensiveness(toy_model, [inst], [removal])
+
 
 class TestComprehensiveness:
     def test_hand_traced_drop(self):

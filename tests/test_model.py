@@ -20,7 +20,6 @@ from minfeat.model import (
     embed,
     instance_from_words,
     load_model,
-    pad_positions,
     save_model,
     train_toy,
 )
@@ -202,6 +201,48 @@ class TestForward:
         assert abs(probs.sum() - 1.0) < 1e-12
 
 
+def _cut(instance: Instance, n: int) -> Instance:
+    return Instance(
+        tokens=instance.tokens[:n],
+        embeddings=instance.embeddings[:n],
+        label=instance.label,
+        pad_mask=instance.pad_mask[:n],
+    )
+
+
+def _every_subset(n: int) -> np.ndarray:
+    """(2^n, n) mask stack, row r removing the positions set in r's bits."""
+    return (np.arange(2**n)[:, np.newaxis] >> np.arange(n) & 1).astype(bool)
+
+
+class TestRemovalProbabilities:
+    def test_every_subset_matches_re_embedding(self, toy_model, toy_instances):
+        masks = _every_subset(8)
+        for inst in (_cut(toy_instances[k], 8) for k in (0, 1, 2)):
+            stacked = toy_model.removal_probabilities(inst, masks)
+            assert stacked.shape == (256, toy_model.num_classes)
+            one_by_one = np.array(
+                [toy_model.forward(toy_model.embed(inst.tokens, mask)) for mask in masks]
+            )
+            # A (B, d) matmul may round differently from a (d,) one; bound
+            # the absolute gap, since tiny probabilities differ in many ulps.
+            np.testing.assert_allclose(stacked, one_by_one, rtol=0, atol=1e-15)
+
+    def test_single_mask_is_bitwise_forward(self, toy_model, toy_instances):
+        inst = _cut(toy_instances[3], 8)
+        for mask in _every_subset(8):
+            single = toy_model.removal_probabilities(inst, mask[np.newaxis])[0]
+            assert np.array_equal(single, toy_model.forward(toy_model.embed(inst.tokens, mask)))
+
+    def test_mask_shape_checked(self, toy_model, toy_instances):
+        inst = toy_instances[0]
+        n = len(inst)
+        for bad in (np.zeros(n, bool), np.zeros((2, n + 1), bool), np.zeros((2, n - 1), bool),
+                    np.zeros((1, 2, n), bool)):
+            with pytest.raises(InputError):
+                toy_model.removal_probabilities(inst, bad)
+
+
 class TestInputGradient:
     def test_matches_central_differences(self):
         for seed in range(8):
@@ -372,19 +413,15 @@ class TestInstances:
         pad_row = toy_model.embedding[toy_model.vocab.pad_index]
         assert np.array_equal(inst.embeddings[1], pad_row)
 
-    def test_pad_positions_idempotent(self, toy_model):
-        inst, _ = instance_from_words(toy_model, ["good", "bad", "movie"], 1)
-        once = pad_positions(toy_model, inst, [1])
-        twice = pad_positions(toy_model, once, [1])
-        assert np.array_equal(once.embeddings, twice.embeddings)
-        assert np.array_equal(once.pad_mask, twice.pad_mask)
-
-    def test_pad_positions_out_of_range(self, toy_model):
-        inst, _ = instance_from_words(toy_model, ["good"], 1)
-        with pytest.raises(InputError):
-            pad_positions(toy_model, inst, [1])
-        with pytest.raises(InputError):
-            pad_positions(toy_model, inst, [-1])
+    def test_masking_padded_position_is_idempotent(self, toy_model):
+        inst, oov = instance_from_words(toy_model, ["good", "zzz-unknown", "bad", "movie"], 1)
+        assert oov == 1
+        for base in ([False, False, False, False], [True, False, False, True]):
+            again = list(base)
+            again[1] = True  # position 1 is the OOV word, padded already
+            once = toy_model.removal_probabilities(inst, [base])
+            twice = toy_model.removal_probabilities(inst, [again])
+            assert np.array_equal(once, twice)
 
     def test_empty_instance_rejected(self):
         with pytest.raises(InputError):
