@@ -30,6 +30,13 @@ CHECKPOINT_FORMAT_VERSION = 1
 DEFAULT_EMBED_DIM = 16
 DEFAULT_HIDDEN_DIM = 16
 
+# Most rows one gradient or head call takes. Per-call overhead dominates
+# small calls and cache misses large ones: on one core, pooled_gradient
+# costs 569 ns/row at 51 rows, 234 at 301, 216 at 510, 188 at 1024 and
+# 463 at 3913. 512 fills a call with ten 51-point IG paths and leaves a
+# 301-point path alone (1024 made 300-step attribution 6% slower).
+ROW_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -136,9 +143,12 @@ class Model:
     Immutable after training by convention: every method is pure and safe
     to call concurrently. `forward` and `input_gradient` take one (n, d)
     sentence; the output depends on it only through its (d,) pooled mean,
-    so `pooled_gradient` takes a (B, d) stack of pooled vectors and
-    `removal_probabilities` scores B removals from one sentence in one
-    head call.
+    so `pooled_gradient` takes a (B, d) stack of pooled vectors, and
+    `removal_probabilities` scores the removals of many sentences at once,
+    running the head on at most ROW_BLOCK pooled rows per call. In a call
+    of two or more rows, a row's result does not depend on the rows that
+    share the call; a one-row call is a matrix-vector product, which can
+    round differently in the last bits.
     """
 
     vocab: Vocabulary
@@ -211,21 +221,35 @@ class Model:
         grad = self.pooled_gradient(arr.mean(axis=0, keepdims=True), target_class)
         return np.repeat(grad / len(arr), len(arr), axis=0)
 
-    def removal_probabilities(self, instance: Instance, masks: np.ndarray) -> np.ndarray:
-        """Class probabilities of one sentence under each of a (B, n) stack
-        of removal masks, as one (B, C) head call.
+    def removal_probabilities(
+        self, instances: Sequence[Instance], masks: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """Class probabilities of each sentence under its own stack of
+        removal masks, as one (sum of B_i, C) array in input order.
 
-        Row b pads every position where masks[b] is True; a position the
-        instance already pads stays padded either way.
+        masks[i] is a (B_i, n_i) stack for instances[i]: its row b pads
+        every position where it is True, and a position the instance
+        already pads stays padded either way. Each sentence is pooled on
+        its own; the head then runs on at most ROW_BLOCK pooled rows per
+        call.
         """
-        masks = np.asarray(masks, dtype=bool)
-        if masks.ndim != 2 or masks.shape[1] != len(instance):
-            raise InputError(
-                f"expected a (B, {len(instance)}) removal mask stack, got shape {masks.shape}"
-            )
+        if len(instances) != len(masks):
+            raise InputError(f"{len(instances)} instances but {len(masks)} removal mask stacks")
+        if not instances:
+            return np.empty((0, self.num_classes))
         pad = self.embedding[self.vocab.pad_index]
-        rows = np.where(masks[:, :, np.newaxis], pad, instance.embeddings)  # (B, n, d)
-        return self._head(self._check_input(rows.mean(axis=1)))[1]
+        pooled = []
+        for instance, stack in zip(instances, masks):
+            stack = np.asarray(stack, dtype=bool)
+            if stack.ndim != 2 or stack.shape[1] != len(instance):
+                raise InputError(
+                    f"expected a (B, {len(instance)}) removal mask stack, got shape {stack.shape}"
+                )
+            rows = np.where(stack[:, :, np.newaxis], pad, instance.embeddings)  # (B, n, d)
+            pooled.append(rows.mean(axis=1))
+        stacked = self._check_input(np.concatenate(pooled))
+        blocks = range(0, max(len(stacked), 1), ROW_BLOCK)
+        return np.concatenate([self._head(stacked[start : start + ROW_BLOCK])[1] for start in blocks])
 
     def predicted_class(self, embeddings: np.ndarray) -> int:
         """Argmax class of the forward pass; ties go to the lower index."""
@@ -339,12 +363,16 @@ def train_toy(
 
 
 def training_accuracy(model: Model, examples: Sequence[tuple[Sequence[str], int]]) -> float:
-    hits = 0
-    for tokens, label in examples:
-        ids = [model.vocab.index_or_pad(t) for t in tokens]
-        if model.predicted_class(model.embed(ids)) == label:
-            hits += 1
-    return hits / len(examples)
+    """Share of examples whose predicted class is their label.
+
+    Unknown words count as PAD; every example is mean-pooled on its own
+    and the head scores them all in one call.
+    """
+    pooled = np.stack(
+        [model.embed([model.vocab.index_or_pad(t) for t in tokens]).mean(axis=0) for tokens, _ in examples]
+    )
+    predicted = np.argmax(model._head(model._check_input(pooled))[1], axis=1)
+    return int(np.sum(predicted == [label for _, label in examples])) / len(examples)
 
 
 def instance_from_words(

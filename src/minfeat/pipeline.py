@@ -90,10 +90,11 @@ class MinimalFeatureSet:
 
     words is the flat sorted union of pair members. candidate_frequencies
     covers every pair that appeared in any candidate set, retained or
-    not. pair_scores holds the instance's score arrays; the cooperative
-    score of a pair (i, j) is pair_scores.cig[i, j]. u1 and u2 are the
-    unperturbed attribution bounds, and each iteration's perturbed bound
-    is its IterationRecord.u2_prime. degenerate marks instances without
+    not. pair_scores holds the instance's score arrays and the class they
+    were scored for (target_class); the cooperative score of a pair
+    (i, j) is pair_scores.cig[i, j]. u1 and u2 are the unperturbed
+    attribution bounds, and each iteration's perturbed bound is its
+    IterationRecord.u2_prime. degenerate marks instances without
     any positive pair (fewer than two tokens included); they have no
     iterations and zero bounds.
     """
@@ -106,8 +107,11 @@ class MinimalFeatureSet:
     u2: float
     iterations: tuple[IterationRecord, ...]
     pair_scores: PairScoreMap
-    target_class: int
     degenerate: bool = False
+
+    @property
+    def target_class(self) -> int:
+        return self.pair_scores.target_class
 
 
 def upper_bound_u1(ig: np.ndarray) -> float:
@@ -190,14 +194,16 @@ def sample_perturbations(pairs: Sequence[Pair], seed: int, n_iter: int) -> np.nd
     return np.clip(draws, PERTURBATION_CLIP, 1.0 - PERTURBATION_CLIP, out=draws)
 
 
-def _target_and_pairs(
+def _pair_scores(
     model: Model, instance: Instance, config: CidrConfig, pair_map: PairScoreMap | None
-) -> tuple[int, PairScoreMap]:
-    """The predicted class and its pair scores, unless precomputed."""
-    target = model.predicted_class(instance.embeddings)
+) -> PairScoreMap:
+    """The pair scores for the predicted class, unless precomputed: a
+    supplied map keeps the class it was scored for, and no forward pass
+    is made."""
     if pair_map is None:
+        target = model.predicted_class(instance.embeddings)
         pair_map = cooperative_integrated_gradients(model, instance, target, config.beta, config.steps)
-    return target, pair_map
+    return pair_map
 
 
 def _iteration(
@@ -218,7 +224,6 @@ def _iteration(
 def _assemble(
     config: CidrConfig,
     pair_map: PairScoreMap,
-    target: int,
     u1: float,
     u2: float,
     iterations: Sequence[IterationRecord],
@@ -239,7 +244,6 @@ def _assemble(
         u2=u2,
         iterations=tuple(iterations),
         pair_scores=pair_map,
-        target_class=target,
         degenerate=not iterations,
     )
 
@@ -253,12 +257,14 @@ def refine(
     """Build the minimal feature set by repeated knapsack exclusion.
 
     The pair scores are computed once (they do not depend on the sampled
-    values) unless a precomputed map is supplied. The knapsack items are
-    the positive pairs (i, j), weighted by cig[i, j] and valued by the
-    iteration's perturbations, which are aligned with the pairs. Every
-    iteration solves the exclusion knapsack under capacity u1 + u2', with
-    the solver capacity tightened by half a quantization unit per item so
-    that the excluded real scores can never exceed the true capacity.
+    values) for the predicted class, unless a precomputed map is
+    supplied; the result then explains the map's target_class. The
+    knapsack items are the positive pairs (i, j), weighted by cig[i, j]
+    and valued by the iteration's perturbations, which are aligned with
+    the pairs. Every iteration solves the exclusion knapsack under
+    capacity u1 + u2', with the solver capacity tightened by half a
+    quantization unit per item so that the excluded real scores can never
+    exceed the true capacity.
     Pairs kept in at least epsilon of the candidate sets are retained.
     Each iteration's u2' is kept in its IterationRecord.
 
@@ -267,10 +273,10 @@ def refine(
     instances share the integer weights; solve_dp then runs once for each
     iteration whose solver capacity is positive.
     """
-    target, pair_map = _target_and_pairs(model, instance, config, pair_map)
+    pair_map = _pair_scores(model, instance, config, pair_map)
     positive = pair_map.positive_pairs
     if not positive:
-        return _assemble(config, pair_map, target, 0.0, 0.0, ())
+        return _assemble(config, pair_map, 0.0, 0.0, ())
 
     u1 = upper_bound_u1(pair_map.ig)
     u2 = upper_bound_u2(pair_map)
@@ -291,7 +297,7 @@ def refine(
         _iteration(k, pair_map, u2p, capacity, excluded[k])
         for k, (u2p, capacity) in enumerate(zip(u2_prime.tolist(), capacities.tolist()))
     ]
-    return _assemble(config, pair_map, target, u1, u2, iterations)
+    return _assemble(config, pair_map, u1, u2, iterations)
 
 
 def cidr_without_refinement(
@@ -307,14 +313,14 @@ def cidr_without_refinement(
     assembly as refine's, so every remaining positive pair is retained
     with frequency 1.
     """
-    target, pair_map = _target_and_pairs(model, instance, config, pair_map)
+    pair_map = _pair_scores(model, instance, config, pair_map)
     positive = pair_map.positive_pairs
     if not positive:
-        return _assemble(config, pair_map, target, 0.0, 0.0, ())
+        return _assemble(config, pair_map, 0.0, 0.0, ())
 
     u1 = upper_bound_u1(pair_map.ig)
     u2 = upper_bound_u2(pair_map)
     scored = [(p, float(pair_map.cig[p])) for p in positive]
     excluded = tuple(sorted(solve_greedy(scored, u1 + u2)))
     iteration = _iteration(0, pair_map, u2, u1 + u2, excluded)
-    return _assemble(config, pair_map, target, u1, u2, (iteration,))
+    return _assemble(config, pair_map, u1, u2, (iteration,))

@@ -15,7 +15,7 @@ from minfeat.pipeline import (
     PERTURBATION_CLIP,
     _assemble,
     _iteration,
-    _target_and_pairs,
+    _pair_scores,
     upper_bound_u1,
 )
 
@@ -57,10 +57,10 @@ def quantize_one(items, weights, values, capacity: float, digits: int) -> Knapsa
 
 def refine_per_iteration(model, instance, config, pair_map=None):
     """refine, one knapsack repetition at a time."""
-    target, pair_map = _target_and_pairs(model, instance, config, pair_map)
+    pair_map = _pair_scores(model, instance, config, pair_map)
     positive = pair_map.positive_pairs
     if not positive:
-        return _assemble(config, pair_map, target, 0.0, 0.0, ())
+        return _assemble(config, pair_map, 0.0, 0.0, ())
 
     u1 = upper_bound_u1(pair_map.ig)
     u2 = scaled_loo_sum(pair_map, (1.0,) * len(positive))
@@ -77,4 +77,4 @@ def refine_per_iteration(model, instance, config, pair_map=None):
             instance_k = quantize_one(positive, weights, values, solver_capacity, config.q)
             excluded = solve_dp(instance_k).selected
         iterations.append(_iteration(k, pair_map, u2p, capacity, excluded))
-    return _assemble(config, pair_map, target, u1, u2, iterations)
+    return _assemble(config, pair_map, u1, u2, iterations)

@@ -59,22 +59,28 @@ def linear_instance(embeddings, label: int = 1) -> Instance:
 class ScriptedModel:
     """Returns scripted probabilities keyed by the set of removed rows.
 
-    Metric code scores removals as a stack of boolean masks; each mask
-    row's True positions are the removal pattern looked up in the table.
-    Unscripted patterns fail loudly.
+    Metric code scores removals as boolean mask stacks, one per instance;
+    each mask row's True positions are the removal pattern looked up in
+    the table, whatever instance it belongs to. Rows come back in input
+    order, as Model.removal_probabilities returns them. Unscripted
+    patterns fail loudly.
     """
 
     def __init__(self, table: dict) -> None:
         self.table = {frozenset(k): tuple(v) for k, v in table.items()}
 
-    def removal_probabilities(self, instance: Instance, masks) -> np.ndarray:
+    def removal_probabilities(self, instances, masks) -> np.ndarray:
+        assert len(instances) == len(masks)
         rows = []
-        for mask in np.asarray(masks, dtype=bool):
-            removed = frozenset(np.flatnonzero(mask).tolist())
-            if removed not in self.table:
-                raise AssertionError(f"unscripted removal pattern: {sorted(removed)}")
-            rows.append(self.table[removed])
-        return np.asarray(rows, dtype=np.float64)
+        for instance, stack in zip(instances, masks):
+            for mask in np.asarray(stack, dtype=bool):
+                assert len(mask) == len(instance)
+                removed = frozenset(np.flatnonzero(mask).tolist())
+                if removed not in self.table:
+                    raise AssertionError(f"unscripted removal pattern: {sorted(removed)}")
+                rows.append(self.table[removed])
+        num_classes = len(next(iter(self.table.values())))
+        return np.asarray(rows, dtype=np.float64).reshape(len(rows), num_classes)
 
 
 def scripted_instance(n: int, label: int = 0) -> Instance:

@@ -171,7 +171,7 @@ def _random_pair_fixture(rng) -> tuple[PairScoreMap, dict, tuple, bool]:
             if float(scores[i]) + float(scores[j]) + beta * (loo_i + loo_j) > 0.0
         )
     )
-    return PairScoreMap.from_components(scores, loo, beta), raw, positive, nonneg
+    return PairScoreMap.from_components(scores, loo, beta, 1), raw, positive, nonneg
 
 
 def test_05_bounds_recomputed_from_raw_scores(capsys):

@@ -16,7 +16,7 @@ from minfeat.attribution import (
 )
 from minfeat.corpus import tokenize
 from minfeat.errors import InputError, NumericError
-from minfeat.model import Instance
+from minfeat.model import ROW_BLOCK, Instance
 from minfeat.pipeline import upper_bound_u1
 from stubs import LinearModel, linear_instance
 
@@ -175,6 +175,29 @@ class TestTrapezoid:
         assert np.abs(ig - 2.0).max() < 1e-15
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("steps, calls", [(50, 2), (300, 13), (511, 13), (600, 13)])
+    def test_whole_paths_per_gradient_call(self, steps, calls):
+        # n = 12 gives 13 paths of steps + 1 points: ten 51-point paths
+        # fit in one ROW_BLOCK call, a 301-point path or longer goes alone.
+        model = make_random_model(50)
+        inst = make_random_instance(model, 51, length=12)
+        rows = []
+
+        class CountingModel:
+            def baseline_embeddings(self, n):
+                return model.baseline_embeddings(n)
+
+            def pooled_gradient(self, pooled, target_class):
+                rows.append(len(pooled))
+                return model.pooled_gradient(pooled, target_class)
+
+        cooperative_integrated_gradients(CountingModel(), inst, 0, beta=0.5, steps=steps)
+        assert len(rows) == calls
+        assert sum(rows) == 13 * (steps + 1)
+        assert all(r % (steps + 1) == 0 and (r <= ROW_BLOCK or r == steps + 1) for r in rows)
+
+
 class TestLeaveOneOut:
     def test_equals_plain_score_when_other_already_padded(self, toy_model, toy_instances):
         inst = padded(toy_model, toy_instances[0], [2])
@@ -218,17 +241,22 @@ class TestLeaveOneOut:
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         without_first = (x.sum(axis=0) - x[0]) / 3
 
+        steps = 4
+
         class OnePathNanModel(LinearModel):
+            # A call holds whole paths, each as steps + 1 consecutive rows
+            # ending at alpha = 1, so the rows of the path ending at
+            # without_first are the steps + 1 rows up to that end point.
             def pooled_gradient(self, pooled, target_class):
                 grads = super().pooled_gradient(pooled, target_class)
-                if np.array_equal(pooled[-1], without_first):
-                    grads[:] = np.nan
+                for end in np.flatnonzero((pooled == without_first).all(axis=1)):
+                    grads[end - steps : end + 1] = np.nan
                 return grads
 
         model, inst = OnePathNanModel([1.0, -1.0]), linear_instance(x)
-        assert np.isfinite(integrated_gradients(model, inst, 1, steps=4)).all()
+        assert np.isfinite(integrated_gradients(model, inst, 1, steps=steps)).all()
         with pytest.raises(NumericError):
-            cooperative_integrated_gradients(model, inst, 1, beta=0.5, steps=4)
+            cooperative_integrated_gradients(model, inst, 1, beta=0.5, steps=steps)
 
 
 class TestRepeatedWords:

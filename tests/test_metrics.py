@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from conftest import make_random_instance, make_random_model
+from minfeat.attribution import cooperative_integrated_gradients
 from minfeat.errors import InputError, InternalError
+from minfeat.evaluation import METHODS, _removal, _Shared
 from minfeat.metrics import (
     PAIR_MODE,
     WORD_MODE,
@@ -25,6 +29,9 @@ from minfeat.metrics import (
     log_odds,
     top_k_baseline,
 )
+from minfeat.model import ROW_BLOCK
+from minfeat.pipeline import CidrConfig, refine
+from metrics_oracle import comprehensiveness_per_record, fms_per_record, log_odds_per_record
 from stubs import ScriptedModel, scripted_instance
 
 
@@ -224,6 +231,57 @@ class TestFmsWords:
         )
         inst = scripted_instance(10)
         assert fms_words(model, [inst], [[1, 3]], t=0.5) == 0.0
+
+
+def _assert_matches_per_record(model, instances, removal_sets, t):
+    fms_of = fms_pairs if removal_sets[0].mode == PAIR_MODE else fms_words
+    elements = [rs.elements for rs in removal_sets]
+    assert comprehensiveness(model, instances, removal_sets) == comprehensiveness_per_record(
+        model, instances, removal_sets
+    )
+    assert log_odds(model, instances, removal_sets) == log_odds_per_record(model, instances, removal_sets)
+    assert fms_of(model, instances, elements, t) == fms_per_record(model, instances, elements, t)
+
+
+class TestBatchedMatchesPerRecord:
+    """Scoring a whole corpus in row-blocked calls gives exactly the
+    per-record loop's comp, lo and fms."""
+
+    def test_every_method_on_the_bundled_corpus(self, toy_model, toy_instances):
+        config = CidrConfig(n_iter=3)
+        shared = []
+        for inst in toy_instances:
+            target = toy_model.predicted_class(inst.embeddings)
+            pm = cooperative_integrated_gradients(toy_model, inst, target, config.beta, config.steps)
+            shared.append(
+                _Shared(instance=inst, target=target, ig=pm.ig, pair_map=pm,
+                        cidr_mfs=refine(toy_model, inst, config, pm))
+            )
+        for method in METHODS:
+            sets = [_removal(method, toy_model, config, sh, k) for k, sh in enumerate(shared)]
+            _assert_matches_per_record(toy_model, toy_instances, sets, config.t)
+
+    def test_restoration_rows_cross_a_row_block(self):
+        # 300 random word sets on a random model: 600 before/after rows,
+        # and more than ROW_BLOCK restoration rows from the sets that pass
+        # essence, of which some pass minimality too.
+        model = make_random_model(4, vocab_size=30, embed_dim=6, hidden_dim=8)
+        instances = [make_random_instance(model, 1000 + k, length=6 + k % 7) for k in range(300)]
+        rng = np.random.default_rng(4)
+        sets = []
+        for inst in instances:
+            size = int(rng.integers(1, len(inst) + 1))
+            words = tuple(sorted(rng.choice(len(inst), size=size, replace=False).tolist()))
+            sets.append(RemovalSet(mode=WORD_MODE, elements=words, scores=(1.0,) * size))
+        restoration_rows = 0
+        for inst, rs in zip(instances, sets):
+            masks = np.zeros((2, len(inst)), dtype=bool)
+            masks[1, list(rs.elements)] = True
+            full, removed = model.removal_probabilities([inst], [masks])
+            restoration_rows += len(rs.elements) * int(removed[np.argmax(full)] <= 0.5)
+        assert restoration_rows > ROW_BLOCK
+        assert 0.0 < fms_words(model, instances, [rs.elements for rs in sets], 0.5) < 1.0
+        _assert_matches_per_record(model, instances, sets, 0.5)
 
 
 class TestTopKBaseline:

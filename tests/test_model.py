@@ -12,6 +12,7 @@ from minfeat import build_toy_corpus, tokenize
 from minfeat.errors import ConfigError, InputError, NumericError
 from minfeat.model import (
     PAD_TOKEN,
+    ROW_BLOCK,
     Instance,
     Model,
     TrainConfig,
@@ -219,7 +220,7 @@ class TestRemovalProbabilities:
     def test_every_subset_matches_re_embedding(self, toy_model, toy_instances):
         masks = _every_subset(8)
         for inst in (_cut(toy_instances[k], 8) for k in (0, 1, 2)):
-            stacked = toy_model.removal_probabilities(inst, masks)
+            stacked = toy_model.removal_probabilities([inst], [masks])
             assert stacked.shape == (256, toy_model.num_classes)
             one_by_one = np.array(
                 [toy_model.forward(toy_model.embed(inst.tokens, mask)) for mask in masks]
@@ -231,8 +232,26 @@ class TestRemovalProbabilities:
     def test_single_mask_is_bitwise_forward(self, toy_model, toy_instances):
         inst = _cut(toy_instances[3], 8)
         for mask in _every_subset(8):
-            single = toy_model.removal_probabilities(inst, mask[np.newaxis])[0]
+            single = toy_model.removal_probabilities([inst], [mask[np.newaxis]])[0]
             assert np.array_equal(single, toy_model.forward(toy_model.embed(inst.tokens, mask)))
+
+    def test_corpus_rows_are_per_instance_rows(self, toy_model, toy_instances):
+        # 200 records of 16 masks each cross several ROW_BLOCK boundaries;
+        # every row equals the row of that record's own call.
+        rng = np.random.default_rng(0)
+        stacks = [rng.random((16, len(inst))) < 0.3 for inst in toy_instances]
+        together = toy_model.removal_probabilities(toy_instances, stacks)
+        assert together.shape == (16 * len(toy_instances), toy_model.num_classes) and len(together) > 2 * ROW_BLOCK
+        alone = [toy_model.removal_probabilities([inst], [m]) for inst, m in zip(toy_instances, stacks)]
+        assert np.array_equal(together, np.concatenate(alone))
+
+    def test_no_instances_give_no_rows(self, toy_model):
+        assert toy_model.removal_probabilities([], []).shape == (0, toy_model.num_classes)
+
+    def test_one_mask_stack_per_instance(self, toy_model, toy_instances):
+        inst = toy_instances[0]
+        with pytest.raises(InputError):
+            toy_model.removal_probabilities([inst, inst], [np.zeros((1, len(inst)), bool)])
 
     def test_mask_shape_checked(self, toy_model, toy_instances):
         inst = toy_instances[0]
@@ -240,7 +259,7 @@ class TestRemovalProbabilities:
         for bad in (np.zeros(n, bool), np.zeros((2, n + 1), bool), np.zeros((2, n - 1), bool),
                     np.zeros((1, 2, n), bool)):
             with pytest.raises(InputError):
-                toy_model.removal_probabilities(inst, bad)
+                toy_model.removal_probabilities([inst], [bad])
 
 
 class TestInputGradient:
@@ -404,6 +423,20 @@ class TestTrainToy:
         examples = [(tokenize(r.text), r.label) for r in toy_corpus]
         assert training_accuracy(toy_model, examples) >= 0.95
 
+    def test_accuracy_matches_per_example_forward(self, toy_corpus):
+        from minfeat.model import training_accuracy
+
+        # An undertrained model, and unknown words scored as PAD.
+        examples = [(tokenize(r.text), r.label) for r in toy_corpus]
+        model = train_toy(examples, TrainConfig(epochs=1, learning_rate=0.05, seed=3))
+        examples += [(["zzz-unknown", "good"], 0), (["zzz-unknown"], 1), (["bad", "qqq"], 1)]
+        hits = 0
+        for tokens, label in examples:
+            ids = [model.vocab.index_or_pad(t) for t in tokens]
+            hits += model.predicted_class(model.embed(ids)) == label
+        assert 0.0 < hits / len(examples) < 1.0
+        assert training_accuracy(model, examples) == hits / len(examples)
+
 
 class TestInstances:
     def test_oov_words_become_padded_positions(self, toy_model):
@@ -419,8 +452,8 @@ class TestInstances:
         for base in ([False, False, False, False], [True, False, False, True]):
             again = list(base)
             again[1] = True  # position 1 is the OOV word, padded already
-            once = toy_model.removal_probabilities(inst, [base])
-            twice = toy_model.removal_probabilities(inst, [again])
+            once = toy_model.removal_probabilities([inst], [[base]])
+            twice = toy_model.removal_probabilities([inst], [[again]])
             assert np.array_equal(once, twice)
 
     def test_empty_instance_rejected(self):

@@ -282,6 +282,24 @@ class TestRefine:
         pm = cooperative_integrated_gradients(toy_model, inst, target, cfg.beta, cfg.steps)
         assert refine(toy_model, inst, cfg, pair_map=pm).pairs == refine(toy_model, inst, cfg).pairs
 
+    @pytest.mark.parametrize("method", [refine, cidr_without_refinement])
+    def test_precomputed_pair_map_needs_no_forward(self, toy_model, toy_instances, method, monkeypatch):
+        # A supplied map carries the class it was scored for, so neither
+        # method runs the model to find the predicted class again; a map
+        # scored for the other class keeps that class.
+        inst = toy_instances[3]
+        cfg = CidrConfig(n_iter=3, steps=12)
+        target = toy_model.predicted_class(inst.embeddings)
+        forwards = []
+        forward = toy_model.forward
+        monkeypatch.setattr(toy_model, "forward", lambda x: forwards.append(1) or forward(x))
+        for scored_for in (target, 1 - target):
+            pm = cooperative_integrated_gradients(toy_model, inst, scored_for, cfg.beta, cfg.steps)
+            assert method(toy_model, inst, cfg, pair_map=pm).target_class == scored_for
+        assert forwards == []
+        assert method(toy_model, inst, cfg).target_class == target
+        assert len(forwards) == 1
+
     def test_iteration_count_matches_config(self, toy_model, toy_instances):
         cfg = CidrConfig(n_iter=7, steps=12)
         mfs = refine(toy_model, toy_instances[4], cfg)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -35,3 +36,13 @@ def test_directional_study_prints_seed_means(capsys):
     out = capsys.readouterr().out
     means = out.split("seed means:")[1].splitlines()
     assert [line.split()[0] for line in means if line.strip()][1:] == ["cidr", "random"]
+
+
+def test_output_digests_prints_one_line_per_output(tmp_path, capsys):
+    assert _load("output_digests").main(["--seeds", "3", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = ["model.json", "explain.jsonl", "explain-steps300.jsonl", "evaluate.jsonl"]
+    assert [line.split("  ")[1] for line in lines] == [f"seed3/{name}" for name in names]
+    for line in lines:
+        digest, name = line.split("  ")
+        assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
