@@ -1,74 +1,67 @@
-"""Print a SHA-256 digest of every file the minfeat CLI writes on a few corpora.
+"""Print a SHA-256 digest of every output the benchmark workloads write.
 
-For each seed S this builds build_toy_corpus(200, S * 1000, 11, 13),
-trains a model on it with ``minfeat train``, and runs ``minfeat explain``
-(at the default config and at {"steps": 300}) and ``minfeat evaluate``
-in-process. Each output gets one ``sha256  seedS/file`` line, so two
-checkouts can be compared with diff:
+For each seed and each workload of ``perfbench/session.py`` (explain-short
+at the default config, explain-fine at 300 steps, evaluate-short and
+explain-long), this writes the workload's corpus chunks, trains the model
+on the bundled corpus and runs the workload's ``minfeat`` command on every
+chunk in-process, all through the benchmark's own set-up and run
+functions. Each output gets one ``sha256  workload/seedS/output-K.jsonl``
+line, so two checkouts can be compared with diff:
 
     PYTHONPATH=src python3 scripts/output_digests.py --seeds 0 3 7
 
 A change that claims byte-identical outputs should print the same lines
-as its parent commit.
+as its parent commit. ``--workloads`` and ``--chunks`` narrow the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
-import io
 import json
 import os
 import sys
 import tempfile
 
-from minfeat.cli import main as cli_main
-from minfeat.corpus import save_corpus
-from minfeat.data import build_toy_corpus
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+
+from session import WORKLOADS, Paths, resolved_config, run_command, set_up  # noqa: E402
 
 
-def _run(argv: list[str]) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli_main(argv)
-    if code != 0:
-        raise SystemExit(f"minfeat {' '.join(argv)} exited {code}")
-
-
-def seed_outputs(seed: int, workdir: str) -> list[str]:
-    """Write one seed's corpus and CLI outputs under workdir; return the
-    output file names in a fixed order."""
-    os.makedirs(workdir, exist_ok=True)
-
-    def path(name: str) -> str:
-        return os.path.join(workdir, name)
-
-    save_corpus(build_toy_corpus(200, seed * 1000, 11, 13), path("corpus.jsonl"))
-    with open(path("steps300.json"), "w", encoding="utf-8") as fh:
-        json.dump({"steps": 300}, fh)
-    data = ["--corpus", path("corpus.jsonl")]
-    _run(["train", *data, "--out", path("model.json")])
-    data += ["--model", path("model.json")]
-    _run(["explain", *data, "--out", path("explain.jsonl")])
-    _run(["explain", *data, "--config", path("steps300.json"), "--out", path("explain-steps300.jsonl")])
-    _run(["evaluate", *data, "--out", path("evaluate.jsonl")])
-    return ["model.json", "explain.jsonl", "explain-steps300.jsonl", "evaluate.jsonl"]
+def workload_digests(name: str, seed: int, workdir: str, chunks: int | None = None) -> list[str]:
+    """Run one workload's command on its first `chunks` chunks (all by
+    default) under workdir; return one digest line per output."""
+    workload = WORKLOADS[name]
+    paths = Paths(workdir, workload)
+    with open(paths.config, "w", encoding="utf-8") as fh:
+        json.dump(resolved_config(workload), fh, sort_keys=True)
+    # The CLI's own messages go to stderr, keeping stdout to digest lines.
+    with contextlib.redirect_stdout(sys.stderr):
+        if set_up(paths, seed) != 0:
+            raise SystemExit(f"{name} seed {seed}: minfeat train failed")
+        reps = [run_command(paths, k) for k in range(min(workload.chunks, chunks or workload.chunks))]
+    lines = []
+    for chunk, rep in enumerate(reps):
+        if rep["exit_code"] != 0 or rep["sha256"] is None:
+            raise SystemExit(f"{name} seed {seed} chunk {chunk}: minfeat exited {rep['exit_code']}")
+        lines.append(f"{rep['sha256']}  {name}/seed{seed}/{os.path.basename(paths.output(chunk))}")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3, 7], help="corpus seeds")
-    parser.add_argument("--out", help="directory to keep the outputs in (default: a temporary one)")
+    parser.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS), default=list(WORKLOADS))
+    parser.add_argument("--chunks", type=int, help="run only the first CHUNKS chunks of each workload")
     args = parser.parse_args(argv)
 
-    with contextlib.ExitStack() as stack:
-        root = args.out or stack.enter_context(tempfile.TemporaryDirectory())
+    with tempfile.TemporaryDirectory() as root:
         for seed in args.seeds:
-            sub = f"seed{seed}"
-            for name in seed_outputs(seed, os.path.join(root, sub)):
-                with open(os.path.join(root, sub, name), "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).hexdigest()
-                print(f"{digest}  {sub}/{name}")
+            for name in args.workloads:
+                workdir = os.path.join(root, f"{name}-seed{seed}")
+                os.mkdir(workdir)
+                for line in workload_digests(name, seed, workdir, args.chunks):
+                    print(line, flush=True)
     return 0
 
 

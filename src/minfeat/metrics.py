@@ -4,10 +4,10 @@ All metrics fix the evaluated class c as the model's argmax on the
 unmodified input (ties to the lower class index) and simulate removal by
 padding token positions. Each record's removals are one boolean mask
 stack, and a metric scores every record's stack in one
-`Model.removal_probabilities` call, which runs the head on at most
-ROW_BLOCK rows at a time: one call of 2 rows per record cost more in call
-overhead than in arithmetic. Minimality makes two such calls, the second
-only for the records that pass essence.
+`Model.removal_probabilities` call, one head call for the corpus: one
+call of 2 rows per record cost more in call overhead than in arithmetic.
+Minimality makes two such calls, the second only for the records that
+pass essence.
 
 An explanation is a RemovalSet: token pairs or single tokens, as its
 mode says, each with a ranking score. Comprehensiveness and log-odds

@@ -30,10 +30,10 @@ CHECKPOINT_FORMAT_VERSION = 1
 DEFAULT_EMBED_DIM = 16
 DEFAULT_HIDDEN_DIM = 16
 
-# Most rows one gradient or head call takes. Per-call overhead dominates
-# small calls and cache misses large ones: on one core, pooled_gradient
-# costs 569 ns/row at 51 rows, 234 at 301, 216 at 510, 188 at 1024 and
-# 463 at 3913. 512 fills a call with ten 51-point IG paths and leaves a
+# Most rows one gradient call takes. Per-call overhead dominates small
+# calls and cache misses large ones: on one core, pooled_gradient costs
+# 569 ns/row at 51 rows, 234 at 301, 216 at 510, 188 at 1024 and 463 at
+# 3913. 512 fills a call with ten 51-point IG paths and leaves a
 # 301-point path alone (1024 made 300-step attribution 6% slower).
 ROW_BLOCK = 512
 
@@ -144,11 +144,11 @@ class Model:
     to call concurrently. `forward` and `input_gradient` take one (n, d)
     sentence; the output depends on it only through its (d,) pooled mean,
     so `pooled_gradient` takes a (B, d) stack of pooled vectors, and
-    `removal_probabilities` scores the removals of many sentences at once,
-    running the head on at most ROW_BLOCK pooled rows per call. In a call
-    of two or more rows, a row's result does not depend on the rows that
-    share the call; a one-row call is a matrix-vector product, which can
-    round differently in the last bits.
+    `removal_probabilities` scores the removals of many sentences in one
+    head call. In a call of two or more rows, a row's result does not
+    depend on the rows that share the call; a one-row call, like
+    `forward`, is a matrix-vector product, which can round differently
+    in the last bit (by up to 2.2e-16 on the toy model's probabilities).
     """
 
     vocab: Vocabulary
@@ -230,8 +230,7 @@ class Model:
         masks[i] is a (B_i, n_i) stack for instances[i]: its row b pads
         every position where it is True, and a position the instance
         already pads stays padded either way. Each sentence is pooled on
-        its own; the head then runs on at most ROW_BLOCK pooled rows per
-        call.
+        its own; the head then scores all pooled rows in one call.
         """
         if len(instances) != len(masks):
             raise InputError(f"{len(instances)} instances but {len(masks)} removal mask stacks")
@@ -247,9 +246,7 @@ class Model:
                 )
             rows = np.where(stack[:, :, np.newaxis], pad, instance.embeddings)  # (B, n, d)
             pooled.append(rows.mean(axis=1))
-        stacked = self._check_input(np.concatenate(pooled))
-        blocks = range(0, max(len(stacked), 1), ROW_BLOCK)
-        return np.concatenate([self._head(stacked[start : start + ROW_BLOCK])[1] for start in blocks])
+        return self._head(self._check_input(np.concatenate(pooled)))[1]
 
     def predicted_class(self, embeddings: np.ndarray) -> int:
         """Argmax class of the forward pass; ties go to the lower index."""

@@ -1,8 +1,8 @@
 """Per-record reference loops for the removal metrics.
 
 Each record's removals are scored by their own model call, one record
-after another, as the metrics did before they batched a whole corpus
-into row-blocked calls. Tests compare the batched metrics against these
+after another, as the metrics did before they scored a whole corpus in
+one call per metric. Tests compare the batched metrics against these
 loops for exact equality.
 """
 

@@ -29,7 +29,6 @@ from minfeat.metrics import (
     log_odds,
     top_k_baseline,
 )
-from minfeat.model import ROW_BLOCK
 from minfeat.pipeline import CidrConfig, refine
 from metrics_oracle import comprehensiveness_per_record, fms_per_record, log_odds_per_record
 from stubs import ScriptedModel, scripted_instance
@@ -244,8 +243,12 @@ def _assert_matches_per_record(model, instances, removal_sets, t):
 
 
 class TestBatchedMatchesPerRecord:
-    """Scoring a whole corpus in row-blocked calls gives exactly the
-    per-record loop's comp, lo and fms."""
+    """Scoring a whole corpus in one call per metric gives exactly the
+    per-record loop's comp, lo and fms.
+
+    fms compares each probability with t, so it can only show a rounding
+    difference that crosses t; the row-level equality is tested on
+    `Model.removal_probabilities` itself."""
 
     def test_every_method_on_the_bundled_corpus(self, toy_model, toy_instances):
         config = CidrConfig(n_iter=3)
@@ -261,9 +264,9 @@ class TestBatchedMatchesPerRecord:
             sets = [_removal(method, toy_model, config, sh, k) for k, sh in enumerate(shared)]
             _assert_matches_per_record(toy_model, toy_instances, sets, config.t)
 
-    def test_restoration_rows_cross_a_row_block(self):
-        # 300 random word sets on a random model: 600 before/after rows,
-        # and more than ROW_BLOCK restoration rows from the sets that pass
+    def test_random_word_sets_on_a_random_model(self):
+        # 300 random word sets: 600 before/after rows in one call, and more
+        # than 500 restoration rows in another from the sets that pass
         # essence, of which some pass minimality too.
         model = make_random_model(4, vocab_size=30, embed_dim=6, hidden_dim=8)
         instances = [make_random_instance(model, 1000 + k, length=6 + k % 7) for k in range(300)]
@@ -279,7 +282,7 @@ class TestBatchedMatchesPerRecord:
             masks[1, list(rs.elements)] = True
             full, removed = model.removal_probabilities([inst], [masks])
             restoration_rows += len(rs.elements) * int(removed[np.argmax(full)] <= 0.5)
-        assert restoration_rows > ROW_BLOCK
+        assert restoration_rows > 500
         assert 0.0 < fms_words(model, instances, [rs.elements for rs in sets], 0.5) < 1.0
         _assert_matches_per_record(model, instances, sets, 0.5)
 

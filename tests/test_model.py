@@ -12,7 +12,6 @@ from minfeat import build_toy_corpus, tokenize
 from minfeat.errors import ConfigError, InputError, NumericError
 from minfeat.model import (
     PAD_TOKEN,
-    ROW_BLOCK,
     Instance,
     Model,
     TrainConfig,
@@ -236,14 +235,31 @@ class TestRemovalProbabilities:
             assert np.array_equal(single, toy_model.forward(toy_model.embed(inst.tokens, mask)))
 
     def test_corpus_rows_are_per_instance_rows(self, toy_model, toy_instances):
-        # 200 records of 16 masks each cross several ROW_BLOCK boundaries;
-        # every row equals the row of that record's own call.
+        # 200 records of 16 masks each in one 3200-row call; every row
+        # equals the row of that record's own call.
         rng = np.random.default_rng(0)
         stacks = [rng.random((16, len(inst))) < 0.3 for inst in toy_instances]
         together = toy_model.removal_probabilities(toy_instances, stacks)
-        assert together.shape == (16 * len(toy_instances), toy_model.num_classes) and len(together) > 2 * ROW_BLOCK
+        assert together.shape == (16 * len(toy_instances), toy_model.num_classes)
         alone = [toy_model.removal_probabilities([inst], [m]) for inst, m in zip(toy_instances, stacks)]
         assert np.array_equal(together, np.concatenate(alone))
+
+    def test_one_row_calls_round_apart_from_larger_calls(self, toy_model, toy_instances):
+        # The restoration rows of one-element sets: every position but one
+        # removed. Scored two at a time they equal the rows of one corpus
+        # call bit for bit; scored one at a time (a matrix-vector product)
+        # about half of them differ in the last bit on OpenBLAS, so a
+        # minimality check whose probability lies that close to t can
+        # flip between the two.
+        pairs = [(inst, ~np.eye(len(inst), dtype=bool)[k]) for inst in toy_instances for k in (0, 1)]
+        together = toy_model.removal_probabilities([inst for inst, _ in pairs], [m[np.newaxis] for _, m in pairs])
+        two_rows = [
+            toy_model.removal_probabilities([a, b], [ma[np.newaxis], mb[np.newaxis]])
+            for (a, ma), (b, mb) in zip(pairs[::2], pairs[1::2])
+        ]
+        assert np.array_equal(together, np.concatenate(two_rows))
+        one_row = np.concatenate([toy_model.removal_probabilities([inst], [m[np.newaxis]]) for inst, m in pairs])
+        np.testing.assert_allclose(one_row, together, rtol=0, atol=4.5e-16)
 
     def test_no_instances_give_no_rows(self, toy_model):
         assert toy_model.removal_probabilities([], []).shape == (0, toy_model.num_classes)
