@@ -1,13 +1,15 @@
 """Command-line entry points: train, explain, evaluate.
 
-Exit codes: 0 on success, 2 for caller-correctable input or
-configuration problems, 70 for internal invariant failures.
+Exit codes: 0 on success, 1 when the reader closes standard output,
+2 for caller-correctable input or configuration problems, 70 for
+internal invariant failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from typing import Any, Mapping
@@ -83,6 +85,14 @@ def _resolved_config(args: argparse.Namespace) -> dict[str, Any]:
     return values
 
 
+def _warn_oov(total_oov: int) -> None:
+    if total_oov:
+        print(
+            f"warning: {total_oov} out-of-vocabulary tokens were treated as PAD",
+            file=sys.stderr,
+        )
+
+
 def run_train(args: argparse.Namespace) -> int:
     values = _resolved_config(args)
     records = load_corpus(args.corpus)
@@ -152,11 +162,7 @@ def run_explain(args: argparse.Namespace) -> int:
     reports = [report for report, _ in results]
     total_oov = sum(oov for _, oov in results)
     write_reports(reports, args.out)
-    if total_oov:
-        print(
-            f"warning: {total_oov} out-of-vocabulary tokens were treated as PAD",
-            file=sys.stderr,
-        )
+    _warn_oov(total_oov)
     degenerate = sum(1 for r in reports if r.degenerate)
     print(f"wrote {len(reports)} reports to {args.out} ({degenerate} degenerate)")
     return 0
@@ -169,12 +175,11 @@ def run_evaluate(args: argparse.Namespace) -> int:
     records = load_corpus(args.corpus)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
 
-    instances = []
-    for rec in records:
-        instance, _ = instance_from_words(model, tokenize(rec.text), rec.label)
-        instances.append(instance)
+    built = [instance_from_words(model, tokenize(rec.text), rec.label) for rec in records]
+    instances = [instance for instance, _ in built]
 
     rows = evaluate_methods(model, instances, methods, config)
+    _warn_oov(sum(oov for _, oov in built))
 
     header = f"{'method':<18}{'LO':>12}{'Comp':>12}{'FMS':>12}{'N':>8}{'seed':>21}"
     print(header)
@@ -208,7 +213,14 @@ def run_evaluate(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # As the Python signal docs advise for SIGPIPE: devnull keeps the
+        # flush at interpreter exit quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 70

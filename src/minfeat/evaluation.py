@@ -19,9 +19,8 @@ Methods:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -49,21 +48,15 @@ _PAIR_METHODS = ("cidr", "cidr-no-r", "cidr-no-cig")
 # iteration indices so the two never share a Philox key.
 _RANDOM_STREAM = 1_000_003
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
+def parallel_map(fn: Callable, items: Iterable) -> list:
+    """``[fn(item) for item in items]`` on the calling thread, in order.
 
-def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T], max_workers: int | None = None) -> list[_R]:
-    """Order-preserving map over a thread pool.
-
-    Results line up with the inputs regardless of completion order, so
-    deterministic per-item functions stay deterministic overall.
+    A named function only because ``perfbench/tracer.py`` wraps it to
+    parent each record's spans; inlined into its two callers once that
+    hook is optional (ROADMAP item 7).
     """
-    items = list(items)
-    if len(items) <= 1 or max_workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def gradient_input_scores(model: Model, instance: Instance, target_class: int) -> np.ndarray:
@@ -167,7 +160,6 @@ def evaluate_methods(
     instances: Sequence[Instance],
     methods: Sequence[str],
     config: CidrConfig,
-    max_workers: int | None = None,
 ) -> list[MetricsRow]:
     """Score each requested method over the whole corpus.
 
@@ -203,7 +195,7 @@ def evaluate_methods(
             shared.cidr_mfs = refine(model, instance, config, shared.pair_map)
         return shared
 
-    shared_list = parallel_map(prepare, instances, max_workers=max_workers)
+    shared_list = parallel_map(prepare, instances)
 
     rows: list[MetricsRow] = []
     for method in methods:

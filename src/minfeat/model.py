@@ -26,9 +26,10 @@ PAD_TOKEN = "[pad]"
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-# Architecture defaults for the bundled toy classifier.
-DEFAULT_EMBED_DIM = 16
-DEFAULT_HIDDEN_DIM = 16
+# Architecture of the classifier train_toy builds; load_model accepts
+# whatever dimensions a checkpoint declares.
+EMBED_DIM = 16
+HIDDEN_DIM = 16
 
 # Most rows one gradient call takes. Per-call overhead dominates small
 # calls and cache misses large ones: on one core, pooled_gradient costs
@@ -83,20 +84,19 @@ class Vocabulary:
 class Instance:
     """One tokenized text ready for explanation.
 
-    ``embeddings`` row i holds the word embedding of ``tokens[i]`` where
-    ``pad_mask[i]`` is False and the PAD embedding where it is True.
+    ``embeddings`` row i holds the embedding of ``tokens[i]``; an unknown
+    word carries the PAD index, so its row is the PAD embedding.
     """
 
     tokens: tuple[int, ...]
     embeddings: np.ndarray
     label: int
-    pad_mask: np.ndarray
 
     def __post_init__(self) -> None:
         if len(self.tokens) < 1:
             raise InputError("instance needs at least one token")
-        if self.embeddings.shape[0] != len(self.tokens) or len(self.pad_mask) != len(self.tokens):
-            raise InputError("instance shape mismatch between tokens, embeddings, and mask")
+        if self.embeddings.shape[0] != len(self.tokens):
+            raise InputError("instance shape mismatch between tokens and embeddings")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -140,9 +140,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 class Model:
     """Mean-pool -> affine -> tanh -> affine -> softmax classifier.
 
-    Immutable after training by convention: every method is pure and safe
-    to call concurrently. `forward` and `input_gradient` take one (n, d)
-    sentence; the output depends on it only through its (d,) pooled mean,
+    Immutable after training by convention: every method is pure.
+    `forward` and `input_gradient` take one (n, d) sentence; the output
+    depends on it only through its (d,) pooled mean,
     so `pooled_gradient` takes a (B, d) stack of pooled vectors, and
     `removal_probabilities` scores the removals of many sentences in one
     head call. In a call of two or more rows, a row's result does not
@@ -293,8 +293,6 @@ def _init_model(vocab: Vocabulary, hidden_dim: int, num_classes: int, rng: np.ra
 def train_toy(
     examples: Sequence[tuple[Sequence[str], int]],
     config: TrainConfig,
-    embed_dim: int = DEFAULT_EMBED_DIM,
-    hidden_dim: int = DEFAULT_HIDDEN_DIM,
 ) -> Model:
     """Train the toy classifier with minibatch SGD on cross-entropy.
 
@@ -314,9 +312,9 @@ def train_toy(
     if num_classes < 2:
         num_classes = 2
 
-    vocab = Vocabulary.build([toks for toks, _ in examples], embed_dim)
+    vocab = Vocabulary.build([toks for toks, _ in examples], EMBED_DIM)
     rng = np.random.default_rng(config.seed)
-    model = _init_model(vocab, hidden_dim, num_classes, rng)
+    model = _init_model(vocab, HIDDEN_DIM, num_classes, rng)
 
     # Pad every sequence to the longest one, so a minibatch is one (B, L)
     # block and every row pools over L positions. The PAD row is trained
@@ -381,23 +379,9 @@ def instance_from_words(
     are treated as already-padded positions.
     """
     vocab = model.vocab
-    ids = []
-    mask = []
-    oov = 0
-    for word in words:
-        idx = vocab.index_or_pad(word)
-        unknown = word not in vocab.token_to_index
-        oov += int(unknown)
-        ids.append(idx)
-        mask.append(unknown or idx == vocab.pad_index)
-    mask_arr = np.asarray(mask, dtype=bool)
-    inst = Instance(
-        tokens=tuple(ids),
-        embeddings=model.embed(ids, mask_arr),
-        label=label,
-        pad_mask=mask_arr,
-    )
-    return inst, oov
+    ids = [vocab.index_or_pad(word) for word in words]
+    oov = sum(word not in vocab.token_to_index for word in words)
+    return Instance(tokens=tuple(ids), embeddings=model.embed(ids), label=label), oov
 
 
 def save_model(model: Model, path: str) -> None:

@@ -42,7 +42,6 @@ def make_random_instance(model: Model, seed: int, length: int | None = None) -> 
         tokens=tokens,
         embeddings=model.embed(tokens),
         label=int(rng.integers(0, 2)),
-        pad_mask=np.zeros(length, dtype=bool),
     )
 
 

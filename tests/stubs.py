@@ -52,7 +52,6 @@ def linear_instance(embeddings, label: int = 1) -> Instance:
         tokens=tuple(range(1, x.shape[0] + 1)),
         embeddings=x,
         label=label,
-        pad_mask=np.zeros(x.shape[0], dtype=bool),
     )
 
 
@@ -89,5 +88,4 @@ def scripted_instance(n: int, label: int = 0) -> Instance:
         tokens=tuple(range(1, n + 1)),
         embeddings=np.eye(n, dtype=np.float64),
         label=label,
-        pad_mask=np.zeros(n, dtype=bool),
     )

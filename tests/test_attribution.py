@@ -23,13 +23,10 @@ from stubs import LinearModel, linear_instance
 
 def padded(model, instance, positions) -> Instance:
     """Copy of the instance with the given positions re-embedded as PAD."""
-    mask = np.array(instance.pad_mask, copy=True)
+    mask = np.zeros(len(instance), dtype=bool)
     mask[list(positions)] = True
     return Instance(
-        tokens=instance.tokens,
-        embeddings=model.embed(instance.tokens, mask),
-        label=instance.label,
-        pad_mask=mask,
+        tokens=instance.tokens, embeddings=model.embed(instance.tokens, mask), label=instance.label
     )
 
 

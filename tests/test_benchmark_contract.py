@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,23 @@ def test_explain_records_single_instance_metrics_span(tracer, toy_model, toy_cor
     with tracer.Tracer("contract") as trace:
         assert cli.main(argv + ["--out", str(tmp_path / "r.jsonl")]) == 0
     assert "evaluation.single_instance_metrics" in {span.name for span in trace.spans}
+
+
+def test_explain_runs_every_record_on_the_calling_thread(tracer, toy_model, toy_corpus, tmp_path):
+    # Each record's refine is a direct child of the command's span, with
+    # no worker threads in between.
+    model, corpus, config = tmp_path / "model.json", tmp_path / "corpus.jsonl", tmp_path / "c.json"
+    save_model(toy_model, str(model))
+    save_corpus(toy_corpus[:3], str(corpus))
+    config.write_text(json.dumps({"steps": 8, "n_iter": 2}), encoding="utf-8")
+    argv = ["explain", "--corpus", str(corpus), "--model", str(model), "--config", str(config)]
+    with tracer.Tracer("contract") as trace:
+        assert cli.main(argv + ["--out", str(tmp_path / "r.jsonl")]) == 0
+    assert {span.thread for span in trace.spans} == {threading.get_ident()}
+    (command,) = [span for span in trace.spans if span.name == "cli.run_explain"]
+    refines = [span for span in trace.spans if span.name == "pipeline.refine"]
+    assert len(refines) == 3
+    assert {span.parent for span in refines} == {command.span_id}
 
 
 def test_cli_outputs_pass_the_benchmark_checks(toy_model, toy_corpus, tmp_path):

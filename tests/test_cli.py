@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minfeat
 from minfeat.cli import main
 from minfeat.corpus import save_corpus
 from minfeat.data import build_toy_corpus
@@ -53,6 +58,35 @@ class TestTrain:
             args = ["train", "--corpus", str(cli_env["corpus"]), "--out", str(out)]
             assert main(args + ["--config", str(cli_env["config"])]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_1_quietly(self, cli_env, tmp_path, unbuffered):
+        # `minfeat train ... | true`: the reader is gone before the first
+        # message; with or without a stdout buffer the run must not print
+        # a traceback, and the checkpoint is still written.
+        out = tmp_path / "model.json"
+        src = str(Path(minfeat.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        argv = ["train", "--corpus", str(cli_env["corpus"]), "--out", str(out)]
+        argv += ["--config", str(cli_env["config"])]
+        entry_point = "import sys; from minfeat.cli import main; sys.exit(main())"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", entry_point, *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+        load_model(str(out))
 
     def test_missing_corpus_exits_2(self, cli_env, capsys):
         code = main(
@@ -334,6 +368,29 @@ class TestEvaluate:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert [row["method"] for row in rows] == ["cidr", "random"]
         assert all(row["n"] == 24 for row in rows)
+
+    def test_oov_tokens_warned(self, cli_env, tmp_path, capsys):
+        corpus = tmp_path / "oov.jsonl"
+        corpus.write_text(
+            '{"id":"x","text":"zzzz good nice plot","label":1}\n', encoding="utf-8"
+        )
+        code = main(
+            [
+                "evaluate",
+                "--corpus",
+                str(corpus),
+                "--model",
+                str(cli_env["model"]),
+                "--config",
+                str(cli_env["config"]),
+                "--methods",
+                "cidr",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == "warning: 1 out-of-vocabulary tokens were treated as PAD\n"
+        assert captured.out.splitlines()[1].split()[0] == "cidr"
 
     def test_widest_seed_keeps_table_columns(self, cli_env, capsys):
         seed = 2**64 - 1

@@ -24,9 +24,6 @@ class TestParallelMap:
     def test_preserves_order(self):
         assert parallel_map(lambda x: x * x, range(20)) == [x * x for x in range(20)]
 
-    def test_single_worker_path(self):
-        assert parallel_map(str, [1, 2, 3], max_workers=1) == ["1", "2", "3"]
-
     def test_empty(self):
         assert parallel_map(str, []) == []
 
@@ -99,9 +96,9 @@ class TestEvaluateMethods:
         rows = evaluate_methods(toy_model, toy_instances[:3], list(METHODS), FAST)
         assert len(rows) == len(METHODS)
 
-    def test_deterministic_with_parallelism(self, toy_model, toy_instances):
-        a = evaluate_methods(toy_model, toy_instances[:6], ["cidr", "random"], FAST, max_workers=4)
-        b = evaluate_methods(toy_model, toy_instances[:6], ["cidr", "random"], FAST, max_workers=1)
+    def test_two_identical_calls_give_equal_rows(self, toy_model, toy_instances):
+        a = evaluate_methods(toy_model, toy_instances[:6], ["cidr", "random"], FAST)
+        b = evaluate_methods(toy_model, toy_instances[:6], ["cidr", "random"], FAST)
         assert a == b
 
     def test_random_sets_match_cidr_word_sizes(self, toy_model, toy_instances):

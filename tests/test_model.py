@@ -206,7 +206,6 @@ def _cut(instance: Instance, n: int) -> Instance:
         tokens=instance.tokens[:n],
         embeddings=instance.embeddings[:n],
         label=instance.label,
-        pad_mask=instance.pad_mask[:n],
     )
 
 
@@ -458,9 +457,10 @@ class TestInstances:
     def test_oov_words_become_padded_positions(self, toy_model):
         inst, oov = instance_from_words(toy_model, ["good", "zzz-unknown", "bad"], 1)
         assert oov == 1
-        assert inst.pad_mask.tolist() == [False, True, False]
-        pad_row = toy_model.embedding[toy_model.vocab.pad_index]
-        assert np.array_equal(inst.embeddings[1], pad_row)
+        pad = toy_model.vocab.pad_index
+        assert [t == pad for t in inst.tokens] == [False, True, False]
+        pad_row = toy_model.embedding[pad]
+        assert [np.array_equal(row, pad_row) for row in inst.embeddings] == [False, True, False]
 
     def test_masking_padded_position_is_idempotent(self, toy_model):
         inst, oov = instance_from_words(toy_model, ["good", "zzz-unknown", "bad", "movie"], 1)
@@ -474,11 +474,11 @@ class TestInstances:
 
     def test_empty_instance_rejected(self):
         with pytest.raises(InputError):
-            Instance(tokens=(), embeddings=np.zeros((0, 2)), label=0, pad_mask=np.zeros(0, dtype=bool))
+            Instance(tokens=(), embeddings=np.zeros((0, 2)), label=0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
-            Instance(tokens=(1, 2), embeddings=np.zeros((3, 2)), label=0, pad_mask=np.zeros(2, dtype=bool))
+            Instance(tokens=(1, 2), embeddings=np.zeros((3, 2)), label=0)
 
 
 class TestCheckpointIO:
