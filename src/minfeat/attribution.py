@@ -74,9 +74,8 @@ class PairScoreMap:
         if not 0.0 <= beta <= 1.0:
             raise InputError("beta must lie in [0, 1]")
         cig = ig[:, np.newaxis] + ig[np.newaxis, :] + beta * (loo.T + loo)
-        positive = tuple(
-            (int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(cig > 0.0, k=1)))
-        )
+        i, j = np.nonzero(np.triu(cig > 0.0, k=1))
+        positive = tuple(zip(i.tolist(), j.tolist()))
         return cls(
             ig=ig, loo=loo, beta=beta, cig=cig, positive_pairs=positive, target_class=target_class
         )

@@ -134,7 +134,7 @@ def _build_report(
         mfs_words=mfs.words,
         u1=mfs.u1,
         u2=mfs.u2,
-        u2_prime=tuple(it.u2_prime for it in mfs.iterations),
+        u2_prime=tuple(mfs.u2_prime.tolist()),
         degenerate=mfs.degenerate,
         oov_count=oov,
         config=dict(config_echo),

@@ -27,11 +27,29 @@ from .errors import ConfigError, InputError
 MAX_TABLE_CELLS = 200_000_000
 
 
+def _check_shared(items: tuple, weights: tuple[int, ...], values: np.ndarray) -> None:
+    """The rules on the fields K instances may share: distinct items, one
+    integer weight >= 1 per item, and a (K, P) value matrix, one row of
+    strictly positive values per instance."""
+    n = len(items)
+    if len(weights) != n or values.shape[1:] != (n,):
+        raise InputError("items, weights, and values must have equal length")
+    if len(set(items)) != n:
+        raise InputError("item ids must be distinct")
+    if any(w < 1 for w in weights):
+        raise InputError("integer weights must be >= 1")
+    if not (values > 0).all():
+        raise InputError("values must be strictly positive")
+
+
 @dataclass(frozen=True)
 class KnapsackInstance:
     """Integer weights >= 1, positive values, capacity >= 0.
 
-    quantize builds one from real weights and a real capacity.
+    quantize builds one from real weights and a real capacity; it checks
+    the fields its instances share once per call (_check_shared, the rule
+    __post_init__ applies to one row) and builds them through _prechecked,
+    which skips __post_init__.
     """
 
     items: tuple[Hashable, ...]
@@ -40,17 +58,21 @@ class KnapsackInstance:
     capacity: int
 
     def __post_init__(self) -> None:
-        n = len(self.items)
-        if len(self.weights) != n or len(self.values) != n:
-            raise InputError("items, weights, and values must have equal length")
-        if len(set(self.items)) != n:
-            raise InputError("item ids must be distinct")
-        if any(w < 1 for w in self.weights):
-            raise InputError("integer weights must be >= 1")
-        if any(not v > 0 for v in self.values):
-            raise InputError("values must be strictly positive")
+        _check_shared(self.items, self.weights, np.array([self.values], dtype=np.float64))
         if self.capacity < 0:
             raise InputError("capacity must be non-negative")
+
+    @classmethod
+    def _prechecked(
+        cls, items: tuple, weights: tuple[int, ...], values: tuple[float, ...], capacity: int
+    ) -> "KnapsackInstance":
+        """An instance whose fields _check_shared has already passed; the
+        fields are set as the frozen dataclass __init__ sets them."""
+        instance = object.__new__(cls)
+        fields = {"items": items, "weights": weights, "values": values, "capacity": capacity}
+        for name, value in fields.items():
+            object.__setattr__(instance, name, value)
+        return instance
 
 
 @dataclass(frozen=True)
@@ -78,7 +100,9 @@ def quantize(
     max(1, int(floor(w * 10**digits + 0.5))) however large; the capacities
     are floored, so quantization never admits a selection the real
     capacity would reject by more than the documented slack. The table
-    size guard is applied to the largest capacity.
+    size guard is applied to the largest capacity. The items, the weights
+    and the whole value matrix are checked once here, not once per
+    instance.
     """
     weights = np.asarray(weights, dtype=np.float64)
     capacities = np.asarray(capacities, dtype=np.float64)
@@ -112,11 +136,12 @@ def quantize(
         )
     if not np.isfinite(scaled_weights).all():
         raise ConfigError(f"weights scaled by 10**{digits} overflow to inf; lower the quantization digits")
+    items = tuple(items)
     # Python ints, not int64: a weight may exceed 2**63 at large digits.
     int_weights = tuple(max(1, int(w)) for w in scaled_weights.tolist())
-    items = tuple(items)
+    _check_shared(items, int_weights, values)
     return tuple(
-        KnapsackInstance(items=items, weights=int_weights, values=tuple(row), capacity=int(capacity))
+        KnapsackInstance._prechecked(items, int_weights, tuple(row), int(capacity))
         for row, capacity in zip(values.tolist(), scaled_capacities.tolist())
     )
 

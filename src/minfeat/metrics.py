@@ -90,18 +90,21 @@ def _k_for(n_tokens: int, set_size: int) -> int:
     return min(max(1, n_tokens // 10), set_size)
 
 
-def _removal_masks(n: int, removals: Sequence[Sequence]) -> np.ndarray:
-    """(len(removals), n) mask stack, row r True at every position of
-    removal r's elements (bare token indices or index pairs). Positions
-    outside [0, n) are rejected, so -1 cannot wrap."""
-    masks = np.zeros((len(removals), n), dtype=bool)
-    for row, elements in zip(masks, removals):
-        for element in elements:
-            for pos in np.ravel(element):
-                if not 0 <= pos < n:
-                    raise InputError(f"pad position {pos} out of range for length {n}")
-                row[pos] = True
-    return masks
+def _element_positions(n: int, elements: Sequence) -> np.ndarray:
+    """The token positions of each element (bare token indices or index
+    pairs) as one (len(elements), w) index array, row g for element g.
+    Positions must be integers in [0, n), so -1 cannot wrap; the first
+    bad one is named."""
+    try:
+        positions = np.asarray(elements).reshape(len(elements), -1)
+    except ValueError:
+        raise InputError("removal elements must all be token indices or all be index pairs") from None
+    if positions.size and positions.dtype.kind not in "iu":
+        raise InputError(f"pad positions must be integers, not {positions.dtype}")
+    bad = np.flatnonzero((positions < 0) | (positions >= n))
+    if bad.size:
+        raise InputError(f"pad position {positions.flat[bad[0]]} out of range for length {n}")
+    return positions.astype(np.intp)
 
 
 def _removal_probabilities(
@@ -111,10 +114,12 @@ def _removal_probabilities(
     elements, for each instance whose removal set is non-empty."""
     _check_corpus(instances, removal_sets, "removal")
     scored = [(inst, rs) for inst, rs in zip(instances, removal_sets) if rs.elements]
-    masks = [
-        _removal_masks(len(inst), [(), rs.top_elements(_k_for(len(inst), len(rs.elements)))])
-        for inst, rs in scored
-    ]
+    masks = []
+    for inst, rs in scored:
+        top = rs.top_elements(_k_for(len(inst), len(rs.elements)))
+        stack = np.zeros((2, len(inst)), dtype=bool)  # [unmasked, top-K removed]
+        stack[1, _element_positions(len(inst), top)] = True
+        masks.append(stack)
     probs = model.removal_probabilities([inst for inst, _ in scored], masks)
     pairs = []
     for before, after in zip(probs[0::2], probs[1::2]):
@@ -169,9 +174,11 @@ def _feature_minimality(
     scored, essence_masks = [], []
     for inst, elements in zip(instances, sets):
         if len(elements):
-            groups = _removal_masks(len(inst), [(el,) for el in elements])  # row g: element g
+            positions = _element_positions(len(inst), elements)
+            groups = np.zeros((len(elements), len(inst)), dtype=bool)  # row g: element g
+            groups[np.arange(len(elements))[:, np.newaxis], positions] = True
             masks = np.zeros((2, len(inst)), dtype=bool)  # [unmasked, every element removed]
-            masks[1] = groups.any(axis=0)
+            masks[1, positions] = True
             scored.append((inst, groups))
             essence_masks.append(masks)
     probs = model.removal_probabilities([inst for inst, _ in scored], essence_masks)

@@ -102,17 +102,8 @@ class Instance:
         return len(self.tokens)
 
 
-def embed(
-    table: np.ndarray,
-    pad_index: int,
-    tokens: Sequence[int],
-    pad_mask: Sequence[bool] | None = None,
-) -> np.ndarray:
-    """Row-wise embedding lookup that honors a pad mask.
-
-    Masked positions receive the PAD embedding row regardless of the token
-    stored there, so padding an already-padded position is a no-op.
-    """
+def embed(table: np.ndarray, tokens: Sequence[int]) -> np.ndarray:
+    """Row-wise embedding lookup: a copy of each token's table row."""
     idx = np.asarray(tokens, dtype=np.intp)
     if idx.size == 0:
         raise InputError("cannot embed an empty token sequence")
@@ -120,13 +111,7 @@ def embed(
         raise InputError(
             f"token index out of range: got {int(idx.max())}, vocabulary size {table.shape[0]}"
         )
-    rows = np.array(table[idx], dtype=np.float64, copy=True)
-    if pad_mask is not None:
-        mask = np.asarray(pad_mask, dtype=bool)
-        if mask.shape[0] != idx.shape[0]:
-            raise InputError("pad mask length must match token count")
-        rows[mask] = table[pad_index]
-    return rows
+    return np.array(table[idx], dtype=np.float64, copy=True)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -170,8 +155,8 @@ class Model:
         """The all-PAD embedding matrix of n rows."""
         return np.tile(self.embedding[self.vocab.pad_index], (n, 1))
 
-    def embed(self, tokens: Sequence[int], pad_mask: Sequence[bool] | None = None) -> np.ndarray:
-        return embed(self.embedding, self.vocab.pad_index, tokens, pad_mask)
+    def embed(self, tokens: Sequence[int]) -> np.ndarray:
+        return embed(self.embedding, tokens)
 
     def _check_input(self, embeddings: np.ndarray) -> np.ndarray:
         """Validate one (n, d) sentence or one (B, d) stack of pooled vectors."""

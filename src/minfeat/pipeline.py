@@ -11,7 +11,10 @@ the final minimal feature set. What depends only on the record (the
 pairs, their weights and leave-one-out sums, their stream indices, the
 integer weights) is computed once per refine; the draws form one
 (n_iter, P) matrix over the P positive pairs, and its n_iter perturbed
-bounds u2' are summed left to right in pair order, row by row.
+bounds u2' are summed left to right in pair order, row by row. The
+iterations' exclusions are one (n_iter, P) boolean matrix over the same
+pairs, and the excluded scores and candidate frequencies are row sums
+and column sums of it.
 
 cidr_without_refinement, the no-refinement ablation, runs the same core
 once: one greedy exclusion under the unperturbed bound.
@@ -20,7 +23,6 @@ once: one greedy exclusion under the unperturbed bound.
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -73,18 +75,6 @@ class CidrConfig:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    """Audit trail of one knapsack repetition; capacity is u1 + u2_prime."""
-
-    iteration: int
-    u2_prime: float
-    capacity: float
-    excluded: tuple[Pair, ...]
-    excluded_score: float
-    candidate: tuple[Pair, ...]
-
-
-@dataclass(frozen=True)
 class MinimalFeatureSet:
     """Final retained pairs with their candidate-set frequencies.
 
@@ -93,10 +83,17 @@ class MinimalFeatureSet:
     not. pair_scores holds the instance's score arrays and the class they
     were scored for (target_class); the cooperative score of a pair
     (i, j) is pair_scores.cig[i, j]. u1 and u2 are the unperturbed
-    attribution bounds, and each iteration's perturbed bound is its
-    IterationRecord.u2_prime. degenerate marks instances without
-    any positive pair (fewer than two tokens included); they have no
-    iterations and zero bounds.
+    attribution bounds.
+
+    The iterations are arrays with one row or entry per knapsack
+    repetition: excluded is an (n_iter, P) boolean matrix over
+    pair_scores.positive_pairs, True where iteration k excluded the pair
+    (its candidate set is the rest of the row); u2_prime holds each
+    iteration's perturbed bound, capacities each u1 + u2', and
+    excluded_scores each sum of the excluded cooperative scores, taken
+    left to right in pair order. degenerate marks instances without any
+    positive pair (fewer than two tokens included); they have no
+    iterations (n_iter = P = 0) and zero bounds.
     """
 
     pairs: tuple[Pair, ...]
@@ -105,7 +102,10 @@ class MinimalFeatureSet:
     words: tuple[int, ...]
     u1: float
     u2: float
-    iterations: tuple[IterationRecord, ...]
+    excluded: np.ndarray
+    u2_prime: np.ndarray
+    capacities: np.ndarray
+    excluded_scores: np.ndarray
     pair_scores: PairScoreMap
     degenerate: bool = False
 
@@ -145,10 +145,22 @@ def perturbed_upper_bound(pair_map: PairScoreMap, values: np.ndarray) -> np.ndar
     if values.shape[-1:] != (n_pairs,):
         raise InternalError(f"perturbations of shape {values.shape} for {n_pairs} positive pairs")
     i, j = pair_map.positive_index
-    # A leading 0.0 column: the running sum starts from 0.0, as a loop would.
-    terms = np.zeros(values.shape[:-1] + (n_pairs + 1,))
-    np.multiply(values, pair_map.loo[j, i] + pair_map.loo[i, j], out=terms[..., 1:])
-    return pair_map.beta * np.cumsum(terms, axis=-1)[..., -1]
+    return pair_map.beta * _sum_left_to_right(values * (pair_map.loo[j, i] + pair_map.loo[i, j]))
+
+
+def _sum_left_to_right(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, each taken left to right from 0.0 as a
+    Python loop would add them; a pairwise reduction would round
+    differently."""
+    padded = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,))
+    padded[..., 1:] = terms
+    return np.cumsum(padded, axis=-1)[..., -1]
+
+
+# Most doubles sample_perturbations keeps between calls (8 MiB).
+_STREAM_KEPT_WORDS = 2**20
+# (seed, n_iter) -> its clipped (n_iter, L) draws; one entry at most.
+_STREAMS: dict[tuple[int, int], np.ndarray] = {}
 
 
 def sample_perturbations(pairs: Sequence[Pair], seed: int, n_iter: int) -> np.ndarray:
@@ -164,6 +176,14 @@ def sample_perturbations(pairs: Sequence[Pair], seed: int, n_iter: int) -> np.nd
     fixed by (seed, k, i, j) alone, whatever other pairs are sampled. The
     stream is as long as the largest index, about n*n/2 words for an
     n-token sentence. Pairs must satisfy 0 <= i < j, and n_iter >= 1.
+
+    One (n_iter, L) matrix of clipped draws is kept between calls: the
+    streams of the last (seed, n_iter) drawn with n_iter * L at most
+    _STREAM_KEPT_WORDS (8 MiB of doubles), L the stream length that call
+    needed. A call with the same seed and n_iter and a stream no longer
+    than L reads its rows from it. Every record of a run shares one seed
+    and n_iter, so a process draws again only for a record longer than
+    every earlier one. The result is a fresh array.
     """
     if n_iter < 1:
         raise InputError(f"n_iter must be >= 1, got {n_iter}")
@@ -178,10 +198,24 @@ def sample_perturbations(pairs: Sequence[Pair], seed: int, n_iter: int) -> np.nd
         k = bad[0]
         raise InputError(f"perturbation pair ({i[k]}, {j[k]}) must satisfy 0 <= i < j")
     index = j * (j - 1) // 2 + i
-    draws = np.empty((n_iter, len(index)))
     if not len(index):
-        return draws
+        return np.empty((n_iter, 0))
     length = int(index.max()) + 1
+    key = (seed, n_iter)
+    kept = _STREAMS.get(key)
+    if kept is None or kept.shape[1] < length:
+        if n_iter * length > _STREAM_KEPT_WORDS:
+            return _draw_streams(seed, n_iter, length, index)
+        _STREAMS.clear()
+        kept = _STREAMS[key] = _draw_streams(seed, n_iter, length)
+    # Fancy indexing copies, so no caller can write into the kept draws.
+    return kept[:, index]
+
+
+def _draw_streams(seed: int, n_iter: int, length: int, index: np.ndarray | None = None) -> np.ndarray:
+    """Row k holds the first length clipped draws of the (seed, k) stream,
+    or, given index, only the draws at index, in its order."""
+    draws = np.empty((n_iter, length if index is None else len(index)))
     stream = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     # A fresh generator's state with the key swapped is the generator
     # Philox(key=(seed, k)) builds, without a construction per iteration.
@@ -189,8 +223,8 @@ def sample_perturbations(pairs: Sequence[Pair], seed: int, n_iter: int) -> np.nd
     for k in range(n_iter):
         fresh["state"]["key"] = np.array([seed, k], dtype=np.uint64)
         stream.state = fresh
-        words = stream.random_raw(length)[index]
-        np.multiply(words >> np.uint64(11), 2.0**-53, out=draws[k])
+        words = stream.random_raw(length)
+        np.multiply((words if index is None else words[index]) >> np.uint64(11), 2.0**-53, out=draws[k])
     return np.clip(draws, PERTURBATION_CLIP, 1.0 - PERTURBATION_CLIP, out=draws)
 
 
@@ -206,34 +240,25 @@ def _pair_scores(
     return pair_map
 
 
-def _iteration(
-    k: int, pair_map: PairScoreMap, u2_prime: float, capacity: float, excluded: tuple[Pair, ...]
-) -> IterationRecord:
-    """One exclusion: the positive pairs not excluded form its candidate set."""
-    excluded_set = set(excluded)
-    return IterationRecord(
-        iteration=k,
-        u2_prime=u2_prime,
-        capacity=capacity,
-        excluded=excluded,
-        excluded_score=float(sum(float(pair_map.cig[p]) for p in excluded)),
-        candidate=tuple(p for p in pair_map.positive_pairs if p not in excluded_set),
-    )
-
-
 def _assemble(
     config: CidrConfig,
     pair_map: PairScoreMap,
     u1: float,
     u2: float,
-    iterations: Sequence[IterationRecord],
+    u2_prime: np.ndarray,
+    excluded: np.ndarray,
 ) -> MinimalFeatureSet:
     """Retain the pairs kept in at least epsilon of the candidate sets.
 
-    No iterations means a degenerate instance with an empty result.
+    excluded is the (n_iter, P) exclusion matrix over the positive pairs
+    and u2_prime its n_iter perturbed bounds. No positive pair means a
+    degenerate instance with no iterations and an empty result.
     """
-    counts = Counter(p for it in iterations for p in it.candidate)
-    frequencies = {p: counts[p] / len(iterations) for p in sorted(counts)}
+    n_iter = len(excluded)
+    weights = pair_map.cig[pair_map.positive_index]
+    kept = (n_iter - excluded.sum(axis=0)).tolist()
+    # positive_pairs is ascending, so the mapping is in sorted pair order.
+    frequencies = {p: count / n_iter for p, count in zip(pair_map.positive_pairs, kept) if count}
     retained = tuple(p for p in frequencies if frequencies[p] >= config.epsilon)
     return MinimalFeatureSet(
         pairs=retained,
@@ -242,10 +267,18 @@ def _assemble(
         words=tuple(sorted({pos for pair in retained for pos in pair})),
         u1=u1,
         u2=u2,
-        iterations=tuple(iterations),
+        excluded=excluded,
+        u2_prime=u2_prime,
+        capacities=u1 + u2_prime,
+        excluded_scores=_sum_left_to_right(np.where(excluded, weights, 0.0)),
         pair_scores=pair_map,
-        degenerate=not iterations,
+        degenerate=not pair_map.positive_pairs,
     )
+
+
+def _degenerate(config: CidrConfig, pair_map: PairScoreMap) -> MinimalFeatureSet:
+    """The empty result of an instance without positive pairs."""
+    return _assemble(config, pair_map, 0.0, 0.0, np.zeros(0), np.zeros((0, 0), dtype=bool))
 
 
 def refine(
@@ -259,45 +292,43 @@ def refine(
     The pair scores are computed once (they do not depend on the sampled
     values) for the predicted class, unless a precomputed map is
     supplied; the result then explains the map's target_class. The
-    knapsack items are the positive pairs (i, j), weighted by cig[i, j]
-    and valued by the iteration's perturbations, which are aligned with
-    the pairs. Every iteration solves the exclusion knapsack under
+    knapsack items are the positive pairs (i, j), named by their column
+    in positive_pairs, weighted by cig[i, j] and valued by the
+    iteration's perturbations, which are aligned with the pairs. Every
+    iteration solves the exclusion knapsack under
     capacity u1 + u2', with the solver capacity tightened by half a
     quantization unit per item so that the excluded real scores can never
     exceed the true capacity.
     Pairs kept in at least epsilon of the candidate sets are retained.
-    Each iteration's u2' is kept in its IterationRecord.
 
     The n_iter repetitions run as array work: one (n_iter, P) matrix of
     perturbations, all n_iter u2' in one call, and one quantize call whose
     instances share the integer weights; solve_dp then runs once for each
-    iteration whose solver capacity is positive.
+    iteration whose solver capacity is positive, and its selection fills
+    that iteration's row of the (n_iter, P) exclusion matrix.
     """
     pair_map = _pair_scores(model, instance, config, pair_map)
     positive = pair_map.positive_pairs
     if not positive:
-        return _assemble(config, pair_map, 0.0, 0.0, ())
+        return _degenerate(config, pair_map)
 
     u1 = upper_bound_u1(pair_map.ig)
     u2 = upper_bound_u2(pair_map)
     values = sample_perturbations(positive, config.seed, config.n_iter)
     u2_prime = perturbed_upper_bound(pair_map, values)
-    capacities = u1 + u2_prime
     # round-to-nearest can shave up to half a unit off each item's weight
     margin = len(positive) * 10.0 ** (-config.q) / 2.0
-    solver_capacities = capacities - margin
+    solver_capacities = u1 + u2_prime - margin
     solved = np.flatnonzero(solver_capacities > 0.0)
-    excluded: list[tuple[Pair, ...]] = [()] * config.n_iter
+    excluded = np.zeros((config.n_iter, len(positive)), dtype=bool)
     if solved.size:
+        # The items are the pairs' columns, so a selection indexes its row.
         weights = pair_map.cig[pair_map.positive_index]
-        instances = quantize(positive, weights, values[solved], solver_capacities[solved], config.q)
+        columns = range(len(positive))
+        instances = quantize(columns, weights, values[solved], solver_capacities[solved], config.q)
         for k, instance_k in zip(solved.tolist(), instances):
-            excluded[k] = solve_dp(instance_k).selected
-    iterations = [
-        _iteration(k, pair_map, u2p, capacity, excluded[k])
-        for k, (u2p, capacity) in enumerate(zip(u2_prime.tolist(), capacities.tolist()))
-    ]
-    return _assemble(config, pair_map, u1, u2, iterations)
+            excluded[k, list(solve_dp(instance_k).selected)] = True
+    return _assemble(config, pair_map, u1, u2, u2_prime, excluded)
 
 
 def cidr_without_refinement(
@@ -316,11 +347,12 @@ def cidr_without_refinement(
     pair_map = _pair_scores(model, instance, config, pair_map)
     positive = pair_map.positive_pairs
     if not positive:
-        return _assemble(config, pair_map, 0.0, 0.0, ())
+        return _degenerate(config, pair_map)
 
     u1 = upper_bound_u1(pair_map.ig)
     u2 = upper_bound_u2(pair_map)
-    scored = [(p, float(pair_map.cig[p])) for p in positive]
-    excluded = tuple(sorted(solve_greedy(scored, u1 + u2)))
-    iteration = _iteration(0, pair_map, u2, u1 + u2, excluded)
-    return _assemble(config, pair_map, u1, u2, (iteration,))
+    # Columns as items: their ascending order is the pairs' tie-break order.
+    scored = list(enumerate(pair_map.cig[pair_map.positive_index].tolist()))
+    excluded = np.zeros((1, len(positive)), dtype=bool)
+    excluded[0, list(solve_greedy(scored, u1 + u2))] = True
+    return _assemble(config, pair_map, u1, u2, np.array([u2]), excluded)

@@ -12,7 +12,15 @@ import math
 
 import numpy as np
 
-from minfeat.metrics import PROBABILITY_FLOOR, _k_for, _removal_masks
+from minfeat.metrics import PROBABILITY_FLOOR, _k_for
+
+
+def removal_mask(n: int, elements) -> np.ndarray:
+    """One mask row, True at every position of the elements."""
+    row = np.zeros(n, dtype=bool)
+    for element in elements:
+        row[np.ravel(element)] = True
+    return row
 
 
 def _before_after(model, instances, removal_sets):
@@ -20,7 +28,7 @@ def _before_after(model, instances, removal_sets):
         if not removal.elements:
             continue
         top = removal.top_elements(_k_for(len(instance), len(removal.elements)))
-        masks = _removal_masks(len(instance), [(), top])
+        masks = np.stack([removal_mask(len(instance), ()), removal_mask(len(instance), top)])
         before, after = model.removal_probabilities([instance], [masks])
         c = int(np.argmax(before))
         yield float(before[c]), float(after[c])
@@ -45,7 +53,7 @@ def essence_and_minimality(model, instance, elements, t: float) -> float:
     probability to <= t and restoring any one element lifts it above t."""
     if len(elements) == 0:
         return 0.0
-    groups = _removal_masks(len(instance), [(el,) for el in elements])
+    groups = np.stack([removal_mask(len(instance), (el,)) for el in elements])
     everything = groups.any(axis=0)
     full, removed = model.removal_probabilities([instance], [np.stack([np.zeros_like(everything), everything])])
     c = int(np.argmax(full))

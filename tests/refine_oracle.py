@@ -1,23 +1,80 @@
 """Per-iteration refinement loop that the batched refine is checked against.
 
 This is refine as one loop over the n_iter repetitions: each iteration
-constructs its own Generator, sums its u2' in a Python float loop and
-quantizes its own instance. The batched refine must match it bit for bit.
+constructs its own Generator, sums its u2' in a Python float loop,
+quantizes its own instance and builds its own record of the pairs it
+excluded and kept. The batched refine, which keeps the iterations as
+arrays, must match it bit for bit.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from minfeat.errors import ConfigError, InputError
 from minfeat.knapsack import MAX_TABLE_CELLS, KnapsackInstance, solve_dp
-from minfeat.pipeline import (
-    PERTURBATION_CLIP,
-    _assemble,
-    _iteration,
-    _pair_scores,
-    upper_bound_u1,
-)
+from minfeat.pipeline import PERTURBATION_CLIP, _pair_scores, upper_bound_u1
+
+
+@dataclass(frozen=True)
+class IterationRecord:
+    """One knapsack repetition; capacity is u1 + u2_prime."""
+
+    iteration: int
+    u2_prime: float
+    capacity: float
+    excluded: tuple
+    excluded_score: float
+    candidate: tuple
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    """What refine returns, with the iterations as records."""
+
+    pairs: tuple
+    frequencies: dict
+    candidate_frequencies: dict
+    words: tuple
+    u1: float
+    u2: float
+    iterations: tuple
+    target_class: int
+    degenerate: bool
+
+
+def iteration_record(k, pair_map, u2_prime, capacity, excluded) -> IterationRecord:
+    """One exclusion: the positive pairs not excluded form its candidate set."""
+    excluded_set = set(excluded)
+    return IterationRecord(
+        iteration=k,
+        u2_prime=u2_prime,
+        capacity=capacity,
+        excluded=excluded,
+        excluded_score=float(sum(float(pair_map.cig[p]) for p in excluded)),
+        candidate=tuple(p for p in pair_map.positive_pairs if p not in excluded_set),
+    )
+
+
+def assemble(config, pair_map, u1, u2, iterations) -> OracleResult:
+    """Retain the pairs kept in at least epsilon of the candidate sets."""
+    counts = Counter(p for it in iterations for p in it.candidate)
+    frequencies = {p: counts[p] / len(iterations) for p in sorted(counts)}
+    retained = tuple(p for p in frequencies if frequencies[p] >= config.epsilon)
+    return OracleResult(
+        pairs=retained,
+        frequencies={p: frequencies[p] for p in retained},
+        candidate_frequencies=frequencies,
+        words=tuple(sorted({pos for pair in retained for pos in pair})),
+        u1=u1,
+        u2=u2,
+        iterations=tuple(iterations),
+        target_class=pair_map.target_class,
+        degenerate=not iterations,
+    )
 
 
 def scaled_loo_sum(pair_map, scales) -> float:
@@ -60,7 +117,7 @@ def refine_per_iteration(model, instance, config, pair_map=None):
     pair_map = _pair_scores(model, instance, config, pair_map)
     positive = pair_map.positive_pairs
     if not positive:
-        return _assemble(config, pair_map, 0.0, 0.0, ())
+        return assemble(config, pair_map, 0.0, 0.0, ())
 
     u1 = upper_bound_u1(pair_map.ig)
     u2 = scaled_loo_sum(pair_map, (1.0,) * len(positive))
@@ -76,5 +133,5 @@ def refine_per_iteration(model, instance, config, pair_map=None):
         if solver_capacity > 0.0:
             instance_k = quantize_one(positive, weights, values, solver_capacity, config.q)
             excluded = solve_dp(instance_k).selected
-        iterations.append(_iteration(k, pair_map, u2p, capacity, excluded))
-    return _assemble(config, pair_map, u1, u2, iterations)
+        iterations.append(iteration_record(k, pair_map, u2p, capacity, excluded))
+    return assemble(config, pair_map, u1, u2, iterations)

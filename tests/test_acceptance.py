@@ -218,18 +218,21 @@ def test_06_refinement_feasibility_audit(capsys, toy_model, toy_instances):
             degenerate += 1
             continue
         cig = mfs.pair_scores.cig
-        for rec in mfs.iterations:
-            bound = mfs.u1 + rec.u2_prime
-            total = sum(cig[p] for p in rec.excluded)
+        positive = mfs.pair_scores.positive_pairs
+        for k, (excluded, u2p, capacity, score) in enumerate(
+            zip(mfs.excluded, mfs.u2_prime, mfs.capacities, mfs.excluded_scores)
+        ):
+            bound = mfs.u1 + u2p
+            total = sum(cig[p] for p, out in zip(positive, excluded) if out)
             if total > bound + 1e-9:
-                violations.append(f"instance {idx} iter {rec.iteration}: {total} > {bound}")
-            if abs(total - rec.excluded_score) > 1e-9:
-                violations.append(f"instance {idx} iter {rec.iteration}: recorded score drifts")
-            if abs(rec.capacity - bound) > 1e-12:
-                violations.append(f"instance {idx} iter {rec.iteration}: recorded capacity drifts")
+                violations.append(f"instance {idx} iter {k}: {total} > {bound}")
+            if abs(total - score) > 1e-9:
+                violations.append(f"instance {idx} iter {k}: recorded score drifts")
+            if abs(capacity - bound) > 1e-12:
+                violations.append(f"instance {idx} iter {k}: recorded capacity drifts")
             audited += 1
-        if len(mfs.iterations) != config.n_iter:
-            violations.append(f"instance {idx}: {len(mfs.iterations)} iterations")
+        if mfs.excluded.shape != (config.n_iter, len(positive)):
+            violations.append(f"instance {idx}: exclusion matrix of shape {mfs.excluded.shape}")
         for pair in mfs.pairs:
             if not cig[pair] > 0.0:
                 violations.append(f"instance {idx}: retained pair {pair} has cig <= 0")

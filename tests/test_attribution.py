@@ -23,11 +23,9 @@ from stubs import LinearModel, linear_instance
 
 def padded(model, instance, positions) -> Instance:
     """Copy of the instance with the given positions re-embedded as PAD."""
-    mask = np.zeros(len(instance), dtype=bool)
-    mask[list(positions)] = True
-    return Instance(
-        tokens=instance.tokens, embeddings=model.embed(instance.tokens, mask), label=instance.label
-    )
+    pad = model.vocab.pad_index
+    embedded = [pad if k in positions else token for k, token in enumerate(instance.tokens)]
+    return Instance(tokens=instance.tokens, embeddings=model.embed(embedded), label=instance.label)
 
 
 def loo_integrated_gradients(

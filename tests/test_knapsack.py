@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,10 @@ class TestQuantize:
         assert all(b.weights is batch[0].weights for b in batch)
         for row, capacity, instance in zip(values.tolist(), capacities, batch):
             assert instance == quantize_one(items, weights, row, capacity, 1)
+            # Built without __post_init__, yet equal to (and hashed like) an
+            # instance built through __init__ from the same fields.
+            rebuilt = dataclasses.replace(instance)
+            assert rebuilt == instance and hash(rebuilt) == hash(instance)
         assert quantize(items, weights, np.empty((0, 2)), (), 1) == ()
 
     @pytest.mark.parametrize("digits", [0, 3, 15, 18, 19, 25, 300])
@@ -89,12 +95,35 @@ class TestQuantize:
         with pytest.raises(ConfigError, match=r"weights scaled by 10\*\*308"):
             quantize_one(items=("a",), weights=(3.0,), values=(1.0,), capacity=0.0, digits=308)
 
-    @pytest.mark.parametrize("digits", [309, 400])
+    @pytest.mark.parametrize("digits", [-1, 309, 400])
     def test_digits_beyond_float_range_rejected(self, digits):
         # 10**309 is no finite float: an InputError naming the digits, not
-        # an OverflowError.
+        # an OverflowError. Checked once for a batch of three capacities.
         with pytest.raises(InputError, match=f"digits {digits}"):
-            quantize(("a",), (1.0,), [(1.0,)], (1.0,), digits)
+            quantize(("a",), (1.0,), [(1.0,)] * 3, (1.0, 2.0, 3.0), digits)
+
+    def test_whole_value_matrix_checked(self):
+        # The values are checked once per call, every row of them.
+        values = [[0.5, 0.5], [0.5, 0.0], [0.5, 0.5]]
+        with pytest.raises(InputError, match="values must be strictly positive"):
+            quantize(("a", "b"), (1.0, 1.0), values, (1.0, 1.0, 1.0), 0)
+        values[1][1] = float("nan")
+        with pytest.raises(InputError, match="values must be strictly positive"):
+            quantize(("a", "b"), (1.0, 1.0), values, (1.0, 1.0, 1.0), 0)
+
+    def test_shared_items_checked_once_per_call(self):
+        with pytest.raises(InputError, match="distinct"):
+            quantize(("a", "a"), (1.0, 1.0), [[1.0, 1.0]] * 3, (1.0, 2.0, 3.0), 0)
+        with pytest.raises(InputError, match="equal length"):
+            quantize(("a", "b", "c"), (1.0, 1.0), [[1.0, 1.0]] * 3, (1.0, 2.0, 3.0), 0)
+
+    def test_direct_instances_still_check_themselves(self):
+        # quantize checks its batch itself; an instance built directly
+        # runs its own checks (values: see test_nonpositive_values_rejected).
+        with pytest.raises(InputError, match="distinct"):
+            KnapsackInstance(items=("a", "a"), weights=(1, 1), values=(1.0, 1.0), capacity=1)
+        with pytest.raises(InputError, match=">= 1"):
+            KnapsackInstance(items=("a",), weights=(0,), values=(1.0,), capacity=1)
 
     def test_validation(self):
         with pytest.raises(InputError):

@@ -65,6 +65,18 @@ class TestProtocol:
             with pytest.raises(InputError):
                 comprehensiveness(toy_model, [inst], [removal])
 
+    def test_first_bad_position_is_named(self, toy_model, toy_instances):
+        inst = toy_instances[0]
+        n = len(inst)
+        with pytest.raises(InputError, match=f"pad position {n + 3} out of range for length {n}"):
+            fms_pairs(toy_model, [inst], [[(0, 1), (2, n + 3), (n, n + 1)]], t=0.5)
+        with pytest.raises(InputError, match=f"pad position -2 out of range for length {n}"):
+            fms_words(toy_model, [inst], [[1, -2, n]], t=0.5)
+        with pytest.raises(InputError, match="integers"):
+            fms_words(toy_model, [inst], [[1.5]], t=0.5)
+        with pytest.raises(InputError, match="all be index pairs"):
+            fms_pairs(toy_model, [inst], [[(0, 1), 2]], t=0.5)
+
 
 class TestComprehensiveness:
     def test_hand_traced_drop(self):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_instance, make_random_model
-from refine_oracle import refine_per_iteration
+from refine_oracle import refine_per_iteration, sample_iteration
+from minfeat import pipeline
 from minfeat.attribution import cooperative_integrated_gradients
 from minfeat.errors import ConfigError, InputError, InternalError
 from minfeat.pipeline import (
@@ -22,6 +23,11 @@ from minfeat.pipeline import (
     upper_bound_u1,
     upper_bound_u2,
 )
+
+
+def excluded_pairs(mfs, k: int) -> tuple:
+    """The positive pairs iteration k excluded, in pair order."""
+    return tuple(p for p, out in zip(mfs.pair_scores.positive_pairs, mfs.excluded[k].tolist()) if out)
 
 
 def pair_map_for(seed: int, length: int = 5, beta: float = 0.5):
@@ -216,11 +222,44 @@ class TestPerturbations:
 
     def test_seeds_above_2_63_do_not_collide(self):
         # Keys are exact unsigned 64-bit words, so seeds that a float64
-        # conversion would merge still draw different streams.
+        # conversion would merge still draw different streams, also when
+        # the second pass reads both from the kept streams.
         pairs = [(0, 1), (2, 5)]
-        high = sample_perturbations(pairs, seed=2**63, n_iter=2)
-        assert not np.array_equal(high, sample_perturbations(pairs, seed=2**63 + 1, n_iter=2))
-        assert high[1, 1] == philox_draw(2**63, 1, 5 * 4 // 2 + 2)
+        for _ in range(2):
+            high = sample_perturbations(pairs, seed=2**63, n_iter=2)
+            assert not np.array_equal(high, sample_perturbations(pairs, seed=2**63 + 1, n_iter=2))
+            assert high[1, 1] == philox_draw(2**63, 1, 5 * 4 // 2 + 2)
+
+    def test_kept_streams_extend_and_stay_exact(self):
+        # A short sentence, a longer one, then the short one again: every
+        # row is the fresh (seed, k) Philox draw, whatever was kept before.
+        short = [(0, 1), (1, 3)]
+        long = [(0, 1), (4, 30), (12, 29)]
+        for pairs in (short, long, short):
+            values = sample_perturbations(pairs, seed=41, n_iter=3)
+            for k in range(3):
+                assert values[k].tolist() == list(sample_iteration(pairs, 41, k))
+
+    def test_writing_a_result_leaves_the_kept_streams(self):
+        pairs = [(0, 1), (2, 5)]
+        first = sample_perturbations(pairs, seed=43, n_iter=2)
+        expected = first.copy()
+        first[:] = 0.5
+        assert np.array_equal(sample_perturbations(pairs, seed=43, n_iter=2), expected)
+        assert np.array_equal(sample_perturbations(pairs, seed=43, n_iter=2), expected)
+
+
+    def test_only_one_stream_matrix_under_the_cap_is_kept(self, monkeypatch):
+        # Streams of n_iter * L > the cap are drawn for the call alone and
+        # leave the kept matrix as it was; a new key replaces it.
+        monkeypatch.setattr(pipeline, "_STREAM_KEPT_WORDS", 40)
+        monkeypatch.setattr(pipeline, "_STREAMS", {})
+        small, large = [(0, 1), (2, 4)], [(1, 2), (3, 9)]  # L = 9 and 40
+        for pairs, seed, kept_seed in ((small, 47, 47), (large, 47, 47), (small, 48, 48)):
+            values = sample_perturbations(pairs, seed=seed, n_iter=4)
+            for k in range(4):
+                assert values[k].tolist() == list(sample_iteration(pairs, seed, k))
+            assert {key: kept.shape for key, kept in pipeline._STREAMS.items()} == {(kept_seed, 4): (4, 9)}
 
 
 class TestRefine:
@@ -231,22 +270,23 @@ class TestRefine:
         assert a.pairs == b.pairs
         assert a.frequencies == b.frequencies
         assert (a.u1, a.u2) == (b.u1, b.u2)
-        assert a.iterations == b.iterations
+        for field in ("excluded", "u2_prime", "capacities", "excluded_scores"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_seed_changes_candidates(self, toy_model, toy_instances):
         a = refine(toy_model, toy_instances[0], CidrConfig(seed=0, n_iter=4, steps=12))
         b = refine(toy_model, toy_instances[0], CidrConfig(seed=99, n_iter=4, steps=12))
         assert a.u1 == b.u1  # scores do not depend on the seed
-        assert [it.u2_prime for it in a.iterations] != [it.u2_prime for it in b.iterations]
+        assert a.u2_prime.tolist() != b.u2_prime.tolist()
 
     def test_feasibility_every_iteration(self, toy_model, toy_instances):
         cfg = CidrConfig(n_iter=6, steps=12)
         for inst in toy_instances[:8]:
             mfs = refine(toy_model, inst, cfg)
-            for it in mfs.iterations:
-                real_score = sum(mfs.pair_scores.cig[p] for p in it.excluded)
-                assert real_score <= it.capacity + 1e-9
-                assert it.excluded_score == pytest.approx(real_score, abs=1e-12)
+            for k, (capacity, score) in enumerate(zip(mfs.capacities, mfs.excluded_scores)):
+                real_score = sum(mfs.pair_scores.cig[p] for p in excluded_pairs(mfs, k))
+                assert real_score <= capacity + 1e-9
+                assert score == pytest.approx(real_score, abs=1e-12)
 
     def test_retained_pairs_are_positive_and_frequent(self, toy_model, toy_instances):
         cfg = CidrConfig(n_iter=5, steps=12)
@@ -272,7 +312,9 @@ class TestRefine:
         assert mfs.degenerate
         assert mfs.pairs == ()
         assert mfs.words == ()
-        assert mfs.iterations == ()
+        assert mfs.excluded.shape == (0, 0)
+        assert mfs.u2_prime.shape == mfs.capacities.shape == mfs.excluded_scores.shape == (0,)
+        assert mfs.candidate_frequencies == {}
         assert (mfs.u1, mfs.u2) == (0.0, 0.0)
 
     def test_precomputed_pair_map_matches_internal(self, toy_model, toy_instances):
@@ -304,17 +346,33 @@ class TestRefine:
         cfg = CidrConfig(n_iter=7, steps=12)
         mfs = refine(toy_model, toy_instances[4], cfg)
         if not mfs.degenerate:
-            assert len(mfs.iterations) == 7
-            assert [it.iteration for it in mfs.iterations] == list(range(7))
+            assert mfs.excluded.shape == (7, len(mfs.pair_scores.positive_pairs))
+            assert mfs.u2_prime.shape == mfs.capacities.shape == mfs.excluded_scores.shape == (7,)
 
 
-def bitwise(mfs) -> tuple:
-    """Every fact refine returns, floats as their exact hex form."""
-    iterations = tuple(
+def iteration_facts(mfs) -> tuple:
+    """Each iteration of refine's arrays as the oracle records it."""
+    positive = mfs.pair_scores.positive_pairs
+    return tuple(
+        (k, u2p.hex(), capacity.hex(), excluded_pairs(mfs, k), score.hex(),
+         tuple(p for p in positive if p not in excluded_pairs(mfs, k)))
+        for k, (u2p, capacity, score) in enumerate(
+            zip(mfs.u2_prime.tolist(), mfs.capacities.tolist(), mfs.excluded_scores.tolist())
+        )
+    )
+
+
+def record_facts(oracle) -> tuple:
+    """The same facts from the oracle's per-iteration records."""
+    return tuple(
         (it.iteration, it.u2_prime.hex(), it.capacity.hex(), it.excluded, it.excluded_score.hex(),
          it.candidate)
-        for it in mfs.iterations
+        for it in oracle.iterations
     )
+
+
+def bitwise(mfs, iterations: tuple) -> tuple:
+    """Every fact refine returns, floats as their exact hex form."""
     frequencies = tuple((p, f.hex()) for p, f in mfs.frequencies.items())
     candidates = tuple((p, f.hex()) for p, f in mfs.candidate_frequencies.items())
     return (mfs.u1.hex(), mfs.u2.hex(), mfs.pairs, frequencies, candidates, mfs.words, iterations,
@@ -338,14 +396,16 @@ class TestAgainstPerIterationOracle:
         self, toy_model, toy_instances, corpus_pair_maps, beta, n_iter, q
     ):
         # The bundled corpus, every record: u1, u2, pairs, frequencies and
-        # each IterationRecord equal the per-iteration loop bit for bit.
+        # every iteration's u2', capacity, excluded set, excluded score and
+        # candidate set equal the per-iteration loop bit for bit.
         config = CidrConfig(beta=beta, n_iter=n_iter, q=q)
         solved = 0
         for inst, pm in zip(toy_instances, corpus_pair_maps):
             pm = pm.with_beta(beta)
             batched = refine(toy_model, inst, config, pm)
-            assert bitwise(batched) == bitwise(refine_per_iteration(toy_model, inst, config, pm))
-            solved += sum(1 for it in batched.iterations if it.excluded)
+            oracle = refine_per_iteration(toy_model, inst, config, pm)
+            assert bitwise(batched, iteration_facts(batched)) == bitwise(oracle, record_facts(oracle))
+            solved += int(batched.excluded.any(axis=1).sum())
         assert solved > 0
 
 
@@ -356,8 +416,7 @@ class TestGreedyVariant:
         if mfs.degenerate:
             pytest.skip("degenerate draw")
         bound = mfs.u1 + mfs.u2
-        it = mfs.iterations[0]
-        assert it.capacity == pytest.approx(bound, abs=1e-12)
+        assert mfs.capacities.tolist() == [bound]
         # The greedy pass admits the top-score prefix; every admitted pair
         # was admitted while the running sum was still below the bound.
         ordered = sorted(
@@ -371,7 +430,7 @@ class TestGreedyVariant:
                 break
             expected_excluded.append(pair)
             running += score
-        assert tuple(sorted(expected_excluded)) == it.excluded
+        assert tuple(sorted(expected_excluded)) == excluded_pairs(mfs, 0)
 
     def test_retained_frequencies_are_one(self, toy_model, toy_instances):
         mfs = cidr_without_refinement(toy_model, toy_instances[5], CidrConfig(steps=12))
@@ -380,5 +439,5 @@ class TestGreedyVariant:
     def test_single_iteration_recorded(self, toy_model, toy_instances):
         mfs = cidr_without_refinement(toy_model, toy_instances[6], CidrConfig(steps=12))
         if not mfs.degenerate:
-            assert len(mfs.iterations) == 1
-            assert mfs.iterations[0].u2_prime == mfs.u2
+            assert mfs.excluded.shape == (1, len(mfs.pair_scores.positive_pairs))
+            assert mfs.u2_prime.tolist() == [mfs.u2]

@@ -5,7 +5,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name: str):
@@ -43,3 +44,16 @@ def test_output_digests_prints_one_line_per_output(capsys):
     assert [line.split("  ")[1] for line in lines] == [f"explain-short/seed3/output-{k}.jsonl" for k in (0, 1)]
     digests = [line.split("  ")[0] for line in lines]
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests) and digests[0] != digests[1]
+
+
+def test_paired_bench_prints_every_metric(capsys):
+    # One pair of this checkout against itself, at a run length too short
+    # to mean anything: only the shape of the summary.
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--workload", "evaluate-short",
+            "--seed", "0", "--pairs", "1", "--seconds", "0.2"]
+    assert _load("paired_bench").main(argv) == 0
+    out = capsys.readouterr().out
+    for name in ("records_per_s", "setup_s", "peak_rss_mb"):
+        assert f"\n{name} (" in out
+    assert out.count("change wins") == 3
+    assert "parent failed_share 0 over 1 runs, 0 incorrect" in out
