@@ -18,14 +18,17 @@ Three score families are computed, each as one dense array:
 - pairwise cooperative scores cig, shape (n, n), weighted by beta:
   cig[i, j] = ig[i] + ig[j] + beta * (loo[j, i] + loo[i, j]).
 
-A model needs only baseline_embeddings and pooled_gradient. The n + 1
-paths of steps + 1 points each go to pooled_gradient in blocks of whole
-paths, at most ROW_BLOCK points per call: at 50 steps ten paths share a
-call, at 300 steps each path is its own. Per-call overhead dominates
-single 51-point calls, while stacking every path of a record into one
-call made 300-step attribution slower. Tokens with equal embeddings get
-bitwise equal scores in every family. A non-finite score in any family
-raises NumericError.
+A model needs two methods: baseline_embeddings(n), the (n, d) all-PAD
+matrix, and path_gradients(start, offsets, steps, target_class), which
+maps a (d,) pooled start and a (P, d) stack of pooled offsets to the
+(P, d) trapezoid-weighted sums of the target probability's gradient
+along each path (see Model.path_gradients). All n + 1 paths of a record
+go to one path_gradients call; the model splits them into blocks of
+whole paths, at most ROW_BLOCK points each (model.py). A path's row does
+not depend on the paths that share the call, so integrated_gradients
+equals cooperative_integrated_gradients(...).ig bit for bit. Tokens with
+equal embeddings get bitwise equal scores in every family. A non-finite
+score in any family raises NumericError.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NumericError
-from .model import ROW_BLOCK, Instance
+from .model import Instance
 
 DEFAULT_STEPS = 50
 
@@ -103,8 +106,8 @@ def _path_scores(model, instance: Instance, target_class: int, steps: int, leave
     """Token scores along the path to the input (row 0) and, with
     leave_one_out, along the path with token j padded out (row 1 + j).
 
-    Each path is sampled at its steps+1 points, alpha = 0, 1/steps, ...,
-    1, and reduced by a trapezoid-weighted sum over them.
+    The model sums each path's gradients at its steps+1 points, alpha =
+    0, 1/steps, ..., 1, under trapezoid weights.
     Returns shape (1, n), or (n + 1, n) with zeros where j scores itself.
     """
     if steps < 1:
@@ -112,19 +115,9 @@ def _path_scores(model, instance: Instance, target_class: int, steps: int, leave
     n = len(instance)
     baseline = model.baseline_embeddings(n)
     delta = instance.embeddings - baseline
-    start = baseline.mean(axis=0)
     total = delta.sum(axis=0)
     offsets = (np.vstack([total, total - delta]) if leave_one_out else total[np.newaxis]) / n
-    alphas = np.arange(steps + 1)[:, np.newaxis] / steps
-    weights = np.ones(steps + 1)
-    weights[[0, -1]] = 0.5
-    # Only one block's points exist at a time, so no array outgrows a call.
-    per_call = max(1, ROW_BLOCK // (steps + 1))
-    sums = np.empty_like(offsets)
-    for first in range(0, len(offsets), per_call):
-        points = start + alphas * offsets[first : first + per_call, np.newaxis, :]  # (b, steps+1, d)
-        grads = model.pooled_gradient(points.reshape(-1, start.size), target_class)
-        sums[first : first + per_call] = weights @ grads.reshape(points.shape)
+    sums = model.path_gradients(baseline.mean(axis=0), offsets, steps, target_class)
     scores = (delta * sums[:, np.newaxis, :]).sum(axis=2) / (steps * n)
     if not np.isfinite(scores).all():
         raise NumericError("attribution scores contain non-finite values")

@@ -31,11 +31,14 @@ CHECKPOINT_FORMAT_VERSION = 1
 EMBED_DIM = 16
 HIDDEN_DIM = 16
 
-# Most rows one gradient call takes. Per-call overhead dominates small
-# calls and cache misses large ones: on one core, pooled_gradient costs
-# 569 ns/row at 51 rows, 234 at 301, 216 at 510, 188 at 1024 and 463 at
-# 3913. 512 fills a call with ten 51-point IG paths and leaves a
-# 301-point path alone (1024 made 300-step attribution 6% slower).
+# Most path points one block of path_gradients takes (a longer path goes
+# alone). Per-call overhead dominates small blocks and cache misses large
+# ones: on one core of a loaded 2-vCPU host, a block cost about 1000-1150
+# ns per point at 51 points, 290-430 at 301, 250-360 at 510, 260-370 at
+# 903 and 550-675 at 3913. 512 puts ten 51-point IG paths in a block and
+# leaves a 301-point path alone. 1024 made 13-path calls faster in
+# isolation but not explain-fine end to end (2 of 5 paired perfbench
+# runs, median 257 -> 234 records/s), so 512 stays.
 ROW_BLOCK = 512
 
 
@@ -115,10 +118,23 @@ def embed(table: np.ndarray, tokens: Sequence[int]) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, so a (B, C) stack gives one row per input."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, so a (B, C) stack gives one row per input.
+
+    The max and the sum over classes run as a loop over the C columns, each
+    step one elementwise operation on all rows: numpy reduces a short last
+    axis row by row, which made the reductions most of the softmax's cost
+    on a 301-row stack. For C <= 7 the result is bitwise that of
+    logits.max(-1) and exp.sum(-1), which add fewer than 8 numbers in order.
+    """
+    columns = range(1, logits.shape[-1])
+    top = logits[..., :1]
+    for k in columns:
+        top = np.maximum(top, logits[..., k : k + 1])
+    exp = np.exp(logits - top)
+    total = exp[..., :1].copy()
+    for k in columns:
+        total += exp[..., k : k + 1]
+    return exp / total
 
 
 @dataclass
@@ -128,12 +144,15 @@ class Model:
     Immutable after training by convention: every method is pure.
     `forward` and `input_gradient` take one (n, d) sentence; the output
     depends on it only through its (d,) pooled mean,
-    so `pooled_gradient` takes a (B, d) stack of pooled vectors, and
+    so `pooled_gradient` takes a (B, d) stack of pooled vectors,
+    `path_gradients` integrates straight paths of pooled vectors, and
     `removal_probabilities` scores the removals of many sentences in one
     head call. In a call of two or more rows, a row's result does not
     depend on the rows that share the call; a one-row call, like
     `forward`, is a matrix-vector product, which can round differently
     in the last bit (by up to 2.2e-16 on the toy model's probabilities).
+    `path_gradients` keeps each path's row independent of the other
+    paths, one path included.
     """
 
     vocab: Vocabulary
@@ -172,8 +191,28 @@ class Model:
     def _head(self, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hidden activations and class probabilities of a (d,) pooled vector
         or a (B, d) stack of them, one row per input."""
-        hidden = np.tanh(pooled @ self.w1.T + self.b1)
+        return self._activate(pooled @ self.w1.T + self.b1)
+
+    def _activate(self, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The head above the first affine layer: hidden activations and
+        class probabilities of first-layer pre-activations."""
+        hidden = np.tanh(pre)
         return hidden, _softmax(hidden @ self.w2.T + self.b2)
+
+    def _check_class(self, target_class: int) -> None:
+        if not 0 <= target_class < self.num_classes:
+            raise InputError(f"class index {target_class} out of range [0, {self.num_classes})")
+
+    def _pre_gradient(self, pre: np.ndarray, target_class: int) -> np.ndarray:
+        """Gradient of the target probability w.r.t. a (B, H) stack of
+        first-layer pre-activations, one row per input: reverse mode
+        through the softmax head and the tanh layer."""
+        hidden, probs = self._activate(pre)  # (B, H), (B, C)
+        # d p_c / d logits = p_c * (onehot(c) - p)
+        p_target = probs[:, target_class : target_class + 1]
+        grad_logits = -p_target * probs
+        grad_logits[:, target_class] += p_target[:, 0]
+        return (grad_logits @ self.w2) * (1.0 - hidden**2)
 
     def forward(self, embeddings: np.ndarray) -> np.ndarray:
         """Class probability vector for one embedded sentence."""
@@ -187,14 +226,56 @@ class Model:
         both affine layers.
         """
         arr = self._check_input(pooled)
-        if not 0 <= target_class < self.num_classes:
-            raise InputError(f"class index {target_class} out of range [0, {self.num_classes})")
-        hidden, probs = self._head(arr)  # (B, H), (B, C)
-        # d p_c / d logits = p_c * (onehot(c) - p)
-        p_target = probs[:, target_class : target_class + 1]
-        grad_logits = -p_target * probs
-        grad_logits[:, target_class] += p_target[:, 0]
-        return ((grad_logits @ self.w2) * (1.0 - hidden**2)) @ self.w1
+        self._check_class(target_class)
+        return self._pre_gradient(arr @ self.w1.T + self.b1, target_class) @ self.w1
+
+    def path_gradients(
+        self, start: np.ndarray, offsets: np.ndarray, steps: int, target_class: int
+    ) -> np.ndarray:
+        """Trapezoid-weighted gradient sums along straight paths in pooled space.
+
+        Row p of the (P, d) result is the sum over k = 0..steps of
+        w_k * pooled_gradient(start + (k / steps) * offsets[p]), with
+        w_k = 1/2 at both ends and 1 between (a sum, not divided by steps).
+        The first layer is affine, so the pre-activations along path p
+        are a + alpha * b_p, with a = start W1^T + b1 and b_p = offsets[p]
+        W1^T: no point in pooled space is built, the trapezoid sum is taken
+        over the (H,) pre-activation gradients, and each path's sum is
+        mapped back to d once. Paths run in blocks of whole paths of at
+        most ROW_BLOCK points (a longer path alone). A path's row does not
+        depend on the paths that share the call: start is projected
+        together with the offsets, so the projection is never a one-row
+        product, and the back-projection is elementwise.
+
+        Raises InputError for a start that is not (d,), offsets that are
+        not (P, d), steps that is not an integer >= 1 or a bad class, and NumericError for a
+        non-finite start or offset.
+        """
+        d = self.embed_dim
+        start = np.asarray(start, dtype=np.float64)
+        offsets = np.asarray(offsets, dtype=np.float64)
+        if start.shape != (d,) or offsets.ndim != 2 or offsets.shape[1] != d:
+            raise InputError(
+                f"expected a ({d},) path start and a (P, {d}) offset stack, "
+                f"got shapes {start.shape} and {offsets.shape}"
+            )
+        if not (np.isfinite(start).all() and np.isfinite(offsets).all()):
+            raise NumericError("path start or offsets contain non-finite values")
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+            raise InputError(f"step count must be an integer >= 1, got {steps!r}")
+        self._check_class(target_class)
+        projected = np.vstack([start, offsets]) @ self.w1.T  # (1 + P, H)
+        origin = projected[0] + self.b1
+        alphas = np.arange(steps + 1)[:, np.newaxis] / steps
+        weights = np.ones(steps + 1)
+        weights[[0, -1]] = 0.5
+        per_call = max(1, ROW_BLOCK // (steps + 1))
+        sums = np.empty((len(offsets), len(origin)))
+        for first in range(0, len(offsets), per_call):
+            pre = origin + alphas * projected[1 + first : 1 + first + per_call, np.newaxis, :]
+            grads = self._pre_gradient(pre.reshape(-1, len(origin)), target_class)
+            sums[first : first + per_call] = weights @ grads.reshape(pre.shape)
+        return (sums[:, :, np.newaxis] * self.w1).sum(axis=1)
 
     def input_gradient(self, embeddings: np.ndarray, target_class: int) -> np.ndarray:
         """Exact gradient of forward(...)[target_class] w.r.t. every input entry.

@@ -175,7 +175,8 @@ def sample_perturbations(pairs: Sequence[Pair], seed: int, n_iter: int) -> np.nd
     an index is the same however long the stream is: a pair's value is
     fixed by (seed, k, i, j) alone, whatever other pairs are sampled. The
     stream is as long as the largest index, about n*n/2 words for an
-    n-token sentence. Pairs must satisfy 0 <= i < j, and n_iter >= 1.
+    n-token sentence. The seed must lie in [0, 2**64), pairs must satisfy
+    0 <= i < j, and n_iter >= 1; anything else raises InputError.
 
     One (n_iter, L) matrix of clipped draws is kept between calls: the
     streams of the last (seed, n_iter) drawn with n_iter * L at most
@@ -185,6 +186,8 @@ def sample_perturbations(pairs: Sequence[Pair], seed: int, n_iter: int) -> np.nd
     and n_iter, so a process draws again only for a record longer than
     every earlier one. The result is a fresh array.
     """
+    if not 0 <= seed < 2**64:
+        raise InputError(f"perturbation seed must lie in [0, 2**64), got {seed}")
     if n_iter < 1:
         raise InputError(f"n_iter must be >= 1, got {n_iter}")
     members = np.asarray(pairs) if len(pairs) else np.empty((0, 2), dtype=np.int64)

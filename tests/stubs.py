@@ -30,16 +30,13 @@ class LinearModel:
         s = float(x.mean(axis=0) @ self.weights) + self.bias
         return np.array([self.center - s, self.center + s], dtype=np.float64)
 
-    def pooled_gradient(self, pooled, target_class: int) -> np.ndarray:
-        """Constant gradient +-w for each row of a (B, d) stack of pooled vectors."""
-        x = np.asarray(pooled, dtype=np.float64)
+    def path_gradients(self, start, offsets, steps: int, target_class: int) -> np.ndarray:
+        """Trapezoid sums of the constant gradient +-w along each of the
+        (P, d) offsets: the weights add up to steps, so every row is
+        steps * +-w."""
         sign = 1.0 if target_class == 1 else -1.0
-        return sign * np.broadcast_to(self.weights, x.shape).copy()
-
-    def input_gradient(self, embeddings, target_class: int) -> np.ndarray:
-        """Constant gradient +-w / n for one (n, d) sentence."""
-        x = np.asarray(embeddings, dtype=np.float64)
-        return self.pooled_gradient(x, target_class) / x.shape[0]
+        paths = np.asarray(offsets, dtype=np.float64).shape[0]
+        return np.tile(sign * steps * self.weights, (paths, 1))
 
     def baseline_embeddings(self, n: int) -> np.ndarray:
         return np.zeros((n, self.weights.shape[0]), dtype=np.float64)

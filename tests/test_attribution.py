@@ -95,9 +95,9 @@ class TestIntegratedGradients:
 
     def test_non_finite_score_raises_numeric_error(self):
         class NanGradientModel(LinearModel):
-            def pooled_gradient(self, pooled, target_class):
-                grads = super().pooled_gradient(pooled, target_class)
-                grads[1, 0] = np.nan
+            def path_gradients(self, start, offsets, steps, target_class):
+                grads = super().path_gradients(start, offsets, steps, target_class)
+                grads[0, 0] = np.nan  # the one path, to the input
                 return grads
 
         inst = linear_instance(np.ones((3, 2)))
@@ -155,18 +155,21 @@ class TestTrapezoid:
             assert np.abs(pm.loo - (expected - np.diag(expected))).max() < 1e-15
 
     def test_endpoint_weights_are_halved(self):
-        # With 1 panel the average must be (g(start) + g(end)) / 2.
-        class TwoPointModel:
-            def baseline_embeddings(self, n):
-                return np.zeros((n, 2))
+        # With 1 panel the average must be (g(start) + g(end)) / 2. The
+        # first layer is the identity, so a pre-activation is its pooled
+        # point, and the PAD row is zero, so the path starts at 0.
+        model = make_random_model(44, embed_dim=2, hidden_dim=2)
+        model.embedding[model.vocab.pad_index] = 0.0
+        model.w1, model.b1 = np.eye(2), np.zeros(2)
 
-            def pooled_gradient(self, pooled, target):
-                # One gradient per pooled point: 1 where the point sums to 0, else 3.
-                at_zero = pooled.sum(axis=1, keepdims=True) == 0
-                return np.where(at_zero, 1.0, 3.0) * np.ones_like(pooled)
+        def two_point_gradient(pre, target_class):
+            # 1 where the point sums to 0, else 3, in every direction.
+            at_zero = pre.sum(axis=1, keepdims=True) == 0
+            return np.where(at_zero, 1.0, 3.0) * np.ones_like(pre)
 
+        model._pre_gradient = two_point_gradient
         # Each of the 2 tokens scores (1, 1) . (2, 2) / 2 = 2.
-        ig = integrated_gradients(TwoPointModel(), linear_instance(np.ones((2, 2))), 0, steps=1)
+        ig = integrated_gradients(model, linear_instance(np.ones((2, 2))), 0, steps=1)
         assert np.abs(ig - 2.0).max() < 1e-15
 
 
@@ -178,16 +181,14 @@ class TestRowBlocks:
         model = make_random_model(50)
         inst = make_random_instance(model, 51, length=12)
         rows = []
+        pre_gradient = model._pre_gradient
 
-        class CountingModel:
-            def baseline_embeddings(self, n):
-                return model.baseline_embeddings(n)
+        def counting(pre, target_class):
+            rows.append(len(pre))
+            return pre_gradient(pre, target_class)
 
-            def pooled_gradient(self, pooled, target_class):
-                rows.append(len(pooled))
-                return model.pooled_gradient(pooled, target_class)
-
-        cooperative_integrated_gradients(CountingModel(), inst, 0, beta=0.5, steps=steps)
+        model._pre_gradient = counting
+        cooperative_integrated_gradients(model, inst, 0, beta=0.5, steps=steps)
         assert len(rows) == calls
         assert sum(rows) == 13 * (steps + 1)
         assert all(r % (steps + 1) == 0 and (r <= ROW_BLOCK or r == steps + 1) for r in rows)
@@ -236,22 +237,18 @@ class TestLeaveOneOut:
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         without_first = (x.sum(axis=0) - x[0]) / 3
 
-        steps = 4
-
         class OnePathNanModel(LinearModel):
-            # A call holds whole paths, each as steps + 1 consecutive rows
-            # ending at alpha = 1, so the rows of the path ending at
-            # without_first are the steps + 1 rows up to that end point.
-            def pooled_gradient(self, pooled, target_class):
-                grads = super().pooled_gradient(pooled, target_class)
-                for end in np.flatnonzero((pooled == without_first).all(axis=1)):
-                    grads[end - steps : end + 1] = np.nan
+            # Row p of path_gradients belongs to the path whose pooled
+            # offset is offsets[p]; only the one without token 0 is NaN.
+            def path_gradients(self, start, offsets, steps, target_class):
+                grads = super().path_gradients(start, offsets, steps, target_class)
+                grads[(offsets == without_first).all(axis=1)] = np.nan
                 return grads
 
         model, inst = OnePathNanModel([1.0, -1.0]), linear_instance(x)
-        assert np.isfinite(integrated_gradients(model, inst, 1, steps=steps)).all()
+        assert np.isfinite(integrated_gradients(model, inst, 1, steps=4)).all()
         with pytest.raises(NumericError):
-            cooperative_integrated_gradients(model, inst, 1, beta=0.5, steps=steps)
+            cooperative_integrated_gradients(model, inst, 1, beta=0.5, steps=4)
 
 
 class TestRepeatedWords:
@@ -299,6 +296,17 @@ class TestCooperative:
                 if i != j:
                     direct = loo_integrated_gradients(model, inst, i, j, 1)
                     assert pm.loo[j, i] == pytest.approx(direct, abs=1e-15)
+
+    def test_ig_equals_integrated_gradients_bitwise(self):
+        # The input path is row 0 of one call with the n leave-one-out
+        # paths, and alone in integrated_gradients; its row must not
+        # depend on the paths that share the call.
+        for seed in range(40):
+            model = make_random_model(seed)
+            inst = make_random_instance(model, seed + 100)
+            for steps in (1, 7, 50):
+                pm = cooperative_integrated_gradients(model, inst, seed % 2, beta=0.5, steps=steps)
+                assert np.array_equal(pm.ig, integrated_gradients(model, inst, seed % 2, steps=steps))
 
     def test_symmetric_lookup(self):
         model = make_random_model(34)

@@ -17,6 +17,7 @@ from minfeat.model import (
     TrainConfig,
     Vocabulary,
     _init_model,
+    _softmax,
     embed,
     instance_from_words,
     load_model,
@@ -334,6 +335,93 @@ class TestInputGradient:
         model = make_random_model(12)  # embed_dim 5
         with pytest.raises(InputError):
             model.input_gradient(np.zeros(shape), 0)
+
+
+def per_point_path_sums(model, start, offsets, steps, target):
+    """Reference for path_gradients: one pooled_gradient call per path
+    point, weighted 1/2 at both ends and 1 between, added in order."""
+    sums = np.zeros_like(offsets)
+    for p, offset in enumerate(offsets):
+        for k in range(steps + 1):
+            weight = 0.5 if k in (0, steps) else 1.0
+            point = start + (k / steps) * offset
+            sums[p] += weight * model.pooled_gradient(point[np.newaxis], target)[0]
+    return sums
+
+
+class TestPathGradients:
+    @pytest.mark.parametrize("steps", [1, 2, 50, 300, 600])
+    def test_matches_per_point_loop(self, steps):
+        # P = 13 and 40 cross block boundaries at every step count.
+        rng = np.random.default_rng(steps)
+        for paths in (1, 2, 13, 40):
+            model = make_random_model(steps + paths)
+            start = rng.normal(0.0, 1.0, size=model.embed_dim)
+            offsets = rng.normal(0.0, 1.0, size=(paths, model.embed_dim))
+            target = paths % 2
+            sums = model.path_gradients(start, offsets, steps, target)
+            reference = per_point_path_sums(model, start, offsets, steps, target)
+            assert sums.shape == (paths, model.embed_dim)
+            # Compared as path averages, the scale attribution uses.
+            assert np.abs(sums - reference).max() / steps <= 1e-14
+
+    @pytest.mark.parametrize("steps", [1, 50, 300])
+    def test_row_does_not_depend_on_other_paths(self, steps):
+        rng = np.random.default_rng(60)
+        for seed in range(3):
+            model = make_random_model(seed)
+            start = rng.normal(0.0, 1.0, size=model.embed_dim)
+            offsets = rng.normal(0.0, 1.0, size=(13, model.embed_dim))
+            together = model.path_gradients(start, offsets, steps, 1)
+            for p in range(13):
+                alone = model.path_gradients(start, offsets[p : p + 1], steps, 1)
+                assert np.array_equal(alone[0], together[p])
+            assert np.array_equal(model.path_gradients(start, offsets[3:7], steps, 1), together[3:7])
+
+    def test_non_finite_rejected(self):
+        model = make_random_model(61)
+        start = np.zeros(model.embed_dim)
+        offsets = np.ones((3, model.embed_dim))
+        for bad in (np.nan, np.inf, -np.inf):
+            bad_start = start.copy()
+            bad_start[2] = bad
+            with pytest.raises(NumericError):
+                model.path_gradients(bad_start, offsets, 4, 0)
+            bad_offsets = offsets.copy()
+            bad_offsets[1, 0] = bad
+            with pytest.raises(NumericError):
+                model.path_gradients(start, bad_offsets, 4, 0)
+
+    @pytest.mark.parametrize(
+        "start_shape, offsets_shape, steps, target",
+        [
+            ((5,), (3, 5), 4, 2),
+            ((5,), (3, 5), 4, -1),
+            ((5,), (3, 5), 0, 0),
+            ((5,), (3, 5), 2.5, 0),
+            ((5,), (3, 5), True, 0),
+            ((1, 5), (3, 5), 4, 0),
+            ((4,), (3, 5), 4, 0),
+            ((5,), (5,), 4, 0),
+            ((5,), (3, 4), 4, 0),
+            ((5,), (2, 3, 5), 4, 0),
+        ],
+    )
+    def test_bad_class_shape_or_steps_rejected(self, start_shape, offsets_shape, steps, target):
+        model = make_random_model(62)  # embed_dim 5, two classes
+        with pytest.raises(InputError):
+            model.path_gradients(np.zeros(start_shape), np.ones(offsets_shape), steps, target)
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("classes", range(2, 8))
+    def test_bitwise_equal_to_axis_reductions(self, classes):
+        rng = np.random.default_rng(classes)
+        for shape in ((classes,), (1, classes), (2, classes), (301, classes)):
+            for scale in (1.0, 30.0):
+                logits = rng.normal(0.0, scale, size=shape)
+                exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+                assert np.array_equal(_softmax(logits), exp / exp.sum(axis=-1, keepdims=True))
 
 
 class TestTrainConfig:

@@ -156,6 +156,17 @@ class TestPerturbations:
         assert not np.array_equal(base[0], base[1])
         assert not np.array_equal(sample_perturbations(pairs, seed=8, n_iter=2)[0], base[0])
 
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    @pytest.mark.parametrize("pairs", [[(0, 1)], []])
+    def test_seed_outside_64_bits_rejected(self, seed, pairs):
+        with pytest.raises(InputError, match=str(seed)):
+            sample_perturbations(pairs, seed=seed, n_iter=1)
+
+    def test_top_bit_seeds_draw_apart(self):
+        # Seeds are unsigned 64-bit words: 2**63 and 2**63 + 1 are two keys.
+        high = sample_perturbations([(0, 1), (1, 2)], seed=2**63, n_iter=2)
+        assert not np.array_equal(high, sample_perturbations([(0, 1), (1, 2)], seed=2**63 + 1, n_iter=2))
+
     def test_values_follow_the_given_pair_order(self):
         pairs = [(0, 1), (2, 5), (1, 3)]
         forward = sample_perturbations(pairs, seed=3, n_iter=3)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
+
+from minfeat.reports import ExplanationReport, MfsEntry, PairScoreEntry, write_reports
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -57,3 +60,35 @@ def test_paired_bench_prints_every_metric(capsys):
         assert f"\n{name} (" in out
     assert out.count("change wins") == 3
     assert "parent failed_share 0 over 1 runs, 0 incorrect" in out
+
+
+def test_report_diff_tells_float_moves_from_changed_fields(tmp_path, capsys):
+    report = ExplanationReport(
+        instance_id="r0", tokens=("a", "fine", "film"), predicted_class=1, predicted_probability=0.75,
+        ig=(0.1, 0.3, 0.2), positive_pairs=(PairScoreEntry(0, 1, 0.5), PairScoreEntry(1, 2, 0.7)),
+        mfs_pairs=(MfsEntry(1, 2, 0.6),), mfs_words=(1, 2), u1=1.2, u2=0.9, u2_prime=(0.8, 1.0),
+        degenerate=False, oov_count=0, config={"beta": 0.5, "seed": 0}, seed=0,
+        comp=0.4, lo=-1.5, fms=1.0,
+    )  # fmt: skip
+    variants = {
+        "base": report,
+        "same": report,
+        "nudged": replace(report, ig=(0.1, 0.3 + 2**-54, 0.2)),  # one ulp of 0.3
+        "other-pair": replace(report, mfs_pairs=(MfsEntry(0, 1, 0.6),)),
+    }
+    paths = {name: str(tmp_path / f"{name}.jsonl") for name in variants}
+    for name, variant in variants.items():
+        write_reports([variant], paths[name])
+    script = _load("report_diff")
+
+    def moves() -> dict[str, float]:
+        lines = capsys.readouterr().out.splitlines()
+        return {name.strip(): float(move) for name, move in (line.split(" largest move ") for line in lines)}
+
+    assert script.main([paths["base"], paths["same"]]) == 0
+    same = moves()
+    assert list(same) == list(script.FLOAT_FIELDS) and set(same.values()) == {0.0}
+    assert script.main([paths["base"], paths["nudged"]]) == 0
+    assert moves() == {**same, "ig": float(f"{2**-54:.3g}")}
+    assert script.main([paths["base"], paths["other-pair"]]) == 1
+    assert "mfs_pairs" in capsys.readouterr().out
