@@ -54,11 +54,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     print(f"\nminimal feature set after {config.n_iter} refinement iterations:")
-    for pair in mfs.pairs:
-        i, j = pair
+    for (i, j), frequency in zip(mfs.pairs, mfs.frequencies):
         print(
-            f"  ({words[i]}, {words[j]})  cig={mfs.pair_scores.cig[pair]:+.4f}"
-            f"  kept in {mfs.frequencies[pair]:.0%} of candidate sets"
+            f"  ({words[i]}, {words[j]})  cig={mfs.pair_scores.cig[i, j]:+.4f}"
+            f"  kept in {frequency:.0%} of candidate sets"
         )
     print(f"covered words: {', '.join(words[w] for w in mfs.words)}")
 

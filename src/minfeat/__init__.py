@@ -12,13 +12,7 @@ from .corpus import CorpusRecord, load_corpus, save_corpus, tokenize
 from .data import build_toy_corpus
 from .errors import ConfigError, InputError, InternalError, MinfeatError, NumericError
 from .evaluation import METHODS, evaluate_methods, gradient_input_scores
-from .knapsack import (
-    KnapsackInstance,
-    KnapsackSolution,
-    quantize,
-    solve_dp,
-    solve_greedy,
-)
+from .knapsack import KnapsackInstance, quantize, solve_dp, solve_greedy
 from .metrics import (
     MetricsRow,
     RemovalSet,
@@ -59,7 +53,6 @@ __all__ = [
     "Instance",
     "InternalError",
     "KnapsackInstance",
-    "KnapsackSolution",
     "METHODS",
     "MetricsRow",
     "MinfeatError",

@@ -8,6 +8,7 @@ internal invariant failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -129,7 +130,7 @@ def _build_report(
             for (i, j) in pair_map.positive_pairs
         ),
         mfs_pairs=tuple(
-            MfsEntry(i=i, j=j, frequency=mfs.frequencies[(i, j)]) for (i, j) in mfs.pairs
+            MfsEntry(i=i, j=j, frequency=f) for (i, j), f in zip(mfs.pairs, mfs.frequencies)
         ),
         mfs_words=mfs.words,
         u1=mfs.u1,
@@ -191,20 +192,7 @@ def run_evaluate(args: argparse.Namespace) -> int:
     if args.out:
         with atomic_write(args.out) as fh:
             for row in rows:
-                fh.write(
-                    json.dumps(
-                        {
-                            "method": row.method,
-                            "lo": row.lo,
-                            "comp": row.comp,
-                            "fms": row.fms,
-                            "n": row.n,
-                            "seed": row.seed,
-                        },
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                )
+                fh.write(json.dumps(dataclasses.asdict(row), sort_keys=True, separators=(",", ":")))
                 fh.write("\n")
         print(f"metrics written to {args.out}")
     return 0

@@ -75,15 +75,6 @@ class KnapsackInstance:
         return instance
 
 
-@dataclass(frozen=True)
-class KnapsackSolution:
-    """Selected item ids plus the achieved value and weight."""
-
-    selected: tuple[Hashable, ...]
-    value: float
-    weight: int
-
-
 def quantize(
     items: Sequence[Hashable],
     weights: Sequence[float],
@@ -146,28 +137,22 @@ def quantize(
     )
 
 
-def solve_dp(instance: KnapsackInstance) -> KnapsackSolution:
+def solve_dp(instance: KnapsackInstance) -> tuple[Hashable, ...]:
     """Exact maximum-value selection by dynamic programming.
 
     Row recurrence: best(i, c) = max(best(i-1, c), best(i-1, c - w_i) + v_i).
     The selection is reconstructed by backtracking the take table rather
     than collecting items while filling rows, so it always corresponds to
     the optimal final cell. Equal-value comparisons keep the item out.
+    Returns the selected item ids in item order.
     """
     n = len(instance.items)
     capacity = instance.capacity
     if n == 0 or capacity == 0:
-        return KnapsackSolution(selected=(), value=0.0, weight=0)
-    weight = sum(instance.weights)
-    if weight <= capacity:
-        # Every value is positive, so taking every item is the unique
-        # optimum. Values are added one by one in backtrack order (last
-        # item first), as the table path does, so the result matches it
-        # bit for bit; sum() may compensate rounding and would not.
-        value = 0.0
-        for v in reversed(instance.values):
-            value += v
-        return KnapsackSolution(selected=tuple(instance.items), value=value, weight=weight)
+        return ()
+    if sum(instance.weights) <= capacity:
+        # Every value is positive, so taking every item is the unique optimum.
+        return tuple(instance.items)
 
     best = np.zeros(capacity + 1, dtype=np.float64)
     take = np.zeros((n, capacity + 1), dtype=bool)
@@ -184,17 +169,12 @@ def solve_dp(instance: KnapsackInstance) -> KnapsackSolution:
         np.copyto(best[w:], shifted, where=improved)
 
     selected: list[Hashable] = []
-    value = 0.0
-    weight = 0
     c = capacity
     for i in range(n - 1, -1, -1):
         if take[i, c]:
             selected.append(instance.items[i])
-            value += instance.values[i]
-            weight += instance.weights[i]
             c -= instance.weights[i]
-    selected.reverse()
-    return KnapsackSolution(selected=tuple(selected), value=value, weight=weight)
+    return tuple(reversed(selected))
 
 
 def solve_greedy(pairs: Sequence[tuple[Hashable, float]], bound: float) -> tuple[Hashable, ...]:

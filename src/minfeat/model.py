@@ -365,18 +365,23 @@ def train_toy(
     Each minibatch is one matrix step: one gather of its padded token ids,
     one pass through the model's own head, and every gradient taken from
     the parameters before the step. Deterministic under a fixed config
-    seed: the same seed yields bitwise identical parameters. Raises
-    InputError for an empty corpus or labels outside the inferred class
-    range.
+    seed: the same seed yields bitwise identical parameters. The classes
+    are 0 to the largest label, and at least two. Raises InputError for
+    an empty corpus, a negative label, or a label above a class without
+    an example (a corpus labelled 1 alone leaves class 0 empty and is
+    accepted), before any parameter is allocated.
     """
     if not examples:
         raise InputError("training corpus is empty")
     labels = [label for _, label in examples]
-    num_classes = max(labels) + 1
     if min(labels) < 0:
         raise InputError("labels must be non-negative class indices")
-    if num_classes < 2:
-        num_classes = 2
+    present = sorted(set(labels))
+    if present != [1]:
+        for missing, label in enumerate(present):
+            if label != missing:
+                raise InputError(f"label {label} leaves class {missing} with no training example")
+    num_classes = max(2, present[-1] + 1)
 
     vocab = Vocabulary.build([toks for toks, _ in examples], EMBED_DIM)
     rng = np.random.default_rng(config.seed)
@@ -387,7 +392,7 @@ def train_toy(
     # only through the sentences that carry it (on the bundled corpus, the
     # 69.5% shorter than 13 tokens), and nothing pulls the all-PAD
     # baseline toward a uniform prediction: there it predicts class 1 with
-    # p = 0.98. Baseline neutrality is not enforced (ROADMAP item 3).
+    # p = 0.98. Baseline neutrality is not enforced (ROADMAP item 5).
     max_len = max(len(toks) for toks, _ in examples)
     token_ids = np.asarray(
         [

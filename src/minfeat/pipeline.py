@@ -13,8 +13,9 @@ integer weights) is computed once per refine; the draws form one
 (n_iter, P) matrix over the P positive pairs, and its n_iter perturbed
 bounds u2' are summed left to right in pair order, row by row. The
 iterations' exclusions are one (n_iter, P) boolean matrix over the same
-pairs, and the excluded scores and candidate frequencies are row sums
-and column sums of it.
+pairs: its rows give the excluded scores, and its columns give each
+pair's share of the candidate sets, from which the retained pairs and
+their frequencies are read.
 
 cidr_without_refinement, the no-refinement ablation, runs the same core
 once: one greedy exclusion under the unperturbed bound.
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .attribution import Pair, PairScoreMap, cooperative_integrated_gradients
+from .attribution import DEFAULT_STEPS, Pair, PairScoreMap, cooperative_integrated_gradients
 from .errors import ConfigError, InputError, InternalError, check_field_types
 from .knapsack import quantize, solve_dp, solve_greedy
 from .model import Instance, Model
@@ -52,7 +53,7 @@ class CidrConfig:
     t: float = 0.5
     epsilon: float = 0.5
     n_iter: int = 10
-    steps: int = 50
+    steps: int = DEFAULT_STEPS
     q: int = 3
     seed: int = 0
 
@@ -78,12 +79,13 @@ class CidrConfig:
 class MinimalFeatureSet:
     """Final retained pairs with their candidate-set frequencies.
 
-    words is the flat sorted union of pair members. candidate_frequencies
-    covers every pair that appeared in any candidate set, retained or
-    not. pair_scores holds the instance's score arrays and the class they
-    were scored for (target_class); the cooperative score of a pair
-    (i, j) is pair_scores.cig[i, j]. u1 and u2 are the unperturbed
-    attribution bounds.
+    frequencies is aligned with pairs: frequencies[r] is the share of the
+    candidate sets that kept pairs[r]. The share of any other positive
+    pair is its column share of excluded's complement. words is the flat
+    sorted union of pair members. pair_scores holds the instance's score
+    arrays and the class they were scored for (target_class); the
+    cooperative score of a pair (i, j) is pair_scores.cig[i, j]. u1 and
+    u2 are the unperturbed attribution bounds.
 
     The iterations are arrays with one row or entry per knapsack
     repetition: excluded is an (n_iter, P) boolean matrix over
@@ -97,8 +99,7 @@ class MinimalFeatureSet:
     """
 
     pairs: tuple[Pair, ...]
-    frequencies: Mapping[Pair, float]
-    candidate_frequencies: Mapping[Pair, float]
+    frequencies: tuple[float, ...]
     words: tuple[int, ...]
     u1: float
     u2: float
@@ -259,14 +260,14 @@ def _assemble(
     """
     n_iter = len(excluded)
     weights = pair_map.cig[pair_map.positive_index]
-    kept = (n_iter - excluded.sum(axis=0)).tolist()
-    # positive_pairs is ascending, so the mapping is in sorted pair order.
-    frequencies = {p: count / n_iter for p, count in zip(pair_map.positive_pairs, kept) if count}
-    retained = tuple(p for p in frequencies if frequencies[p] >= config.epsilon)
+    # One share per positive pair, in pair order; count / n_iter divides
+    # Python ints, so each share is the correctly rounded quotient.
+    shares = [count / n_iter for count in (n_iter - excluded.sum(axis=0)).tolist()]
+    kept = [r for r, share in enumerate(shares) if share >= config.epsilon]
+    retained = tuple(pair_map.positive_pairs[r] for r in kept)
     return MinimalFeatureSet(
         pairs=retained,
-        frequencies={p: frequencies[p] for p in retained},
-        candidate_frequencies=frequencies,
+        frequencies=tuple(shares[r] for r in kept),
         words=tuple(sorted({pos for pair in retained for pos in pair})),
         u1=u1,
         u2=u2,
@@ -330,7 +331,7 @@ def refine(
         columns = range(len(positive))
         instances = quantize(columns, weights, values[solved], solver_capacities[solved], config.q)
         for k, instance_k in zip(solved.tolist(), instances):
-            excluded[k, list(solve_dp(instance_k).selected)] = True
+            excluded[k, list(solve_dp(instance_k))] = True
     return _assemble(config, pair_map, u1, u2, u2_prime, excluded)
 
 

@@ -5,17 +5,18 @@ from __future__ import annotations
 import numpy as np
 
 from minfeat.errors import InputError
-from minfeat.knapsack import KnapsackInstance, KnapsackSolution
+from minfeat.knapsack import KnapsackInstance
 
 BRUTEFORCE_MAX_ITEMS = 20
 
 
-def solve_bruteforce(instance: KnapsackInstance) -> KnapsackSolution:
+def solve_bruteforce(instance: KnapsackInstance) -> tuple:
     """Exhaustive oracle over all subsets, same tie-break as solve_dp.
 
     Refuses instances above 20 items. Subset index bit k set means item k
     selected; among equal-value feasible subsets the smallest index wins,
-    which matches the prefer-not-selecting backtrack.
+    which matches the prefer-not-selecting backtrack. Returns the
+    selected item ids of a maximum-value subset, in item order.
     """
     n = len(instance.items)
     if n > BRUTEFORCE_MAX_ITEMS:
@@ -31,9 +32,4 @@ def solve_bruteforce(instance: KnapsackInstance) -> KnapsackSolution:
     values = np.where(feasible, subset_value, -np.inf)
     # argmax returns the first (smallest) index among ties
     best_mask = int(np.argmax(values))
-    selected = tuple(instance.items[k] for k in range(n) if best_mask >> k & 1)
-    return KnapsackSolution(
-        selected=selected,
-        value=float(subset_value[best_mask]),
-        weight=int(subset_weight[best_mask]),
-    )
+    return tuple(instance.items[k] for k in range(n) if best_mask >> k & 1)

@@ -36,8 +36,7 @@ class OracleResult:
     """What refine returns, with the iterations as records."""
 
     pairs: tuple
-    frequencies: dict
-    candidate_frequencies: dict
+    frequencies: tuple
     words: tuple
     u1: float
     u2: float
@@ -66,8 +65,7 @@ def assemble(config, pair_map, u1, u2, iterations) -> OracleResult:
     retained = tuple(p for p in frequencies if frequencies[p] >= config.epsilon)
     return OracleResult(
         pairs=retained,
-        frequencies={p: frequencies[p] for p in retained},
-        candidate_frequencies=frequencies,
+        frequencies=tuple(frequencies[p] for p in retained),
         words=tuple(sorted({pos for pair in retained for pos in pair})),
         u1=u1,
         u2=u2,
@@ -132,6 +130,6 @@ def refine_per_iteration(model, instance, config, pair_map=None):
         excluded = ()
         if solver_capacity > 0.0:
             instance_k = quantize_one(positive, weights, values, solver_capacity, config.q)
-            excluded = solve_dp(instance_k).selected
+            excluded = solve_dp(instance_k)
         iterations.append(iteration_record(k, pair_map, u2p, capacity, excluded))
     return assemble(config, pair_map, u1, u2, iterations)

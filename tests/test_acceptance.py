@@ -140,8 +140,9 @@ def test_04_dp_knapsack_matches_exhaustive_search(capsys):
             values=tuple(float(v) for v in rng.integers(1, 50, size=n)),
             capacity=int(rng.integers(0, 80)),
         )
-        dp, brute = solve_dp(inst), solve_bruteforce(inst)
-        if dp.value != brute.value or dp.selected != brute.selected:
+        # The oracle's selection maximises value, so equal selections
+        # mean equal values.
+        if solve_dp(inst) != solve_bruteforce(inst):
             mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 5.0
@@ -233,10 +234,10 @@ def test_06_refinement_feasibility_audit(capsys, toy_model, toy_instances):
             audited += 1
         if mfs.excluded.shape != (config.n_iter, len(positive)):
             violations.append(f"instance {idx}: exclusion matrix of shape {mfs.excluded.shape}")
-        for pair in mfs.pairs:
+        for pair, frequency in zip(mfs.pairs, mfs.frequencies):
             if not cig[pair] > 0.0:
                 violations.append(f"instance {idx}: retained pair {pair} has cig <= 0")
-            if not mfs.frequencies[pair] >= config.epsilon:
+            if not frequency >= config.epsilon:
                 violations.append(f"instance {idx}: pair {pair} below frequency threshold")
     elapsed = time.perf_counter() - start
     ok = not violations and elapsed < 300.0

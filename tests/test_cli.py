@@ -165,6 +165,19 @@ class TestTrain:
         assert code == 2
         assert "learning_rate" in capsys.readouterr().err
 
+    def test_label_above_an_empty_class_exits_2(self, tmp_path, capsys):
+        # Labels 0 and 10**12 would ask for 10**12 + 1 output classes; the
+        # gap is named before any parameter is allocated.
+        corpus = tmp_path / "gap.jsonl"
+        corpus.write_text(
+            '{"id":"a","text":"good plot","label":0}\n{"id":"b","text":"bad plot","label":1000000000000}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "m.json"
+        assert main(["train", "--corpus", str(corpus), "--out", str(out)]) == 2
+        assert "label 1000000000000 leaves class 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _drop_w2(payload):
     del payload["w2"]

@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 
 from knapsack_oracle import solve_bruteforce
 from minfeat.errors import ConfigError, InputError
-from minfeat.knapsack import (
-    KnapsackInstance,
-    KnapsackSolution,
-    quantize,
-    solve_dp,
-    solve_greedy,
-)
+from minfeat.knapsack import KnapsackInstance, quantize, solve_dp, solve_greedy
 
 
 def random_integer_instance(rng: np.random.Generator, max_items: int = 12) -> KnapsackInstance:
@@ -149,6 +143,12 @@ class TestQuantize:
             quantize(("a",), (1.0,), [[1.0, 2.0]], (1.0,), 0)
 
 
+def value_and_weight(inst: KnapsackInstance, selected: tuple) -> tuple[float, int]:
+    """A selection's value and weight, summed from the instance's fields."""
+    chosen = [inst.items.index(item) for item in selected]
+    return sum(inst.values[k] for k in chosen), sum(inst.weights[k] for k in chosen)
+
+
 class TestSolveDp:
     def test_textbook_instance(self):
         inst = KnapsackInstance(
@@ -157,47 +157,42 @@ class TestSolveDp:
             values=(3.0, 4.0, 5.0, 6.0),
             capacity=5,
         )
-        sol = solve_dp(inst)
-        assert sol.value == 7.0
-        assert sol.selected == ("a", "b")
-        assert sol.weight == 5
+        selected = solve_dp(inst)
+        assert selected == ("a", "b")
+        assert value_and_weight(inst, selected) == (7.0, 5)
 
     def test_empty_and_zero_capacity(self):
         empty = KnapsackInstance(items=(), weights=(), values=(), capacity=10)
-        assert solve_dp(empty) == KnapsackSolution(selected=(), value=0.0, weight=0)
+        assert solve_dp(empty) == ()
         zero = KnapsackInstance(items=("a",), weights=(1,), values=(1.0,), capacity=0)
-        assert solve_dp(zero).selected == ()
+        assert solve_dp(zero) == ()
 
     def test_item_heavier_than_capacity_skipped(self):
         inst = KnapsackInstance(items=("a", "b"), weights=(9, 1), values=(100.0, 1.0), capacity=5)
-        sol = solve_dp(inst)
-        assert sol.selected == ("b",)
+        assert solve_dp(inst) == ("b",)
 
     def test_tie_prefers_not_selecting(self):
         # Both items alone reach value 5; the smaller membership bitmask
         # keeps the earlier item.
         inst = KnapsackInstance(items=("a", "b"), weights=(3, 3), values=(5.0, 5.0), capacity=3)
-        assert solve_dp(inst).selected == ("a",)
-        assert solve_bruteforce(inst).selected == ("a",)
+        assert solve_dp(inst) == ("a",)
+        assert solve_bruteforce(inst) == ("a",)
 
     def test_solution_weight_within_capacity(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             inst = random_integer_instance(rng)
-            sol = solve_dp(inst)
-            assert sol.weight <= inst.capacity
-            chosen = [inst.items.index(item) for item in sol.selected]
-            assert sol.weight == sum(inst.weights[k] for k in chosen)
-            assert sol.value == pytest.approx(sum(inst.values[k] for k in chosen))
+            selected = solve_dp(inst)
+            assert value_and_weight(inst, selected)[1] <= inst.capacity
+            # Selected ids come in item order, each once.
+            chosen = [inst.items.index(item) for item in selected]
+            assert chosen == sorted(set(chosen))
 
     def test_matches_bruteforce_on_fixed_draws(self):
         rng = np.random.default_rng(123)
         for _ in range(100):
             inst = random_integer_instance(rng)
-            dp = solve_dp(inst)
-            bf = solve_bruteforce(inst)
-            assert dp.value == pytest.approx(bf.value)
-            assert dp.selected == bf.selected
+            assert solve_dp(inst) == solve_bruteforce(inst)
 
     def test_all_fit_selects_every_item(self):
         rng = np.random.default_rng(7)
@@ -209,11 +204,7 @@ class TestSolveDp:
             inst = KnapsackInstance(
                 items=tuple(range(n)), weights=weights, values=values, capacity=capacity
             )
-            dp = solve_dp(inst)
-            bf = solve_bruteforce(inst)
-            assert dp.selected == inst.items == bf.selected
-            assert dp.weight == sum(weights) == bf.weight
-            assert dp.value == pytest.approx(bf.value, rel=1e-12)
+            assert solve_dp(inst) == inst.items == solve_bruteforce(inst)
 
     def test_nonpositive_values_rejected(self):
         # The all-fit shortcut in solve_dp relies on every value being positive.
@@ -231,10 +222,7 @@ class TestSolveDp:
         inst = KnapsackInstance(
             items=tuple(range(n)), weights=weights, values=values, capacity=capacity
         )
-        dp = solve_dp(inst)
-        bf = solve_bruteforce(inst)
-        assert dp.value == pytest.approx(bf.value)
-        assert dp.selected == bf.selected
+        assert solve_dp(inst) == solve_bruteforce(inst)
 
 
 class TestBruteforce:

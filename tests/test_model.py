@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_random_instance, make_random_model
 from minfeat import build_toy_corpus, tokenize
+from minfeat import model as model_module
 from minfeat.errors import ConfigError, InputError, NumericError
 from minfeat.model import (
     PAD_TOKEN,
@@ -482,6 +483,28 @@ class TestTrainToy:
     def test_negative_label_rejected(self):
         with pytest.raises(InputError):
             train_toy([(["a"], -1)], TrainConfig())
+
+    @pytest.mark.parametrize(
+        "labels, named",
+        [((0, 10**12), "label 1000000000000 leaves class 1"), ((0, 2), "label 2 leaves class 1"),
+         ((2,), "label 2 leaves class 0"), ((1, 3), "label 1 leaves class 0")],
+    )
+    def test_label_above_an_empty_class_rejected_before_allocation(self, monkeypatch, labels, named):
+        # One class per integer up to the largest label: a label of 10**12
+        # would ask for a (10**12 + 1, H) output layer.
+        def no_allocation(*args):
+            raise AssertionError("parameters allocated before the labels were checked")
+
+        monkeypatch.setattr(model_module, "_init_model", no_allocation)
+        with pytest.raises(InputError, match=named):
+            train_toy([(["a"], label) for label in labels], TrainConfig())
+
+    @pytest.mark.parametrize("labels", [(0,), (1,), (1, 0, 1)])
+    def test_two_classes_without_a_gap_accepted(self, labels):
+        # A corpus labelled 1 alone trains a two-class model, as one
+        # labelled 0 alone does.
+        model = train_toy([(["a"], label) for label in labels], TrainConfig(epochs=1))
+        assert model.w2.shape[0] == 2
 
     @pytest.mark.parametrize(
         "examples, config",

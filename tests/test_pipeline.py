@@ -302,17 +302,23 @@ class TestRefine:
     def test_retained_pairs_are_positive_and_frequent(self, toy_model, toy_instances):
         cfg = CidrConfig(n_iter=5, steps=12)
         mfs = refine(toy_model, toy_instances[1], cfg)
-        for pair in mfs.pairs:
+        assert len(mfs.frequencies) == len(mfs.pairs)
+        for pair, frequency in zip(mfs.pairs, mfs.frequencies):
             assert mfs.pair_scores.cig[pair] > 0
-            assert mfs.frequencies[pair] >= cfg.epsilon
+            assert frequency >= cfg.epsilon
         assert mfs.words == tuple(sorted({w for p in mfs.pairs for w in p}))
 
-    def test_candidate_frequencies_cover_retained(self, toy_model, toy_instances):
-        mfs = refine(toy_model, toy_instances[2], CidrConfig(n_iter=5, steps=12))
-        for pair, freq in mfs.frequencies.items():
-            assert mfs.candidate_frequencies[pair] == freq
-        for freq in mfs.candidate_frequencies.values():
-            assert 0.0 < freq <= 1.0
+    def test_frequencies_are_column_shares_of_excluded(self, toy_model, toy_instances):
+        # A pair is retained exactly when the share of candidate sets that
+        # keep it (its column of excluded, negated) reaches epsilon, and
+        # its frequency is that share.
+        cfg = CidrConfig(n_iter=5, steps=12)
+        mfs = refine(toy_model, toy_instances[2], cfg)
+        shares = dict(zip(mfs.pair_scores.positive_pairs, (~mfs.excluded).mean(axis=0).tolist()))
+        assert shares
+        assert mfs.pairs == tuple(p for p, share in shares.items() if share >= cfg.epsilon)
+        assert mfs.frequencies == tuple(shares[p] for p in mfs.pairs)
+        assert all(0.0 < f <= 1.0 for f in mfs.frequencies)
 
     @pytest.mark.parametrize("method", [refine, cidr_without_refinement])
     def test_single_token_instance_degenerate(self, toy_model, method):
@@ -325,7 +331,7 @@ class TestRefine:
         assert mfs.words == ()
         assert mfs.excluded.shape == (0, 0)
         assert mfs.u2_prime.shape == mfs.capacities.shape == mfs.excluded_scores.shape == (0,)
-        assert mfs.candidate_frequencies == {}
+        assert mfs.frequencies == ()
         assert (mfs.u1, mfs.u2) == (0.0, 0.0)
 
     def test_precomputed_pair_map_matches_internal(self, toy_model, toy_instances):
@@ -384,9 +390,8 @@ def record_facts(oracle) -> tuple:
 
 def bitwise(mfs, iterations: tuple) -> tuple:
     """Every fact refine returns, floats as their exact hex form."""
-    frequencies = tuple((p, f.hex()) for p, f in mfs.frequencies.items())
-    candidates = tuple((p, f.hex()) for p, f in mfs.candidate_frequencies.items())
-    return (mfs.u1.hex(), mfs.u2.hex(), mfs.pairs, frequencies, candidates, mfs.words, iterations,
+    frequencies = tuple(f.hex() for f in mfs.frequencies)
+    return (mfs.u1.hex(), mfs.u2.hex(), mfs.pairs, frequencies, mfs.words, iterations,
             mfs.target_class, mfs.degenerate)
 
 
@@ -445,7 +450,7 @@ class TestGreedyVariant:
 
     def test_retained_frequencies_are_one(self, toy_model, toy_instances):
         mfs = cidr_without_refinement(toy_model, toy_instances[5], CidrConfig(steps=12))
-        assert all(f == 1.0 for f in mfs.frequencies.values())
+        assert mfs.frequencies == (1.0,) * len(mfs.pairs)
 
     def test_single_iteration_recorded(self, toy_model, toy_instances):
         mfs = cidr_without_refinement(toy_model, toy_instances[6], CidrConfig(steps=12))
