@@ -46,22 +46,19 @@ ROW_BLOCK = 512
 class Vocabulary:
     """Token-to-index map with a reserved PAD slot.
 
-    Indices are dense 0..V-1 and the PAD index never collides with a word
-    index.
+    Indices are dense 0..V-1 and pad_index is the index of PAD_TOKEN, so
+    it never collides with a word index.
     """
 
     token_to_index: dict[str, int]
     pad_index: int
-    embed_dim: int
 
     def __post_init__(self) -> None:
         indices = sorted(self.token_to_index.values())
         if indices != list(range(len(indices))):
             raise InputError("vocabulary indices must be dense 0..V-1")
-        if self.pad_index not in self.token_to_index.values():
-            raise InputError("pad index missing from vocabulary")
-        if self.embed_dim < 1:
-            raise InputError("embedding dimension must be positive")
+        if self.token_to_index.get(PAD_TOKEN) != self.pad_index:
+            raise InputError(f"pad_index {self.pad_index} is not vocab[{PAD_TOKEN!r}]")
 
     @property
     def size(self) -> int:
@@ -72,7 +69,7 @@ class Vocabulary:
         return self.token_to_index.get(token, self.pad_index)
 
     @classmethod
-    def build(cls, token_lists: Sequence[Sequence[str]], embed_dim: int) -> "Vocabulary":
+    def build(cls, token_lists: Sequence[Sequence[str]]) -> "Vocabulary":
         """Build a vocabulary from tokenized texts, PAD first at index 0.
 
         Word order is sorted, so the result does not depend on corpus order.
@@ -80,7 +77,7 @@ class Vocabulary:
         words = sorted({tok for toks in token_lists for tok in toks if tok != PAD_TOKEN})
         mapping = {PAD_TOKEN: 0}
         mapping.update({tok: i + 1 for i, tok in enumerate(words)})
-        return cls(token_to_index=mapping, pad_index=0, embed_dim=embed_dim)
+        return cls(token_to_index=mapping, pad_index=0)
 
 
 @dataclass(frozen=True)
@@ -103,18 +100,6 @@ class Instance:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-
-def embed(table: np.ndarray, tokens: Sequence[int]) -> np.ndarray:
-    """Row-wise embedding lookup: a copy of each token's table row."""
-    idx = np.asarray(tokens, dtype=np.intp)
-    if idx.size == 0:
-        raise InputError("cannot embed an empty token sequence")
-    if idx.min() < 0 or idx.max() >= table.shape[0]:
-        raise InputError(
-            f"token index out of range: got {int(idx.max())}, vocabulary size {table.shape[0]}"
-        )
-    return np.array(table[idx], dtype=np.float64, copy=True)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -142,10 +127,10 @@ class Model:
     """Mean-pool -> affine -> tanh -> affine -> softmax classifier.
 
     Immutable after training by convention: every method is pure.
+    The embedding width d is embedding.shape[1], stored nowhere else.
     `forward` and `input_gradient` take one (n, d) sentence; the output
-    depends on it only through its (d,) pooled mean,
-    so `pooled_gradient` takes a (B, d) stack of pooled vectors,
-    `path_gradients` integrates straight paths of pooled vectors, and
+    depends on it only through its (d,) pooled mean, so
+    `path_gradients` integrates straight paths of pooled vectors and
     `removal_probabilities` scores the removals of many sentences in one
     head call. In a call of two or more rows, a row's result does not
     depend on the rows that share the call; a one-row call, like
@@ -175,7 +160,13 @@ class Model:
         return np.tile(self.embedding[self.vocab.pad_index], (n, 1))
 
     def embed(self, tokens: Sequence[int]) -> np.ndarray:
-        return embed(self.embedding, tokens)
+        """Row-wise embedding lookup: a copy of each token's row."""
+        idx = np.asarray(tokens, dtype=np.intp)
+        if idx.size == 0:
+            raise InputError("cannot embed an empty token sequence")
+        if idx.min() < 0 or idx.max() >= len(self.embedding):
+            raise InputError(f"token indices {idx.min()}..{idx.max()} outside [0, {len(self.embedding)})")
+        return np.asarray(self.embedding[idx], dtype=np.float64)
 
     def _check_input(self, embeddings: np.ndarray) -> np.ndarray:
         """Validate one (n, d) sentence or one (B, d) stack of pooled vectors."""
@@ -218,25 +209,16 @@ class Model:
         """Class probability vector for one embedded sentence."""
         return self._head(self._check_input(embeddings).mean(axis=0))[1]
 
-    def pooled_gradient(self, pooled: np.ndarray, target_class: int) -> np.ndarray:
-        """Exact gradient of the target probability w.r.t. each pooled vector.
-
-        Maps a (B, d) stack of pooled vectors to (B, d) gradients, one row
-        per input: reverse-mode accumulation through the softmax head and
-        both affine layers.
-        """
-        arr = self._check_input(pooled)
-        self._check_class(target_class)
-        return self._pre_gradient(arr @ self.w1.T + self.b1, target_class) @ self.w1
-
     def path_gradients(
         self, start: np.ndarray, offsets: np.ndarray, steps: int, target_class: int
     ) -> np.ndarray:
         """Trapezoid-weighted gradient sums along straight paths in pooled space.
 
         Row p of the (P, d) result is the sum over k = 0..steps of
-        w_k * pooled_gradient(start + (k / steps) * offsets[p]), with
-        w_k = 1/2 at both ends and 1 between (a sum, not divided by steps).
+        w_k * g(start + (k / steps) * offsets[p]), with
+        w_k = 1/2 at both ends and 1 between (a sum, not divided by steps),
+        where g is the gradient of the target probability w.r.t. a pooled
+        vector (n times a row of input_gradient).
         The first layer is affine, so the pre-activations along path p
         are a + alpha * b_p, with a = start W1^T + b1 and b_p = offsets[p]
         W1^T: no point in pooled space is built, the trapezoid sum is taken
@@ -280,11 +262,14 @@ class Model:
     def input_gradient(self, embeddings: np.ndarray, target_class: int) -> np.ndarray:
         """Exact gradient of forward(...)[target_class] w.r.t. every input entry.
 
-        Takes one (n, d) sentence. Mean pooling spreads the pooled gradient
-        evenly, so every row is that gradient divided by n.
+        Takes one (n, d) sentence. Reverse mode runs through the softmax
+        head and both affine layers to the pooled mean, and mean pooling
+        spreads that gradient evenly, so every row is it divided by n.
         """
         arr = self._check_input(embeddings)
-        grad = self.pooled_gradient(arr.mean(axis=0, keepdims=True), target_class)
+        self._check_class(target_class)
+        pre = arr.mean(axis=0, keepdims=True) @ self.w1.T + self.b1
+        grad = self._pre_gradient(pre, target_class) @ self.w1
         return np.repeat(grad / len(arr), len(arr), axis=0)
 
     def removal_probabilities(
@@ -344,8 +329,9 @@ class TrainConfig:
             raise ConfigError("seed must lie in [0, 2**64)")
 
 
-def _init_model(vocab: Vocabulary, hidden_dim: int, num_classes: int, rng: np.random.Generator) -> Model:
-    d = vocab.embed_dim
+def _init_model(
+    vocab: Vocabulary, d: int, hidden_dim: int, num_classes: int, rng: np.random.Generator
+) -> Model:
     return Model(
         vocab=vocab,
         embedding=rng.normal(scale=0.1, size=(vocab.size, d)),
@@ -383,9 +369,9 @@ def train_toy(
                 raise InputError(f"label {label} leaves class {missing} with no training example")
     num_classes = max(2, present[-1] + 1)
 
-    vocab = Vocabulary.build([toks for toks, _ in examples], EMBED_DIM)
+    vocab = Vocabulary.build([toks for toks, _ in examples])
     rng = np.random.default_rng(config.seed)
-    model = _init_model(vocab, HIDDEN_DIM, num_classes, rng)
+    model = _init_model(vocab, EMBED_DIM, HIDDEN_DIM, num_classes, rng)
 
     # Pad every sequence to the longest one, so a minibatch is one (B, L)
     # block and every row pools over L positions. The PAD row is trained
@@ -431,13 +417,12 @@ def train_toy(
 def training_accuracy(model: Model, examples: Sequence[tuple[Sequence[str], int]]) -> float:
     """Share of examples whose predicted class is their label.
 
-    Unknown words count as PAD; every example is mean-pooled on its own
-    and the head scores them all in one call.
+    Unknown words count as PAD; every example is scored with nothing
+    removed, all in one removal_probabilities call.
     """
-    pooled = np.stack(
-        [model.embed([model.vocab.index_or_pad(t) for t in tokens]).mean(axis=0) for tokens, _ in examples]
-    )
-    predicted = np.argmax(model._head(model._check_input(pooled))[1], axis=1)
+    instances = [instance_from_words(model, tokens, label)[0] for tokens, label in examples]
+    keep_all = [np.zeros((1, len(instance)), dtype=bool) for instance in instances]
+    predicted = np.argmax(model.removal_probabilities(instances, keep_all), axis=1)
     return int(np.sum(predicted == [label for _, label in examples])) / len(examples)
 
 
@@ -481,15 +466,19 @@ _REQUIRED_KEYS = ("vocab", "pad_index", "embed_dim", "hidden_dim", "num_classes"
 
 
 def _check_parameters(
-    vocab: Vocabulary, hidden_dim: int, num_classes: int, params: Mapping[str, np.ndarray]
+    vocab: Vocabulary, d: int, h: int, c: int, params: Mapping[str, np.ndarray]
 ) -> None:
-    """Reject parameters whose shapes disagree with the declared dimensions.
+    """Reject declared dimensions below their least values (one class
+    explains nothing) and parameters whose shapes disagree with them.
 
     The forward pass and the gradients trust these shapes, so a
     mismatch must stop at load time instead of broadcasting or failing
     deep inside a run.
     """
-    v, d, h, c = vocab.size, vocab.embed_dim, hidden_dim, num_classes
+    for field, value, least in (("embed_dim", d, 1), ("hidden_dim", h, 1), ("num_classes", c, 2)):
+        if value < least:
+            raise InputError(f"model checkpoint {field} must be >= {least}, got {value}")
+    v = vocab.size
     expected = {
         "embedding": ((v, d), "(V, d)"),
         "w1": ((h, d), "(H, d)"),
@@ -503,7 +492,6 @@ def _check_parameters(
                 f"model checkpoint {name!r} has shape {params[name].shape}, expected {symbols} = "
                 f"{shape} from vocab size V, embed_dim d, hidden_dim H and num_classes C"
             )
-    for name in _PARAMETERS:
         if not np.isfinite(params[name]).all():
             raise NumericError(f"model checkpoint {name!r} contains non-finite values")
 
@@ -514,6 +502,15 @@ def _checkpoint_int(value: Any, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"model checkpoint {field} must be an integer, got {value!r}")
     return value
+
+
+def _checkpoint_array(value: Any, field: str) -> np.ndarray:
+    """A checkpoint parameter as a float64 array; a ragged or non-numeric
+    list, or an integer beyond float range, is rejected naming the field."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"model checkpoint {field!r} is not a numeric array: {exc}") from exc
 
 
 def load_model(path: str) -> Model:
@@ -531,11 +528,9 @@ def load_model(path: str) -> Model:
         raise InputError(f"model checkpoint is not valid JSON: {exc}") from exc
     if not isinstance(payload, Mapping) or "format_version" not in payload:
         raise InputError("model checkpoint missing mandatory format_version field")
-    if payload["format_version"] != CHECKPOINT_FORMAT_VERSION:
-        raise InputError(
-            f"unsupported checkpoint version {payload['format_version']}, "
-            f"expected {CHECKPOINT_FORMAT_VERSION}"
-        )
+    version = payload["format_version"]
+    if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
+        raise InputError(f"unsupported checkpoint version {version!r}, expected {CHECKPOINT_FORMAT_VERSION}")
     missing = [key for key in _REQUIRED_KEYS if key not in payload]
     if missing:
         raise InputError(f"model checkpoint missing required keys: {missing}")
@@ -545,12 +540,10 @@ def load_model(path: str) -> Model:
                 str(k): _checkpoint_int(v, f"vocab[{k!r}]") for k, v in payload["vocab"].items()
             },
             pad_index=_checkpoint_int(payload["pad_index"], "pad_index"),
-            embed_dim=_checkpoint_int(payload["embed_dim"], "embed_dim"),
         )
-        hidden_dim = _checkpoint_int(payload["hidden_dim"], "hidden_dim")
-        num_classes = _checkpoint_int(payload["num_classes"], "num_classes")
-        params = {name: np.asarray(payload[name], dtype=np.float64) for name in _PARAMETERS}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InputError(f"model checkpoint has a malformed field: {exc}") from exc
-    _check_parameters(vocab, hidden_dim, num_classes, params)
+    except AttributeError as exc:
+        raise InputError(f"model checkpoint vocab is not a mapping: {exc}") from exc
+    dims = [_checkpoint_int(payload[key], key) for key in ("embed_dim", "hidden_dim", "num_classes")]
+    params = {name: _checkpoint_array(payload[name], name) for name in _PARAMETERS}
+    _check_parameters(vocab, *dims, params)
     return Model(vocab=vocab, **params)

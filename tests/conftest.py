@@ -21,7 +21,7 @@ def make_random_model(seed: int, vocab_size: int = 8, embed_dim: int = 5, hidden
     """Small random-weight model for tests where training is overkill."""
     rng = np.random.default_rng(seed)
     words = [f"w{k}" for k in range(vocab_size)]
-    vocab = Vocabulary.build([words], embed_dim=embed_dim)
+    vocab = Vocabulary.build([words])
     return Model(
         vocab=vocab,
         embedding=rng.normal(0.0, 1.0, size=(vocab_size + 1, embed_dim)),

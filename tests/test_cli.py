@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minfeat
 from minfeat.cli import main
@@ -216,6 +218,20 @@ def _float_vocab_index(payload):
     payload["vocab"][word] = 3.4
 
 
+def _one_class(payload):
+    payload["num_classes"] = 1
+    payload["w2"] = payload["w2"][:1]
+    payload["b2"] = payload["b2"][:1]
+
+
+def _beyond_float_in_b1(payload):
+    payload["b1"][0] = 10**400
+
+
+def _beyond_float_in_embedding(payload):
+    payload["embedding"][1][0] = -(10**400)
+
+
 class TestExplain:
     def _explain(self, cli_env, out, extra=()):
         return main(
@@ -330,6 +346,20 @@ class TestExplain:
             (_set("embed_dim", 16.7), "embed_dim"),
             (_whole_float_hidden_dim, "hidden_dim"),
             (_float_vocab_index, "vocab"),
+            # Dimensions below their least values: a width of zero, and
+            # one class, whose every attribution and metric is zero.
+            (_set("embed_dim", 0), "embed_dim must be >= 1"),
+            (_set("hidden_dim", 0), "hidden_dim must be >= 1"),
+            (_one_class, "num_classes must be >= 2"),
+            # The PAD embedding is the IG baseline and every removal.
+            (_set("pad_index", 5), "pad_index 5 is not vocab['[pad]']"),
+            # JSON integers beyond float range.
+            (_beyond_float_in_b1, "'b1' is not a numeric array"),
+            (_beyond_float_in_embedding, "'embedding' is not a numeric array"),
+            # Only the JSON integer 1, not "1", 1.0 or true.
+            (_set("format_version", "1"), "unsupported checkpoint version '1', expected 1"),
+            (_set("format_version", 1.0), "unsupported checkpoint version 1.0"),
+            (_set("format_version", True), "unsupported checkpoint version True"),
         ],
     )
     def test_invalid_checkpoint_exits_2(self, cli_env, tmp_path, capsys, corrupt, named):
@@ -354,6 +384,48 @@ class TestExplain:
         assert code == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    # A finite parameter near the float maximum can overflow a pooled sum:
+    # numpy warns, and the run stops on the non-finite check with exit 2.
+    # Outside pytest's warnings-as-errors that warning is only printed.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @given(data=st.data())
+    @settings(max_examples=80)
+    def test_corrupted_checkpoint_exits_0_or_2(self, cli_env, data):
+        # One checkpoint field, vocabulary entry or parameter entry takes
+        # a wrong-typed, out-of-range or huge value: the load names it
+        # (exit 2), or the run explains on (exit 0), never a traceback.
+        payload = json.loads(cli_env["model"].read_text(encoding="utf-8"))
+        target = data.draw(st.sampled_from(["field", "vocab", "embedding", "w1", "b1", "w2", "b2"]))
+        if target == "field":
+            container, key = payload, data.draw(st.sampled_from(sorted(payload)))
+        elif target == "vocab":
+            container, key = payload["vocab"], data.draw(st.sampled_from(sorted(payload["vocab"])))
+        else:
+            container = payload[target]
+            if isinstance(container[0], list):
+                container = container[data.draw(st.integers(0, len(container) - 1))]
+            key = data.draw(st.integers(0, len(container) - 1))
+        container[key] = data.draw(_BAD_CHECKPOINT_VALUES)
+        root = cli_env["root"]
+        model, corpus, config = (root / f"fuzz-{name}" for name in ("model.json", "corpus.jsonl", "config.json"))
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        two_records = cli_env["corpus"].read_text(encoding="utf-8").splitlines(True)[:2]
+        corpus.write_text("".join(two_records), encoding="utf-8")
+        config.write_text(json.dumps({"steps": 4, "n_iter": 2}), encoding="utf-8")
+        args = ["explain", "--corpus", str(corpus), "--model", str(model), "--config", str(config)]
+        assert main(args + ["--out", str(root / "fuzz-reports.jsonl")]) in (0, 2)
+
+
+_BAD_CHECKPOINT_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.sampled_from([[], {}, [[]], [1.0, [2.0]]]),
+    st.integers(-3, 40),
+    st.sampled_from([2**63, 2**64, 10**400, -(10**400)]),
+    st.floats(),
+)
 
 
 class TestEvaluate:

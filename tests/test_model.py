@@ -19,7 +19,6 @@ from minfeat.model import (
     Vocabulary,
     _init_model,
     _softmax,
-    embed,
     instance_from_words,
     load_model,
     save_model,
@@ -48,9 +47,9 @@ def reference_train(examples, config: TrainConfig, embed_dim: int = 16, hidden_d
     own forward and backward pass into five zero-filled accumulators.
     """
     labels = [label for _, label in examples]
-    vocab = Vocabulary.build([toks for toks, _ in examples], embed_dim)
+    vocab = Vocabulary.build([toks for toks, _ in examples])
     rng = np.random.default_rng(config.seed)
-    model = _init_model(vocab, hidden_dim, max(max(labels) + 1, 2), rng)
+    model = _init_model(vocab, embed_dim, hidden_dim, max(max(labels) + 1, 2), rng)
     max_len = max(len(toks) for toks, _ in examples)
     token_ids = [
         np.asarray(
@@ -94,7 +93,7 @@ def reference_train(examples, config: TrainConfig, embed_dim: int = 16, hidden_d
 
 class TestVocabulary:
     def test_build_puts_pad_first_and_sorts_words(self):
-        vocab = Vocabulary.build([["b", "a"], ["c", "a"]], embed_dim=4)
+        vocab = Vocabulary.build([["b", "a"], ["c", "a"]])
         assert vocab.token_to_index[PAD_TOKEN] == 0
         assert vocab.pad_index == 0
         assert [w for w, _ in sorted(vocab.token_to_index.items(), key=lambda kv: kv[1])] == [
@@ -105,41 +104,43 @@ class TestVocabulary:
         ]
 
     def test_build_is_order_insensitive(self):
-        a = Vocabulary.build([["x", "y", "z"]], embed_dim=3)
-        b = Vocabulary.build([["z"], ["y", "x"]], embed_dim=3)
+        a = Vocabulary.build([["x", "y", "z"]])
+        b = Vocabulary.build([["z"], ["y", "x"]])
         assert a.token_to_index == b.token_to_index
 
     def test_index_or_pad_falls_back(self):
-        vocab = Vocabulary.build([["a"]], embed_dim=2)
+        vocab = Vocabulary.build([["a"]])
         assert vocab.index_or_pad("a") == 1
         assert vocab.index_or_pad("missing") == vocab.pad_index
 
     def test_sparse_indices_rejected(self):
         with pytest.raises(InputError):
-            Vocabulary(token_to_index={PAD_TOKEN: 0, "a": 2}, pad_index=0, embed_dim=2)
+            Vocabulary(token_to_index={PAD_TOKEN: 0, "a": 2}, pad_index=0)
 
-    def test_nonpositive_dim_rejected(self):
-        with pytest.raises(InputError):
-            Vocabulary(token_to_index={PAD_TOKEN: 0}, pad_index=0, embed_dim=0)
+    @pytest.mark.parametrize("mapping, pad_index", [({PAD_TOKEN: 0, "a": 1}, 1), ({"a": 0, "b": 1}, 0)])
+    def test_pad_index_must_be_the_pad_entry(self, mapping, pad_index):
+        with pytest.raises(InputError, match="pad_index"):
+            Vocabulary(token_to_index=mapping, pad_index=pad_index)
 
 
 class TestEmbed:
     def test_out_of_range_token_rejected(self):
-        table = np.zeros((3, 2))
-        with pytest.raises(InputError):
-            embed(table, [0, 3])
-        with pytest.raises(InputError):
-            embed(table, [-1])
+        model = make_random_model(1, vocab_size=2)  # three embedding rows
+        for tokens in ([0, 3], [-1]):
+            with pytest.raises(InputError, match=r"outside \[0, 3\)"):
+                model.embed(tokens)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(InputError):
-            embed(np.zeros((3, 2)), [])
+            make_random_model(1).embed([])
 
     def test_returns_copy(self):
-        table = np.ones((2, 2))
-        rows = embed(table, [1, 1])
-        rows[0, 0] = 99.0
-        assert table[1, 0] == 1.0
+        model = make_random_model(1)
+        before = model.embedding[1, 0]
+        rows = model.embed([1, 1])
+        rows[0, 0] = before + 99.0
+        assert model.embedding[1, 0] == before
+        assert np.array_equal(rows[1], model.embedding[1])
 
 
 class TestForward:
@@ -171,7 +172,7 @@ class TestForward:
             model.forward(bad)
 
     def test_predicted_class_tie_goes_to_lower_index(self):
-        vocab = Vocabulary.build([["a"]], embed_dim=2)
+        vocab = Vocabulary.build([["a"]])
         model = Model(
             vocab=vocab,
             embedding=np.zeros((2, 2)),
@@ -302,35 +303,20 @@ class TestInputGradient:
     def test_bad_class_index_rejected(self):
         model = make_random_model(9)
         inst = make_random_instance(model, 10)
-        pooled = np.stack([inst.embeddings.mean(axis=0)] * 3)
-        for gradient, arr in ((model.input_gradient, inst.embeddings), (model.pooled_gradient, pooled)):
+        for target in (2, -1):
             with pytest.raises(InputError):
-                gradient(arr, 2)
-            with pytest.raises(InputError):
-                gradient(arr, -1)
+                model.input_gradient(inst.embeddings, target)
 
-    def test_pooled_stack_matches_per_sentence_gradients(self):
-        # Row b of a pooled stack is n times any row of sentence b's input
-        # gradient; the batched product rounds within a few ulps of it.
-        rng = np.random.default_rng(31)
-        for seed in range(4):
-            model = make_random_model(seed)
-            sentences = rng.normal(0.0, 1.0, size=(7, 6, model.embed_dim))
-            for target in (0, 1):
-                pooled = model.pooled_gradient(sentences.mean(axis=1), target)
-                assert pooled.shape == (7, model.embed_dim)
-                separate = np.stack([model.input_gradient(x, target)[0] * 6 for x in sentences])
-                assert np.abs(pooled - separate).max() <= 1e-15
-
-    def test_pooled_gradient_non_finite_rejected(self):
+    def test_non_finite_rejected(self):
         model = make_random_model(11)
-        pooled = np.zeros((4, model.embed_dim))
-        pooled[3, 1] = np.nan
-        with pytest.raises(NumericError):
-            model.pooled_gradient(pooled, 0)
+        for bad in (np.nan, np.inf, -np.inf):
+            sentence = np.zeros((4, model.embed_dim))
+            sentence[3, 1] = bad
+            with pytest.raises(NumericError):
+                model.input_gradient(sentence, 0)
 
     # (2, 3, 5) is a well-formed stack of sentences: input_gradient takes
-    # one sentence, and a path goes through pooled_gradient instead.
+    # one sentence, and paths go through path_gradients instead.
     @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), (2, 3, 6), (1, 2, 3, 5), (3, 4), (2, 3, 5)])
     def test_bad_shape_rejected(self, shape):
         model = make_random_model(12)  # embed_dim 5
@@ -339,14 +325,15 @@ class TestInputGradient:
 
 
 def per_point_path_sums(model, start, offsets, steps, target):
-    """Reference for path_gradients: one pooled_gradient call per path
-    point, weighted 1/2 at both ends and 1 between, added in order."""
+    """Reference for path_gradients: one input_gradient call per path point
+    (a one-row sentence, whose gradient is the pooled one), weighted 1/2
+    at both ends and 1 between, added in order."""
     sums = np.zeros_like(offsets)
     for p, offset in enumerate(offsets):
         for k in range(steps + 1):
             weight = 0.5 if k in (0, steps) else 1.0
             point = start + (k / steps) * offset
-            sums[p] += weight * model.pooled_gradient(point[np.newaxis], target)[0]
+            sums[p] += weight * model.input_gradient(point[np.newaxis], target)[0]
     return sums
 
 
@@ -556,6 +543,21 @@ class TestTrainToy:
             hits += model.predicted_class(model.embed(ids)) == label
         assert 0.0 < hits / len(examples) < 1.0
         assert training_accuracy(model, examples) == hits / len(examples)
+
+    def test_accuracy_scores_in_one_removal_call(self, toy_model, toy_corpus, monkeypatch):
+        from minfeat.model import training_accuracy
+
+        calls = []
+        score = Model.removal_probabilities
+
+        def counted(self, instances, masks):
+            calls.append(len(instances))
+            return score(self, instances, masks)
+
+        monkeypatch.setattr(Model, "removal_probabilities", counted)
+        examples = [(tokenize(r.text), r.label) for r in toy_corpus]
+        training_accuracy(toy_model, examples)
+        assert calls == [len(examples)]
 
 
 class TestInstances:
