@@ -24,11 +24,13 @@ maps a (d,) pooled start and a (P, d) stack of pooled offsets to the
 (P, d) trapezoid-weighted sums of the target probability's gradient
 along each path (see Model.path_gradients). All n + 1 paths of a record
 go to one path_gradients call; the model splits them into blocks of
-whole paths, at most ROW_BLOCK points each (model.py). A path's row does
-not depend on the paths that share the call, so integrated_gradients
-equals cooperative_integrated_gradients(...).ig bit for bit. Tokens with
-equal embeddings get bitwise equal scores in every family. A non-finite
-score in any family raises NumericError.
+whole paths, at most ROW_BLOCK points each (model.py), and sums each
+path's gradients as one (H, S) @ (S, C) product over its S = steps + 1
+points, hidden units by classes. A path's row does not depend on the
+paths that share the call, so integrated_gradients equals
+cooperative_integrated_gradients(...).ig bit for bit. Tokens with equal
+embeddings get bitwise equal scores in every family. A non-finite score
+in any family raises NumericError.
 """
 
 from __future__ import annotations
@@ -115,9 +117,13 @@ def _path_scores(model, instance: Instance, target_class: int, steps: int, leave
     n = len(instance)
     baseline = model.baseline_embeddings(n)
     delta = instance.embeddings - baseline
-    total = delta.sum(axis=0)
+    # Finite rows near the float maximum can sum to inf; path_gradients
+    # then names the non-finite start or offset.
+    with np.errstate(over="ignore"):
+        total = delta.sum(axis=0)
+        start = baseline.mean(axis=0)
     offsets = (np.vstack([total, total - delta]) if leave_one_out else total[np.newaxis]) / n
-    sums = model.path_gradients(baseline.mean(axis=0), offsets, steps, target_class)
+    sums = model.path_gradients(start, offsets, steps, target_class)
     scores = (delta * sums[:, np.newaxis, :]).sum(axis=2) / (steps * n)
     if not np.isfinite(scores).all():
         raise NumericError("attribution scores contain non-finite values")

@@ -122,7 +122,7 @@ def quantize(
     cells = (len(weights) + 1) * (largest + 1)
     if cells > MAX_TABLE_CELLS:
         raise ConfigError(
-            f"quantized capacity {largest:.0f} needs {cells:.0f} table cells "
+            f"quantized capacity {largest:.3g} needs {cells:.3g} table cells "
             f"(limit {MAX_TABLE_CELLS}); lower the quantization digits"
         )
     if not np.isfinite(scaled_weights).all():

@@ -33,13 +33,16 @@ HIDDEN_DIM = 16
 
 # Most path points one block of path_gradients takes (a longer path goes
 # alone). Per-call overhead dominates small blocks and cache misses large
-# ones: on one core of a loaded 2-vCPU host, a block cost about 1000-1150
-# ns per point at 51 points, 290-430 at 301, 250-360 at 510, 260-370 at
-# 903 and 550-675 at 3913. 512 puts ten 51-point IG paths in a block and
-# leaves a 301-point path alone. 1024 made 13-path calls faster in
-# isolation but not explain-fine end to end (2 of 5 paired perfbench
-# runs, median 257 -> 234 records/s), so 512 stays.
-ROW_BLOCK = 512
+# ones: on one pinned core of a 2-vCPU Xeon host (2 MiB L2 per core), a
+# one-block call of 301-point paths cost about 440 ns per point at 301
+# points, 320 at 602, 265 at 903, 240 at 1204, 215 at 1505, 200 at 2408
+# and 360 at 4214; of 51-point paths, 1930 at 51, 395 at 510, 315 at
+# 1020 and 270 at 1530. On 14 paths, explain-fine's usual record, 1536
+# took 190 ns per point at 301 points against 215 for 1024 and 190 for
+# 2048 (medians of 40 interleaved rounds); at 51 points every size from
+# 714 up is one block. 1536 puts five 301-point paths or thirty 51-point
+# paths in a block.
+ROW_BLOCK = 1536
 
 
 @dataclass(frozen=True)
@@ -103,22 +106,23 @@ class Instance:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, so a (B, C) stack gives one row per input.
+    """Softmax over the first (class) axis: a (C,) vector, or a (C, ...)
+    stack with one input per trailing position.
 
-    The max and the sum over classes run as a loop over the C columns, each
-    step one elementwise operation on all rows: numpy reduces a short last
-    axis row by row, which made the reductions most of the softmax's cost
-    on a 301-row stack. For C <= 7 the result is bitwise that of
-    logits.max(-1) and exp.sum(-1), which add fewer than 8 numbers in order.
+    The max and the sum over classes run as a loop over the C class
+    rows, each step one elementwise operation on all inputs: numpy
+    reduces a short axis input by input, which made the reductions most
+    of the softmax's cost on a 301-input stack. For C <= 7 the result is
+    bitwise that of logits.max(0) and exp.sum(0), which add fewer than 8
+    numbers in order. A (B, C) caller passes its transpose.
     """
-    columns = range(1, logits.shape[-1])
-    top = logits[..., :1]
-    for k in columns:
-        top = np.maximum(top, logits[..., k : k + 1])
+    top = logits[0]
+    for k in range(1, len(logits)):
+        top = np.maximum(top, logits[k])
     exp = np.exp(logits - top)
-    total = exp[..., :1].copy()
-    for k in columns:
-        total += exp[..., k : k + 1]
+    total = exp[0].copy()
+    for k in range(1, len(logits)):
+        total += exp[k]
     return exp / total
 
 
@@ -136,8 +140,11 @@ class Model:
     depend on the rows that share the call; a one-row call, like
     `forward`, is a matrix-vector product, which can round differently
     in the last bit (by up to 2.2e-16 on the toy model's probabilities).
-    `path_gradients` keeps each path's row independent of the other
-    paths, one path included.
+    Every gradient goes through one kernel: `path_gradients` integrates
+    its paths class-first, with (H, p, S) hidden activations and a
+    (C, rows) head, and `input_gradient` is one zero-offset path of one
+    step through it. `path_gradients` keeps each path's row independent
+    of the other paths, one path included.
     """
 
     vocab: Vocabulary
@@ -182,32 +189,47 @@ class Model:
     def _head(self, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hidden activations and class probabilities of a (d,) pooled vector
         or a (B, d) stack of them, one row per input."""
-        return self._activate(pooled @ self.w1.T + self.b1)
-
-    def _activate(self, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The head above the first affine layer: hidden activations and
-        class probabilities of first-layer pre-activations."""
-        hidden = np.tanh(pre)
-        return hidden, _softmax(hidden @ self.w2.T + self.b2)
+        hidden = np.tanh(pooled @ self.w1.T + self.b1)
+        return hidden, _softmax((hidden @ self.w2.T + self.b2).T).T
 
     def _check_class(self, target_class: int) -> None:
         if not 0 <= target_class < self.num_classes:
             raise InputError(f"class index {target_class} out of range [0, {self.num_classes})")
 
-    def _pre_gradient(self, pre: np.ndarray, target_class: int) -> np.ndarray:
-        """Gradient of the target probability w.r.t. a (B, H) stack of
-        first-layer pre-activations, one row per input: reverse mode
-        through the softmax head and the tanh layer."""
-        hidden, probs = self._activate(pre)  # (B, H), (B, C)
-        # d p_c / d logits = p_c * (onehot(c) - p)
-        p_target = probs[:, target_class : target_class + 1]
-        grad_logits = -p_target * probs
-        grad_logits[:, target_class] += p_target[:, 0]
-        return (grad_logits @ self.w2) * (1.0 - hidden**2)
+    def _class_sums(self, pre: np.ndarray, weights: np.ndarray, target_class: int) -> np.ndarray:
+        """One block of path_gradients: a (H, p, S) block of first-layer
+        pre-activations, p paths of S points each, gives the (p, H, C)
+        sums over each path's points of weights[s] * (1 - h**2) p_c p_k,
+        with h = tanh(pre), c the target class and k every class.
+
+        The gradient of p_c w.r.t. the pre-activations is
+        (1 - h**2) * sum_k (w2[c] - w2[k]) p_c p_k, so contracting the
+        result with the (H, C) matrix w2[c] - w2.T gives each path's
+        weighted gradient sum. Scaling the (C, rows) probabilities by p_c
+        and the weights makes each path's sum one (H, S) @ (S, C)
+        product; the tanh and 1 - h**2 are the only elementwise steps on
+        (H, rows) arrays. pre is overwritten.
+        """
+        h, p, s = pre.shape
+        hidden = np.tanh(pre, out=pre)
+        # (rows, H) @ (H, C), as in _head: OpenBLAS rounds a column of
+        # the (C, H) @ (H, rows) product differently with the block's
+        # width, which would tie a path's row to its block. The bias add
+        # then writes contiguous class rows, which the softmax reads
+        # about 1.2 times as fast as the product's strided ones.
+        logits = (hidden.reshape(h, -1).T @ self.w2.T).T
+        probs = _softmax(np.add(logits, self.b2[:, np.newaxis], order="C")).reshape(-1, p, s)
+        scaled = probs * (probs[target_class] * weights)  # (C, p, S)
+        slope = np.subtract(1.0, np.square(hidden, out=hidden), out=hidden)
+        return np.matmul(slope.transpose(1, 0, 2), scaled.transpose(1, 2, 0))
 
     def forward(self, embeddings: np.ndarray) -> np.ndarray:
         """Class probability vector for one embedded sentence."""
-        return self._head(self._check_input(embeddings).mean(axis=0))[1]
+        # Finite rows near the float maximum can pool to inf; the first
+        # check of a non-finite value downstream names the cause.
+        with np.errstate(over="ignore"):
+            pooled = self._check_input(embeddings).mean(axis=0)
+        return self._head(pooled)[1]
 
     def path_gradients(
         self, start: np.ndarray, offsets: np.ndarray, steps: int, target_class: int
@@ -221,13 +243,18 @@ class Model:
         vector (n times a row of input_gradient).
         The first layer is affine, so the pre-activations along path p
         are a + alpha * b_p, with a = start W1^T + b1 and b_p = offsets[p]
-        W1^T: no point in pooled space is built, the trapezoid sum is taken
-        over the (H,) pre-activation gradients, and each path's sum is
-        mapped back to d once. Paths run in blocks of whole paths of at
-        most ROW_BLOCK points (a longer path alone). A path's row does not
-        depend on the paths that share the call: start is projected
-        together with the offsets, so the projection is never a one-row
-        product, and the back-projection is elementwise.
+        W1^T: no point in pooled space is built. Paths run in blocks of
+        whole paths of at most ROW_BLOCK points (a longer path alone),
+        laid out class-first: a block's hidden activations are (H, p, S),
+        with S = steps + 1, and its probabilities (C, rows). Each path's
+        trapezoid sum is one (H, S) @ (S, C) product (see _class_sums);
+        after the last block, one contraction with w2[c] - w2.T turns the
+        (P, H, C) products into (H,) pre-activation gradient sums, each
+        mapped back to d once. A path's row does not depend on the paths
+        that share the call: start is projected together with the
+        offsets, so the projection is never a one-row product, the head
+        product's rows are points, each path has its own (H, S) @ (S, C)
+        product, and the rest is elementwise.
 
         Raises InputError for a start that is not (d,), offsets that are
         not (P, d), steps that is not an integer >= 1 or a bad class, and NumericError for a
@@ -246,30 +273,31 @@ class Model:
         if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
             raise InputError(f"step count must be an integer >= 1, got {steps!r}")
         self._check_class(target_class)
-        projected = np.vstack([start, offsets]) @ self.w1.T  # (1 + P, H)
-        origin = projected[0] + self.b1
-        alphas = np.arange(steps + 1)[:, np.newaxis] / steps
+        projected = (np.vstack([start, offsets]) @ self.w1.T).T  # (H, 1 + P)
+        origin = (projected[:, 0] + self.b1)[:, np.newaxis, np.newaxis]
+        alphas = np.arange(steps + 1) / steps
         weights = np.ones(steps + 1)
         weights[[0, -1]] = 0.5
         per_call = max(1, ROW_BLOCK // (steps + 1))
-        sums = np.empty((len(offsets), len(origin)))
+        per_class = np.empty((len(offsets), len(self.b1), self.num_classes))
         for first in range(0, len(offsets), per_call):
-            pre = origin + alphas * projected[1 + first : 1 + first + per_call, np.newaxis, :]
-            grads = self._pre_gradient(pre.reshape(-1, len(origin)), target_class)
-            sums[first : first + per_call] = weights @ grads.reshape(pre.shape)
+            pre = projected[:, 1 + first : 1 + first + per_call, np.newaxis] * alphas
+            pre += origin
+            per_class[first : first + per_call] = self._class_sums(pre, weights, target_class)
+        spread = self.w2[target_class][:, np.newaxis] - self.w2.T  # (H, C)
+        sums = (per_class * spread).sum(axis=2)  # (P, H)
         return (sums[:, :, np.newaxis] * self.w1).sum(axis=1)
 
     def input_gradient(self, embeddings: np.ndarray, target_class: int) -> np.ndarray:
         """Exact gradient of forward(...)[target_class] w.r.t. every input entry.
 
-        Takes one (n, d) sentence. Reverse mode runs through the softmax
-        head and both affine layers to the pooled mean, and mean pooling
-        spreads that gradient evenly, so every row is it divided by n.
+        Takes one (n, d) sentence. The gradient at its pooled mean is one
+        zero-offset path of one step through path_gradients (both ends
+        weighted 1/2), and mean pooling spreads it evenly, so every row
+        is it divided by n.
         """
         arr = self._check_input(embeddings)
-        self._check_class(target_class)
-        pre = arr.mean(axis=0, keepdims=True) @ self.w1.T + self.b1
-        grad = self._pre_gradient(pre, target_class) @ self.w1
+        grad = self.path_gradients(arr.mean(axis=0), np.zeros((1, arr.shape[1])), 1, target_class)
         return np.repeat(grad / len(arr), len(arr), axis=0)
 
     def removal_probabilities(
@@ -462,7 +490,7 @@ def save_model(model: Model, path: str) -> None:
 
 
 _PARAMETERS = ("embedding", "w1", "b1", "w2", "b2")
-_REQUIRED_KEYS = ("vocab", "pad_index", "embed_dim", "hidden_dim", "num_classes") + _PARAMETERS
+_REQUIRED_KEYS = ("pad_token", "vocab", "pad_index", "embed_dim", "hidden_dim", "num_classes") + _PARAMETERS
 
 
 def _check_parameters(
@@ -534,6 +562,8 @@ def load_model(path: str) -> Model:
     missing = [key for key in _REQUIRED_KEYS if key not in payload]
     if missing:
         raise InputError(f"model checkpoint missing required keys: {missing}")
+    if payload["pad_token"] != PAD_TOKEN:
+        raise InputError(f"model checkpoint pad_token {payload['pad_token']!r} is not {PAD_TOKEN!r}")
     try:
         vocab = Vocabulary(
             token_to_index={

@@ -17,7 +17,9 @@ settings.register_profile(
 settings.load_profile("default")
 
 
-def make_random_model(seed: int, vocab_size: int = 8, embed_dim: int = 5, hidden_dim: int = 6) -> Model:
+def make_random_model(
+    seed: int, vocab_size: int = 8, embed_dim: int = 5, hidden_dim: int = 6, num_classes: int = 2
+) -> Model:
     """Small random-weight model for tests where training is overkill."""
     rng = np.random.default_rng(seed)
     words = [f"w{k}" for k in range(vocab_size)]
@@ -27,9 +29,21 @@ def make_random_model(seed: int, vocab_size: int = 8, embed_dim: int = 5, hidden
         embedding=rng.normal(0.0, 1.0, size=(vocab_size + 1, embed_dim)),
         w1=rng.normal(0.0, 0.7, size=(hidden_dim, embed_dim)),
         b1=rng.normal(0.0, 0.2, size=hidden_dim),
-        w2=rng.normal(0.0, 0.7, size=(2, hidden_dim)),
-        b2=rng.normal(0.0, 0.2, size=2),
+        w2=rng.normal(0.0, 0.7, size=(num_classes, hidden_dim)),
+        b2=rng.normal(0.0, 0.2, size=num_classes),
     )
+
+
+def reference_pooled_gradient(model: Model, pooled: np.ndarray, target: int) -> np.ndarray:
+    """Gradient of the target probability at one (d,) pooled vector, by
+    textbook reverse mode through the softmax, the tanh layer and the
+    first affine layer, apart from the model's own gradient code."""
+    hidden = np.tanh(model.w1 @ pooled + model.b1)
+    logits = model.w2 @ hidden + model.b2
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
+    grad_logits = probs[target] * (np.eye(len(probs))[target] - probs)
+    return ((grad_logits @ model.w2) * (1.0 - hidden**2)) @ model.w1
 
 
 def make_random_instance(model: Model, seed: int, length: int | None = None) -> Instance:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_instance, make_random_model
+from conftest import make_random_instance, make_random_model, reference_pooled_gradient
 from minfeat.attribution import (
     DEFAULT_STEPS,
     PairScoreMap,
@@ -117,16 +117,18 @@ class TestIntegratedGradients:
 
 def per_point_scores(model, instance, removed, target_class, steps):
     """Reference: token scores along the path to the input with "removed"
-    padded out (None pads nothing), one (n, d) input_gradient call per
-    path point, summed in order."""
+    padded out (None pads nothing), the textbook gradient at every path
+    point's pooled mean (each row's share is it divided by n), summed in
+    order."""
     start = model.baseline_embeddings(len(instance))
     end = np.array(instance.embeddings, copy=True)
     if removed is not None:
         end[removed] = start[removed]
-    total = np.zeros_like(start)
+    total = np.zeros(start.shape[1])
     for k in range(steps + 1):
         weight = 0.5 if k in (0, steps) else 1.0
-        total += weight * model.input_gradient(start + (k / steps) * (end - start), target_class)
+        point = (start + (k / steps) * (end - start)).mean(axis=0)
+        total += weight * reference_pooled_gradient(model, point, target_class) / len(instance)
     return ((end - start) * total / steps).sum(axis=1)
 
 
@@ -155,39 +157,37 @@ class TestTrapezoid:
             assert np.abs(pm.loo - (expected - np.diag(expected))).max() < 1e-15
 
     def test_endpoint_weights_are_halved(self):
-        # With 1 panel the average must be (g(start) + g(end)) / 2. The
-        # first layer is the identity, so a pre-activation is its pooled
-        # point, and the PAD row is zero, so the path starts at 0.
+        # With 1 panel the sum is (g(start) + g(end)) / 2. The PAD row is
+        # zero, so the path starts at 0 and ends at the pooled input
+        # (1, 1), where the gradient differs enough that weighting either
+        # end 1 or 0 would miss the expected score by far.
         model = make_random_model(44, embed_dim=2, hidden_dim=2)
         model.embedding[model.vocab.pad_index] = 0.0
-        model.w1, model.b1 = np.eye(2), np.zeros(2)
-
-        def two_point_gradient(pre, target_class):
-            # 1 where the point sums to 0, else 3, in every direction.
-            at_zero = pre.sum(axis=1, keepdims=True) == 0
-            return np.where(at_zero, 1.0, 3.0) * np.ones_like(pre)
-
-        model._pre_gradient = two_point_gradient
-        # Each of the 2 tokens scores (1, 1) . (2, 2) / 2 = 2.
+        g_start = reference_pooled_gradient(model, np.zeros(2), 0)
+        g_end = reference_pooled_gradient(model, np.ones(2), 0)
+        assert min(abs(g_start.sum()), abs(g_end.sum()), abs(g_start.sum() - g_end.sum())) > 0.01
+        # Each of the 2 tokens scores (1, 1) . (g_start + g_end) / 2 / 2.
+        expected = (g_start + g_end).sum() / 4.0
         ig = integrated_gradients(model, linear_instance(np.ones((2, 2))), 0, steps=1)
-        assert np.abs(ig - 2.0).max() < 1e-15
+        assert np.abs(ig - expected).max() < 1e-15
 
 
 class TestRowBlocks:
-    @pytest.mark.parametrize("steps, calls", [(50, 2), (300, 13), (511, 13), (600, 13)])
+    @pytest.mark.parametrize("steps, calls", [(50, 1), (300, 3), (511, 5), (600, 7), (1600, 13)])
     def test_whole_paths_per_gradient_call(self, steps, calls):
-        # n = 12 gives 13 paths of steps + 1 points: ten 51-point paths
-        # fit in one ROW_BLOCK call, a 301-point path or longer goes alone.
+        # n = 12 gives 13 paths of steps + 1 points: at most ROW_BLOCK
+        # points of whole paths share a block (thirty 51-point paths, five
+        # 301-point ones), and a path longer than ROW_BLOCK goes alone.
         model = make_random_model(50)
         inst = make_random_instance(model, 51, length=12)
         rows = []
-        pre_gradient = model._pre_gradient
+        class_sums = model._class_sums
 
-        def counting(pre, target_class):
-            rows.append(len(pre))
-            return pre_gradient(pre, target_class)
+        def counting(pre, weights, target_class):
+            rows.append(pre.shape[1] * pre.shape[2])
+            return class_sums(pre, weights, target_class)
 
-        model._pre_gradient = counting
+        model._class_sums = counting
         cooperative_integrated_gradients(model, inst, 0, beta=0.5, steps=steps)
         assert len(rows) == calls
         assert sum(rows) == 13 * (steps + 1)

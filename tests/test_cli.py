@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -360,30 +361,48 @@ class TestExplain:
             (_set("format_version", "1"), "unsupported checkpoint version '1', expected 1"),
             (_set("format_version", 1.0), "unsupported checkpoint version 1.0"),
             (_set("format_version", True), "unsupported checkpoint version True"),
+            # The loader pads with PAD_TOKEN, the checkpoint's own [pad].
+            (_set("pad_token", "xyz"), "model checkpoint pad_token 'xyz' is not '[pad]'"),
         ],
     )
     def test_invalid_checkpoint_exits_2(self, cli_env, tmp_path, capsys, corrupt, named):
         payload = json.loads(cli_env["model"].read_text(encoding="utf-8"))
         corrupt(payload)
+        assert self._explain_with_checkpoint(cli_env, tmp_path, payload) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def _explain_with_checkpoint(self, cli_env, tmp_path, payload, corpus=None):
+        """Exit code of explain into tmp_path/r.jsonl with payload as the
+        checkpoint, on the fixture's corpus unless one is given."""
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(payload), encoding="utf-8")
-        out = tmp_path / "r.jsonl"
-        code = main(
-            [
-                "explain",
-                "--corpus",
-                str(cli_env["corpus"]),
-                "--model",
-                str(bad),
-                "--out",
-                str(out),
-                "--config",
-                str(cli_env["config"]),
-            ]
+        args = ["explain", "--corpus", str(corpus or cli_env["corpus"]), "--model", str(bad)]
+        return main(args + ["--out", str(tmp_path / "r.jsonl"), "--config", str(cli_env["config"])])
+
+    def test_huge_embedding_entry_names_the_cell_limit_in_one_line(self, cli_env, tmp_path, capsys):
+        # An entry of 1e200 scales a knapsack capacity past any table;
+        # the message prints the capacity and cell count in short form.
+        payload = json.loads(cli_env["model"].read_text(encoding="utf-8"))
+        payload["embedding"][1][0] = 1e200
+        assert self._explain_with_checkpoint(cli_env, tmp_path, payload) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(
+            rf"error: quantized capacity \S{{1,9}} needs \S{{1,9}} table cells \(limit {MAX_TABLE_CELLS}\); "
+            "lower the quantization digits",
+            line,
         )
-        assert code == 2
-        assert named in capsys.readouterr().err
-        assert not out.exists()
+
+    def test_pad_row_near_float_maximum_prints_the_named_error_alone(self, cli_env, tmp_path, capsys):
+        # The baseline and a sentence with two OOV (padded) words pool to
+        # inf without a numpy warning: the non-finite path is the one
+        # message, and no warning turns into an exit 70 under pytest.
+        payload = json.loads(cli_env["model"].read_text(encoding="utf-8"))
+        payload["embedding"][payload["pad_index"]][0] = 1.7e308
+        corpus = tmp_path / "oov.jsonl"
+        corpus.write_text('{"id":"x","text":"zzzz yyyy good nice plot","label":1}\n', encoding="utf-8")
+        assert self._explain_with_checkpoint(cli_env, tmp_path, payload, corpus) == 2
+        assert capsys.readouterr().err == "error: path start or offsets contain non-finite values\n"
 
     # A finite parameter near the float maximum can overflow a pooled sum:
     # numpy warns, and the run stops on the non-finite check with exit 2.

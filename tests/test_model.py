@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_instance, make_random_model
+from conftest import make_random_instance, make_random_model, reference_pooled_gradient
 from minfeat import build_toy_corpus, tokenize
 from minfeat import model as model_module
 from minfeat.errors import ConfigError, InputError, NumericError
 from minfeat.model import (
     PAD_TOKEN,
+    ROW_BLOCK,
     Instance,
     Model,
     TrainConfig,
@@ -325,28 +328,27 @@ class TestInputGradient:
 
 
 def per_point_path_sums(model, start, offsets, steps, target):
-    """Reference for path_gradients: one input_gradient call per path point
-    (a one-row sentence, whose gradient is the pooled one), weighted 1/2
-    at both ends and 1 between, added in order."""
+    """Reference for path_gradients: the textbook pooled gradient at every
+    path point, weighted 1/2 at both ends and 1 between, added in order."""
     sums = np.zeros_like(offsets)
     for p, offset in enumerate(offsets):
         for k in range(steps + 1):
             weight = 0.5 if k in (0, steps) else 1.0
-            point = start + (k / steps) * offset
-            sums[p] += weight * model.input_gradient(point[np.newaxis], target)[0]
+            sums[p] += weight * reference_pooled_gradient(model, start + (k / steps) * offset, target)
     return sums
 
 
 class TestPathGradients:
     @pytest.mark.parametrize("steps", [1, 2, 50, 300, 600])
     def test_matches_per_point_loop(self, steps):
-        # P = 13 and 40 cross block boundaries at every step count.
+        # P = 13 and 40 cross block boundaries at 300 and 600 steps, and
+        # 40 at 50 steps; the head has 2 to 7 classes.
         rng = np.random.default_rng(steps)
-        for paths in (1, 2, 13, 40):
-            model = make_random_model(steps + paths)
+        for classes, paths in itertools.product(range(2, 8), (1, 2, 13, 40)):
+            model = make_random_model(steps + paths, num_classes=classes)
             start = rng.normal(0.0, 1.0, size=model.embed_dim)
             offsets = rng.normal(0.0, 1.0, size=(paths, model.embed_dim))
-            target = paths % 2
+            target = paths % classes
             sums = model.path_gradients(start, offsets, steps, target)
             reference = per_point_path_sums(model, start, offsets, steps, target)
             assert sums.shape == (paths, model.embed_dim)
@@ -355,16 +357,20 @@ class TestPathGradients:
 
     @pytest.mark.parametrize("steps", [1, 50, 300])
     def test_row_does_not_depend_on_other_paths(self, steps):
+        # One path more than a block holds puts a block boundary inside
+        # the stack at every step count; 13 and 40 paths add boundaries
+        # at 50 and 300 steps.
         rng = np.random.default_rng(60)
         for seed in range(3):
             model = make_random_model(seed)
             start = rng.normal(0.0, 1.0, size=model.embed_dim)
-            offsets = rng.normal(0.0, 1.0, size=(13, model.embed_dim))
-            together = model.path_gradients(start, offsets, steps, 1)
-            for p in range(13):
-                alone = model.path_gradients(start, offsets[p : p + 1], steps, 1)
-                assert np.array_equal(alone[0], together[p])
-            assert np.array_equal(model.path_gradients(start, offsets[3:7], steps, 1), together[3:7])
+            for paths in (13, 40, 1 + ROW_BLOCK // (steps + 1)):
+                offsets = rng.normal(0.0, 1.0, size=(paths, model.embed_dim))
+                together = model.path_gradients(start, offsets, steps, 1)
+                for p in range(paths):
+                    alone = model.path_gradients(start, offsets[p : p + 1], steps, 1)
+                    assert np.array_equal(alone[0], together[p])
+                assert np.array_equal(model.path_gradients(start, offsets[3:7], steps, 1), together[3:7])
 
     def test_non_finite_rejected(self):
         model = make_random_model(61)
@@ -405,11 +411,15 @@ class TestSoftmax:
     @pytest.mark.parametrize("classes", range(2, 8))
     def test_bitwise_equal_to_axis_reductions(self, classes):
         rng = np.random.default_rng(classes)
-        for shape in ((classes,), (1, classes), (2, classes), (301, classes)):
+        for shape in ((classes,), (classes, 1), (classes, 2), (classes, 301), (classes, 3, 301)):
             for scale in (1.0, 30.0):
                 logits = rng.normal(0.0, scale, size=shape)
-                exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
-                assert np.array_equal(_softmax(logits), exp / exp.sum(axis=-1, keepdims=True))
+                exp = np.exp(logits - logits.max(axis=0))
+                assert np.array_equal(_softmax(logits), exp / exp.sum(axis=0))
+                # A (B, C) caller passes the transpose and gets its rows back.
+                rows = logits.reshape(classes, -1).T
+                exp = np.exp(rows - rows.max(axis=-1, keepdims=True))
+                assert np.array_equal(_softmax(rows.T).T, exp / exp.sum(axis=-1, keepdims=True))
 
 
 class TestTrainConfig:
