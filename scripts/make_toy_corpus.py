@@ -2,7 +2,9 @@
 
 The corpus is generated deterministically from its seed, so the default
 invocation always reproduces the same 200 sentences the test suite and
-the directional study use.
+the directional study use. A size below 1, a negative seed, lengths that
+cannot fit the keywords or an anchor rate outside [0, 1] exit 2 with a
+usage message naming the argument.
 """
 
 from __future__ import annotations
@@ -33,6 +35,16 @@ def main(argv: list[str] | None = None) -> int:
         help="fraction of sentences carried by a single strong word",
     )
     args = parser.parse_args(argv)
+    if args.size < 1:
+        parser.error(f"--size must be >= 1, got {args.size}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
+    if args.min_len < 3:
+        parser.error(f"--min-len must be >= 3 to fit the keywords, got {args.min_len}")
+    if args.max_len < args.min_len:
+        parser.error(f"--max-len must be >= --min-len ({args.min_len}), got {args.max_len}")
+    if not 0.0 <= args.anchor_rate <= 1.0:
+        parser.error(f"--anchor-rate must lie in [0, 1], got {args.anchor_rate}")
 
     records = build_toy_corpus(
         size=args.size,

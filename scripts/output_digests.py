@@ -5,13 +5,16 @@ at the default config, explain-fine at 300 steps, evaluate-short and
 explain-long), this writes the workload's corpus chunks, trains the model
 on the bundled corpus and runs the workload's ``minfeat`` command on every
 chunk in-process, all through the benchmark's own set-up and run
-functions. Each output gets one ``sha256  workload/seedS/output-K.jsonl``
-line, so two checkouts can be compared with diff:
+functions. The checkpoint the set-up trains gets one
+``sha256  workload/seedS/model.json`` line and each output one
+``sha256  workload/seedS/output-K.jsonl`` line, so two checkouts can be
+compared with diff:
 
     PYTHONPATH=src python3 scripts/output_digests.py --seeds 0 3 7
 
-A change that claims byte-identical outputs should print the same lines
-as its parent commit. ``--workloads`` and ``--chunks`` narrow the run.
+A change that claims byte-identical checkpoints and outputs should print
+the same lines as its parent commit. ``--workloads`` and ``--chunks``
+narrow the run.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
 
-from session import WORKLOADS, Paths, resolved_config, run_command, set_up  # noqa: E402
+from session import WORKLOADS, Paths, file_sha256, resolved_config, run_command, set_up  # noqa: E402
 
 
 def workload_digests(name: str, seed: int, workdir: str, chunks: int | None = None) -> list[str]:
-    """Run one workload's command on its first `chunks` chunks (all by
-    default) under workdir; return one digest line per output."""
+    """Train the workload's model and run its command on its first
+    `chunks` chunks (all by default) under workdir; return one digest
+    line for the checkpoint, then one per output."""
     workload = WORKLOADS[name]
     paths = Paths(workdir, workload)
     with open(paths.config, "w", encoding="utf-8") as fh:
@@ -40,7 +44,7 @@ def workload_digests(name: str, seed: int, workdir: str, chunks: int | None = No
         if set_up(paths, seed) != 0:
             raise SystemExit(f"{name} seed {seed}: minfeat train failed")
         reps = [run_command(paths, k) for k in range(min(workload.chunks, chunks or workload.chunks))]
-    lines = []
+    lines = [f"{file_sha256(paths.model)}  {name}/seed{seed}/{os.path.basename(paths.model)}"]
     for chunk, rep in enumerate(reps):
         if rep["exit_code"] != 0 or rep["sha256"] is None:
             raise SystemExit(f"{name} seed {seed} chunk {chunk}: minfeat exited {rep['exit_code']}")

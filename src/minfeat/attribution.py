@@ -124,7 +124,10 @@ def _path_scores(model, instance: Instance, target_class: int, steps: int, leave
         start = baseline.mean(axis=0)
     offsets = (np.vstack([total, total - delta]) if leave_one_out else total[np.newaxis]) / n
     sums = model.path_gradients(start, offsets, steps, target_class)
-    scores = (delta * sums[:, np.newaxis, :]).sum(axis=2) / (steps * n)
+    # A finite but huge delta times a gradient sum can overflow; the
+    # check below names the non-finite score.
+    with np.errstate(over="ignore"):
+        scores = (delta * sums[:, np.newaxis, :]).sum(axis=2) / (steps * n)
     if not np.isfinite(scores).all():
         raise NumericError("attribution scores contain non-finite values")
     np.fill_diagonal(scores[1:], 0.0)

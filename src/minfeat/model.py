@@ -376,14 +376,17 @@ def train_toy(
 ) -> Model:
     """Train the toy classifier with minibatch SGD on cross-entropy.
 
-    Each minibatch is one matrix step: one gather of its padded token ids,
-    one pass through the model's own head, and every gradient taken from
-    the parameters before the step. Deterministic under a fixed config
-    seed: the same seed yields bitwise identical parameters. The classes
-    are 0 to the largest label, and at least two. Raises InputError for
-    an empty corpus, a negative label, or a label above a class without
-    an example (a corpus labelled 1 alone leaves class 0 empty and is
-    accepted), before any parameter is allocated.
+    Each epoch gathers its padded token ids and one-hot targets once, in
+    permutation order, so a minibatch is a slice of them. Each minibatch
+    is one matrix step: one pass through the model's own head, every
+    gradient taken from the parameters before the step, and one bincount
+    scatter of the pooled gradients into the embedding rows. Deterministic
+    under a fixed config seed: the same seed yields bitwise identical
+    parameters. The classes are 0 to the largest label, and at least
+    two. Raises InputError for an empty corpus, a negative label, or a
+    label above a class without an example (a corpus labelled 1 alone
+    leaves class 0 empty and is accepted), before any parameter is
+    allocated.
     """
     if not examples:
         raise InputError("training corpus is empty")
@@ -415,26 +418,31 @@ def train_toy(
         ],
         dtype=np.intp,
     )
-    y = np.asarray(labels, dtype=np.intp)
+    onehot = np.eye(num_classes)[labels]  # (N, C)
+    columns = np.arange(model.embed_dim)
 
     for _ in range(config.epochs):
         order = rng.permutation(len(examples))
+        epoch_ids, epoch_targets = token_ids[order], onehot[order]
         for start in range(0, len(examples), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            ids = token_ids[batch]  # (B, L)
-            pooled = model.embedding[ids].mean(axis=1)  # (B, d)
+            ids = epoch_ids[start : start + config.batch_size]  # (B, L)
+            # The sum over positions and one division is what mean does.
+            pooled = model.embedding[ids].sum(axis=1) / max_len  # (B, d)
             hidden, probs = model._head(pooled)
             # Cross-entropy gradient at the logits, one row per example.
-            delta = probs.copy()
-            delta[np.arange(len(batch)), y[batch]] -= 1.0
+            delta = probs - epoch_targets[start : start + config.batch_size]
             grad_pre = (delta @ model.w2) * (1.0 - hidden**2)  # (B, H)
             grad_pooled = grad_pre @ model.w1 / max_len  # (B, d)
-            # add.at sums every occurrence of a repeated id (PAD included);
-            # plain fancy-index += would keep only the last one.
-            grad_emb = np.zeros_like(model.embedding)
-            np.add.at(grad_emb, ids, grad_pooled[:, np.newaxis, :])
-            scale = config.learning_rate / len(batch)
-            model.embedding -= scale * grad_emb
+            # Every (b, l) position adds its row's pooled gradient to the
+            # d cells of its id's embedding row, a repeated id (PAD
+            # included) once per occurrence. bincount adds each cell's
+            # entries in (b, l) order starting from 0.0, as np.add.at on
+            # a zeroed (V, d) array does, so the sums are bitwise the same.
+            cells = ids[:, :, np.newaxis] * model.embed_dim + columns  # (B, L, d)
+            weights = np.repeat(grad_pooled, max_len, axis=0)  # (B * L, d)
+            grad_emb = np.bincount(cells.ravel(), weights.ravel(), model.embedding.size)
+            scale = config.learning_rate / len(ids)
+            model.embedding -= scale * grad_emb.reshape(model.embedding.shape)
             model.w1 -= scale * (grad_pre.T @ pooled)
             model.b1 -= scale * grad_pre.sum(axis=0)
             model.w2 -= scale * (delta.T @ hidden)

@@ -404,6 +404,16 @@ class TestExplain:
         assert self._explain_with_checkpoint(cli_env, tmp_path, payload, corpus) == 2
         assert capsys.readouterr().err == "error: path start or offsets contain non-finite values\n"
 
+    def test_word_row_near_float_maximum_prints_the_named_error_alone(self, cli_env, tmp_path, capsys):
+        # A finite word row of -1.7e308 pools and integrates finitely, but
+        # its delta times the path's gradient sum overflows without a
+        # numpy warning: the non-finite score is the one message, and no
+        # warning turns into an exit 70 under pytest.
+        payload = json.loads(cli_env["model"].read_text(encoding="utf-8"))
+        payload["embedding"][1][0] = -1.7e308
+        assert self._explain_with_checkpoint(cli_env, tmp_path, payload) == 2
+        assert capsys.readouterr().err == "error: attribution scores contain non-finite values\n"
+
     # A finite parameter near the float maximum can overflow a pooled sum:
     # numpy warns, and the run stops on the non-finite check with exit 2.
     # Outside pytest's warnings-as-errors that warning is only printed.

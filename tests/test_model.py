@@ -94,6 +94,49 @@ def reference_train(examples, config: TrainConfig, embed_dim: int = 16, hidden_d
     return model
 
 
+def add_at_train(examples, config: TrainConfig) -> Model:
+    """The vectorised minibatch step with an np.add.at scatter, which
+    train_toy's bincount step must match bit for bit.
+
+    Same initialization, draw order and update rule, one matrix step per
+    minibatch; the batch pools with mean, and the embedding gradient is
+    accumulated by np.add.at into a zeroed (V, d) array.
+    """
+    labels = [label for _, label in examples]
+    vocab = Vocabulary.build([toks for toks, _ in examples])
+    rng = np.random.default_rng(config.seed)
+    model = _init_model(vocab, 16, 16, max(max(labels) + 1, 2), rng)
+    max_len = max(len(toks) for toks, _ in examples)
+    token_ids = np.asarray(
+        [
+            [vocab.token_to_index[t] for t in toks] + [vocab.pad_index] * (max_len - len(toks))
+            for toks, _ in examples
+        ],
+        dtype=np.intp,
+    )
+    y = np.asarray(labels, dtype=np.intp)
+    for _ in range(config.epochs):
+        order = rng.permutation(len(examples))
+        for start in range(0, len(examples), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            ids = token_ids[batch]
+            pooled = model.embedding[ids].mean(axis=1)
+            hidden, probs = model._head(pooled)
+            delta = probs.copy()
+            delta[np.arange(len(batch)), y[batch]] -= 1.0
+            grad_pre = (delta @ model.w2) * (1.0 - hidden**2)
+            grad_pooled = grad_pre @ model.w1 / max_len
+            grad_emb = np.zeros_like(model.embedding)
+            np.add.at(grad_emb, ids, grad_pooled[:, np.newaxis, :])
+            scale = config.learning_rate / len(batch)
+            model.embedding -= scale * grad_emb
+            model.w1 -= scale * (grad_pre.T @ pooled)
+            model.b1 -= scale * grad_pre.sum(axis=0)
+            model.w2 -= scale * (delta.T @ hidden)
+            model.b2 -= scale * delta.sum(axis=0)
+    return model
+
+
 class TestVocabulary:
     def test_build_puts_pad_first_and_sorts_words(self):
         vocab = Vocabulary.build([["b", "a"], ["c", "a"]])
@@ -451,6 +494,27 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
 
+# The bundled corpus, and mixed lengths that pad the short rows with one
+# sentence repeating a word, so a batch gathers the same id more than
+# once; 7 examples in batches of 3 leave a last batch of 1.
+TRAINING_CASES = [
+    ([(tokenize(r.text), r.label) for r in build_toy_corpus()], TrainConfig(epochs=3)),
+    (
+        [
+            (["good", "good", "fine"], 1),
+            (["bad"], 0),
+            (["poor", "bad", "awful", "dull", "bad"], 0),
+            (["fine", "great"], 1),
+            (["awful", "poor", "dull"], 0),
+            (["great", "good", "fine", "good"], 1),
+            (["dull"], 0),
+        ],
+        TrainConfig(epochs=6, batch_size=3, seed=9),
+    ),
+]
+TRAINING_CASE_IDS = ["bundled-corpus", "mixed-lengths"]
+
+
 class TestTrainToy:
     def test_deterministic_per_seed(self):
         examples = [(["good", "fine"], 1), (["bad", "poor"], 0)] * 8
@@ -503,36 +567,21 @@ class TestTrainToy:
         model = train_toy([(["a"], label) for label in labels], TrainConfig(epochs=1))
         assert model.w2.shape[0] == 2
 
-    @pytest.mark.parametrize(
-        "examples, config",
-        [
-            (
-                [(tokenize(r.text), r.label) for r in build_toy_corpus()],
-                TrainConfig(epochs=3),
-            ),
-            (
-                # Mixed lengths pad the short rows, and one sentence repeats
-                # a word, so a batch gathers the same id more than once.
-                [
-                    (["good", "good", "fine"], 1),
-                    (["bad"], 0),
-                    (["poor", "bad", "awful", "dull", "bad"], 0),
-                    (["fine", "great"], 1),
-                    (["awful", "poor", "dull"], 0),
-                    (["great", "good", "fine", "good"], 1),
-                    (["dull"], 0),
-                ],
-                TrainConfig(epochs=6, batch_size=3, seed=9),
-            ),
-        ],
-        ids=["bundled-corpus", "mixed-lengths"],
-    )
+    @pytest.mark.parametrize("examples, config", TRAINING_CASES, ids=TRAINING_CASE_IDS)
     def test_matches_per_example_reference(self, examples, config):
         trained = train_toy(examples, config)
         reference = reference_train(examples, config)
         assert trained.vocab == reference.vocab
         for name in ("embedding", "w1", "b1", "w2", "b2"):
             assert np.abs(getattr(trained, name) - getattr(reference, name)).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("examples, config", TRAINING_CASES, ids=TRAINING_CASE_IDS)
+    def test_bitwise_equal_to_add_at_step(self, examples, config):
+        trained = train_toy(examples, config)
+        reference = add_at_train(examples, config)
+        assert trained.vocab == reference.vocab
+        for name in ("embedding", "w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(trained, name), getattr(reference, name)), name
 
     def test_separates_bundled_corpus(self, toy_model, toy_corpus):
         from minfeat.model import training_accuracy

@@ -6,6 +6,8 @@ import importlib.util
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from minfeat.reports import ExplanationReport, MfsEntry, PairScoreEntry, write_reports
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,6 +34,22 @@ def test_make_toy_corpus_writes_every_record(tmp_path):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 200
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [(["--size", "-3"], "--size"), (["--size", "0"], "--size"), (["--seed", "-1"], "--seed"),
+     (["--min-len", "2"], "--min-len"), (["--max-len", "10"], "--max-len"),
+     (["--anchor-rate", "nan"], "--anchor-rate"), (["--anchor-rate", "1.5"], "--anchor-rate")],
+)  # fmt: skip
+def test_make_toy_corpus_rejects_bad_values_naming_the_argument(tmp_path, capsys, argv, named):
+    out = tmp_path / "corpus.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        _load("make_toy_corpus").main(["--out", str(out)] + argv)
+    assert exit_info.value.code == 2
+    (message,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert f"error: {named} must" in message
+    assert not out.exists()
+
+
 def test_directional_study_prints_seed_means(capsys):
     # Only the shape of the output: the figures move whenever the model
     # or the sampler does.
@@ -44,9 +62,10 @@ def test_directional_study_prints_seed_means(capsys):
 def test_output_digests_prints_one_line_per_output(capsys):
     assert _load("output_digests").main(["--seeds", "3", "--workloads", "explain-short", "--chunks", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split("  ")[1] for line in lines] == [f"explain-short/seed3/output-{k}.jsonl" for k in (0, 1)]
+    names = ["model.json"] + [f"output-{k}.jsonl" for k in (0, 1)]
+    assert [line.split("  ")[1] for line in lines] == [f"explain-short/seed3/{name}" for name in names]
     digests = [line.split("  ")[0] for line in lines]
-    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests) and digests[0] != digests[1]
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests) and len(set(digests)) == 3
 
 
 def test_paired_bench_prints_every_metric(capsys):
