@@ -12,7 +12,6 @@ from .corpus import CorpusRecord, load_corpus, save_corpus, tokenize
 from .data import build_toy_corpus
 from .errors import ConfigError, InputError, InternalError, MinfeatError, NumericError
 from .evaluation import METHODS, evaluate_methods, gradient_input_scores
-from .knapsack import KnapsackInstance, quantize, solve_dp, solve_greedy
 from .metrics import (
     MetricsRow,
     RemovalSet,
@@ -52,7 +51,6 @@ __all__ = [
     "InputError",
     "Instance",
     "InternalError",
-    "KnapsackInstance",
     "METHODS",
     "MetricsRow",
     "MinfeatError",
@@ -78,13 +76,10 @@ __all__ = [
     "load_model",
     "log_odds",
     "perturbed_upper_bound",
-    "quantize",
     "refine",
     "sample_perturbations",
     "save_corpus",
     "save_model",
-    "solve_dp",
-    "solve_greedy",
     "tokenize",
     "top_k_baseline",
     "train_toy",

@@ -175,6 +175,9 @@ def evaluate_methods(
         raise ConfigError(f"unknown methods {unknown}; valid names are {list(METHODS)}")
     if not methods:
         raise ConfigError("at least one method is required")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ConfigError(f"methods {repeated} are requested more than once")
     if not instances:
         raise InputError("evaluation needs at least one instance")
 

@@ -1,11 +1,12 @@
 """0/1 knapsack solvers for the pair-exclusion step.
 
-Items are token pairs, weights are their cooperative scores, values are
-the sampled perturbations, and the capacity is the attribution upper
-bound. Real weights are quantized to integers before the dynamic program
-runs; see quantize for the rounding rules. One quantize call builds the
-instances of every refinement iteration at once: the weights are scaled
-once and shared, and only the values and the capacity differ.
+Items are token pairs, named by their position 0..n-1 in the caller's
+pair list; weights are their cooperative scores, values are the sampled
+perturbations, and the capacity is the attribution upper bound. Real
+weights are quantized to integers before the dynamic program runs; see
+quantize for the rounding rules. One quantize call builds the instances
+of every refinement iteration at once: the weights are scaled once and
+shared, and only the values and the capacity differ.
 
 Tie-break of the exact solver: among equal-value selections, prefer
 not selecting an item. Applied per item from the last to the first
@@ -16,8 +17,7 @@ is smallest.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,56 +27,20 @@ from .errors import ConfigError, InputError
 MAX_TABLE_CELLS = 200_000_000
 
 
-def _check_shared(items: tuple, weights: tuple[int, ...], values: np.ndarray) -> None:
-    """The rules on the fields K instances may share: distinct items, one
-    integer weight >= 1 per item, and a (K, P) value matrix, one row of
-    strictly positive values per instance."""
-    n = len(items)
-    if len(weights) != n or values.shape[1:] != (n,):
-        raise InputError("items, weights, and values must have equal length")
-    if len(set(items)) != n:
-        raise InputError("item ids must be distinct")
-    if any(w < 1 for w in weights):
-        raise InputError("integer weights must be >= 1")
-    if not (values > 0).all():
-        raise InputError("values must be strictly positive")
+class KnapsackInstance(NamedTuple):
+    """Integer weights >= 1, positive values, capacity >= 0, as quantize builds them."""
 
-
-@dataclass(frozen=True)
-class KnapsackInstance:
-    """Integer weights >= 1, positive values, capacity >= 0.
-
-    quantize builds one from real weights and a real capacity; it checks
-    the fields its instances share once per call (_check_shared, the rule
-    __post_init__ applies to one row) and builds them through _prechecked,
-    which skips __post_init__.
-    """
-
-    items: tuple[Hashable, ...]
     weights: tuple[int, ...]
     values: tuple[float, ...]
     capacity: int
 
-    def __post_init__(self) -> None:
-        _check_shared(self.items, self.weights, np.array([self.values], dtype=np.float64))
-        if self.capacity < 0:
-            raise InputError("capacity must be non-negative")
-
-    @classmethod
-    def _prechecked(
-        cls, items: tuple, weights: tuple[int, ...], values: tuple[float, ...], capacity: int
-    ) -> "KnapsackInstance":
-        """An instance whose fields _check_shared has already passed; the
-        fields are set as the frozen dataclass __init__ sets them."""
-        instance = object.__new__(cls)
-        fields = {"items": items, "weights": weights, "values": values, "capacity": capacity}
-        for name, value in fields.items():
-            object.__setattr__(instance, name, value)
-        return instance
+    @property
+    def items(self) -> range:
+        """The items are the positions 0..n-1."""
+        return range(len(self.weights))
 
 
 def quantize(
-    items: Sequence[Hashable],
     weights: Sequence[float],
     values: np.ndarray,
     capacities: Sequence[float],
@@ -90,10 +54,9 @@ def quantize(
     Weights round to nearest (half away from zero), each exactly
     max(1, int(floor(w * 10**digits + 0.5))) however large; the capacities
     are floored, so quantization never admits a selection the real
-    capacity would reject by more than the documented slack. The table
-    size guard is applied to the largest capacity. The items, the weights
-    and the whole value matrix are checked once here, not once per
-    instance.
+    capacity would reject by more than the documented slack. The cell
+    guard reads the largest capacity below the integer weight sum: only
+    those solves build a table. Every input is checked once per call.
     """
     weights = np.asarray(weights, dtype=np.float64)
     capacities = np.asarray(capacities, dtype=np.float64)
@@ -112,47 +75,51 @@ def quantize(
             f"values of shape {values.shape} must hold one row of {len(weights)} "
             f"per capacity ({capacities.shape})"
         )
+    if not (values > 0).all():
+        raise InputError("values must be strictly positive")
     scale = float(10**digits)
     # Scaled in floats and checked before any conversion to int, so a
     # capacity or weight that overflows to inf is a named error.
     with np.errstate(over="ignore"):
-        scaled_capacities = np.floor(capacities * scale)
+        scaled_capacities = np.floor(capacities * scale).tolist()
         scaled_weights = np.floor(weights * scale + 0.5)
-    largest = scaled_capacities.max(initial=0.0)
-    cells = (len(weights) + 1) * (largest + 1)
+    if not np.isfinite(scaled_weights).all():
+        raise ConfigError(f"weights scaled by 10**{digits} overflow to inf; lower the quantization digits")
+    # Python ints, not int64: a weight may exceed 2**63 at large digits.
+    int_weights = tuple(max(1, int(w)) for w in scaled_weights.tolist())
+    total = sum(int_weights)
+    # An infinite capacity is guarded too: named, not converted to int.
+    largest = max((c for c in scaled_capacities if c < total or c == np.inf), default=0.0)
+    cells = (len(int_weights) + 1) * (largest + 1)
     if cells > MAX_TABLE_CELLS:
         raise ConfigError(
             f"quantized capacity {largest:.3g} needs {cells:.3g} table cells "
             f"(limit {MAX_TABLE_CELLS}); lower the quantization digits"
         )
-    if not np.isfinite(scaled_weights).all():
-        raise ConfigError(f"weights scaled by 10**{digits} overflow to inf; lower the quantization digits")
-    items = tuple(items)
-    # Python ints, not int64: a weight may exceed 2**63 at large digits.
-    int_weights = tuple(max(1, int(w)) for w in scaled_weights.tolist())
-    _check_shared(items, int_weights, values)
     return tuple(
-        KnapsackInstance._prechecked(items, int_weights, tuple(row), int(capacity))
-        for row, capacity in zip(values.tolist(), scaled_capacities.tolist())
+        KnapsackInstance(int_weights, tuple(row), int(capacity))
+        for row, capacity in zip(values.tolist(), scaled_capacities)
     )
 
 
-def solve_dp(instance: KnapsackInstance) -> tuple[Hashable, ...]:
+def solve_dp(instance: KnapsackInstance) -> tuple[int, ...]:
     """Exact maximum-value selection by dynamic programming.
 
+    Precondition: quantize built the instance (integer weights >= 1,
+    positive values).
     Row recurrence: best(i, c) = max(best(i-1, c), best(i-1, c - w_i) + v_i).
     The selection is reconstructed by backtracking the take table rather
     than collecting items while filling rows, so it always corresponds to
     the optimal final cell. Equal-value comparisons keep the item out.
-    Returns the selected item ids in item order.
+    Returns the selected positions in ascending order.
     """
-    n = len(instance.items)
+    n = len(instance.weights)
     capacity = instance.capacity
     if n == 0 or capacity == 0:
         return ()
     if sum(instance.weights) <= capacity:
         # Every value is positive, so taking every item is the unique optimum.
-        return tuple(instance.items)
+        return tuple(range(n))
 
     best = np.zeros(capacity + 1, dtype=np.float64)
     take = np.zeros((n, capacity + 1), dtype=bool)
@@ -168,32 +135,30 @@ def solve_dp(instance: KnapsackInstance) -> tuple[Hashable, ...]:
         np.greater(shifted, best[w:], out=improved)
         np.copyto(best[w:], shifted, where=improved)
 
-    selected: list[Hashable] = []
+    selected: list[int] = []
     c = capacity
     for i in range(n - 1, -1, -1):
         if take[i, c]:
-            selected.append(instance.items[i])
+            selected.append(i)
             c -= instance.weights[i]
     return tuple(reversed(selected))
 
 
-def solve_greedy(pairs: Sequence[tuple[Hashable, float]], bound: float) -> tuple[Hashable, ...]:
-    """Accumulate items in decreasing score order while the sum stays below the bound.
+def solve_greedy(scores: Sequence[float], bound: float) -> tuple[int, ...]:
+    """Accumulate positions in decreasing score order while the sum stays below the bound.
 
-    The check precedes each addition: an item is admitted whenever the
+    The check precedes each addition: a position is admitted whenever the
     running sum of already-admitted scores is still < bound, even if
-    adding it overshoots. Score ties fall back to ascending item id. A
+    adding it overshoots. Score ties go to the lower position. A
     non-positive bound admits nothing; an infinite bound admits everything.
     """
-    for _, score in pairs:
-        if not np.isfinite(score):
-            raise InputError("greedy scores must be finite")
-    ordered = sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
-    selected: list[Hashable] = []
+    if not all(np.isfinite(score) for score in scores):
+        raise InputError("greedy scores must be finite")
+    selected: list[int] = []
     total = 0.0
-    for item, score in ordered:
+    for k in sorted(range(len(scores)), key=lambda k: -scores[k]):  # stable
         if not total < bound:
             break
-        selected.append(item)
-        total += score
+        selected.append(k)
+        total += scores[k]
     return tuple(selected)

@@ -328,8 +328,7 @@ def refine(
     if solved.size:
         # The items are the pairs' columns, so a selection indexes its row.
         weights = pair_map.cig[pair_map.positive_index]
-        columns = range(len(positive))
-        instances = quantize(columns, weights, values[solved], solver_capacities[solved], config.q)
+        instances = quantize(weights, values[solved], solver_capacities[solved], config.q)
         for k, instance_k in zip(solved.tolist(), instances):
             excluded[k, list(solve_dp(instance_k))] = True
     return _assemble(config, pair_map, u1, u2, u2_prime, excluded)
@@ -355,8 +354,8 @@ def cidr_without_refinement(
 
     u1 = upper_bound_u1(pair_map.ig)
     u2 = upper_bound_u2(pair_map)
-    # Columns as items: their ascending order is the pairs' tie-break order.
-    scored = list(enumerate(pair_map.cig[pair_map.positive_index].tolist()))
+    # Positions as items: their ascending order is the pairs' tie-break order.
+    scores = pair_map.cig[pair_map.positive_index].tolist()
     excluded = np.zeros((1, len(positive)), dtype=bool)
-    excluded[0, list(solve_greedy(scored, u1 + u2))] = True
+    excluded[0, list(solve_greedy(scores, u1 + u2))] = True
     return _assemble(config, pair_map, u1, u2, np.array([u2]), excluded)

@@ -16,7 +16,7 @@ def solve_bruteforce(instance: KnapsackInstance) -> tuple:
     Refuses instances above 20 items. Subset index bit k set means item k
     selected; among equal-value feasible subsets the smallest index wins,
     which matches the prefer-not-selecting backtrack. Returns the
-    selected item ids of a maximum-value subset, in item order.
+    selected positions of a maximum-value subset, in ascending order.
     """
     n = len(instance.items)
     if n > BRUTEFORCE_MAX_ITEMS:
@@ -32,4 +32,4 @@ def solve_bruteforce(instance: KnapsackInstance) -> tuple:
     values = np.where(feasible, subset_value, -np.inf)
     # argmax returns the first (smallest) index among ties
     best_mask = int(np.argmax(values))
-    return tuple(instance.items[k] for k in range(n) if best_mask >> k & 1)
+    return tuple(k for k in range(n) if best_mask >> k & 1)

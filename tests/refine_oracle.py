@@ -97,17 +97,17 @@ def sample_iteration(pairs, seed: int, iteration: int) -> tuple[float, ...]:
     return tuple(np.clip(draws, PERTURBATION_CLIP, 1.0 - PERTURBATION_CLIP).tolist())
 
 
-def quantize_one(items, weights, values, capacity: float, digits: int) -> KnapsackInstance:
-    """One integer instance for real weights and a real capacity."""
+def quantize_one(weights, values, capacity: float, digits: int) -> KnapsackInstance:
+    """One integer instance for real weights and a real capacity; only a
+    capacity below the weight sum, which needs a DP table, is guarded."""
     scale = 10**digits
     scaled_capacity = np.floor(capacity * scale)
-    cells = (len(items) + 1) * (scaled_capacity + 1)
-    if cells > MAX_TABLE_CELLS:
-        raise ConfigError(f"quantized capacity {scaled_capacity:.0f} needs {cells:.0f} table cells")
     int_weights = tuple(max(1, int(np.floor(w * scale + 0.5))) for w in weights)
-    return KnapsackInstance(
-        items=tuple(items), weights=int_weights, values=tuple(values), capacity=int(scaled_capacity)
-    )
+    cells = (len(weights) + 1) * (scaled_capacity + 1)
+    tabled = scaled_capacity < sum(int_weights) or np.isinf(scaled_capacity)
+    if tabled and cells > MAX_TABLE_CELLS:
+        raise ConfigError(f"quantized capacity {scaled_capacity:.0f} needs {cells:.0f} table cells")
+    return KnapsackInstance(weights=int_weights, values=tuple(values), capacity=int(scaled_capacity))
 
 
 def refine_per_iteration(model, instance, config, pair_map=None):
@@ -129,7 +129,7 @@ def refine_per_iteration(model, instance, config, pair_map=None):
         solver_capacity = max(0.0, capacity - margin)
         excluded = ()
         if solver_capacity > 0.0:
-            instance_k = quantize_one(positive, weights, values, solver_capacity, config.q)
-            excluded = solve_dp(instance_k)
+            instance_k = quantize_one(weights, values, solver_capacity, config.q)
+            excluded = tuple(positive[position] for position in solve_dp(instance_k))
         iterations.append(iteration_record(k, pair_map, u2p, capacity, excluded))
     return assemble(config, pair_map, u1, u2, iterations)

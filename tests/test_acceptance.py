@@ -135,7 +135,6 @@ def test_04_dp_knapsack_matches_exhaustive_search(capsys):
     for _ in range(200):
         n = int(rng.integers(0, 16))
         inst = KnapsackInstance(
-            items=tuple(range(n)),
             weights=tuple(int(w) for w in rng.integers(1, 30, size=n)),
             values=tuple(float(v) for v in rng.integers(1, 50, size=n)),
             capacity=int(rng.integers(0, 80)),

@@ -21,6 +21,7 @@ import pytest
 from minfeat import cli, evaluation, pipeline
 from minfeat.config import load_config
 from minfeat.corpus import save_corpus
+from minfeat.knapsack import quantize
 from minfeat.model import save_model
 from minfeat.reports import read_reports
 
@@ -73,6 +74,16 @@ def test_refine_counts_match_the_exact_count_gate(tracer, toy_model, toy_instanc
     assert n_pairs > 0 and solves > 0
     assert trace.counts["pipeline.sample_perturbations.pairs"] == n_pairs
     assert trace.counts["knapsack.solve_dp.items"] == solves * n_pairs
+
+
+def test_solve_dp_counter_reads_quantized_instances(tracer):
+    # The tracer counts len(instance.items) items, items x (capacity + 1)
+    # cells, and a trivial solve when the integer weights (1, 2, 3) fit.
+    fits, below = quantize((1.0, 2.0, 3.0), [[0.5] * 3] * 2, (6.5, 4.0), 0)
+    assert [tracer._count_solve_dp((instance,)) for instance in (fits, below)] == [
+        {"knapsack.solve_dp.cells": 21, "knapsack.solve_dp.items": 3, "knapsack.solve_dp.trivial": 1},
+        {"knapsack.solve_dp.cells": 15, "knapsack.solve_dp.items": 3, "knapsack.solve_dp.trivial": 0},
+    ]
 
 
 def test_evaluate_records_every_metric_span(tracer, toy_model, toy_instances):

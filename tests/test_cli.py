@@ -320,16 +320,29 @@ class TestExplain:
         assert not out.exists()
 
     def test_table_beyond_cell_limit_exits_2(self, cli_env, tmp_path, capsys):
-        # At q = 8 a finite capacity of a few units needs more than
-        # MAX_TABLE_CELLS cells: the batched quantize still names the limit.
+        # At q = 10 a three-pair record whose capacity (about 0.015) stays
+        # below its weight sum needs about 6e8 table cells, more than
+        # MAX_TABLE_CELLS: the batched quantize still names the limit.
         config = tmp_path / "q.json"
-        config.write_text(json.dumps({"steps": 10, "n_iter": 3, "q": 8}), encoding="utf-8")
+        config.write_text(json.dumps({"steps": 10, "n_iter": 3, "q": 10}), encoding="utf-8")
         out = tmp_path / "r.jsonl"
         args = ["explain", "--corpus", str(cli_env["corpus"]), "--model", str(cli_env["model"])]
         assert main(args + ["--out", str(out), "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "table cells" in err and f"limit {MAX_TABLE_CELLS}" in err
         assert not out.exists()
+
+    def test_capacities_that_fit_every_pair_need_no_table(self, cli_env, tmp_path, capsys):
+        # On 64-token records a capacity can reach 1.6e5 quantized units
+        # over about 2000 pairs, 3.2e8 cells, yet fit every pair: the DP
+        # builds no table there, so the cell limit does not apply.
+        corpus = tmp_path / "long.jsonl"
+        save_corpus(build_toy_corpus(10, seed=5, min_len=64, max_len=64), str(corpus))
+        out = tmp_path / "r.jsonl"
+        args = ["explain", "--corpus", str(corpus), "--model", str(cli_env["model"])]
+        assert main(args + ["--out", str(out), "--config", str(cli_env["config"])]) == 0
+        assert "wrote 10 reports" in capsys.readouterr().out
+        assert len(read_reports(str(out))) == 10
 
     @pytest.mark.parametrize(
         "corrupt, named",
@@ -547,6 +560,13 @@ class TestEvaluate:
         )
         assert code == 2
         assert "oracle" in capsys.readouterr().err
+
+    def test_repeated_method_exits_2(self, cli_env, capsys):
+        args = ["evaluate", "--corpus", str(cli_env["corpus"]), "--model", str(cli_env["model"])]
+        assert main(args + ["--methods", "cidr,cidr"]) == 2
+        captured = capsys.readouterr()
+        assert "['cidr'] are requested more than once" in captured.err
+        assert captured.out == ""
 
     def test_corrupt_model_exits_2(self, cli_env, tmp_path):
         bad = tmp_path / "model.json"

@@ -76,6 +76,11 @@ class TestEvaluateMethods:
         assert "mystery" in str(err.value)
         assert "cidr" in str(err.value)
 
+    def test_repeated_method_rejected(self, toy_model, toy_instances):
+        # A repeated name would score the method twice and print two equal rows.
+        with pytest.raises(ConfigError, match=r"\['cidr'\] are requested more than once"):
+            evaluate_methods(toy_model, toy_instances[:2], ["cidr", "random", "cidr"], FAST)
+
     def test_no_methods_rejected(self, toy_model, toy_instances):
         with pytest.raises(ConfigError):
             evaluate_methods(toy_model, toy_instances[:2], [], FAST)
