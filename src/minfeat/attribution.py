@@ -19,18 +19,18 @@ Three score families are computed, each as one dense array:
   cig[i, j] = ig[i] + ig[j] + beta * (loo[j, i] + loo[i, j]).
 
 A model needs two methods: baseline_embeddings(n), the (n, d) all-PAD
-matrix, and path_gradients(start, offsets, steps, target_class), which
-maps a (d,) pooled start and a (P, d) stack of pooled offsets to the
-(P, d) trapezoid-weighted sums of the target probability's gradient
-along each path (see Model.path_gradients). All n + 1 paths of a record
-go to one path_gradients call; the model splits them into blocks of
-whole paths, at most ROW_BLOCK points each (model.py), and sums each
-path's gradients as one (H, S) @ (S, C) product over its S = steps + 1
-points, hidden units by classes. A path's row does not depend on the
-paths that share the call, so integrated_gradients equals
-cooperative_integrated_gradients(...).ig bit for bit. Tokens with equal
-embeddings get bitwise equal scores in every family. A non-finite score
-in any family raises NumericError.
+matrix, and path_gradients(start, offsets, nodes, weights, target_class),
+which maps a (d,) pooled start and a (P, d) stack of pooled offsets to
+the (P, d) weighted sums of the target probability's gradient at each
+path's nodes (see Model.path_gradients). The trapezoid rule is built
+here alone. All n + 1 paths of a record go to one path_gradients call;
+the model splits them into blocks of whole paths, at most ROW_BLOCK
+points each (model.py), and sums each path's gradients as one
+(H, S) @ (S, C) product over its S = steps + 1 nodes, hidden units by
+classes. A path's row does not depend on the paths that share the call,
+so integrated_gradients equals cooperative_integrated_gradients(...).ig
+bit for bit. Tokens with equal embeddings get bitwise equal scores in
+every family. A non-finite score in any family raises NumericError.
 """
 
 from __future__ import annotations
@@ -108,12 +108,12 @@ def _path_scores(model, instance: Instance, target_class: int, steps: int, leave
     """Token scores along the path to the input (row 0) and, with
     leave_one_out, along the path with token j padded out (row 1 + j).
 
-    The model sums each path's gradients at its steps+1 points, alpha =
-    0, 1/steps, ..., 1, under trapezoid weights.
+    The model sums each path's gradients at the trapezoid's nodes, alpha
+    = 0, 1/steps, ..., 1, weighted 1/2 at both ends and 1 between.
     Returns shape (1, n), or (n + 1, n) with zeros where j scores itself.
     """
-    if steps < 1:
-        raise InputError("step count must be at least 1")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise InputError(f"steps must be an integer >= 1, got {steps!r}")
     n = len(instance)
     baseline = model.baseline_embeddings(n)
     delta = instance.embeddings - baseline
@@ -123,7 +123,9 @@ def _path_scores(model, instance: Instance, target_class: int, steps: int, leave
         total = delta.sum(axis=0)
         start = baseline.mean(axis=0)
     offsets = (np.vstack([total, total - delta]) if leave_one_out else total[np.newaxis]) / n
-    sums = model.path_gradients(start, offsets, steps, target_class)
+    weights = np.ones(steps + 1)
+    weights[[0, -1]] = 0.5
+    sums = model.path_gradients(start, offsets, np.arange(steps + 1) / steps, weights, target_class)
     # A finite but huge delta times a gradient sum can overflow; the
     # check below names the non-finite score.
     with np.errstate(over="ignore"):

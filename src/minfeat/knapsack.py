@@ -131,9 +131,8 @@ def solve_dp(instance: KnapsackInstance) -> tuple[int, ...]:
             continue
         shifted = candidate[: capacity + 1 - w]
         np.add(best[: capacity + 1 - w], v, out=shifted)
-        improved = take[i, w:]
-        np.greater(shifted, best[w:], out=improved)
-        np.copyto(best[w:], shifted, where=improved)
+        np.greater(shifted, best[w:], out=take[i, w:])
+        np.maximum(best[w:], shifted, out=best[w:])
 
     selected: list[int] = []
     c = capacity

@@ -143,7 +143,7 @@ class Model:
     Every gradient goes through one kernel: `path_gradients` integrates
     its paths class-first, with (H, p, S) hidden activations and a
     (C, rows) head, and `input_gradient` is one zero-offset path of one
-    step through it. `path_gradients` keeps each path's row independent
+    node through it. `path_gradients` keeps each path's row independent
     of the other paths, one path included.
     """
 
@@ -232,22 +232,21 @@ class Model:
         return self._head(pooled)[1]
 
     def path_gradients(
-        self, start: np.ndarray, offsets: np.ndarray, steps: int, target_class: int
+        self, start: np.ndarray, offsets: np.ndarray, nodes: np.ndarray, weights: np.ndarray, target_class: int
     ) -> np.ndarray:
-        """Trapezoid-weighted gradient sums along straight paths in pooled space.
+        """Quadrature-weighted gradient sums along straight paths in pooled space.
 
-        Row p of the (P, d) result is the sum over k = 0..steps of
-        w_k * g(start + (k / steps) * offsets[p]), with
-        w_k = 1/2 at both ends and 1 between (a sum, not divided by steps),
-        where g is the gradient of the target probability w.r.t. a pooled
-        vector (n times a row of input_gradient).
+        Row p of the (P, d) result is the sum over s of
+        weights[s] * g(start + nodes[s] * offsets[p]), where g is the
+        gradient of the target probability w.r.t. a pooled vector (n times
+        a row of input_gradient); nodes and weights are the caller's rule.
         The first layer is affine, so the pre-activations along path p
         are a + alpha * b_p, with a = start W1^T + b1 and b_p = offsets[p]
         W1^T: no point in pooled space is built. Paths run in blocks of
         whole paths of at most ROW_BLOCK points (a longer path alone),
         laid out class-first: a block's hidden activations are (H, p, S),
-        with S = steps + 1, and its probabilities (C, rows). Each path's
-        trapezoid sum is one (H, S) @ (S, C) product (see _class_sums);
+        with S = len(nodes), and its probabilities (C, rows). Each path's
+        weighted sum is one (H, S) @ (S, C) product (see _class_sums);
         after the last block, one contraction with w2[c] - w2.T turns the
         (P, H, C) products into (H,) pre-activation gradient sums, each
         mapped back to d once. A path's row does not depend on the paths
@@ -257,31 +256,32 @@ class Model:
         product, and the rest is elementwise.
 
         Raises InputError for a start that is not (d,), offsets that are
-        not (P, d), steps that is not an integer >= 1 or a bad class, and NumericError for a
-        non-finite start or offset.
+        not (P, d), nodes and weights that are not 1-D of one length > 0,
+        or a bad class, and NumericError for any non-finite input.
         """
         d = self.embed_dim
         start = np.asarray(start, dtype=np.float64)
         offsets = np.asarray(offsets, dtype=np.float64)
+        nodes, weights = np.asarray(nodes, dtype=np.float64), np.asarray(weights, dtype=np.float64)
         if start.shape != (d,) or offsets.ndim != 2 or offsets.shape[1] != d:
             raise InputError(
                 f"expected a ({d},) path start and a (P, {d}) offset stack, "
                 f"got shapes {start.shape} and {offsets.shape}"
             )
+        if nodes.ndim != 1 or nodes.shape != weights.shape or not len(nodes):
+            raise InputError(f"nodes {nodes.shape} and weights {weights.shape} must be 1-D of one length > 0")
         if not (np.isfinite(start).all() and np.isfinite(offsets).all()):
             raise NumericError("path start or offsets contain non-finite values")
-        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-            raise InputError(f"step count must be an integer >= 1, got {steps!r}")
+        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+            raise NumericError("quadrature nodes or weights contain non-finite values")
         self._check_class(target_class)
         projected = (np.vstack([start, offsets]) @ self.w1.T).T  # (H, 1 + P)
         origin = (projected[:, 0] + self.b1)[:, np.newaxis, np.newaxis]
-        alphas = np.arange(steps + 1) / steps
-        weights = np.ones(steps + 1)
-        weights[[0, -1]] = 0.5
-        per_call = max(1, ROW_BLOCK // (steps + 1))
+        per_call = max(1, ROW_BLOCK // len(nodes))
         per_class = np.empty((len(offsets), len(self.b1), self.num_classes))
         for first in range(0, len(offsets), per_call):
-            pre = projected[:, 1 + first : 1 + first + per_call, np.newaxis] * alphas
+            # C order makes _class_sums's (H, rows) reshape a view, not a copy.
+            pre = np.multiply(projected[:, 1 + first : 1 + first + per_call, np.newaxis], nodes, order="C")
             pre += origin
             per_class[first : first + per_call] = self._class_sums(pre, weights, target_class)
         spread = self.w2[target_class][:, np.newaxis] - self.w2.T  # (H, C)
@@ -292,12 +292,11 @@ class Model:
         """Exact gradient of forward(...)[target_class] w.r.t. every input entry.
 
         Takes one (n, d) sentence. The gradient at its pooled mean is one
-        zero-offset path of one step through path_gradients (both ends
-        weighted 1/2), and mean pooling spreads it evenly, so every row
-        is it divided by n.
+        zero-offset path through path_gradients, of one node of weight 1,
+        and mean pooling spreads it evenly, so every row is it divided by n.
         """
         arr = self._check_input(embeddings)
-        grad = self.path_gradients(arr.mean(axis=0), np.zeros((1, arr.shape[1])), 1, target_class)
+        grad = self.path_gradients(arr.mean(axis=0), np.zeros_like(arr[:1]), np.zeros(1), np.ones(1), target_class)
         return np.repeat(grad / len(arr), len(arr), axis=0)
 
     def removal_probabilities(

@@ -30,13 +30,13 @@ class LinearModel:
         s = float(x.mean(axis=0) @ self.weights) + self.bias
         return np.array([self.center - s, self.center + s], dtype=np.float64)
 
-    def path_gradients(self, start, offsets, steps: int, target_class: int) -> np.ndarray:
-        """Trapezoid sums of the constant gradient +-w along each of the
-        (P, d) offsets: the weights add up to steps, so every row is
-        steps * +-w."""
+    def path_gradients(self, start, offsets, nodes, weights, target_class: int) -> np.ndarray:
+        """Weighted sums of the constant gradient +-w along each of the
+        (P, d) offsets: every row is sum(weights) * +-w, whatever the
+        nodes (the trapezoid's weights add up to steps)."""
         sign = 1.0 if target_class == 1 else -1.0
         paths = np.asarray(offsets, dtype=np.float64).shape[0]
-        return np.tile(sign * steps * self.weights, (paths, 1))
+        return np.tile(sign * np.sum(weights) * self.weights, (paths, 1))
 
     def baseline_embeddings(self, n: int) -> np.ndarray:
         return np.zeros((n, self.weights.shape[0]), dtype=np.float64)

@@ -87,16 +87,19 @@ class TestIntegratedGradients:
             expected = 2.0 * (len(positive) - 1) * sum(float(ig[i]) for i in positive)
         assert upper_bound_u1(ig) == expected
 
-    def test_zero_steps_rejected(self):
+    def test_bad_steps_rejected(self):
         model = make_random_model(17)
         inst = make_random_instance(model, 18)
-        with pytest.raises(InputError):
-            integrated_gradients(model, inst, 0, steps=0)
+        for steps in (0, 2.5, True):
+            with pytest.raises(InputError, match="steps"):
+                integrated_gradients(model, inst, 0, steps=steps)
+            with pytest.raises(InputError, match="steps"):
+                cooperative_integrated_gradients(model, inst, 0, beta=0.5, steps=steps)
 
     def test_non_finite_score_raises_numeric_error(self):
         class NanGradientModel(LinearModel):
-            def path_gradients(self, start, offsets, steps, target_class):
-                grads = super().path_gradients(start, offsets, steps, target_class)
+            def path_gradients(self, start, offsets, nodes, weights, target_class):
+                grads = super().path_gradients(start, offsets, nodes, weights, target_class)
                 grads[0, 0] = np.nan  # the one path, to the input
                 return grads
 
@@ -240,8 +243,8 @@ class TestLeaveOneOut:
         class OnePathNanModel(LinearModel):
             # Row p of path_gradients belongs to the path whose pooled
             # offset is offsets[p]; only the one without token 0 is NaN.
-            def path_gradients(self, start, offsets, steps, target_class):
-                grads = super().path_gradients(start, offsets, steps, target_class)
+            def path_gradients(self, start, offsets, nodes, weights, target_class):
+                grads = super().path_gradients(start, offsets, nodes, weights, target_class)
                 grads[(offsets == without_first).all(axis=1)] = np.nan
                 return grads
 

@@ -370,33 +370,51 @@ class TestInputGradient:
             model.input_gradient(np.zeros(shape), 0)
 
 
-def per_point_path_sums(model, start, offsets, steps, target):
+def trapezoid(steps):
+    """The rule attribution integrates with: nodes k / steps for k = 0..steps,
+    weighted 1/2 at both ends and 1 between."""
+    weights = np.ones(steps + 1)
+    weights[[0, -1]] = 0.5
+    return np.arange(steps + 1) / steps, weights
+
+
+def gauss_legendre(count):
+    """count Gauss-Legendre nodes and weights, mapped from [-1, 1] to [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    return (nodes + 1.0) / 2.0, weights / 2.0
+
+
+def per_point_path_sums(model, start, offsets, nodes, weights, target):
     """Reference for path_gradients: the textbook pooled gradient at every
-    path point, weighted 1/2 at both ends and 1 between, added in order."""
+    node of every path, times the node's weight, added in order."""
     sums = np.zeros_like(offsets)
     for p, offset in enumerate(offsets):
-        for k in range(steps + 1):
-            weight = 0.5 if k in (0, steps) else 1.0
-            sums[p] += weight * reference_pooled_gradient(model, start + (k / steps) * offset, target)
+        for node, weight in zip(nodes, weights):
+            sums[p] += weight * reference_pooled_gradient(model, start + node * offset, target)
     return sums
 
 
 class TestPathGradients:
-    @pytest.mark.parametrize("steps", [1, 2, 50, 300, 600])
+    @pytest.mark.parametrize("steps", [1, 2, 50, 300, 600, "gauss-24"])
     def test_matches_per_point_loop(self, steps):
         # P = 13 and 40 cross block boundaries at 300 and 600 steps, and
-        # 40 at 50 steps; the head has 2 to 7 classes.
-        rng = np.random.default_rng(steps)
+        # 40 at 50 steps; the head has 2 to 7 classes. "gauss-24" is a
+        # 24-node Gauss-Legendre rule, with unevenly spaced nodes.
+        if steps == "gauss-24":
+            seed, (nodes, weights) = 24, gauss_legendre(24)
+        else:
+            seed, (nodes, weights) = steps, trapezoid(steps)
+        rng = np.random.default_rng(seed)
         for classes, paths in itertools.product(range(2, 8), (1, 2, 13, 40)):
-            model = make_random_model(steps + paths, num_classes=classes)
+            model = make_random_model(seed + paths, num_classes=classes)
             start = rng.normal(0.0, 1.0, size=model.embed_dim)
             offsets = rng.normal(0.0, 1.0, size=(paths, model.embed_dim))
             target = paths % classes
-            sums = model.path_gradients(start, offsets, steps, target)
-            reference = per_point_path_sums(model, start, offsets, steps, target)
+            sums = model.path_gradients(start, offsets, nodes, weights, target)
+            reference = per_point_path_sums(model, start, offsets, nodes, weights, target)
             assert sums.shape == (paths, model.embed_dim)
             # Compared as path averages, the scale attribution uses.
-            assert np.abs(sums - reference).max() / steps <= 1e-14
+            assert np.abs(sums - reference).max() / weights.sum() <= 1e-14
 
     @pytest.mark.parametrize("steps", [1, 50, 300])
     def test_row_does_not_depend_on_other_paths(self, steps):
@@ -404,50 +422,64 @@ class TestPathGradients:
         # the stack at every step count; 13 and 40 paths add boundaries
         # at 50 and 300 steps.
         rng = np.random.default_rng(60)
+        rule = trapezoid(steps)
         for seed in range(3):
             model = make_random_model(seed)
             start = rng.normal(0.0, 1.0, size=model.embed_dim)
             for paths in (13, 40, 1 + ROW_BLOCK // (steps + 1)):
                 offsets = rng.normal(0.0, 1.0, size=(paths, model.embed_dim))
-                together = model.path_gradients(start, offsets, steps, 1)
+                together = model.path_gradients(start, offsets, *rule, 1)
                 for p in range(paths):
-                    alone = model.path_gradients(start, offsets[p : p + 1], steps, 1)
+                    alone = model.path_gradients(start, offsets[p : p + 1], *rule, 1)
                     assert np.array_equal(alone[0], together[p])
-                assert np.array_equal(model.path_gradients(start, offsets[3:7], steps, 1), together[3:7])
+                assert np.array_equal(model.path_gradients(start, offsets[3:7], *rule, 1), together[3:7])
 
     def test_non_finite_rejected(self):
         model = make_random_model(61)
         start = np.zeros(model.embed_dim)
         offsets = np.ones((3, model.embed_dim))
+        nodes, weights = trapezoid(4)
         for bad in (np.nan, np.inf, -np.inf):
             bad_start = start.copy()
             bad_start[2] = bad
             with pytest.raises(NumericError):
-                model.path_gradients(bad_start, offsets, 4, 0)
+                model.path_gradients(bad_start, offsets, nodes, weights, 0)
             bad_offsets = offsets.copy()
             bad_offsets[1, 0] = bad
             with pytest.raises(NumericError):
-                model.path_gradients(start, bad_offsets, 4, 0)
+                model.path_gradients(start, bad_offsets, nodes, weights, 0)
+            bad_nodes = nodes.copy()
+            bad_nodes[1] = bad
+            with pytest.raises(NumericError):
+                model.path_gradients(start, offsets, bad_nodes, weights, 0)
+            bad_weights = weights.copy()
+            bad_weights[0] = bad
+            with pytest.raises(NumericError):
+                model.path_gradients(start, offsets, nodes, bad_weights, 0)
 
+    # Cases 2 to 4 are bad rules: 2-D nodes, unequal lengths, no nodes.
     @pytest.mark.parametrize(
-        "start_shape, offsets_shape, steps, target",
+        "start_shape, offsets_shape, nodes_shape, weights_shape, target",
         [
-            ((5,), (3, 5), 4, 2),
-            ((5,), (3, 5), 4, -1),
-            ((5,), (3, 5), 0, 0),
-            ((5,), (3, 5), 2.5, 0),
-            ((5,), (3, 5), True, 0),
-            ((1, 5), (3, 5), 4, 0),
-            ((4,), (3, 5), 4, 0),
-            ((5,), (5,), 4, 0),
-            ((5,), (3, 4), 4, 0),
-            ((5,), (2, 3, 5), 4, 0),
+            ((5,), (3, 5), (5,), (5,), 2),
+            ((5,), (3, 5), (5,), (5,), -1),
+            ((5,), (3, 5), (1, 5), (1, 5), 0),
+            ((5,), (3, 5), (5,), (4,), 0),
+            ((5,), (3, 5), (0,), (0,), 0),
+            ((1, 5), (3, 5), (5,), (5,), 0),
+            ((4,), (3, 5), (5,), (5,), 0),
+            ((5,), (5,), (5,), (5,), 0),
+            ((5,), (3, 4), (5,), (5,), 0),
+            ((5,), (2, 3, 5), (5,), (5,), 0),
         ],
     )
-    def test_bad_class_shape_or_steps_rejected(self, start_shape, offsets_shape, steps, target):
+    def test_bad_class_shape_or_steps_rejected(
+        self, start_shape, offsets_shape, nodes_shape, weights_shape, target
+    ):
         model = make_random_model(62)  # embed_dim 5, two classes
+        start, offsets = np.zeros(start_shape), np.ones(offsets_shape)
         with pytest.raises(InputError):
-            model.path_gradients(np.zeros(start_shape), np.ones(offsets_shape), steps, target)
+            model.path_gradients(start, offsets, np.full(nodes_shape, 0.5), np.ones(weights_shape), target)
 
 
 class TestSoftmax:
