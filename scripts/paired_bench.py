@@ -13,7 +13,8 @@ checkout, so two paired runs at once need four checkouts. The run length T defau
 sides.
 
 For every end-to-end metric that BENCHMARK.json names, the script prints
-each side's median and quartiles, the change/parent ratio of every pair
+each side's median and quartiles with every run's value in pair order,
+so a report can quote each run, then the change/parent ratio of every pair
 and the number of pairs the change won (ties count for neither side),
 then each side's failed share. It exits 1 if any run failed or reported
 incorrect outputs.
@@ -89,8 +90,10 @@ def main(argv: list[str] | None = None) -> int:
             continue
         print(f"{name} ({metric['unit']}, {'higher' if higher else 'lower'} is better)")
         for side, index in (("parent", 0), ("change", 1)):
-            q1, median, q3 = quartiles([pc[index] for pc in paired])
+            runs = [pc[index] for pc in paired]
+            q1, median, q3 = quartiles(runs)
             print(f"  {side:6s} median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}")
+            print(f"  {side:6s} runs {' '.join(f'{v:.6g}' for v in runs)}")
         ratios = [c / p if p else float("inf") for p, c in paired]
         wins = sum((c > p) if higher else (c < p) for p, c in paired)
         print(f"  change/parent per pair: {' '.join(f'{r:.3f}' for r in ratios)}")

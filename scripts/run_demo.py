@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from minfeat.attribution import cooperative_integrated_gradients
 from minfeat.corpus import tokenize
 from minfeat.data import build_toy_corpus
 from minfeat.evaluation import single_instance_metrics
@@ -34,7 +35,8 @@ def main(argv: list[str] | None = None) -> int:
     words = tokenize(record.text)
     instance, oov = instance_from_words(model, words, record.label)
     config = CidrConfig(beta=args.beta, seed=args.seed)
-    mfs = refine(model, instance, config)
+    target = model.predicted_class(instance.embeddings)
+    mfs = refine(cooperative_integrated_gradients(model, instance, target, config.beta, config.steps), config)
 
     probs = model.forward(instance.embeddings)
     print(f"record {record.id} (label {record.label}, {oov} OOV tokens)")

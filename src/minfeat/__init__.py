@@ -31,16 +31,7 @@ from .model import (
     save_model,
     train_toy,
 )
-from .pipeline import (
-    CidrConfig,
-    MinimalFeatureSet,
-    cidr_without_refinement,
-    perturbed_upper_bound,
-    refine,
-    sample_perturbations,
-    upper_bound_u1,
-    upper_bound_u2,
-)
+from .pipeline import CidrConfig, MinimalFeatureSet, cidr_without_refinement, refine
 
 __version__ = "0.1.0"
 
@@ -75,14 +66,10 @@ __all__ = [
     "load_corpus",
     "load_model",
     "log_odds",
-    "perturbed_upper_bound",
     "refine",
-    "sample_perturbations",
     "save_corpus",
     "save_model",
     "tokenize",
     "top_k_baseline",
     "train_toy",
-    "upper_bound_u1",
-    "upper_bound_u2",
 ]

@@ -16,6 +16,9 @@ import sys
 import traceback
 from typing import Any, Mapping
 
+import numpy as np
+
+from .attribution import cooperative_integrated_gradients
 from .config import cidr_config_from, load_config, train_config_from
 from .corpus import CorpusRecord, load_corpus, tokenize
 from .errors import InputError, InternalError
@@ -112,17 +115,17 @@ def _build_report(
     mfs: MinimalFeatureSet,
     words: list[str],
     oov: int,
+    predicted_probability: float,
     config_echo: Mapping[str, Any],
     t: float,
 ) -> ExplanationReport:
     pair_map = mfs.pair_scores
-    probs = model.forward(instance.embeddings)
     comp, lo, fms = single_instance_metrics(model, instance, mfs, t)
     return ExplanationReport(
         instance_id=record.id,
         tokens=tuple(words),
         predicted_class=mfs.target_class,
-        predicted_probability=float(probs[mfs.target_class]),
+        predicted_probability=predicted_probability,
         ig=tuple(float(s) for s in pair_map.ig),
         positive_pairs=tuple(
             PairScoreEntry(i=i, j=j, cig=float(pair_map.cig[i, j]))
@@ -151,18 +154,20 @@ def run_explain(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     records = load_corpus(args.corpus)
 
-    def explain_one(record: CorpusRecord) -> tuple[ExplanationReport, int]:
+    def explain_one(record: CorpusRecord) -> ExplanationReport:
         words = tokenize(record.text)
         instance, oov = instance_from_words(model, words, record.label)
-        mfs = refine(model, instance, config)
-        report = _build_report(record, model, instance, mfs, words, oov, values, config.t)
-        return report, oov
+        # One forward per record: its argmax is the explained class, with
+        # ties to the lower index as in Model.predicted_class.
+        probs = model.forward(instance.embeddings)
+        target = int(np.argmax(probs))
+        pair_map = cooperative_integrated_gradients(model, instance, target, config.beta, config.steps)
+        mfs = refine(pair_map, config)
+        return _build_report(record, model, instance, mfs, words, oov, float(probs[target]), values, config.t)
 
-    results = parallel_map(explain_one, records)
-    reports = [report for report, _ in results]
-    total_oov = sum(oov for _, oov in results)
+    reports = parallel_map(explain_one, records)
     write_reports(reports, args.out)
-    _warn_oov(total_oov)
+    _warn_oov(sum(r.oov_count for r in reports))
     degenerate = sum(1 for r in reports if r.degenerate)
     print(f"wrote {len(reports)} reports to {args.out} ({degenerate} degenerate)")
     return 0

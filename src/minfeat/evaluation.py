@@ -19,7 +19,7 @@ Methods:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -142,10 +142,9 @@ def _removal(
     if method == "cidr":
         return _pair_removal(shared.cidr_mfs)
     if method == "cidr-no-r":
-        return _pair_removal(cidr_without_refinement(model, instance, config, shared.pair_map))
+        return _pair_removal(cidr_without_refinement(shared.pair_map, config))
     if method == "cidr-no-cig":
-        zero_beta = replace(config, beta=0.0)
-        return _pair_removal(refine(model, instance, zero_beta, shared.pair_map.with_beta(0.0)))
+        return _pair_removal(refine(shared.pair_map.with_beta(0.0), config))
     if method == "random":
         return _random_words(len(instance), len(shared.cidr_mfs.words), config.seed, index)
     if method == "ig-top2k":
@@ -195,7 +194,7 @@ def evaluate_methods(
         elif need_attr:
             shared.ig = integrated_gradients(model, instance, shared.target, config.steps)
         if need_cidr:
-            shared.cidr_mfs = refine(model, instance, config, shared.pair_map)
+            shared.cidr_mfs = refine(shared.pair_map, config)
         return shared
 
     shared_list = parallel_map(prepare, instances)

@@ -1,7 +1,8 @@
 """Minimal-feature-set construction via knapsack exclusion.
 
-For one instance, the pipeline scores all token pairs cooperatively and
-keeps the positive pairs. One exclusion core then excludes as many pairs
+The pipeline takes one instance's cooperative pair scores, a PairScoreMap
+already scored for the class to explain, and works on its positive pairs
+alone: it never runs the model. One exclusion core excludes as many pairs
 as it can while their cooperative score stays under an attribution-derived
 capacity; the pairs left over form a candidate set. refine repeats the
 exclusion n_iter times, each time valuing the pairs with fresh uniform
@@ -29,10 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .attribution import DEFAULT_STEPS, Pair, PairScoreMap, cooperative_integrated_gradients
+from .attribution import DEFAULT_STEPS, Pair, PairScoreMap
 from .errors import ConfigError, InputError, InternalError, check_field_types
 from .knapsack import quantize, solve_dp, solve_greedy
-from .model import Instance, Model
 
 PERTURBATION_CLIP = 1e-12
 
@@ -232,18 +232,6 @@ def _draw_streams(seed: int, n_iter: int, length: int, index: np.ndarray | None 
     return np.clip(draws, PERTURBATION_CLIP, 1.0 - PERTURBATION_CLIP, out=draws)
 
 
-def _pair_scores(
-    model: Model, instance: Instance, config: CidrConfig, pair_map: PairScoreMap | None
-) -> PairScoreMap:
-    """The pair scores for the predicted class, unless precomputed: a
-    supplied map keeps the class it was scored for, and no forward pass
-    is made."""
-    if pair_map is None:
-        target = model.predicted_class(instance.embeddings)
-        pair_map = cooperative_integrated_gradients(model, instance, target, config.beta, config.steps)
-    return pair_map
-
-
 def _assemble(
     config: CidrConfig,
     pair_map: PairScoreMap,
@@ -285,24 +273,17 @@ def _degenerate(config: CidrConfig, pair_map: PairScoreMap) -> MinimalFeatureSet
     return _assemble(config, pair_map, 0.0, 0.0, np.zeros(0), np.zeros((0, 0), dtype=bool))
 
 
-def refine(
-    model: Model,
-    instance: Instance,
-    config: CidrConfig,
-    pair_map: PairScoreMap | None = None,
-) -> MinimalFeatureSet:
+def refine(pair_map: PairScoreMap, config: CidrConfig) -> MinimalFeatureSet:
     """Build the minimal feature set by repeated knapsack exclusion.
 
-    The pair scores are computed once (they do not depend on the sampled
-    values) for the predicted class, unless a precomputed map is
-    supplied; the result then explains the map's target_class. The
-    knapsack items are the positive pairs (i, j), named by their column
-    in positive_pairs, weighted by cig[i, j] and valued by the
+    The result explains pair_map.target_class, the class its scorer chose;
+    the map's own beta, not config.beta, weighs the leave-one-out parts of
+    the bounds. The knapsack items are the positive pairs (i, j), named by
+    their column in positive_pairs, weighted by cig[i, j] and valued by the
     iteration's perturbations, which are aligned with the pairs. Every
-    iteration solves the exclusion knapsack under
-    capacity u1 + u2', with the solver capacity tightened by half a
-    quantization unit per item so that the excluded real scores can never
-    exceed the true capacity.
+    iteration solves the exclusion knapsack under capacity u1 + u2', with
+    the solver capacity tightened by half a quantization unit per item so
+    that the excluded real scores can never exceed the true capacity.
     Pairs kept in at least epsilon of the candidate sets are retained.
 
     The n_iter repetitions run as array work: one (n_iter, P) matrix of
@@ -311,7 +292,6 @@ def refine(
     iteration whose solver capacity is positive, and its selection fills
     that iteration's row of the (n_iter, P) exclusion matrix.
     """
-    pair_map = _pair_scores(model, instance, config, pair_map)
     positive = pair_map.positive_pairs
     if not positive:
         return _degenerate(config, pair_map)
@@ -334,12 +314,7 @@ def refine(
     return _assemble(config, pair_map, u1, u2, u2_prime, excluded)
 
 
-def cidr_without_refinement(
-    model: Model,
-    instance: Instance,
-    config: CidrConfig,
-    pair_map: PairScoreMap | None = None,
-) -> MinimalFeatureSet:
+def cidr_without_refinement(pair_map: PairScoreMap, config: CidrConfig) -> MinimalFeatureSet:
     """One greedy exclusion under the unperturbed bound u1 + u2.
 
     Pairs are excluded in decreasing score order while the excluded sum
@@ -347,7 +322,6 @@ def cidr_without_refinement(
     assembly as refine's, so every remaining positive pair is retained
     with frequency 1.
     """
-    pair_map = _pair_scores(model, instance, config, pair_map)
     positive = pair_map.positive_pairs
     if not positive:
         return _degenerate(config, pair_map)

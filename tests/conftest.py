@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from minfeat import build_toy_corpus, tokenize
+from minfeat.attribution import cooperative_integrated_gradients
 from minfeat.model import Instance, Model, TrainConfig, Vocabulary, instance_from_words, train_toy
 
 settings.register_profile(
@@ -57,6 +58,13 @@ def make_random_instance(model: Model, seed: int, length: int | None = None) -> 
         embeddings=model.embed(tokens),
         label=int(rng.integers(0, 2)),
     )
+
+
+def predicted_pair_map(model: Model, instance: Instance, config):
+    """The pair scores refine takes: the instance's cooperative scores for
+    the model's predicted class, at the config's beta and steps."""
+    target = model.predicted_class(instance.embeddings)
+    return cooperative_integrated_gradients(model, instance, target, config.beta, config.steps)
 
 
 @pytest.fixture(scope="session")

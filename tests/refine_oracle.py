@@ -16,7 +16,7 @@ import numpy as np
 
 from minfeat.errors import ConfigError, InputError
 from minfeat.knapsack import MAX_TABLE_CELLS, KnapsackInstance, solve_dp
-from minfeat.pipeline import PERTURBATION_CLIP, _pair_scores, upper_bound_u1
+from minfeat.pipeline import PERTURBATION_CLIP, upper_bound_u1
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,8 @@ def quantize_one(weights, values, capacity: float, digits: int) -> KnapsackInsta
     return KnapsackInstance(weights=int_weights, values=tuple(values), capacity=int(scaled_capacity))
 
 
-def refine_per_iteration(model, instance, config, pair_map=None):
+def refine_per_iteration(pair_map, config):
     """refine, one knapsack repetition at a time."""
-    pair_map = _pair_scores(model, instance, config, pair_map)
     positive = pair_map.positive_pairs
     if not positive:
         return assemble(config, pair_map, 0.0, 0.0, ())

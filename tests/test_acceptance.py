@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_random_instance, make_random_model
+from conftest import make_random_instance, make_random_model, predicted_pair_map
 from knapsack_oracle import solve_bruteforce
 from stubs import LinearModel, ScriptedModel, linear_instance, scripted_instance
 
@@ -213,7 +213,7 @@ def test_06_refinement_feasibility_audit(capsys, toy_model, toy_instances):
     audited = degenerate = 0
     violations: list[str] = []
     for idx, inst in enumerate(toy_instances):
-        mfs = refine(toy_model, inst, config)
+        mfs = refine(predicted_pair_map(toy_model, inst, config), config)
         if mfs.degenerate:
             degenerate += 1
             continue

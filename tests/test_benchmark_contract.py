@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import predicted_pair_map
 from minfeat import cli, evaluation, pipeline
 from minfeat.config import load_config
 from minfeat.corpus import save_corpus
@@ -55,8 +56,10 @@ def test_parallel_map_exists():
 
 
 def test_refine_records_bound_and_solver_spans(tracer, toy_model, toy_instances):
+    config = pipeline.CidrConfig(n_iter=2, steps=12)
+    pair_map = predicted_pair_map(toy_model, toy_instances[1], config)
     with tracer.Tracer("contract") as trace:
-        pipeline.refine(toy_model, toy_instances[1], pipeline.CidrConfig(n_iter=2, steps=12))
+        pipeline.refine(pair_map, config)
     names = {span.name for span in trace.spans}
     assert {"pipeline.refine", "pipeline.perturbed_upper_bound", "knapsack.solve_dp"} <= names
 
@@ -67,8 +70,9 @@ def test_refine_counts_match_the_exact_count_gate(tracer, toy_model, toy_instanc
     # refine samples all its iterations in one call, so the pair count is
     # the number of positive pairs, not n_iter times it.
     config = pipeline.CidrConfig(n_iter=3, steps=12)
+    pair_map = predicted_pair_map(toy_model, toy_instances[1], config)
     with tracer.Tracer("contract") as trace:
-        mfs = pipeline.refine(toy_model, toy_instances[1], config)
+        mfs = pipeline.refine(pair_map, config)
     n_pairs = len(mfs.pair_scores.positive_pairs)
     solves = sum(1 for span in trace.spans if span.name == "knapsack.solve_dp")
     assert n_pairs > 0 and solves > 0

@@ -18,7 +18,7 @@ from minfeat.cli import main
 from minfeat.corpus import save_corpus
 from minfeat.data import build_toy_corpus
 from minfeat.knapsack import MAX_TABLE_CELLS
-from minfeat.model import load_model
+from minfeat.model import Model, load_model
 from minfeat.reports import read_reports
 
 
@@ -257,6 +257,23 @@ class TestExplain:
         reports = read_reports(str(out))
         assert len(reports) == 24
         assert all(r.oov_count == 0 for r in reports)
+
+    def test_one_forward_per_record(self, cli_env, tmp_path, monkeypatch):
+        # The forward that picks the explained class also gives the
+        # report's probability; refinement works on the pair scores alone.
+        corpus = tmp_path / "three.jsonl"
+        save_corpus(build_toy_corpus(size=24, seed=3)[:3], str(corpus))
+        calls = []
+        forward = Model.forward
+        monkeypatch.setattr(Model, "forward", lambda self, x: calls.append(1) or forward(self, x))
+        out = tmp_path / "r.jsonl"
+        argv = ["explain", "--corpus", str(corpus), "--model", str(cli_env["model"]), "--out", str(out)]
+        assert main(argv + ["--config", str(cli_env["config"])]) == 0
+        assert len(calls) == 3
+        model = load_model(str(cli_env["model"]))
+        for report in read_reports(str(out)):
+            probs = forward(model, model.embed([model.vocab.token_to_index[w] for w in report.tokens]))
+            assert report.predicted_probability == float(probs.max())
 
     def test_repeat_runs_byte_identical(self, cli_env):
         a, b = cli_env["root"] / "r_a.jsonl", cli_env["root"] / "r_b.jsonl"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import predicted_pair_map
 from minfeat.errors import ConfigError, InputError
 from minfeat.evaluation import (
     METHODS,
@@ -110,7 +111,7 @@ class TestEvaluateMethods:
         insts = toy_instances[:5]
         sizes = []
         for inst in insts:
-            mfs = refine(toy_model, inst, FAST)
+            mfs = refine(predicted_pair_map(toy_model, inst, FAST), FAST)
             sizes.append(len(mfs.words))
         for index, inst in enumerate(insts):
             rs = _random_words(len(inst), sizes[index], FAST.seed, index)
@@ -120,7 +121,8 @@ class TestEvaluateMethods:
         # cidr-no-cig must equal running refine with beta = 0 from scratch.
         inst = toy_instances[0]
         rows = evaluate_methods(toy_model, [inst], ["cidr-no-cig"], FAST)
-        direct = refine(toy_model, inst, CidrConfig(n_iter=3, steps=10, beta=0.0))
+        zero_beta = CidrConfig(n_iter=3, steps=10, beta=0.0)
+        direct = refine(predicted_pair_map(toy_model, inst, zero_beta), zero_beta)
         comp, lo, fms = single_instance_metrics(toy_model, inst, direct, FAST.t)
         assert rows[0].comp == pytest.approx(comp, abs=1e-12)
         assert rows[0].lo == pytest.approx(lo, abs=1e-12)
@@ -132,7 +134,7 @@ class TestSingleInstanceMetrics:
         from minfeat.metrics import PAIR_MODE, RemovalSet, comprehensiveness
 
         inst = toy_instances[0]
-        mfs = refine(toy_model, inst, FAST)
+        mfs = refine(predicted_pair_map(toy_model, inst, FAST), FAST)
         comp, lo, fms = single_instance_metrics(toy_model, inst, mfs, FAST.t)
         scores = tuple(float(mfs.pair_scores.cig[p]) for p in mfs.pairs)
         removal = [RemovalSet(mode=PAIR_MODE, elements=mfs.pairs, scores=scores)]
@@ -144,6 +146,7 @@ class TestSingleInstanceMetrics:
         # Instance 3 has a one-pair explanation that passes minimality.
         inst = toy_instances[3]
         (row,) = evaluate_methods(toy_model, [inst], ["cidr"], FAST)
-        comp, lo, fms = single_instance_metrics(toy_model, inst, refine(toy_model, inst, FAST), FAST.t)
+        mfs = refine(predicted_pair_map(toy_model, inst, FAST), FAST)
+        comp, lo, fms = single_instance_metrics(toy_model, inst, mfs, FAST.t)
         assert fms == 1.0
         assert (row.comp, row.lo, row.fms) == (comp, lo, fms)

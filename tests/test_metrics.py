@@ -270,7 +270,7 @@ class TestBatchedMatchesPerRecord:
             pm = cooperative_integrated_gradients(toy_model, inst, target, config.beta, config.steps)
             shared.append(
                 _Shared(instance=inst, target=target, ig=pm.ig, pair_map=pm,
-                        cidr_mfs=refine(toy_model, inst, config, pm))
+                        cidr_mfs=refine(pm, config))
             )
         for method in METHODS:
             sets = [_removal(method, toy_model, config, sh, k) for k, sh in enumerate(shared)]

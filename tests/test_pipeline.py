@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_instance, make_random_model
+from conftest import make_random_instance, make_random_model, predicted_pair_map
 from refine_oracle import refine_per_iteration, sample_iteration
 from minfeat import pipeline
 from minfeat.attribution import cooperative_integrated_gradients
@@ -276,8 +276,7 @@ class TestPerturbations:
 class TestRefine:
     def test_deterministic(self, toy_model, toy_instances):
         cfg = CidrConfig(n_iter=4, steps=12)
-        a = refine(toy_model, toy_instances[0], cfg)
-        b = refine(toy_model, toy_instances[0], cfg)
+        a, b = (refine(predicted_pair_map(toy_model, toy_instances[0], cfg), cfg) for _ in range(2))
         assert a.pairs == b.pairs
         assert a.frequencies == b.frequencies
         assert (a.u1, a.u2) == (b.u1, b.u2)
@@ -285,15 +284,16 @@ class TestRefine:
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_seed_changes_candidates(self, toy_model, toy_instances):
-        a = refine(toy_model, toy_instances[0], CidrConfig(seed=0, n_iter=4, steps=12))
-        b = refine(toy_model, toy_instances[0], CidrConfig(seed=99, n_iter=4, steps=12))
+        pm = predicted_pair_map(toy_model, toy_instances[0], CidrConfig(steps=12))
+        a = refine(pm, CidrConfig(seed=0, n_iter=4, steps=12))
+        b = refine(pm, CidrConfig(seed=99, n_iter=4, steps=12))
         assert a.u1 == b.u1  # scores do not depend on the seed
         assert a.u2_prime.tolist() != b.u2_prime.tolist()
 
     def test_feasibility_every_iteration(self, toy_model, toy_instances):
         cfg = CidrConfig(n_iter=6, steps=12)
         for inst in toy_instances[:8]:
-            mfs = refine(toy_model, inst, cfg)
+            mfs = refine(predicted_pair_map(toy_model, inst, cfg), cfg)
             for k, (capacity, score) in enumerate(zip(mfs.capacities, mfs.excluded_scores)):
                 real_score = sum(mfs.pair_scores.cig[p] for p in excluded_pairs(mfs, k))
                 assert real_score <= capacity + 1e-9
@@ -301,7 +301,7 @@ class TestRefine:
 
     def test_retained_pairs_are_positive_and_frequent(self, toy_model, toy_instances):
         cfg = CidrConfig(n_iter=5, steps=12)
-        mfs = refine(toy_model, toy_instances[1], cfg)
+        mfs = refine(predicted_pair_map(toy_model, toy_instances[1], cfg), cfg)
         assert len(mfs.frequencies) == len(mfs.pairs)
         for pair, frequency in zip(mfs.pairs, mfs.frequencies):
             assert mfs.pair_scores.cig[pair] > 0
@@ -313,7 +313,7 @@ class TestRefine:
         # keep it (its column of excluded, negated) reaches epsilon, and
         # its frequency is that share.
         cfg = CidrConfig(n_iter=5, steps=12)
-        mfs = refine(toy_model, toy_instances[2], cfg)
+        mfs = refine(predicted_pair_map(toy_model, toy_instances[2], cfg), cfg)
         shares = dict(zip(mfs.pair_scores.positive_pairs, (~mfs.excluded).mean(axis=0).tolist()))
         assert shares
         assert mfs.pairs == tuple(p for p, share in shares.items() if share >= cfg.epsilon)
@@ -325,7 +325,8 @@ class TestRefine:
         from minfeat.model import instance_from_words
 
         inst, _ = instance_from_words(toy_model, ["good"], 1)
-        mfs = method(toy_model, inst, CidrConfig(n_iter=2, steps=5))
+        cfg = CidrConfig(n_iter=2, steps=5)
+        mfs = method(predicted_pair_map(toy_model, inst, cfg), cfg)
         assert mfs.degenerate
         assert mfs.pairs == ()
         assert mfs.words == ()
@@ -334,18 +335,11 @@ class TestRefine:
         assert mfs.frequencies == ()
         assert (mfs.u1, mfs.u2) == (0.0, 0.0)
 
-    def test_precomputed_pair_map_matches_internal(self, toy_model, toy_instances):
-        inst = toy_instances[3]
-        cfg = CidrConfig(n_iter=3, steps=12)
-        target = toy_model.predicted_class(inst.embeddings)
-        pm = cooperative_integrated_gradients(toy_model, inst, target, cfg.beta, cfg.steps)
-        assert refine(toy_model, inst, cfg, pair_map=pm).pairs == refine(toy_model, inst, cfg).pairs
-
     @pytest.mark.parametrize("method", [refine, cidr_without_refinement])
     def test_precomputed_pair_map_needs_no_forward(self, toy_model, toy_instances, method, monkeypatch):
-        # A supplied map carries the class it was scored for, so neither
-        # method runs the model to find the predicted class again; a map
-        # scored for the other class keeps that class.
+        # The map carries the class it was scored for, so a map scored for
+        # the other class keeps that class, and scoring the pairs needs no
+        # forward pass.
         inst = toy_instances[3]
         cfg = CidrConfig(n_iter=3, steps=12)
         target = toy_model.predicted_class(inst.embeddings)
@@ -354,14 +348,12 @@ class TestRefine:
         monkeypatch.setattr(toy_model, "forward", lambda x: forwards.append(1) or forward(x))
         for scored_for in (target, 1 - target):
             pm = cooperative_integrated_gradients(toy_model, inst, scored_for, cfg.beta, cfg.steps)
-            assert method(toy_model, inst, cfg, pair_map=pm).target_class == scored_for
+            assert method(pm, cfg).target_class == scored_for
         assert forwards == []
-        assert method(toy_model, inst, cfg).target_class == target
-        assert len(forwards) == 1
 
     def test_iteration_count_matches_config(self, toy_model, toy_instances):
         cfg = CidrConfig(n_iter=7, steps=12)
-        mfs = refine(toy_model, toy_instances[4], cfg)
+        mfs = refine(predicted_pair_map(toy_model, toy_instances[4], cfg), cfg)
         if not mfs.degenerate:
             assert mfs.excluded.shape == (7, len(mfs.pair_scores.positive_pairs))
             assert mfs.u2_prime.shape == mfs.capacities.shape == mfs.excluded_scores.shape == (7,)
@@ -408,18 +400,16 @@ class TestAgainstPerIterationOracle:
     @pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("n_iter", [1, 10])
     @pytest.mark.parametrize("beta", [0.5, 0.0])
-    def test_batched_refine_is_bitwise_the_loop(
-        self, toy_model, toy_instances, corpus_pair_maps, beta, n_iter, q
-    ):
+    def test_batched_refine_is_bitwise_the_loop(self, corpus_pair_maps, beta, n_iter, q):
         # The bundled corpus, every record: u1, u2, pairs, frequencies and
         # every iteration's u2', capacity, excluded set, excluded score and
         # candidate set equal the per-iteration loop bit for bit.
-        config = CidrConfig(beta=beta, n_iter=n_iter, q=q)
+        config = CidrConfig(n_iter=n_iter, q=q)
         solved = 0
-        for inst, pm in zip(toy_instances, corpus_pair_maps):
+        for pm in corpus_pair_maps:
             pm = pm.with_beta(beta)
-            batched = refine(toy_model, inst, config, pm)
-            oracle = refine_per_iteration(toy_model, inst, config, pm)
+            batched = refine(pm, config)
+            oracle = refine_per_iteration(pm, config)
             assert bitwise(batched, iteration_facts(batched)) == bitwise(oracle, record_facts(oracle))
             solved += int(batched.excluded.any(axis=1).sum())
         assert solved > 0
@@ -428,7 +418,7 @@ class TestAgainstPerIterationOracle:
 class TestGreedyVariant:
     def test_exclusion_respects_running_bound(self, toy_model, toy_instances):
         cfg = CidrConfig(steps=12)
-        mfs = cidr_without_refinement(toy_model, toy_instances[0], cfg)
+        mfs = cidr_without_refinement(predicted_pair_map(toy_model, toy_instances[0], cfg), cfg)
         if mfs.degenerate:
             pytest.skip("degenerate draw")
         bound = mfs.u1 + mfs.u2
@@ -449,11 +439,13 @@ class TestGreedyVariant:
         assert tuple(sorted(expected_excluded)) == excluded_pairs(mfs, 0)
 
     def test_retained_frequencies_are_one(self, toy_model, toy_instances):
-        mfs = cidr_without_refinement(toy_model, toy_instances[5], CidrConfig(steps=12))
+        cfg = CidrConfig(steps=12)
+        mfs = cidr_without_refinement(predicted_pair_map(toy_model, toy_instances[5], cfg), cfg)
         assert mfs.frequencies == (1.0,) * len(mfs.pairs)
 
     def test_single_iteration_recorded(self, toy_model, toy_instances):
-        mfs = cidr_without_refinement(toy_model, toy_instances[6], CidrConfig(steps=12))
+        cfg = CidrConfig(steps=12)
+        mfs = cidr_without_refinement(predicted_pair_map(toy_model, toy_instances[6], cfg), cfg)
         if not mfs.degenerate:
             assert mfs.excluded.shape == (1, len(mfs.pair_scores.positive_pairs))
             assert mfs.u2_prime.tolist() == [mfs.u2]

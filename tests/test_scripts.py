@@ -78,6 +78,10 @@ def test_paired_bench_prints_every_metric(capsys):
     for name in ("records_per_s", "setup_s", "peak_rss_mb"):
         assert f"\n{name} (" in out
     assert out.count("change wins") == 3
+    for side in ("parent", "change"):
+        # One pair: each metric's line holds that side's one run value.
+        runs = [line.split()[2:] for line in out.splitlines() if line.startswith(f"  {side} runs ")]
+        assert len(runs) == 3 and all(len(values) == 1 and float(values[0]) > 0 for values in runs)
     assert "parent failed_share 0 over 1 runs, 0 incorrect" in out
 
 
