@@ -4,6 +4,8 @@ Runs every requested explanation method across several pipeline seeds
 and prints per-seed metric rows plus the seed means. The expected
 ordering: cidr beats ig-top2k on FMS, beats random removal on
 comprehensiveness, and beats its own no-refinement variant on FMS.
+A seed count below 1 or a method list that evaluate_methods rejects
+exits 2 with a usage message naming the argument.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import replace
 
 from minfeat.corpus import tokenize
 from minfeat.data import build_toy_corpus
+from minfeat.errors import InputError
 from minfeat.evaluation import METHODS, evaluate_methods
 from minfeat.model import TrainConfig, instance_from_words, train_toy
 from minfeat.pipeline import CidrConfig
@@ -28,6 +31,8 @@ def main(argv: list[str] | None = None) -> int:
         help=f"comma-separated subset of {', '.join(METHODS)}",
     )
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
 
     corpus = build_toy_corpus()
@@ -39,7 +44,10 @@ def main(argv: list[str] | None = None) -> int:
     print(header)
     totals = {m: [0.0, 0.0, 0.0] for m in methods}
     for seed in range(args.seeds):
-        rows = evaluate_methods(model, instances, methods, replace(CidrConfig(), seed=seed))
+        try:
+            rows = evaluate_methods(model, instances, methods, replace(CidrConfig(), seed=seed))
+        except InputError as exc:
+            parser.error(f"--methods: {exc}")
         for row in rows:
             print(f"{seed:>4}  {row.method:<16}{row.lo:>12.6f}{row.comp:>12.6f}{row.fms:>12.6f}")
             totals[row.method][0] += row.lo

@@ -2,17 +2,22 @@
 
 Prints the per-token attribution, the positive cooperative pairs, the
 refined minimal feature set, and the instance-level metrics for a single
-sentence from the bundled corpus.
+sentence from the bundled corpus. A --beta or --seed that CidrConfig
+rejects exits 2 with a usage message naming the argument.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
+
+import numpy as np
 
 from minfeat.attribution import cooperative_integrated_gradients
 from minfeat.corpus import tokenize
 from minfeat.data import build_toy_corpus
+from minfeat.errors import InputError
 from minfeat.evaluation import single_instance_metrics
 from minfeat.model import TrainConfig, instance_from_words, train_toy, training_accuracy
 from minfeat.pipeline import CidrConfig, refine
@@ -24,6 +29,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="pipeline seed")
     parser.add_argument("--beta", type=float, default=0.5)
     args = parser.parse_args(argv)
+    config = CidrConfig()
+    for name in ("beta", "seed"):
+        try:
+            config = replace(config, **{name: getattr(args, name)})
+        except InputError as exc:
+            parser.error(f"--{name}: {exc}")
 
     corpus = build_toy_corpus()
     examples = [(tokenize(r.text), r.label) for r in corpus]
@@ -34,11 +45,12 @@ def main(argv: list[str] | None = None) -> int:
     record = corpus[args.index % len(corpus)]
     words = tokenize(record.text)
     instance, oov = instance_from_words(model, words, record.label)
-    config = CidrConfig(beta=args.beta, seed=args.seed)
-    target = model.predicted_class(instance.embeddings)
+    # One forward: its argmax is the explained class, and its entry there
+    # the printed probability.
+    probs = model.forward(instance.embeddings)
+    target = int(np.argmax(probs))
     mfs = refine(cooperative_integrated_gradients(model, instance, target, config.beta, config.steps), config)
 
-    probs = model.forward(instance.embeddings)
     print(f"record {record.id} (label {record.label}, {oov} OOV tokens)")
     print(f"  text: {record.text}")
     print(f"  predicted class {mfs.target_class} with probability {probs[mfs.target_class]:.3f}\n")

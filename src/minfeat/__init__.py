@@ -12,15 +12,7 @@ from .corpus import CorpusRecord, load_corpus, save_corpus, tokenize
 from .data import build_toy_corpus
 from .errors import ConfigError, InputError, InternalError, MinfeatError, NumericError
 from .evaluation import METHODS, evaluate_methods, gradient_input_scores
-from .metrics import (
-    MetricsRow,
-    RemovalSet,
-    comprehensiveness,
-    fms_pairs,
-    fms_words,
-    log_odds,
-    top_k_baseline,
-)
+from .metrics import MetricsRow, comprehensiveness, fms_pairs, fms_words, log_odds, top_k_baseline
 from .model import (
     Instance,
     Model,
@@ -49,7 +41,6 @@ __all__ = [
     "Model",
     "NumericError",
     "PairScoreMap",
-    "RemovalSet",
     "TrainConfig",
     "Vocabulary",
     "build_toy_corpus",

@@ -1,10 +1,10 @@
 """Side-by-side evaluation of explanation methods on one corpus.
 
-Each method produces one removal set per instance; every method, and
-the per-record scores of ``explain``, go through the same
-comprehensiveness, log-odds, and minimality call. Pair-producing methods
-are scored at pair granularity, plain word rankings at word granularity,
-as each removal set's mode says.
+Each method produces one explanation per instance, its elements ranked
+best first; every method, and the per-record scores of ``explain``, go
+through the same comprehensiveness, log-odds, and minimality call.
+Pair-producing methods are scored at pair granularity, plain word
+rankings at word granularity.
 
 Methods:
 
@@ -26,17 +26,7 @@ import numpy as np
 
 from .attribution import PairScoreMap, cooperative_integrated_gradients, integrated_gradients
 from .errors import ConfigError, InputError
-from .metrics import (
-    PAIR_MODE,
-    WORD_MODE,
-    MetricsRow,
-    RemovalSet,
-    comprehensiveness,
-    fms_pairs,
-    fms_words,
-    log_odds,
-    top_k_baseline,
-)
+from .metrics import MetricsRow, comprehensiveness, fms_pairs, fms_words, log_odds, top_k_baseline
 from .model import Instance, Model
 from .pipeline import CidrConfig, MinimalFeatureSet, cidr_without_refinement, refine
 
@@ -81,49 +71,37 @@ def _word_budget(n_tokens: int) -> int:
     return min(2 * max(1, n_tokens // 10), n_tokens)
 
 
-def _pair_removal(mfs: MinimalFeatureSet) -> RemovalSet:
-    scores = tuple(float(mfs.pair_scores.cig[p]) for p in mfs.pairs)
-    return RemovalSet(mode=PAIR_MODE, elements=mfs.pairs, scores=scores)
+def _ranked_pairs(mfs: MinimalFeatureSet) -> tuple[tuple[int, int], ...]:
+    """The retained pairs, best first: cig descending, ties to the lower pair."""
+    cig = mfs.pair_scores.cig
+    return tuple(sorted(mfs.pairs, key=lambda p: (-cig[p], p)))
 
 
-def _word_removal(indices: Sequence[int], ranking: Sequence[float]) -> RemovalSet:
-    return RemovalSet(
-        mode=WORD_MODE,
-        elements=tuple(int(i) for i in indices),
-        scores=tuple(float(ranking[i]) for i in indices),
-    )
-
-
-def _random_words(n_tokens: int, size: int, seed: int, index: int) -> RemovalSet:
-    if size == 0:
-        return RemovalSet(mode=WORD_MODE, elements=(), scores=())
+def _random_words(n_tokens: int, size: int, seed: int, index: int) -> tuple[int, ...]:
+    """size distinct positions in draw order, which is their rank order."""
     stream = np.random.Generator(
         np.random.Philox(
             counter=[0, 0, 0, index], key=np.array([seed, _RANDOM_STREAM], dtype=np.uint64)
         )
     )
-    drawn = stream.permutation(n_tokens)[:size]
-    # Earlier draws rank higher so truncation follows the draw order.
-    scores = {int(pos): float(size - rank) for rank, pos in enumerate(drawn)}
-    elements = tuple(sorted(scores))
-    return RemovalSet(
-        mode=WORD_MODE, elements=elements, scores=tuple(scores[e] for e in elements)
-    )
+    return tuple(int(pos) for pos in stream.permutation(n_tokens)[:size])
 
 
 def _score(
-    model: Model, instances: Sequence[Instance], removal_sets: Sequence[RemovalSet], t: float
+    model: Model,
+    instances: Sequence[Instance],
+    explanations: Sequence[Sequence],
+    fms_of: Callable,
+    t: float,
 ) -> tuple[float, float, float]:
-    """(comp, lo, fms) of one method, one removal set per instance.
+    """(comp, lo, fms) of one method, one ranked explanation per instance.
 
-    The first set's mode picks the minimality granularity: pairs are
-    restored a pair at a time, words a word at a time.
+    fms_of is fms_pairs or fms_words, as the caller's elements are pairs
+    or words: pairs are restored a pair at a time, words a word at a time.
     """
-    comp = comprehensiveness(model, instances, removal_sets)
-    lo = log_odds(model, instances, removal_sets)
-    fms_of = fms_pairs if removal_sets[0].mode == PAIR_MODE else fms_words
-    fms = fms_of(model, instances, [rs.elements for rs in removal_sets], t)
-    return comp, lo, fms
+    comp = comprehensiveness(model, instances, explanations)
+    lo = log_odds(model, instances, explanations)
+    return comp, lo, fms_of(model, instances, explanations, t)
 
 
 def single_instance_metrics(
@@ -131,27 +109,27 @@ def single_instance_metrics(
 ) -> tuple[float, float, float]:
     """(comp, lo, fms) for one instance under its pair explanation, scored
     exactly as evaluate_methods scores a cidr row."""
-    return _score(model, [instance], [_pair_removal(mfs)], t)
+    return _score(model, [instance], [_ranked_pairs(mfs)], fms_pairs, t)
 
 
-def _removal(
+def _explanation(
     method: str, model: Model, config: CidrConfig, shared: _Shared, index: int
-) -> RemovalSet:
-    """The explanation one method gives for one instance."""
+) -> tuple:
+    """The explanation one method gives for one instance, best element first."""
     instance = shared.instance
     if method == "cidr":
-        return _pair_removal(shared.cidr_mfs)
+        return _ranked_pairs(shared.cidr_mfs)
     if method == "cidr-no-r":
-        return _pair_removal(cidr_without_refinement(shared.pair_map, config))
+        return _ranked_pairs(cidr_without_refinement(shared.pair_map, config))
     if method == "cidr-no-cig":
-        return _pair_removal(refine(shared.pair_map.with_beta(0.0), config))
+        return _ranked_pairs(refine(shared.pair_map.with_beta(0.0), config))
     if method == "random":
         return _random_words(len(instance), len(shared.cidr_mfs.words), config.seed, index)
     if method == "ig-top2k":
         scores = shared.ig
     else:  # gradinput-top2k
         scores = gradient_input_scores(model, instance, shared.target)
-    return _word_removal(top_k_baseline(scores, _word_budget(len(instance))), scores)
+    return top_k_baseline(scores, _word_budget(len(instance)))
 
 
 def evaluate_methods(
@@ -163,7 +141,7 @@ def evaluate_methods(
     """Score each requested method over the whole corpus.
 
     Returns one row per method, in request order; each row is the
-    (comp, lo, fms) of the method's removal sets, pair methods at pair
+    (comp, lo, fms) of the method's explanations, pair methods at pair
     granularity and word rankings at word granularity. Pair scores are
     computed once per instance and shared: the beta = 0 variant is an
     exact recombination of the stored components, and the random baseline
@@ -201,11 +179,14 @@ def evaluate_methods(
 
     rows: list[MetricsRow] = []
     for method in methods:
-        removal_sets = [
-            _removal(method, model, config, shared, index)
+        explanations = [
+            _explanation(method, model, config, shared, index)
             for index, shared in enumerate(shared_list)
         ]
-        comp, lo, fms = _score(model, instances, removal_sets, config.t)
+        # Read from the module globals on each call, so that a tracer that
+        # swaps module attributes (perfbench's) sees this call.
+        fms_of = fms_pairs if method in _PAIR_METHODS else fms_words
+        comp, lo, fms = _score(model, instances, explanations, fms_of, config.t)
         rows.append(
             MetricsRow(method=method, lo=lo, comp=comp, fms=fms, n=len(instances), seed=config.seed)
         )

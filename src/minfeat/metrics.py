@@ -9,11 +9,11 @@ call of 2 rows per record cost more in call overhead than in arithmetic.
 Minimality makes two such calls, the second only for the records that
 pass essence.
 
-An explanation is a RemovalSet: token pairs or single tokens, as its
-mode says, each with a ranking score. Comprehensiveness and log-odds
-remove its top-K elements, K = min(max(1, floor(0.1 n)), |S|), and
-compare the class probability before and after. The minimality score
-evaluates the full set: it checks that removing the set drives the class
+An explanation is a sequence of elements, best first: token pairs
+(i, j) or single token indices. Comprehensiveness and log-odds remove
+its first K elements, K = min(max(1, floor(0.1 n)), |S|), and compare
+the class probability before and after. The minimality score evaluates
+the full set: it checks that removing the set drives the class
 probability to at most t (essence) and that restoring any single element
 lifts it back above t (minimality).
 """
@@ -30,33 +30,6 @@ from .errors import InputError, InternalError
 from .model import Instance, Model
 
 PROBABILITY_FLOOR = 1e-12
-
-PAIR_MODE = "pairs"
-WORD_MODE = "words"
-
-
-@dataclass(frozen=True)
-class RemovalSet:
-    """One instance's explanation: elements plus their ranking scores.
-
-    Elements are (i, j) index pairs in pair mode and bare token indices
-    in word mode; scores order them for truncation (higher first, ties by
-    lower element).
-    """
-
-    mode: str
-    elements: tuple
-    scores: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.elements) != len(self.scores):
-            raise InputError("each removal element needs exactly one ranking score")
-        if self.mode not in (PAIR_MODE, WORD_MODE):
-            raise InputError(f"unknown removal mode {self.mode!r}")
-
-    def top_elements(self, k: int) -> tuple:
-        order = sorted(range(len(self.elements)), key=lambda idx: (-self.scores[idx], self.elements[idx]))
-        return tuple(self.elements[idx] for idx in order[:k])
 
 
 @dataclass(frozen=True)
@@ -108,15 +81,15 @@ def _element_positions(n: int, elements: Sequence) -> np.ndarray:
 
 
 def _removal_probabilities(
-    model: Model, instances: Sequence[Instance], removal_sets: Sequence[RemovalSet]
+    model: Model, instances: Sequence[Instance], explanations: Sequence[Sequence]
 ) -> list[tuple[float, float]]:
-    """Predicted-class probability before and after removing the top-K
-    elements, for each instance whose removal set is non-empty."""
-    _check_corpus(instances, removal_sets, "removal")
-    scored = [(inst, rs) for inst, rs in zip(instances, removal_sets) if rs.elements]
+    """Predicted-class probability before and after removing the first K
+    elements, for each instance whose explanation is non-empty."""
+    _check_corpus(instances, explanations, "removal")
+    scored = [(inst, ranked) for inst, ranked in zip(instances, explanations) if len(ranked)]
     masks = []
-    for inst, rs in scored:
-        top = rs.top_elements(_k_for(len(inst), len(rs.elements)))
+    for inst, ranked in scored:
+        top = ranked[: _k_for(len(inst), len(ranked))]
         stack = np.zeros((2, len(inst)), dtype=bool)  # [unmasked, top-K removed]
         stack[1, _element_positions(len(inst), top)] = True
         masks.append(stack)
@@ -129,31 +102,31 @@ def _removal_probabilities(
 
 
 def comprehensiveness(
-    model: Model, instances: Sequence[Instance], removal_sets: Sequence[RemovalSet]
+    model: Model, instances: Sequence[Instance], explanations: Sequence[Sequence]
 ) -> float:
-    """Mean drop of the predicted-class probability after removing each
-    set's top-K elements.
+    """Mean drop of the predicted-class probability after removing the
+    first K elements of each explanation (best element first).
 
-    Higher is better. Instances with empty removal sets contribute 0.
+    Higher is better. Instances with empty explanations contribute 0.
     """
     total = 0.0
-    for before, after in _removal_probabilities(model, instances, removal_sets):
+    for before, after in _removal_probabilities(model, instances, explanations):
         total += before - after
     return total / len(instances)
 
 
 def log_odds(
-    model: Model, instances: Sequence[Instance], removal_sets: Sequence[RemovalSet]
+    model: Model, instances: Sequence[Instance], explanations: Sequence[Sequence]
 ) -> float:
     """Mean natural-log change of the predicted-class probability after
-    removing each set's top-K elements.
+    removing the first K elements of each explanation (best element first).
 
     Negative when removal hurts the predicted class; lower is better.
-    Instances with empty removal sets contribute 0. Probabilities are
+    Instances with empty explanations contribute 0. Probabilities are
     floored at 1e-12 before logging, so the result is always finite.
     """
     total = 0.0
-    for before, after in _removal_probabilities(model, instances, removal_sets):
+    for before, after in _removal_probabilities(model, instances, explanations):
         total += math.log(max(after, PROBABILITY_FLOOR)) - math.log(max(before, PROBABILITY_FLOOR))
     return total / len(instances)
 
@@ -224,14 +197,12 @@ def fms_words(
 
 
 def top_k_baseline(scores: Sequence[float], k: int) -> tuple[int, ...]:
-    """Indices of the k largest scores, ties broken toward lower indices.
+    """Indices of the k largest scores in rank order: score descending,
+    ties to the lower index.
 
-    k larger than the score count is clamped. The result is sorted by
-    position for stable downstream use.
+    k larger than the score count is clamped.
     """
-    n = len(scores)
     if k < 0:
         raise InputError("k must be non-negative")
-    k = min(k, n)
-    order = sorted(range(n), key=lambda i: (-float(scores[i]), i))
-    return tuple(sorted(order[:k]))
+    order = sorted(range(len(scores)), key=lambda i: (-float(scores[i]), i))
+    return tuple(order[:k])

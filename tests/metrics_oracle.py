@@ -3,7 +3,8 @@
 Each record's removals are scored by their own model call, one record
 after another, as the metrics did before they scored a whole corpus in
 one call per metric. Tests compare the batched metrics against these
-loops for exact equality.
+loops for exact equality. `top_by_score` is the ranking rule the
+explanation producers must follow.
 """
 
 from __future__ import annotations
@@ -23,27 +24,34 @@ def removal_mask(n: int, elements) -> np.ndarray:
     return row
 
 
-def _before_after(model, instances, removal_sets):
-    for instance, removal in zip(instances, removal_sets):
-        if not removal.elements:
+def top_by_score(elements, scores, k: int) -> tuple:
+    """The first k elements under the reference ranking: score descending,
+    ties to the lower element."""
+    order = sorted(range(len(elements)), key=lambda g: (-scores[g], elements[g]))
+    return tuple(elements[g] for g in order[:k])
+
+
+def _before_after(model, instances, explanations):
+    for instance, ranked in zip(instances, explanations):
+        if not len(ranked):
             continue
-        top = removal.top_elements(_k_for(len(instance), len(removal.elements)))
+        top = ranked[: _k_for(len(instance), len(ranked))]
         masks = np.stack([removal_mask(len(instance), ()), removal_mask(len(instance), top)])
         before, after = model.removal_probabilities([instance], [masks])
         c = int(np.argmax(before))
         yield float(before[c]), float(after[c])
 
 
-def comprehensiveness_per_record(model, instances, removal_sets) -> float:
+def comprehensiveness_per_record(model, instances, explanations) -> float:
     total = 0.0
-    for before, after in _before_after(model, instances, removal_sets):
+    for before, after in _before_after(model, instances, explanations):
         total += before - after
     return total / len(instances)
 
 
-def log_odds_per_record(model, instances, removal_sets) -> float:
+def log_odds_per_record(model, instances, explanations) -> float:
     total = 0.0
-    for before, after in _before_after(model, instances, removal_sets):
+    for before, after in _before_after(model, instances, explanations):
         total += math.log(max(after, PROBABILITY_FLOOR)) - math.log(max(before, PROBABILITY_FLOOR))
     return total / len(instances)
 

@@ -25,7 +25,7 @@ from minfeat.attribution import PairScoreMap, cooperative_integrated_gradients, 
 from minfeat.cli import main
 from minfeat.corpus import save_corpus
 from minfeat.knapsack import KnapsackInstance, solve_dp
-from minfeat.metrics import RemovalSet, comprehensiveness, fms_pairs, log_odds
+from minfeat.metrics import comprehensiveness, fms_pairs, log_odds
 from minfeat.model import save_model
 from minfeat.pipeline import (
     CidrConfig,
@@ -309,9 +309,8 @@ def test_09_explain_is_byte_deterministic(capsys, toy_model, toy_corpus, tmp_pat
 def test_10_metric_hand_traces(capsys):
     drop_model = ScriptedModel({(): (0.1, 0.9), (0, 1): (0.4, 0.6)})
     inst = scripted_instance(2)
-    removal = [RemovalSet(mode="pairs", elements=((0, 1),), scores=(1.0,))]
-    comp = comprehensiveness(drop_model, [inst], removal)
-    lo = log_odds(drop_model, [inst], removal)
+    comp = comprehensiveness(drop_model, [inst], [((0, 1),)])
+    lo = log_odds(drop_model, [inst], [((0, 1),)])
 
     fms_model = ScriptedModel({
         (): (0.2, 0.8),

@@ -2,21 +2,32 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import predicted_pair_map
+from metrics_oracle import top_by_score
+from minfeat.attribution import cooperative_integrated_gradients
+from minfeat.corpus import tokenize
 from minfeat.errors import ConfigError, InputError
 from minfeat.evaluation import (
+    _RANDOM_STREAM,
     METHODS,
+    _explanation,
     _random_words,
+    _ranked_pairs,
+    _Shared,
     _word_budget,
     evaluate_methods,
     gradient_input_scores,
     parallel_map,
     single_instance_metrics,
 )
-from minfeat.pipeline import CidrConfig, refine
+from minfeat.metrics import _k_for, comprehensiveness
+from minfeat.model import instance_from_words
+from minfeat.pipeline import CidrConfig, cidr_without_refinement, refine
 
 FAST = CidrConfig(n_iter=3, steps=10)
 
@@ -49,25 +60,77 @@ class TestWordBudget:
 
 class TestRandomWords:
     def test_deterministic_per_seed_and_index(self):
-        a = _random_words(12, 4, seed=3, index=7)
-        b = _random_words(12, 4, seed=3, index=7)
-        assert a.elements == b.elements
-        assert a.scores == b.scores
+        assert _random_words(12, 4, seed=3, index=7) == _random_words(12, 4, seed=3, index=7)
 
     def test_independent_across_indices(self):
-        a = _random_words(12, 4, seed=3, index=0)
-        b = _random_words(12, 4, seed=3, index=1)
-        assert a.elements != b.elements or a.scores != b.scores
+        assert _random_words(12, 4, seed=3, index=0) != _random_words(12, 4, seed=3, index=1)
 
     def test_size_and_range(self):
-        rs = _random_words(9, 5, seed=0, index=0)
-        assert len(rs.elements) == 5
-        assert all(0 <= e < 9 for e in rs.elements)
-        assert len(set(rs.elements)) == 5
+        words = _random_words(9, 5, seed=0, index=0)
+        assert len(words) == 5
+        assert all(0 <= e < 9 for e in words)
+        assert len(set(words)) == 5
 
     def test_zero_size_empty(self):
-        rs = _random_words(9, 0, seed=0, index=0)
-        assert rs.elements == ()
+        assert _random_words(9, 0, seed=0, index=0) == ()
+
+
+def _draw_rank_scores(n_tokens: int, size: int, seed: int, index: int) -> dict[int, float]:
+    """The random baseline's positions scored by draw rank (earlier draws
+    score higher), drawn from the stream its key and counter name."""
+    stream = np.random.Generator(
+        np.random.Philox(counter=[0, 0, 0, index], key=np.array([seed, _RANDOM_STREAM], dtype=np.uint64))
+    )
+    return {int(pos): float(size - rank) for rank, pos in enumerate(stream.permutation(n_tokens)[:size])}
+
+
+class TestRankOrder:
+    """Each producer ranks its explanation as the reference rule ranks the
+    same scores: score descending, ties to the lower element."""
+
+    def test_every_method_on_the_bundled_corpus(self, toy_model, toy_instances):
+        config = CidrConfig(n_iter=3)
+        ties = 0
+        for index, inst in enumerate(toy_instances):
+            n = len(inst)
+            target = toy_model.predicted_class(inst.embeddings)
+            pm = cooperative_integrated_gradients(toy_model, inst, target, config.beta, config.steps)
+            cidr = refine(pm, config)
+            shared = _Shared(instance=inst, target=target, ig=pm.ig, pair_map=pm, cidr_mfs=cidr)
+            pair_sets = {
+                "cidr": cidr,
+                "cidr-no-r": cidr_without_refinement(pm, config),
+                "cidr-no-cig": refine(pm.with_beta(0.0), config),
+            }
+            for method in METHODS:
+                ranked = _explanation(method, toy_model, config, shared, index)
+                if method in pair_sets:
+                    mfs = pair_sets[method]
+                    elements = mfs.pairs
+                    scores = [mfs.pair_scores.cig[p] for p in elements]
+                elif method == "random":
+                    drawn = _draw_rank_scores(n, len(cidr.words), config.seed, index)
+                    elements = tuple(sorted(drawn))
+                    scores = [drawn[e] for e in elements]
+                else:
+                    ranking = pm.ig if method == "ig-top2k" else gradient_input_scores(toy_model, inst, target)
+                    elements = tuple(sorted(top_by_score(range(n), ranking, _word_budget(n))))
+                    scores = [ranking[e] for e in elements]
+                k = _k_for(n, len(ranked))
+                assert sorted(ranked) == sorted(elements)
+                assert ranked[:k] == top_by_score(elements, scores, k)
+                ties += len(set(scores)) < len(scores)
+        assert ties > 0  # the tie-break is exercised, not only the score order
+
+    def test_bitwise_equal_cig_ranks_the_lower_pair_first(self, toy_model):
+        # Positions 0 and 6 hold the same word, so pairs (0, 7) and (6, 7)
+        # get bitwise-equal cig; the lower pair ranks first in either order.
+        words = tokenize("with was this movie it story with masterpiece weak film the")
+        inst, _ = instance_from_words(toy_model, words, 1)
+        mfs = refine(predicted_pair_map(toy_model, inst, FAST), FAST)
+        assert mfs.pair_scores.cig[0, 7] == mfs.pair_scores.cig[6, 7]
+        for pairs in (((0, 7), (6, 7)), ((6, 7), (0, 7))):
+            assert _ranked_pairs(replace(mfs, pairs=pairs)) == ((0, 7), (6, 7))
 
 
 class TestEvaluateMethods:
@@ -114,8 +177,7 @@ class TestEvaluateMethods:
             mfs = refine(predicted_pair_map(toy_model, inst, FAST), FAST)
             sizes.append(len(mfs.words))
         for index, inst in enumerate(insts):
-            rs = _random_words(len(inst), sizes[index], FAST.seed, index)
-            assert len(rs.elements) == sizes[index]
+            assert len(_random_words(len(inst), sizes[index], FAST.seed, index)) == sizes[index]
 
     def test_beta_zero_variant_uses_recombined_scores(self, toy_model, toy_instances):
         # cidr-no-cig must equal running refine with beta = 0 from scratch.
@@ -131,14 +193,12 @@ class TestEvaluateMethods:
 
 class TestSingleInstanceMetrics:
     def test_matches_corpus_level_functions(self, toy_model, toy_instances):
-        from minfeat.metrics import PAIR_MODE, RemovalSet, comprehensiveness
-
         inst = toy_instances[0]
         mfs = refine(predicted_pair_map(toy_model, inst, FAST), FAST)
         comp, lo, fms = single_instance_metrics(toy_model, inst, mfs, FAST.t)
-        scores = tuple(float(mfs.pair_scores.cig[p]) for p in mfs.pairs)
-        removal = [RemovalSet(mode=PAIR_MODE, elements=mfs.pairs, scores=scores)]
-        assert comp == comprehensiveness(toy_model, [inst], removal)
+        scores = [mfs.pair_scores.cig[p] for p in mfs.pairs]
+        ranked = top_by_score(mfs.pairs, scores, len(mfs.pairs))
+        assert comp == comprehensiveness(toy_model, [inst], [ranked])
 
     def test_equals_a_one_instance_cidr_row(self, toy_model, toy_instances):
         # explain and evaluate score an explanation through the same call,

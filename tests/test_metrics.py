@@ -16,12 +16,9 @@ import pytest
 from conftest import make_random_instance, make_random_model
 from minfeat.attribution import cooperative_integrated_gradients
 from minfeat.errors import InputError, InternalError
-from minfeat.evaluation import METHODS, _removal, _Shared
+from minfeat.evaluation import _PAIR_METHODS, METHODS, _explanation, _Shared
 from minfeat.metrics import (
-    PAIR_MODE,
-    WORD_MODE,
     MetricsRow,
-    RemovalSet,
     _k_for,
     comprehensiveness,
     fms_pairs,
@@ -35,10 +32,6 @@ from stubs import ScriptedModel, scripted_instance
 
 
 class TestProtocol:
-    def test_modes_validated(self):
-        with pytest.raises(InputError):
-            RemovalSet(mode="tokens", elements=(), scores=())
-
     def test_truncation_budget(self):
         assert _k_for(10, 5) == 1  # floor(0.1 * 10) = 1
         assert _k_for(30, 5) == 3
@@ -46,24 +39,14 @@ class TestProtocol:
         assert _k_for(5, 9) == 1  # short input still removes one
         assert _k_for(200, 999) == 20
 
-    def test_top_elements_order(self):
-        rs = RemovalSet(mode=WORD_MODE, elements=(4, 2, 9), scores=(1.0, 3.0, 1.0))
-        assert rs.top_elements(2) == (2, 4)  # score first, then lower element
-        assert rs.top_elements(99) == (2, 4, 9)
-
-    def test_element_score_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            RemovalSet(mode=WORD_MODE, elements=(1, 2), scores=(0.5,))
-
     def test_out_of_range_positions_rejected(self, toy_model, toy_instances):
         # -1 must not wrap around to the last token.
         inst = toy_instances[0]
         for pos in (len(inst), -1):
             with pytest.raises(InputError):
                 fms_words(toy_model, [inst], [[pos]], t=0.5)
-            removal = RemovalSet(mode=WORD_MODE, elements=(pos,), scores=(1.0,))
             with pytest.raises(InputError):
-                comprehensiveness(toy_model, [inst], [removal])
+                comprehensiveness(toy_model, [inst], [(pos,)])
 
     def test_first_bad_position_is_named(self, toy_model, toy_instances):
         inst = toy_instances[0]
@@ -82,25 +65,20 @@ class TestComprehensiveness:
     def test_hand_traced_drop(self):
         model = ScriptedModel({(): (0.9, 0.1), (2, 5): (0.6, 0.4)})
         inst = scripted_instance(10)
-        removal = RemovalSet(mode=PAIR_MODE, elements=((2, 5),), scores=(1.0,))
-        assert comprehensiveness(model, [inst], [removal]) == pytest.approx(0.3, abs=1e-12)
+        assert comprehensiveness(model, [inst], [((2, 5),)]) == pytest.approx(0.3, abs=1e-12)
 
     def test_truncates_to_top_scoring_pair(self):
-        # Length 10 gives budget K=1, so only the best-scored pair is removed.
-        model = ScriptedModel({(): (0.8, 0.2), (0, 1): (0.5, 0.5)})
+        # Length 10 gives budget K=1, so only the first-ranked pair is
+        # removed, whatever its position.
+        model = ScriptedModel({(): (0.8, 0.2), (2, 3): (0.5, 0.5)})
         inst = scripted_instance(10)
-        removal = RemovalSet(mode=PAIR_MODE, elements=((2, 3), (0, 1)), scores=(1.0, 2.0))
-        assert comprehensiveness(model, [inst], [removal]) == pytest.approx(0.3, abs=1e-12)
+        assert comprehensiveness(model, [inst], [((2, 3), (0, 1))]) == pytest.approx(0.3, abs=1e-12)
 
     def test_empty_set_contributes_zero(self):
         model = ScriptedModel({(): (0.9, 0.1), (1,): (0.4, 0.6)})
         insts = [scripted_instance(10), scripted_instance(10)]
-        removals = [
-            RemovalSet(mode=WORD_MODE, elements=(1,), scores=(1.0,)),
-            RemovalSet(mode=WORD_MODE, elements=(), scores=()),
-        ]
         # (0.9 - 0.4 + 0) / 2
-        assert comprehensiveness(model, insts, removals) == pytest.approx(0.25, abs=1e-12)
+        assert comprehensiveness(model, insts, [(1,), ()]) == pytest.approx(0.25, abs=1e-12)
 
     def test_corpus_shape_validated(self):
         model = ScriptedModel({(): (0.9, 0.1)})
@@ -114,14 +92,12 @@ class TestLogOdds:
     def test_hand_traced_log_ratio(self):
         model = ScriptedModel({(): (0.9, 0.1), (2, 5): (0.6, 0.4)})
         inst = scripted_instance(10)
-        removal = RemovalSet(mode=PAIR_MODE, elements=((2, 5),), scores=(1.0,))
-        assert log_odds(model, [inst], [removal]) == pytest.approx(-0.405465, abs=1e-6)
+        assert log_odds(model, [inst], [((2, 5),)]) == pytest.approx(-0.405465, abs=1e-6)
 
     def test_zero_probability_floored(self):
         model = ScriptedModel({(): (0.9, 0.1), (3,): (0.0, 1.0)})
         inst = scripted_instance(10)
-        removal = RemovalSet(mode=WORD_MODE, elements=(3,), scores=(1.0,))
-        lo = log_odds(model, [inst], [removal])
+        lo = log_odds(model, [inst], [(3,)])
         assert math.isfinite(lo)
         assert lo == pytest.approx(math.log(1e-12) - math.log(0.9), abs=1e-9)
 
@@ -244,14 +220,12 @@ class TestFmsWords:
         assert fms_words(model, [inst], [[1, 3]], t=0.5) == 0.0
 
 
-def _assert_matches_per_record(model, instances, removal_sets, t):
-    fms_of = fms_pairs if removal_sets[0].mode == PAIR_MODE else fms_words
-    elements = [rs.elements for rs in removal_sets]
-    assert comprehensiveness(model, instances, removal_sets) == comprehensiveness_per_record(
-        model, instances, removal_sets
+def _assert_matches_per_record(model, instances, explanations, fms_of, t):
+    assert comprehensiveness(model, instances, explanations) == comprehensiveness_per_record(
+        model, instances, explanations
     )
-    assert log_odds(model, instances, removal_sets) == log_odds_per_record(model, instances, removal_sets)
-    assert fms_of(model, instances, elements, t) == fms_per_record(model, instances, elements, t)
+    assert log_odds(model, instances, explanations) == log_odds_per_record(model, instances, explanations)
+    assert fms_of(model, instances, explanations, t) == fms_per_record(model, instances, explanations, t)
 
 
 class TestBatchedMatchesPerRecord:
@@ -273,8 +247,9 @@ class TestBatchedMatchesPerRecord:
                         cidr_mfs=refine(pm, config))
             )
         for method in METHODS:
-            sets = [_removal(method, toy_model, config, sh, k) for k, sh in enumerate(shared)]
-            _assert_matches_per_record(toy_model, toy_instances, sets, config.t)
+            sets = [_explanation(method, toy_model, config, sh, k) for k, sh in enumerate(shared)]
+            fms_of = fms_pairs if method in _PAIR_METHODS else fms_words
+            _assert_matches_per_record(toy_model, toy_instances, sets, fms_of, config.t)
 
     def test_random_word_sets_on_a_random_model(self):
         # 300 random word sets: 600 before/after rows in one call, and more
@@ -286,28 +261,29 @@ class TestBatchedMatchesPerRecord:
         sets = []
         for inst in instances:
             size = int(rng.integers(1, len(inst) + 1))
-            words = tuple(sorted(rng.choice(len(inst), size=size, replace=False).tolist()))
-            sets.append(RemovalSet(mode=WORD_MODE, elements=words, scores=(1.0,) * size))
+            sets.append(tuple(sorted(rng.choice(len(inst), size=size, replace=False).tolist())))
         restoration_rows = 0
-        for inst, rs in zip(instances, sets):
+        for inst, words in zip(instances, sets):
             masks = np.zeros((2, len(inst)), dtype=bool)
-            masks[1, list(rs.elements)] = True
+            masks[1, list(words)] = True
             full, removed = model.removal_probabilities([inst], [masks])
-            restoration_rows += len(rs.elements) * int(removed[np.argmax(full)] <= 0.5)
+            restoration_rows += len(words) * int(removed[np.argmax(full)] <= 0.5)
         assert restoration_rows > 500
-        assert 0.0 < fms_words(model, instances, [rs.elements for rs in sets], 0.5) < 1.0
-        _assert_matches_per_record(model, instances, sets, 0.5)
+        assert 0.0 < fms_words(model, instances, sets, 0.5) < 1.0
+        _assert_matches_per_record(model, instances, sets, fms_words, 0.5)
 
 
 class TestTopKBaseline:
     def test_selects_largest_scores(self):
         assert top_k_baseline([0.1, 0.9, 0.5, 0.7], 2) == (1, 3)
+        assert top_k_baseline([0.7, 0.5, 0.1, 0.9], 3) == (3, 0, 1)  # not sorted by position
 
     def test_ties_prefer_lower_index(self):
         assert top_k_baseline([0.5, 0.5, 0.5], 2) == (0, 1)
+        assert top_k_baseline([0.2, 0.5, 0.9, 0.5], 3) == (2, 1, 3)
 
     def test_k_clamped(self):
-        assert top_k_baseline([1.0, 2.0], 10) == (0, 1)
+        assert top_k_baseline([1.0, 2.0], 10) == (1, 0)
         assert top_k_baseline([1.0, 2.0], 0) == ()
 
     def test_negative_k_rejected(self):

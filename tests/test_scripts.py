@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from minfeat.model import Model
 from minfeat.reports import ExplanationReport, MfsEntry, PairScoreEntry, write_reports
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,6 +27,30 @@ def test_run_demo_prints_pair_scores(capsys):
     assert _load("run_demo").main(["--index", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert any("cig=" in line for line in lines)
+
+
+def test_run_demo_makes_one_forward(monkeypatch, capsys):
+    # The explained class and its printed probability come from one vector.
+    calls = []
+    forward = Model.forward
+    monkeypatch.setattr(Model, "forward", lambda self, embeddings: calls.append(1) or forward(self, embeddings))
+    assert _load("run_demo").main(["--index", "1"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "script, argv, named",
+    [("run_demo", ["--beta", "2"], "--beta"), ("run_demo", ["--beta", "nan"], "--beta"),
+     ("run_demo", ["--seed", "-1"], "--seed"), ("directional_study", ["--seeds", "0"], "--seeds"),
+     ("directional_study", ["--methods", "cidr,bogus"], "--methods"),
+     ("directional_study", ["--methods", "random,random"], "--methods")],
+)  # fmt: skip
+def test_scripts_reject_bad_arguments_naming_them(capsys, script, argv, named):
+    with pytest.raises(SystemExit) as exit_info:
+        _load(script).main(argv)
+    assert exit_info.value.code == 2
+    (message,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert f"error: {named}" in message
 
 
 def test_make_toy_corpus_writes_every_record(tmp_path):
