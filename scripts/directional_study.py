@@ -2,8 +2,10 @@
 
 Runs every requested explanation method across several pipeline seeds
 and prints per-seed metric rows plus the seed means. The expected
-ordering: cidr beats ig-top2k on FMS, beats random removal on
-comprehensiveness, and beats its own no-refinement variant on FMS.
+ordering: cidr beats random removal on comprehensiveness and its own
+no-refinement variant on FMS. cidr's FMS (fms_pairs, restoring a pair
+at a time) and ig-top2k's (fms_words, a word at a time) are on two
+scales, so their FMS columns are not compared.
 A seed count below 1 or a method list that evaluate_methods rejects
 exits 2 with a usage message naming the argument.
 """

@@ -12,15 +12,12 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from minfeat.attribution import cooperative_integrated_gradients
 from minfeat.corpus import tokenize
 from minfeat.data import build_toy_corpus
 from minfeat.errors import InputError
-from minfeat.evaluation import single_instance_metrics
+from minfeat.evaluation import RecordArtifacts, single_instance_metrics
 from minfeat.model import TrainConfig, instance_from_words, train_toy, training_accuracy
-from minfeat.pipeline import CidrConfig, refine
+from minfeat.pipeline import CidrConfig
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -45,15 +42,15 @@ def main(argv: list[str] | None = None) -> int:
     record = corpus[args.index % len(corpus)]
     words = tokenize(record.text)
     instance, oov = instance_from_words(model, words, record.label)
-    # One forward: its argmax is the explained class, and its entry there
-    # the printed probability.
-    probs = model.forward(instance.embeddings)
-    target = int(np.argmax(probs))
-    mfs = refine(cooperative_integrated_gradients(model, instance, target, config.beta, config.steps), config)
+    # The record's artifacts, as explain builds them: one forward gives
+    # the explained class and the printed probability.
+    artifacts = RecordArtifacts(model, instance, config)
+    mfs = artifacts.cidr
 
     print(f"record {record.id} (label {record.label}, {oov} OOV tokens)")
     print(f"  text: {record.text}")
-    print(f"  predicted class {mfs.target_class} with probability {probs[mfs.target_class]:.3f}\n")
+    probability = artifacts.probabilities[artifacts.target]
+    print(f"  predicted class {mfs.target_class} with probability {probability:.3f}\n")
 
     ig = mfs.pair_scores.ig
     print("per-token attribution (positive tokens marked *):")

@@ -16,28 +16,24 @@ import sys
 import traceback
 from typing import Any, Mapping
 
-import numpy as np
-
-from .attribution import cooperative_integrated_gradients
 from .config import cidr_config_from, load_config, train_config_from
 from .corpus import CorpusRecord, load_corpus, tokenize
 from .errors import InputError, InternalError
 from .evaluation import (
     METHODS,
+    RecordArtifacts,
     evaluate_methods,
     parallel_map,
     single_instance_metrics,
 )
 from .files import atomic_write
 from .model import (
-    Model,
     instance_from_words,
     load_model,
     save_model,
     train_toy,
     training_accuracy,
 )
-from .pipeline import CidrConfig, MinimalFeatureSet, refine
 from .reports import (
     ExplanationReport,
     MfsEntry,
@@ -110,22 +106,19 @@ def run_train(args: argparse.Namespace) -> int:
 
 def _build_report(
     record: CorpusRecord,
-    model: Model,
-    instance,
-    mfs: MinimalFeatureSet,
+    artifacts: RecordArtifacts,
     words: list[str],
     oov: int,
-    predicted_probability: float,
     config_echo: Mapping[str, Any],
-    t: float,
 ) -> ExplanationReport:
+    mfs = artifacts.cidr
     pair_map = mfs.pair_scores
-    comp, lo, fms = single_instance_metrics(model, instance, mfs, t)
+    comp, lo, fms = single_instance_metrics(artifacts.model, artifacts.instance, mfs, artifacts.config.t)
     return ExplanationReport(
         instance_id=record.id,
         tokens=tuple(words),
         predicted_class=mfs.target_class,
-        predicted_probability=predicted_probability,
+        predicted_probability=float(artifacts.probabilities[artifacts.target]),
         ig=tuple(float(s) for s in pair_map.ig),
         positive_pairs=tuple(
             PairScoreEntry(i=i, j=j, cig=float(pair_map.cig[i, j]))
@@ -157,13 +150,7 @@ def run_explain(args: argparse.Namespace) -> int:
     def explain_one(record: CorpusRecord) -> ExplanationReport:
         words = tokenize(record.text)
         instance, oov = instance_from_words(model, words, record.label)
-        # One forward per record: its argmax is the explained class, with
-        # ties to the lower index as in Model.predicted_class.
-        probs = model.forward(instance.embeddings)
-        target = int(np.argmax(probs))
-        pair_map = cooperative_integrated_gradients(model, instance, target, config.beta, config.steps)
-        mfs = refine(pair_map, config)
-        return _build_report(record, model, instance, mfs, words, oov, float(probs[target]), values, config.t)
+        return _build_report(record, RecordArtifacts(model, instance, config), words, oov, values)
 
     reports = parallel_map(explain_one, records)
     write_reports(reports, args.out)

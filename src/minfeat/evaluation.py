@@ -1,26 +1,25 @@
 """Side-by-side evaluation of explanation methods on one corpus.
 
-Each method produces one explanation per instance, its elements ranked
-best first; every method, and the per-record scores of ``explain``, go
-through the same comprehensiveness, log-odds, and minimality call.
-Pair-producing methods are scored at pair granularity, plain word
-rankings at word granularity.
+One table, ``_TABLE``, holds every method: its name maps to the
+granularity its elements have (token pairs or words), whether it reads
+the record's pair map, and its producer, which returns one record's
+explanation, elements ranked best first. ``METHODS`` is the table's
+names in order, the default ``evaluate`` list.
 
-Methods:
-
-- cidr: the full pipeline with refinement,
-- cidr-no-r: single greedy exclusion pass, no refinement,
-- cidr-no-cig: refinement with beta = 0, so pairs carry no
-  leave-one-out interaction component,
-- ig-top2k: top 2K words by path-integral attribution,
-- gradinput-top2k: top 2K words by embedding-gradient inner product,
-- random: uniformly drawn word sets matched in size to cidr's word sets.
+A producer reads one ``RecordArtifacts``: the explained class from one
+forward, the pair map, cidr's refined set and plain IG, each computed
+once, when first read. ``explain`` builds its reports from the same
+object. Every method, and the per-record scores of ``explain``, go
+through the same comprehensiveness, log-odds and minimality call; the
+granularity picks the minimality function, ``fms_pairs`` or
+``fms_words``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,10 +29,6 @@ from .metrics import MetricsRow, comprehensiveness, fms_pairs, fms_words, log_od
 from .model import Instance, Model
 from .pipeline import CidrConfig, MinimalFeatureSet, cidr_without_refinement, refine
 
-METHODS = ("cidr", "cidr-no-r", "cidr-no-cig", "ig-top2k", "gradinput-top2k", "random")
-
-_PAIR_METHODS = ("cidr", "cidr-no-r", "cidr-no-cig")
-
 # Stream id for the random-baseline draws, far outside the refinement
 # iteration indices so the two never share a Philox key.
 _RANDOM_STREAM = 1_000_003
@@ -42,9 +37,9 @@ _RANDOM_STREAM = 1_000_003
 def parallel_map(fn: Callable, items: Iterable) -> list:
     """``[fn(item) for item in items]`` on the calling thread, in order.
 
-    A named function only because ``perfbench/tracer.py`` wraps it to
-    parent each record's spans; inlined into its two callers once that
-    hook is optional (ROADMAP item 7).
+    Its one caller is ``cli.run_explain``. It stays a named function
+    because ``perfbench/tracer.py`` wraps it to parent each record's
+    spans; it can be inlined once that hook is optional (ROADMAP item 7).
     """
     return [fn(item) for item in items]
 
@@ -55,15 +50,46 @@ def gradient_input_scores(model: Model, instance: Instance, target_class: int) -
     return (instance.embeddings * grads).sum(axis=1)
 
 
-@dataclass
-class _Shared:
-    """Per-instance artifacts reused across methods."""
+@dataclass(frozen=True)
+class RecordArtifacts:
+    """One record's artifacts, each computed once, when first read.
 
+    index, the record's position in its corpus, keys the random draws.
+    with_pairs says the pair map will be read: ig is then the pair map's,
+    equal to a plain IG sweep bit for bit, and no sweep of its own. Each
+    function called here is read from the module globals at call time, so
+    a tracer that swaps module attributes (perfbench's) sees every call.
+    """
+
+    model: Model
     instance: Instance
-    target: int
-    ig: np.ndarray | None = None
-    pair_map: PairScoreMap | None = None
-    cidr_mfs: MinimalFeatureSet | None = None
+    config: CidrConfig
+    index: int = 0
+    with_pairs: bool = True
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        return self.model.forward(self.instance.embeddings)
+
+    @cached_property
+    def target(self) -> int:
+        """The explained class, with ties to the lower index as in Model.predicted_class."""
+        return int(np.argmax(self.probabilities))
+
+    @cached_property
+    def pair_map(self) -> PairScoreMap:
+        config = self.config
+        return cooperative_integrated_gradients(self.model, self.instance, self.target, config.beta, config.steps)
+
+    @cached_property
+    def cidr(self) -> MinimalFeatureSet:
+        return refine(self.pair_map, self.config)
+
+    @cached_property
+    def ig(self) -> np.ndarray:
+        if self.with_pairs:
+            return self.pair_map.ig
+        return integrated_gradients(self.model, self.instance, self.target, self.config.steps)
 
 
 def _word_budget(n_tokens: int) -> int:
@@ -87,20 +113,50 @@ def _random_words(n_tokens: int, size: int, seed: int, index: int) -> tuple[int,
     return tuple(int(pos) for pos in stream.permutation(n_tokens)[:size])
 
 
+class _Method(NamedTuple):
+    granularity: str  # "pair" or "word": the elements the explanation holds
+    reads_pairs: bool  # whether produce reads the record's pair map
+    produce: Callable[[RecordArtifacts], tuple]
+
+
+def _top_words(scores: np.ndarray) -> tuple[int, ...]:
+    return top_k_baseline(scores, _word_budget(len(scores)))
+
+
+# Producers call pipeline functions by global name, so the tracer's swaps apply.
+_TABLE = {
+    # the full pipeline with refinement
+    "cidr": _Method("pair", True, lambda r: _ranked_pairs(r.cidr)),
+    # a single greedy exclusion pass, no refinement
+    "cidr-no-r": _Method("pair", True, lambda r: _ranked_pairs(cidr_without_refinement(r.pair_map, r.config))),
+    # refinement on the pair scores recombined with beta = 0: no leave-one-out term
+    "cidr-no-cig": _Method("pair", True, lambda r: _ranked_pairs(refine(r.pair_map.with_beta(0.0), r.config))),
+    # the top 2K words by path-integral attribution
+    "ig-top2k": _Method("word", False, lambda r: _top_words(r.ig)),
+    # the top 2K words by embedding-gradient inner product
+    "gradinput-top2k": _Method(
+        "word", False, lambda r: _top_words(gradient_input_scores(r.model, r.instance, r.target))
+    ),
+    # uniformly drawn words, as many as cidr's word set holds
+    "random": _Method(
+        "word", True, lambda r: _random_words(len(r.instance), len(r.cidr.words), r.config.seed, r.index)
+    ),
+}
+
+METHODS = tuple(_TABLE)
+
+
 def _score(
-    model: Model,
-    instances: Sequence[Instance],
-    explanations: Sequence[Sequence],
-    fms_of: Callable,
-    t: float,
+    model: Model, instances: Sequence[Instance], explanations: Sequence[Sequence], granularity: str, t: float
 ) -> tuple[float, float, float]:
     """(comp, lo, fms) of one method, one ranked explanation per instance.
 
-    fms_of is fms_pairs or fms_words, as the caller's elements are pairs
-    or words: pairs are restored a pair at a time, words a word at a time.
+    Pairs are restored a pair at a time (fms_pairs), words a word at a
+    time (fms_words); both are read from the module globals at call time.
     """
     comp = comprehensiveness(model, instances, explanations)
     lo = log_odds(model, instances, explanations)
+    fms_of = fms_pairs if granularity == "pair" else fms_words
     return comp, lo, fms_of(model, instances, explanations, t)
 
 
@@ -109,43 +165,19 @@ def single_instance_metrics(
 ) -> tuple[float, float, float]:
     """(comp, lo, fms) for one instance under its pair explanation, scored
     exactly as evaluate_methods scores a cidr row."""
-    return _score(model, [instance], [_ranked_pairs(mfs)], fms_pairs, t)
-
-
-def _explanation(
-    method: str, model: Model, config: CidrConfig, shared: _Shared, index: int
-) -> tuple:
-    """The explanation one method gives for one instance, best element first."""
-    instance = shared.instance
-    if method == "cidr":
-        return _ranked_pairs(shared.cidr_mfs)
-    if method == "cidr-no-r":
-        return _ranked_pairs(cidr_without_refinement(shared.pair_map, config))
-    if method == "cidr-no-cig":
-        return _ranked_pairs(refine(shared.pair_map.with_beta(0.0), config))
-    if method == "random":
-        return _random_words(len(instance), len(shared.cidr_mfs.words), config.seed, index)
-    if method == "ig-top2k":
-        scores = shared.ig
-    else:  # gradinput-top2k
-        scores = gradient_input_scores(model, instance, shared.target)
-    return top_k_baseline(scores, _word_budget(len(instance)))
+    return _score(model, [instance], [_ranked_pairs(mfs)], "pair", t)
 
 
 def evaluate_methods(
-    model: Model,
-    instances: Sequence[Instance],
-    methods: Sequence[str],
-    config: CidrConfig,
+    model: Model, instances: Sequence[Instance], methods: Sequence[str], config: CidrConfig
 ) -> list[MetricsRow]:
     """Score each requested method over the whole corpus.
 
     Returns one row per method, in request order; each row is the
-    (comp, lo, fms) of the method's explanations, pair methods at pair
-    granularity and word rankings at word granularity. Pair scores are
-    computed once per instance and shared: the beta = 0 variant is an
-    exact recombination of the stored components, and the random baseline
-    reads its set sizes from the cidr result.
+    (comp, lo, fms) of the method's explanations at its granularity. Each
+    record's artifacts are computed once and shared by every method, so
+    a row does not depend on which other methods are requested or in what
+    order.
     """
     unknown = sorted(set(methods) - set(METHODS))
     if unknown:
@@ -158,36 +190,17 @@ def evaluate_methods(
     if not instances:
         raise InputError("evaluation needs at least one instance")
 
-    need_pairs = any(m in methods for m in _PAIR_METHODS) or "random" in methods
-    need_cidr = "cidr" in methods or "random" in methods
-    need_attr = need_pairs or "ig-top2k" in methods
-
-    def prepare(instance: Instance) -> _Shared:
-        shared = _Shared(instance=instance, target=model.predicted_class(instance.embeddings))
-        if need_pairs:
-            shared.pair_map = cooperative_integrated_gradients(
-                model, instance, shared.target, config.beta, config.steps
-            )
-            shared.ig = shared.pair_map.ig
-        elif need_attr:
-            shared.ig = integrated_gradients(model, instance, shared.target, config.steps)
-        if need_cidr:
-            shared.cidr_mfs = refine(shared.pair_map, config)
-        return shared
-
-    shared_list = parallel_map(prepare, instances)
-
+    with_pairs = any(_TABLE[m].reads_pairs for m in methods)
+    records = [
+        RecordArtifacts(model, instance, config, index, with_pairs)
+        for index, instance in enumerate(instances)
+    ]
     rows: list[MetricsRow] = []
-    for method in methods:
-        explanations = [
-            _explanation(method, model, config, shared, index)
-            for index, shared in enumerate(shared_list)
-        ]
-        # Read from the module globals on each call, so that a tracer that
-        # swaps module attributes (perfbench's) sees this call.
-        fms_of = fms_pairs if method in _PAIR_METHODS else fms_words
-        comp, lo, fms = _score(model, instances, explanations, fms_of, config.t)
+    for name in methods:
+        method = _TABLE[name]
+        explanations = [method.produce(record) for record in records]
+        comp, lo, fms = _score(model, instances, explanations, method.granularity, config.t)
         rows.append(
-            MetricsRow(method=method, lo=lo, comp=comp, fms=fms, n=len(instances), seed=config.seed)
+            MetricsRow(method=name, lo=lo, comp=comp, fms=fms, n=len(instances), seed=config.seed)
         )
     return rows

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +17,11 @@ from minfeat.corpus import tokenize
 from minfeat.errors import ConfigError, InputError
 from minfeat.evaluation import (
     _RANDOM_STREAM,
+    _TABLE,
     METHODS,
-    _explanation,
+    RecordArtifacts,
     _random_words,
     _ranked_pairs,
-    _Shared,
     _word_budget,
     evaluate_methods,
     gradient_input_scores,
@@ -30,6 +33,17 @@ from minfeat.model import instance_from_words
 from minfeat.pipeline import CidrConfig, cidr_without_refinement, refine
 
 FAST = CidrConfig(n_iter=3, steps=10)
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    """perfbench's tracer module, loaded from its file as the benchmark
+    contract tests load it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestParallelMap:
@@ -96,14 +110,14 @@ class TestRankOrder:
             target = toy_model.predicted_class(inst.embeddings)
             pm = cooperative_integrated_gradients(toy_model, inst, target, config.beta, config.steps)
             cidr = refine(pm, config)
-            shared = _Shared(instance=inst, target=target, ig=pm.ig, pair_map=pm, cidr_mfs=cidr)
+            record = RecordArtifacts(toy_model, inst, config, index)
             pair_sets = {
                 "cidr": cidr,
                 "cidr-no-r": cidr_without_refinement(pm, config),
                 "cidr-no-cig": refine(pm.with_beta(0.0), config),
             }
             for method in METHODS:
-                ranked = _explanation(method, toy_model, config, shared, index)
+                ranked = _TABLE[method].produce(record)
                 if method in pair_sets:
                     mfs = pair_sets[method]
                     elements = mfs.pairs
@@ -210,3 +224,50 @@ class TestSingleInstanceMetrics:
         comp, lo, fms = single_instance_metrics(toy_model, inst, mfs, FAST.t)
         assert fms == 1.0
         assert (row.comp, row.lo, row.fms) == (comp, lo, fms)
+
+
+class TestRequestIndependence:
+    """A method's row, and the work each record does for it, do not depend
+    on which other methods are requested or in what order."""
+
+    def test_rows_equal_alone_and_reversed(self, toy_model, toy_instances):
+        insts = toy_instances[:6]
+        default = {r.method: r for r in evaluate_methods(toy_model, insts, list(METHODS), FAST)}
+        reverse = {r.method: r for r in evaluate_methods(toy_model, insts, list(METHODS)[::-1], FAST)}
+        assert reverse == default
+        for method in METHODS:
+            assert evaluate_methods(toy_model, insts, [method], FAST) == [default[method]]
+
+    @pytest.mark.parametrize(
+        "methods, per_record",
+        [(list(METHODS), (1, 0)), (list(METHODS)[::-1], (1, 0)),
+         # ig-top2k first: a plain IG sweep made before the pair map is
+         # needed would integrate the plain path twice.
+         (["ig-top2k", "cidr"], (1, 0)), (["ig-top2k", "random"], (1, 0)),
+         (["cidr"], (1, 0)), (["cidr-no-r"], (1, 0)), (["cidr-no-cig"], (1, 0)), (["random"], (1, 0)),
+         (["ig-top2k"], (0, 1)), (["gradinput-top2k"], (0, 0))],
+    )  # fmt: skip
+    def test_each_record_integrates_once(self, tracer, toy_model, toy_instances, methods, per_record):
+        # (cooperative_integrated_gradients, integrated_gradients) calls per
+        # record; every record needs its paths, so n calls mean one each.
+        insts = toy_instances[:4]
+        with tracer.Tracer("requests") as trace:
+            evaluate_methods(toy_model, insts, methods, FAST)
+        calls = Counter(span.name for span in trace.spans)
+        made = (calls["attribution.cooperative_integrated_gradients"], calls["attribution.integrated_gradients"])
+        assert made == tuple(len(insts) * k for k in per_record)
+
+
+class TestRecordArtifacts:
+    def test_artifacts_share_one_pair_map(self, toy_model, toy_instances):
+        record = RecordArtifacts(toy_model, toy_instances[1], FAST)
+        assert record.pair_map is record.cidr.pair_scores
+        assert record.ig is record.pair_map.ig
+        assert record.target == toy_model.predicted_class(toy_instances[1].embeddings)
+        assert record.target == record.cidr.target_class
+
+    def test_plain_ig_equals_the_pair_maps(self, toy_model, toy_instances):
+        with_pairs = RecordArtifacts(toy_model, toy_instances[2], FAST)
+        plain = RecordArtifacts(toy_model, toy_instances[2], FAST, with_pairs=False)
+        assert np.array_equal(plain.ig, with_pairs.ig)
+        assert "pair_map" not in vars(plain)

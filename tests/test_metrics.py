@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import make_random_instance, make_random_model
-from minfeat.attribution import cooperative_integrated_gradients
 from minfeat.errors import InputError, InternalError
-from minfeat.evaluation import _PAIR_METHODS, METHODS, _explanation, _Shared
+from minfeat.evaluation import _TABLE, METHODS, RecordArtifacts
 from minfeat.metrics import (
     MetricsRow,
     _k_for,
@@ -26,7 +25,7 @@ from minfeat.metrics import (
     log_odds,
     top_k_baseline,
 )
-from minfeat.pipeline import CidrConfig, refine
+from minfeat.pipeline import CidrConfig
 from metrics_oracle import comprehensiveness_per_record, fms_per_record, log_odds_per_record
 from stubs import ScriptedModel, scripted_instance
 
@@ -238,17 +237,10 @@ class TestBatchedMatchesPerRecord:
 
     def test_every_method_on_the_bundled_corpus(self, toy_model, toy_instances):
         config = CidrConfig(n_iter=3)
-        shared = []
-        for inst in toy_instances:
-            target = toy_model.predicted_class(inst.embeddings)
-            pm = cooperative_integrated_gradients(toy_model, inst, target, config.beta, config.steps)
-            shared.append(
-                _Shared(instance=inst, target=target, ig=pm.ig, pair_map=pm,
-                        cidr_mfs=refine(pm, config))
-            )
+        records = [RecordArtifacts(toy_model, inst, config, k) for k, inst in enumerate(toy_instances)]
         for method in METHODS:
-            sets = [_explanation(method, toy_model, config, sh, k) for k, sh in enumerate(shared)]
-            fms_of = fms_pairs if method in _PAIR_METHODS else fms_words
+            sets = [_TABLE[method].produce(record) for record in records]
+            fms_of = fms_pairs if _TABLE[method].granularity == "pair" else fms_words
             _assert_matches_per_record(toy_model, toy_instances, sets, fms_of, config.t)
 
     def test_random_word_sets_on_a_random_model(self):
