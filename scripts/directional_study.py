@@ -6,6 +6,9 @@ ordering: cidr beats random removal on comprehensiveness and its own
 no-refinement variant on FMS. cidr's FMS (fms_pairs, restoring a pair
 at a time) and ig-top2k's (fms_words, a word at a time) are on two
 scales, so their FMS columns are not compared.
+The model is the one `minfeat train` writes from the bundled corpus
+with no config (TrainConfig() shares the CLI's defaults), so a seed's
+rows equal `minfeat evaluate --seed S` on that checkpoint.
 A seed count below 1 or a method list that evaluate_methods rejects
 exits 2 with a usage message naming the argument.
 """

@@ -3,7 +3,9 @@
 Prints the per-token attribution, the positive cooperative pairs, the
 refined minimal feature set, and the instance-level metrics for a single
 sentence from the bundled corpus. A --beta or --seed that CidrConfig
-rejects exits 2 with a usage message naming the argument.
+rejects, or an --index outside the corpus, exits 2 with a usage message
+naming the argument. The model is the one `minfeat train` writes from the
+bundled corpus with no config: TrainConfig() shares the CLI's defaults.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--{name}: {exc}")
 
     corpus = build_toy_corpus()
+    if not 0 <= args.index < len(corpus):
+        parser.error(f"--index must lie in [0, {len(corpus)}), got {args.index}")
     examples = [(tokenize(r.text), r.label) for r in corpus]
     print("training toy classifier on the bundled corpus ...")
     model = train_toy(examples, TrainConfig())
     print(f"training accuracy: {training_accuracy(model, examples):.3f}\n")
 
-    record = corpus[args.index % len(corpus)]
+    record = corpus[args.index]
     words = tokenize(record.text)
     instance, oov = instance_from_words(model, words, record.label)
     # The record's artifacts, as explain builds them: one forward gives

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import Any, Mapping
 
 from .errors import ConfigError, InputError, checked_value, is_int_field
@@ -29,13 +29,8 @@ ALL_KEYS = tuple(sorted(set(_CIDR_KEYS) | set(_TRAIN_KEYS)))
 
 
 def _defaults() -> dict[str, Any]:
-    cidr = CidrConfig()
-    train = TrainConfig()
-    values: dict[str, Any] = {key: getattr(cidr, key) for key in _CIDR_KEYS}
-    for key in _TRAIN_KEYS:
-        if key != "seed":
-            values[key] = getattr(train, key)
-    return values
+    # seed is a field of both, with one default.
+    return {**asdict(CidrConfig()), **asdict(TrainConfig())}
 
 
 def _coerce(key: str, value: Any) -> Any:

@@ -73,7 +73,7 @@ class RecordArtifacts:
 
     @cached_property
     def target(self) -> int:
-        """The explained class, with ties to the lower index as in Model.predicted_class."""
+        """The explained class: the argmax of the forward pass, ties to the lower index."""
         return int(np.argmax(self.probabilities))
 
     @cached_property

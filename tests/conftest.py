@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from minfeat import build_toy_corpus, tokenize
-from minfeat.attribution import cooperative_integrated_gradients
+from minfeat.evaluation import RecordArtifacts
 from minfeat.model import Instance, Model, TrainConfig, Vocabulary, instance_from_words, train_toy
+from minfeat.pipeline import CidrConfig
 
 settings.register_profile(
     "default",
@@ -60,11 +61,15 @@ def make_random_instance(model: Model, seed: int, length: int | None = None) -> 
     )
 
 
+def explained_class(model: Model, instance: Instance) -> int:
+    """The class explain and evaluate explain for the instance."""
+    return RecordArtifacts(model, instance, CidrConfig()).target
+
+
 def predicted_pair_map(model: Model, instance: Instance, config):
     """The pair scores refine takes: the instance's cooperative scores for
-    the model's predicted class, at the config's beta and steps."""
-    target = model.predicted_class(instance.embeddings)
-    return cooperative_integrated_gradients(model, instance, target, config.beta, config.steps)
+    the explained class, at the config's beta and steps."""
+    return RecordArtifacts(model, instance, config).pair_map
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_random_instance, make_random_model, predicted_pair_map
+from conftest import explained_class, make_random_instance, make_random_model, predicted_pair_map
 from knapsack_oracle import solve_bruteforce
 from stubs import LinearModel, ScriptedModel, linear_instance, scripted_instance
 
@@ -88,7 +88,7 @@ def test_02_attribution_sums_telescope_to_output_difference(capsys):
     for seed in range(50):
         model = make_random_model(200 + seed)
         inst = make_random_instance(model, 300 + seed)
-        target = model.predicted_class(inst.embeddings)
+        target = explained_class(model, inst)
         residual = _completeness_residual(model, inst, target, steps=200)
         worst = max(worst, residual)
         coarse_total += residual
@@ -262,7 +262,7 @@ def test_07_pair_sum_combination_identity(capsys):
 
 def test_08_directional_method_ordering(capsys, toy_model, toy_instances):
     start = time.perf_counter()
-    methods = ["cidr", "cidr-no-r", "ig-top2k", "random"]
+    methods = ["cidr", "cidr-no-r", "cidr-no-cig", "ig-top2k", "random"]
     collected: dict[str, list] = {m: [] for m in methods}
     for seed in range(5):
         rows = evaluate_methods(toy_model, toy_instances, methods, replace(CidrConfig(), seed=seed))
@@ -275,13 +275,21 @@ def test_08_directional_method_ordering(capsys, toy_model, toy_instances):
     fms_cidr = mean([r.fms for r in collected["cidr"]])
     fms_top = mean([r.fms for r in collected["ig-top2k"]])
     fms_greedy = mean([r.fms for r in collected["cidr-no-r"]])
+    fms_no_cig = mean([r.fms for r in collected["cidr-no-cig"]])
     comp_cidr = mean([r.comp for r in collected["cidr"]])
     comp_rand = mean([r.comp for r in collected["random"]])
     elapsed = time.perf_counter() - start
-    ok = fms_cidr >= fms_top and comp_cidr >= comp_rand and fms_cidr >= fms_greedy
+    # cidr, cidr-no-r and cidr-no-cig share one scale (fms_pairs); ig-top2k
+    # is scored on another (fms_words), so that comparison says less.
+    ok = (
+        fms_cidr >= fms_greedy
+        and fms_cidr >= fms_no_cig
+        and fms_cidr >= fms_top
+        and comp_cidr >= comp_rand
+    )
     _verdict(capsys, 8, "5-seed ordering: cidr vs baselines", ok,
-             f"FMS {fms_cidr:.3f} >= top2k {fms_top:.3f} & no-refine {fms_greedy:.3f}; "
-             f"Comp {comp_cidr:.3f} >= random {comp_rand:.3f}; {elapsed:.0f}s")
+             f"cidr fms_pairs {fms_cidr:.3f} >= no-refine {fms_greedy:.3f} & no-cig {fms_no_cig:.3f}; "
+             f">= top2k fms_words {fms_top:.3f}; Comp {comp_cidr:.3f} >= random {comp_rand:.3f}; {elapsed:.0f}s")
 
 
 def test_09_explain_is_byte_deterministic(capsys, toy_model, toy_corpus, tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_instance, make_random_model, reference_pooled_gradient
+from conftest import explained_class, make_random_instance, make_random_model, reference_pooled_gradient
 from minfeat.attribution import (
     DEFAULT_STEPS,
     PairScoreMap,
@@ -52,7 +52,7 @@ class TestIntegratedGradients:
         for seed in range(10):
             model = make_random_model(seed)
             inst = make_random_instance(model, seed + 50)
-            target = model.predicted_class(inst.embeddings)
+            target = explained_class(model, inst)
             assert completeness_residual(model, inst, target, steps=200) < 1e-3
 
     def test_residual_shrinks_as_steps_double(self):
@@ -261,7 +261,7 @@ class TestRepeatedWords:
         compared = 0
         for record, inst in zip(toy_corpus, toy_instances):
             words = tokenize(record.text)
-            target = toy_model.predicted_class(inst.embeddings)
+            target = explained_class(toy_model, inst)
             pm = cooperative_integrated_gradients(toy_model, inst, target, beta=0.5, steps=50)
             n = len(words)
             for a in range(n):

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from minfeat.config import ENV_PREFIX, cidr_config_from, load_config, train_config_from
+from minfeat.config import ALL_KEYS, ENV_PREFIX, cidr_config_from, load_config, train_config_from
 from minfeat.corpus import CorpusRecord, load_corpus, save_corpus, tokenize
 from minfeat.data import (
     DEFAULT_ANCHOR_RATE,
@@ -18,6 +19,8 @@ from minfeat.data import (
     build_toy_corpus,
 )
 from minfeat.errors import ConfigError, InputError
+from minfeat.model import TrainConfig
+from minfeat.pipeline import CidrConfig
 
 
 class TestTokenize:
@@ -104,6 +107,15 @@ class TestLoadConfig:
         assert values["n_iter"] == 10
         assert values["epochs"] == 80
         assert values["seed"] == 0  # pipeline seed is the shared default
+
+    def test_each_default_is_every_owning_dataclass_default(self):
+        # seed belongs to both dataclasses, so both must share its default:
+        # TrainConfig() then trains the model `minfeat train` writes.
+        values = load_config(path=None, env={})
+        for key in ALL_KEYS:
+            owners = [cls() for cls in (CidrConfig, TrainConfig) if key in {f.name for f in fields(cls)}]
+            assert owners, key
+            assert all(values[key] == getattr(owner, key) for owner in owners), key
 
     def test_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"

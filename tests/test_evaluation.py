@@ -10,9 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import predicted_pair_map
+from conftest import explained_class, predicted_pair_map
 from metrics_oracle import top_by_score
-from minfeat.attribution import cooperative_integrated_gradients
 from minfeat.corpus import tokenize
 from minfeat.errors import ConfigError, InputError
 from minfeat.evaluation import (
@@ -29,7 +28,7 @@ from minfeat.evaluation import (
     single_instance_metrics,
 )
 from minfeat.metrics import _k_for, comprehensiveness
-from minfeat.model import instance_from_words
+from minfeat.model import Instance, Model, Vocabulary, instance_from_words
 from minfeat.pipeline import CidrConfig, cidr_without_refinement, refine
 
 FAST = CidrConfig(n_iter=3, steps=10)
@@ -57,7 +56,7 @@ class TestParallelMap:
 class TestGradientInputScores:
     def test_matches_manual_inner_product(self, toy_model, toy_instances):
         inst = toy_instances[0]
-        target = toy_model.predicted_class(inst.embeddings)
+        target = explained_class(toy_model, inst)
         scores = gradient_input_scores(toy_model, inst, target)
         grads = toy_model.input_gradient(inst.embeddings, target)
         manual = np.array([float(inst.embeddings[i] @ grads[i]) for i in range(len(inst))])
@@ -107,8 +106,8 @@ class TestRankOrder:
         ties = 0
         for index, inst in enumerate(toy_instances):
             n = len(inst)
-            target = toy_model.predicted_class(inst.embeddings)
-            pm = cooperative_integrated_gradients(toy_model, inst, target, config.beta, config.steps)
+            pm = predicted_pair_map(toy_model, inst, config)
+            target = pm.target_class
             cidr = refine(pm, config)
             record = RecordArtifacts(toy_model, inst, config, index)
             pair_sets = {
@@ -217,9 +216,14 @@ class TestSingleInstanceMetrics:
     def test_equals_a_one_instance_cidr_row(self, toy_model, toy_instances):
         # explain and evaluate score an explanation through the same call,
         # so the per-record triple is exactly the one-instance cidr row.
-        # Instance 3 has a one-pair explanation that passes minimality.
-        inst = toy_instances[3]
-        (row,) = evaluate_methods(toy_model, [inst], ["cidr"], FAST)
+        # The first instance whose explanation passes minimality is checked,
+        # whichever it is on the trained model.
+        inst, row = next(
+            (inst, row)
+            for inst in toy_instances
+            for (row,) in [evaluate_methods(toy_model, [inst], ["cidr"], FAST)]
+            if row.fms == 1.0
+        )
         mfs = refine(predicted_pair_map(toy_model, inst, FAST), FAST)
         comp, lo, fms = single_instance_metrics(toy_model, inst, mfs, FAST.t)
         assert fms == 1.0
@@ -263,8 +267,22 @@ class TestRecordArtifacts:
         record = RecordArtifacts(toy_model, toy_instances[1], FAST)
         assert record.pair_map is record.cidr.pair_scores
         assert record.ig is record.pair_map.ig
-        assert record.target == toy_model.predicted_class(toy_instances[1].embeddings)
+        assert record.target == int(np.argmax(toy_model.forward(toy_instances[1].embeddings)))
         assert record.target == record.cidr.target_class
+
+    def test_target_tie_goes_to_lower_index(self):
+        # Classes 1 and 2 tie above class 0 whatever the input.
+        model = Model(
+            vocab=Vocabulary.build([["a"]]),
+            embedding=np.zeros((2, 2)),
+            w1=np.zeros((3, 2)),
+            b1=np.zeros(3),
+            w2=np.zeros((3, 3)),
+            b2=np.array([0.0, 1.0, 1.0]),
+        )
+        record = RecordArtifacts(model, Instance((1,) * 5, np.zeros((5, 2)), 0), FAST)
+        assert record.probabilities[1] == record.probabilities[2] > record.probabilities[0]
+        assert record.target == 1
 
     def test_plain_ig_equals_the_pair_maps(self, toy_model, toy_instances):
         with_pairs = RecordArtifacts(toy_model, toy_instances[2], FAST)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_instance, make_random_model, reference_pooled_gradient
+from conftest import explained_class, make_random_instance, make_random_model, reference_pooled_gradient
 from minfeat import build_toy_corpus, tokenize
 from minfeat import model as model_module
 from minfeat.errors import ConfigError, InputError, NumericError
@@ -216,18 +216,6 @@ class TestForward:
         bad[1, 0] = np.nan
         with pytest.raises(NumericError):
             model.forward(bad)
-
-    def test_predicted_class_tie_goes_to_lower_index(self):
-        vocab = Vocabulary.build([["a"]])
-        model = Model(
-            vocab=vocab,
-            embedding=np.zeros((2, 2)),
-            w1=np.zeros((3, 2)),
-            b1=np.zeros(3),
-            w2=np.zeros((2, 3)),
-            b2=np.zeros(2),
-        )
-        assert model.predicted_class(np.zeros((5, 2))) == 0
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40)
@@ -630,8 +618,7 @@ class TestTrainToy:
         examples += [(["zzz-unknown", "good"], 0), (["zzz-unknown"], 1), (["bad", "qqq"], 1)]
         hits = 0
         for tokens, label in examples:
-            ids = [model.vocab.index_or_pad(t) for t in tokens]
-            hits += model.predicted_class(model.embed(ids)) == label
+            hits += explained_class(model, instance_from_words(model, tokens, label)[0]) == label
         assert 0.0 < hits / len(examples) < 1.0
         assert training_accuracy(model, examples) == hits / len(examples)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_instance, make_random_model, predicted_pair_map
+from conftest import explained_class, make_random_instance, make_random_model, predicted_pair_map
 from refine_oracle import refine_per_iteration, sample_iteration
 from minfeat import pipeline
 from minfeat.attribution import cooperative_integrated_gradients
@@ -33,7 +33,7 @@ def excluded_pairs(mfs, k: int) -> tuple:
 def pair_map_for(seed: int, length: int = 5, beta: float = 0.5):
     model = make_random_model(seed)
     inst = make_random_instance(model, seed + 1, length=length)
-    target = model.predicted_class(inst.embeddings)
+    target = explained_class(model, inst)
     return model, inst, cooperative_integrated_gradients(model, inst, target, beta, steps=10)
 
 
@@ -342,7 +342,7 @@ class TestRefine:
         # forward pass.
         inst = toy_instances[3]
         cfg = CidrConfig(n_iter=3, steps=12)
-        target = toy_model.predicted_class(inst.embeddings)
+        target = explained_class(toy_model, inst)
         forwards = []
         forward = toy_model.forward
         monkeypatch.setattr(toy_model, "forward", lambda x: forwards.append(1) or forward(x))
@@ -389,11 +389,7 @@ def bitwise(mfs, iterations: tuple) -> tuple:
 
 @pytest.fixture(scope="module")
 def corpus_pair_maps(toy_model, toy_instances):
-    maps = []
-    for inst in toy_instances:
-        target = toy_model.predicted_class(inst.embeddings)
-        maps.append(cooperative_integrated_gradients(toy_model, inst, target, 0.5))
-    return maps
+    return [predicted_pair_map(toy_model, inst, CidrConfig()) for inst in toy_instances]
 
 
 class TestAgainstPerIterationOracle:

@@ -43,7 +43,8 @@ def test_run_demo_makes_one_forward(monkeypatch, capsys):
     [("run_demo", ["--beta", "2"], "--beta"), ("run_demo", ["--beta", "nan"], "--beta"),
      ("run_demo", ["--seed", "-1"], "--seed"), ("directional_study", ["--seeds", "0"], "--seeds"),
      ("directional_study", ["--methods", "cidr,bogus"], "--methods"),
-     ("directional_study", ["--methods", "random,random"], "--methods")],
+     ("directional_study", ["--methods", "random,random"], "--methods"),
+     ("run_demo", ["--index", "200"], "--index"), ("run_demo", ["--index", "-1"], "--index")],
 )  # fmt: skip
 def test_scripts_reject_bad_arguments_naming_them(capsys, script, argv, named):
     with pytest.raises(SystemExit) as exit_info:
