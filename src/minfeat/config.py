@@ -1,23 +1,22 @@
-"""Flat JSON configuration with environment-variable overrides.
+"""Flat JSON configuration.
 
 One flat object carries every pipeline and trainer key. Precedence, low
-to high: built-in defaults, config file, MINFEAT_<KEY> environment
-variables, explicit CLI flags. Unknown keys in the file or matching
-environment variables are hard errors, so typos never pass silently.
+to high: built-in defaults, the config file, the CLI's --seed flag.
+Nothing else is read, so a run's config is the one its command line
+names. Unknown keys in the file are hard errors, so typos never pass
+silently.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, fields
 from typing import Any, Mapping
 
 from .errors import ConfigError, InputError, checked_value, is_int_field
+from .files import read_text
 from .model import TrainConfig
 from .pipeline import CidrConfig
-
-ENV_PREFIX = "MINFEAT_"
 
 # Keys and their int/float types come from the config dataclasses; seed
 # is shared by both.
@@ -39,24 +38,19 @@ def _coerce(key: str, value: Any) -> Any:
     return (int if integer else float)(checked_value(key, value, integer))
 
 
-def _coerce_env(key: str, raw: str) -> Any:
-    try:
-        value = int(raw) if key in _INT_KEYS else float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"environment override {ENV_PREFIX}{key.upper()}={raw!r}: {exc}") from exc
-    return _coerce(key, value)
-
-
 def load_config(path: str | None = None, env: Mapping[str, str] | None = None) -> dict[str, Any]:
-    """Resolve the flat config mapping from defaults, file, and environment."""
+    """Resolve the flat config mapping from the defaults and the file at path.
+
+    MINFEAT_* overrides are no longer read: env must be None or empty,
+    so that overrides passed in are refused, not silently ignored.
+    """
+    if env:
+        raise TypeError("load_config no longer takes MINFEAT_* overrides; set the keys in a config file")
     values = _defaults()
 
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read config: {exc}") from exc
+            raw = json.loads(read_text(path, "config"))
         except json.JSONDecodeError as exc:
             raise InputError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -65,12 +59,6 @@ def load_config(path: str | None = None, env: Mapping[str, str] | None = None) -
             if key not in ALL_KEYS:
                 raise ConfigError(f"unknown config key {key!r}; valid keys: {list(ALL_KEYS)}")
             values[key] = _coerce(key, value)
-
-    env = os.environ if env is None else env
-    for key in ALL_KEYS:
-        env_name = ENV_PREFIX + key.upper()
-        if env_name in env:
-            values[key] = _coerce_env(key, env[env_name])
     return values
 
 

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InputError
-from .files import atomic_write
+from .files import atomic_write, read_text
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,7 @@ def load_corpus(path: str) -> list[CorpusRecord]:
     Blank lines are skipped. Errors name the offending line number, and a
     duplicate id reports both lines involved.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline=None) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read corpus: {exc}") from exc
-
+    text = read_text(path, "corpus")
     records: list[CorpusRecord] = []
     seen: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):

@@ -1,4 +1,4 @@
-"""Output files that are replaced whole or not at all."""
+"""Input files read whole, and output files replaced whole or not at all."""
 
 from __future__ import annotations
 
@@ -7,6 +7,17 @@ import uuid
 from contextlib import contextmanager
 from typing import Iterator, TextIO
 
+from .errors import InputError
+
+
+def read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 file; one unreadable or not UTF-8 is an InputError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
 
 @contextmanager
 def atomic_write(path: str) -> Iterator[TextIO]:
@@ -14,17 +25,26 @@ def atomic_write(path: str) -> Iterator[TextIO]:
 
     The text goes to a temporary file in path's directory, which
     os.replace then renames over path. If the block raises, the temporary
-    file is deleted and path keeps its previous contents. This guards
-    against a run failing part-way through a write, not against power
-    loss: nothing is flushed to disk before the rename.
+    file is deleted, path keeps its previous contents and the exception
+    passes through unchanged. Failing to create the temporary file or to
+    rename it raises InputError naming path. This guards against a run
+    failing part-way through a write, not against power loss: nothing is
+    flushed to disk before the rename.
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
     try:
         # Exclusive creation keeps the usual umask-derived permissions.
-        with open(tmp, "x", encoding="utf-8") as fh:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

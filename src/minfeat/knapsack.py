@@ -151,7 +151,7 @@ def solve_greedy(scores: Sequence[float], bound: float) -> tuple[int, ...]:
     adding it overshoots. Score ties go to the lower position. A
     non-positive bound admits nothing; an infinite bound admits everything.
     """
-    if not all(np.isfinite(score) for score in scores):
+    if not np.isfinite(scores).all():
         raise InputError("greedy scores must be finite")
     selected: list[int] = []
     total = 0.0

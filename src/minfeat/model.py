@@ -20,7 +20,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, check_field_types
-from .files import atomic_write
+from .files import atomic_write, read_text
 
 PAD_TOKEN = "[pad]"
 
@@ -551,10 +551,7 @@ def load_model(path: str) -> Model:
     non-finite parameters) naming the offending field.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read model checkpoint: {exc}") from exc
+        payload = json.loads(read_text(path, "model checkpoint"))
     except json.JSONDecodeError as exc:
         raise InputError(f"model checkpoint is not valid JSON: {exc}") from exc
     if not isinstance(payload, Mapping) or "format_version" not in payload:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .errors import InputError
-from .files import atomic_write
+from .files import atomic_write, read_text
 
 
 @dataclass(frozen=True)
@@ -195,11 +195,7 @@ def write_reports(reports: list[ExplanationReport], path: str) -> None:
 
 def read_reports(path: str) -> list[ExplanationReport]:
     """Parse one report per non-blank line; errors name the line number."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read report file: {exc}") from exc
+    lines = read_text(path, "report file").splitlines()
     reports = []
     for line_no, line in enumerate(lines, start=1):
         if line.strip():

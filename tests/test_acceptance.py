@@ -10,7 +10,6 @@ by-hand re-summation, and scripted probability tables.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import replace
 
@@ -292,9 +291,7 @@ def test_08_directional_method_ordering(capsys, toy_model, toy_instances):
              f">= top2k fms_words {fms_top:.3f}; Comp {comp_cidr:.3f} >= random {comp_rand:.3f}; {elapsed:.0f}s")
 
 
-def test_09_explain_is_byte_deterministic(capsys, toy_model, toy_corpus, tmp_path, monkeypatch):
-    for var in [k for k in os.environ if k.startswith("MINFEAT_")]:
-        monkeypatch.delenv(var)
+def test_09_explain_is_byte_deterministic(capsys, toy_model, toy_corpus, tmp_path):
     model_path = tmp_path / "model.json"
     corpus_path = tmp_path / "corpus.jsonl"
     save_model(toy_model, str(model_path))

@@ -160,7 +160,7 @@ def test_cli_outputs_pass_the_benchmark_checks(toy_model, toy_corpus, tmp_path):
     assert cli.main(["evaluate", *common, "--out", str(table)]) == 0
     # the u2_prime count is only checked on non-degenerate reports
     assert not all(r.degenerate for r in read_reports(str(reports)))
-    values = load_config(str(config), env={})
+    values = load_config(str(config))
     assert checks.check_reports(str(reports), records, toy_model, values) == []
     assert checks.check_metrics_table(str(table), records) == []
 
@@ -177,5 +177,5 @@ def test_fine_explain_passes_the_report_checks(toy_model, toy_corpus, tmp_path):
     reports = tmp_path / "r.jsonl"
     argv = ["explain", "--corpus", str(corpus), "--model", str(model), "--config", str(config)]
     assert cli.main(argv + ["--out", str(reports)]) == 0
-    values = load_config(str(config), env={})
+    values = load_config(str(config))
     assert checks.check_reports(str(reports), records, toy_model, values) == []

@@ -305,12 +305,6 @@ class TestExplain:
         assert "out-of-vocabulary" in captured.err
         assert read_reports(str(out))[0].oov_count == 1
 
-    def test_env_var_overrides_config(self, cli_env, tmp_path, monkeypatch):
-        monkeypatch.setenv("MINFEAT_STEPS", "7")
-        out = tmp_path / "r.jsonl"
-        assert self._explain(cli_env, out) == 0
-        assert read_reports(str(out))[0].config["steps"] == 7
-
     def test_seed_flag_recorded_in_reports(self, cli_env, tmp_path):
         out = tmp_path / "r.jsonl"
         assert self._explain(cli_env, out, extra=["--seed", "11"]) == 0
@@ -600,3 +594,40 @@ class TestEvaluate:
             ]
         )
         assert code == 2
+
+
+class TestFiles:
+    @pytest.mark.parametrize("role", ["corpus", "config", "model"])
+    def test_input_not_utf8_exits_2_naming_it(self, cli_env, tmp_path, capsys, role):
+        inputs = {name: cli_env[name] for name in ("corpus", "config", "model")}
+        bad = tmp_path / f"{role}.bad"
+        bad.write_bytes(b"\xff" + inputs[role].read_bytes())
+        inputs[role] = bad
+        out = tmp_path / "r.jsonl"
+        argv = ["explain", "--out", str(out)]
+        for name, path in inputs.items():
+            argv += [f"--{name}", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: 'utf-8' codec can't decode byte 0xff in position 0" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["in-missing-directory", "is-a-directory"])
+    @pytest.mark.parametrize("command", ["train", "explain", "evaluate"])
+    def test_unwritable_out_exits_2_naming_it(self, cli_env, tmp_path, capsys, command, where):
+        missing = where == "in-missing-directory"
+        out = tmp_path / "missing" / "out" if missing else tmp_path / "out"
+        if not missing:
+            out.mkdir()
+        argv = [command, "--out", str(out), "--config", str(cli_env["config"])]
+        argv += ["--corpus", str(cli_env["corpus"])]
+        if command != "train":
+            argv += ["--model", str(cli_env["model"])]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: " in err
+        assert "Traceback" not in err
+        # No temporary file is left behind.
+        assert os.listdir(tmp_path) == ([] if missing else ["out"])
+        assert out.is_dir() != missing

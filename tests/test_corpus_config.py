@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
 
-from minfeat.config import ALL_KEYS, ENV_PREFIX, cidr_config_from, load_config, train_config_from
+import minfeat
+from minfeat.config import ALL_KEYS, cidr_config_from, load_config, train_config_from
 from minfeat.corpus import CorpusRecord, load_corpus, save_corpus, tokenize
 from minfeat.data import (
     DEFAULT_ANCHOR_RATE,
@@ -101,7 +104,7 @@ class TestLoadCorpus:
 
 class TestLoadConfig:
     def test_defaults_without_sources(self):
-        values = load_config(path=None, env={})
+        values = load_config()
         assert values["beta"] == 0.5
         assert values["epsilon"] == 0.5
         assert values["n_iter"] == 10
@@ -111,31 +114,31 @@ class TestLoadConfig:
     def test_each_default_is_every_owning_dataclass_default(self):
         # seed belongs to both dataclasses, so both must share its default:
         # TrainConfig() then trains the model `minfeat train` writes.
-        values = load_config(path=None, env={})
+        values = load_config()
         for key in ALL_KEYS:
             owners = [cls() for cls in (CidrConfig, TrainConfig) if key in {f.name for f in fields(cls)}]
             assert owners, key
             assert all(values[key] == getattr(owner, key) for owner in owners), key
 
+    def test_env_keyword_takes_no_overrides(self):
+        # MINFEAT_* overrides are gone; passing one must fail, not be ignored.
+        assert load_config(None, env={}) == {**asdict(CidrConfig()), **asdict(TrainConfig())}
+        with pytest.raises(TypeError, match="MINFEAT_"):
+            load_config(None, env={"MINFEAT_BETA": "0.75"})
+
     def test_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"beta": 0.25, "epochs": 5}), encoding="utf-8")
-        values = load_config(path=str(path), env={})
+        values = load_config(path=str(path))
         assert values["beta"] == 0.25
         assert values["epochs"] == 5
         assert values["t"] == 0.5
-
-    def test_env_overrides_file(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"beta": 0.25}), encoding="utf-8")
-        values = load_config(path=str(path), env={ENV_PREFIX + "BETA": "0.75"})
-        assert values["beta"] == 0.75
 
     def test_unknown_file_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"betta": 0.5}), encoding="utf-8")
         with pytest.raises(ConfigError) as err:
-            load_config(path=str(path), env={})
+            load_config(path=str(path))
         assert "betta" in str(err.value)
         assert "beta" in str(err.value)  # the valid keys are listed
 
@@ -143,11 +146,7 @@ class TestLoadConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_iter": True}), encoding="utf-8")
         with pytest.raises(ConfigError):
-            load_config(path=str(path), env={})
-
-    def test_unparseable_env_value_rejected(self):
-        with pytest.raises(ConfigError):
-            load_config(path=None, env={ENV_PREFIX + "STEPS": "many"})
+            load_config(path=str(path))
 
     @pytest.mark.parametrize(
         "literal",
@@ -158,26 +157,24 @@ class TestLoadConfig:
         path = tmp_path / "cfg.json"
         path.write_text('{"learning_rate": %s}' % literal, encoding="utf-8")
         with pytest.raises(ConfigError):
-            load_config(path=str(path), env={})
-
-    def test_non_finite_env_value_rejected(self):
-        with pytest.raises(ConfigError):
-            load_config(path=None, env={ENV_PREFIX + "LEARNING_RATE": "inf"})
+            load_config(path=str(path))
 
     def test_non_object_config_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(ConfigError):
-            load_config(path=str(path), env={})
+            load_config(path=str(path))
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{oops", encoding="utf-8")
         with pytest.raises(InputError):
-            load_config(path=str(path), env={})
+            load_config(path=str(path))
 
-    def test_split_into_typed_configs(self):
-        values = load_config(path=None, env={ENV_PREFIX + "SEED": "9", ENV_PREFIX + "EPOCHS": "3"})
+    def test_split_into_typed_configs(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 9, "epochs": 3}), encoding="utf-8")
+        values = load_config(path=str(path))
         cidr = cidr_config_from(values)
         train = train_config_from(values)
         assert cidr.seed == 9
@@ -187,10 +184,29 @@ class TestLoadConfig:
     def test_integer_accepted_for_float_key(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"t": 1}), encoding="utf-8")
-        values = load_config(path=str(path), env={})
+        values = load_config(path=str(path))
         assert values["t"] == 1.0
         with pytest.raises(ConfigError):
             cidr_config_from(values)  # still range-checked downstream
+
+
+_ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    # Config comes from the defaults, a file and --seed. An environment
+    # read would be another source, which no report or metrics row records.
+    found = []
+    for path in sorted(Path(minfeat.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in _ENV_READS]
+    assert found == []
 
 
 class TestBuildToyCorpus:

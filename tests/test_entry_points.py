@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import io
-import os
+import json
 import re
 from pathlib import Path
 
@@ -24,17 +24,14 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 @pytest.fixture(scope="module")
 def cli_run(tmp_path_factory):
     """The bundled corpus trained and explained through the CLI, with no
-    config file, flag or environment override."""
+    config file or flag."""
     root = tmp_path_factory.mktemp("entry")
     paths = {name: root / name for name in ("corpus.jsonl", "model.json", "reports.jsonl")}
     save_corpus(build_toy_corpus(), str(paths["corpus.jsonl"]))
-    with pytest.MonkeyPatch.context() as mp:
-        for var in [k for k in os.environ if k.startswith("MINFEAT_")]:
-            mp.delenv(var)
-        with contextlib.redirect_stdout(io.StringIO()):
-            corpus, model = str(paths["corpus.jsonl"]), str(paths["model.json"])
-            assert main(["train", "--corpus", corpus, "--out", model]) == 0
-            assert main(["explain", "--corpus", corpus, "--model", model, "--out", str(paths["reports.jsonl"])]) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        corpus, model = str(paths["corpus.jsonl"]), str(paths["model.json"])
+        assert main(["train", "--corpus", corpus, "--out", model]) == 0
+        assert main(["explain", "--corpus", corpus, "--model", model, "--out", str(paths["reports.jsonl"])]) == 0
     return paths
 
 
@@ -63,3 +60,20 @@ def test_readme_quick_start_matches_the_explain_report(cli_run):
         (i, j, f) for (i, j), f in zip(mfs.pairs, mfs.frequencies)
     ]
     assert len(printed.getvalue().splitlines()) == len(mfs.pairs)
+
+
+def test_minfeat_variables_leave_the_metrics_file_unchanged(cli_run, tmp_path, monkeypatch):
+    # A metrics row records only the seed, so no shell variable may change it.
+    argv = ["evaluate", "--corpus", str(cli_run["corpus.jsonl"]), "--model", str(cli_run["model.json"])]
+    argv += ["--methods", "cidr"]
+    unset, overridden = tmp_path / "unset.jsonl", tmp_path / "overridden.jsonl"
+    monkeypatch.delenv("MINFEAT_BETA", raising=False)
+    monkeypatch.delenv("MINFEAT_STEPS", raising=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", str(unset)]) == 0
+        monkeypatch.setenv("MINFEAT_BETA", "0.0")
+        monkeypatch.setenv("MINFEAT_STEPS", "5")
+        assert main(argv + ["--out", str(overridden)]) == 0
+    assert overridden.read_bytes() == unset.read_bytes()
+    (row,) = [json.loads(line) for line in unset.read_text(encoding="utf-8").splitlines()]
+    assert row["fms"] == pytest.approx(0.11)

@@ -44,6 +44,14 @@ def test_failed_first_write_leaves_nothing(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_os_error_from_the_block_passes_through(tmp_path):
+    # Only creating and renaming the temporary file become InputError.
+    with pytest.raises(FileNotFoundError):
+        with atomic_write(str(tmp_path / "out.txt")):
+            open(tmp_path / "absent.txt", encoding="utf-8")
+    assert os.listdir(tmp_path) == []
+
+
 def _bad_model():
     # An unserializable last parameter makes json.dump fail after the
     # other keys have been written.

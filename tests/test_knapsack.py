@@ -240,6 +240,8 @@ class TestGreedy:
             solve_greedy([np.nan], 1.0)
         with pytest.raises(InputError):
             solve_greedy([1.0, np.inf], 1.0)
+        with pytest.raises(InputError):
+            solve_greedy([-np.inf, 1.0], 1.0)
 
     def test_empty_input(self):
         assert solve_greedy([], 1.0) == ()

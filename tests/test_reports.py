@@ -227,6 +227,13 @@ class TestFiles:
         with pytest.raises(InputError):
             read_reports(str(tmp_path / "absent.jsonl"))
 
+    def test_file_not_utf8_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "reports.jsonl"
+        path.write_bytes(b"\xff" + report_to_line(sample_report()).encode("utf-8"))
+        with pytest.raises(InputError) as err:
+            read_reports(str(path))
+        assert str(err.value).startswith(f"cannot read report file {path}: ")
+
     @pytest.mark.parametrize(
         "bad_line,cause",
         [
