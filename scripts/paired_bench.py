@@ -15,9 +15,11 @@ sides.
 For every end-to-end metric that BENCHMARK.json names, the script prints
 each side's median and quartiles with every run's value in pair order,
 so a report can quote each run, then the change/parent ratio of every pair
-and the number of pairs the change won (ties count for neither side),
-then each side's failed share. It exits 1 if any run failed or reported
-incorrect outputs.
+and the number of pairs the change won (ties count for neither side).
+It then gives each metric a no-regression verdict with the metric's
+bound from BENCHMARK.json (see ``verdict``), and says whether the gain
+rule holds (see ``gain_holds``). Last come each side's failed share. It
+exits 1 if any run failed or reported incorrect outputs.
 """
 
 from __future__ import annotations
@@ -55,6 +57,38 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def _better(a: float, b: float, higher: bool) -> bool:
+    return a > b if higher else a < b
+
+
+def verdict(parent: list[float], change: list[float], bound: float, higher: bool) -> str:
+    """The no-regression verdict on one metric; bound is a share of the parent's median.
+
+    "worse beyond bound" when the change's median is worse than the
+    parent's by more than bound allows. Otherwise "unresolved" when the
+    parent's quartiles lie further apart than bound allows, unless every
+    change run beats every parent run. Otherwise "within bound".
+    """
+    q1, median, q3 = quartiles(parent)
+    allowed = bound * abs(median)
+    gap = quartiles(change)[1] - median
+    if (-gap if higher else gap) > allowed:
+        return "worse beyond bound"
+    if q3 - q1 > allowed and not all(_better(c, p, higher) for c in change for p in parent):
+        return "unresolved"
+    return "within bound"
+
+
+def gain_holds(paired: list[tuple[float, float]], higher: bool) -> bool:
+    """Whether the change won at least 9 of 10 (parent, change) pairs, ties
+    counting for neither side, and its median beats the parent's by more
+    than the parent's interquartile range."""
+    wins = sum(_better(c, p, higher) for p, c in paired)
+    q1, median, q3 = quartiles([p for p, _ in paired])
+    gap = quartiles([c for _, c in paired])[1] - median
+    return 10 * wins >= 9 * len(paired) and (gap if higher else -gap) > q3 - q1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -89,15 +123,18 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name}: no complete pair")
             continue
         print(f"{name} ({metric['unit']}, {'higher' if higher else 'lower'} is better)")
-        for side, index in (("parent", 0), ("change", 1)):
-            runs = [pc[index] for pc in paired]
+        parent_runs, change_runs = [p for p, _ in paired], [c for _, c in paired]
+        for side, runs in (("parent", parent_runs), ("change", change_runs)):
             q1, median, q3 = quartiles(runs)
             print(f"  {side:6s} median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}")
             print(f"  {side:6s} runs {' '.join(f'{v:.6g}' for v in runs)}")
         ratios = [c / p if p else float("inf") for p, c in paired]
-        wins = sum((c > p) if higher else (c < p) for p, c in paired)
+        wins = sum(_better(c, p, higher) for p, c in paired)
         print(f"  change/parent per pair: {' '.join(f'{r:.3f}' for r in ratios)}")
         print(f"  change wins {wins} of {len(paired)} pairs")
+        print(f"  verdict (bound {metric['bound']}): {verdict(parent_runs, change_runs, metric['bound'], higher)}")
+        holds = "holds" if gain_holds(paired, higher) else "does not hold"
+        print(f"  gain rule (9 of 10 pairs won, median gap above parent IQR): {holds}")
     for side, runs in results.items():
         attempted = sum(r["attempted"] for r in runs)
         failed = sum(r["failed"] for r in runs)

@@ -1,4 +1,5 @@
-"""Corpus ingestion: line-delimited JSON records with id, text, and label."""
+"""Corpus ingestion: line-delimited JSON records with id, text, and label,
+each checked by CorpusRecord, whether read from a file or built in Python."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InputError
-from .files import atomic_write, read_text
+from .files import atomic_write, parse_json, read_text
 
 
 @dataclass(frozen=True)
@@ -16,6 +17,12 @@ class CorpusRecord:
     label: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str):
+            raise InputError("id must be a string")
+        if not isinstance(self.text, str):
+            raise InputError("text must be a string")
+        if not isinstance(self.label, int) or isinstance(self.label, bool):
+            raise InputError("label must be an integer")
         if not self.id:
             raise InputError("record id must be a nonempty string")
         if not self.text.strip():
@@ -31,21 +38,12 @@ def tokenize(text: str) -> list[str]:
 
 def _parse_line(line: str, line_no: int) -> CorpusRecord:
     try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"line {line_no}: malformed record: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InputError(f"line {line_no}: record must be a JSON object")
-    for field_name in ("id", "text", "label"):
-        if field_name not in raw:
-            raise InputError(f"line {line_no}: record missing field {field_name!r}")
-    if not isinstance(raw["id"], str):
-        raise InputError(f"line {line_no}: id must be a string")
-    if not isinstance(raw["text"], str):
-        raise InputError(f"line {line_no}: text must be a string")
-    if not isinstance(raw["label"], int) or isinstance(raw["label"], bool):
-        raise InputError(f"line {line_no}: label must be an integer")
-    try:
+        raw = parse_json(line, "record")
+        if not isinstance(raw, dict):
+            raise InputError("record must be a JSON object")
+        for field_name in ("id", "text", "label"):
+            if field_name not in raw:
+                raise InputError(f"record missing field {field_name!r}")
         return CorpusRecord(id=raw["id"], text=raw["text"], label=raw["label"])
     except InputError as exc:
         raise InputError(f"line {line_no}: {exc}") from exc

@@ -30,29 +30,25 @@ class InternalError(MinfeatError):
     """An internal invariant failed; indicates a bug, not a user error."""
 
 
-def checked_value(key: str, value: Any, integer: bool) -> Any:
-    """value itself if it is an integer, or (integer=False) a finite number.
-
-    bool is neither. Anything else raises ConfigError naming key.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
-        kind = "an integer" if integer else "a number"
-        raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
-    try:
-        finite = integer or math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite:
-        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
-    return value
-
-
-def is_int_field(field) -> bool:
-    """Whether a config dataclass field is annotated int (else float)."""
-    return field.type in ("int", int)
-
-
 def check_field_types(config: Any) -> None:
-    """checked_value on every field of a config dataclass, by its annotation."""
+    """Check every field of a config dataclass against its annotation.
+
+    An int field takes an integer and a float field a finite number; bool
+    is neither, and anything else raises ConfigError naming the field. A
+    float field given an integer holds it as a float afterwards, so a
+    config and its echo read the same whether a file wrote 1 or 1.0.
+    """
     for field in fields(config):
-        checked_value(field.name, getattr(config, field.name), is_int_field(field))
+        key, value = field.name, getattr(config, field.name)
+        integer = field.type in ("int", int)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+            kind = "an integer" if integer else "a number"
+            raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+        if not integer:
+            try:
+                number = float(value)
+            except OverflowError:  # an int too large for a float
+                number = math.inf
+            if not math.isfinite(number):
+                raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+            object.__setattr__(config, key, number)  # the config dataclasses are frozen

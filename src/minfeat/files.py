@@ -1,11 +1,12 @@
-"""Input files read whole, and output files replaced whole or not at all."""
+"""Input files read whole and parsed as JSON; output files replaced whole or not at all."""
 
 from __future__ import annotations
 
+import json
 import os
 import uuid
 from contextlib import contextmanager
-from typing import Iterator, TextIO
+from typing import Any, Iterator, TextIO
 
 from .errors import InputError
 
@@ -17,6 +18,31 @@ def read_text(path: str, what: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+# Built once: json.loads builds a decoder on every call that passes a hook.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def parse_json(text: str, what: str) -> Any:
+    """The JSON value of text; invalid JSON is an InputError naming what.
+
+    So is a repeated key, whose meaning RFC 8259 (section 4) leaves
+    unpredictable, and an integer too long or a nesting too deep to parse.
+    """
+    try:
+        return _DECODER.decode(text)
+    except (ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
+        raise InputError(f"{what} is not valid JSON: {exc}") from exc
 
 
 @contextmanager

@@ -20,7 +20,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, check_field_types
-from .files import atomic_write, read_text
+from .files import atomic_write, parse_json, read_text
 
 PAD_TOKEN = "[pad]"
 
@@ -550,10 +550,7 @@ def load_model(path: str) -> Model:
     Every malformed checkpoint raises InputError (NumericError for
     non-finite parameters) naming the offending field.
     """
-    try:
-        payload = json.loads(read_text(path, "model checkpoint"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"model checkpoint is not valid JSON: {exc}") from exc
+    payload = parse_json(read_text(path, "model checkpoint"), "model checkpoint")
     if not isinstance(payload, Mapping) or "format_version" not in payload:
         raise InputError("model checkpoint missing mandatory format_version field")
     version = payload["format_version"]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .errors import InputError
-from .files import atomic_write, read_text
+from .files import atomic_write, parse_json, read_text
 
 
 @dataclass(frozen=True)
@@ -179,11 +179,7 @@ def report_to_line(report: ExplanationReport) -> str:
 
 
 def report_from_line(line: str) -> ExplanationReport:
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"report line is not valid JSON: {exc}") from exc
-    return report_from_dict(raw)
+    return report_from_dict(parse_json(line, "report line"))
 
 
 def write_reports(reports: list[ExplanationReport], path: str) -> None:

@@ -17,9 +17,11 @@ import minfeat
 from minfeat.cli import main
 from minfeat.corpus import save_corpus
 from minfeat.data import build_toy_corpus
+from minfeat.errors import InputError
 from minfeat.knapsack import MAX_TABLE_CELLS
 from minfeat.model import Model, load_model
-from minfeat.reports import read_reports
+from minfeat.reports import read_reports, write_reports
+from test_reports import sample_report
 
 
 @pytest.fixture(scope="module")
@@ -596,18 +598,85 @@ class TestEvaluate:
         assert code == 2
 
 
+def _run_with(cli_env, command, out, **inputs):
+    """Exit code of command on the fixture's inputs, with the given files in their place."""
+    paths = {name: cli_env[name] for name in ("corpus", "config", "model")} | inputs
+    argv = [command, "--out", str(out), "--corpus", str(paths["corpus"]), "--config", str(paths["config"])]
+    return main(argv if command == "train" else argv + ["--model", str(paths["model"])])
+
+
+def _with_member(source, path, member):
+    """Write source's text to path with member inserted first in its first JSON object."""
+    path.write_text(source.read_text(encoding="utf-8").replace("{", "{" + member + ",", 1), encoding="utf-8")
+    return path
+
+
 class TestFiles:
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("train", "beta", 5), ("train", "q", -1)]
+        + [(command, key, value) for command in ("explain", "evaluate")
+           for key, value in (("epochs", -3), ("batch_size", 0), ("learning_rate", -1))],
+    )  # fmt: skip
+    def test_config_invalid_for_any_command_exits_2_naming_the_key(
+        self, cli_env, tmp_path, capsys, command, key, value
+    ):
+        # A key no step of this command reads is still checked: a config
+        # file is valid for every command or for none.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert _run_with(cli_env, command, out, config=config) == 2
+        assert re.search(rf"^error: .*\b{key}\b", capsys.readouterr().err, re.MULTILINE)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "role, key, value, what",
+        [("config", "steps", 300, "config"), ("corpus", "text", "x", "line 1: record"),
+         ("model", "num_classes", 2, "model checkpoint"), ("report", "seed", 0, "line 1: report line")],
+    )  # fmt: skip
+    def test_repeated_key_is_an_input_error_naming_it(self, cli_env, tmp_path, capsys, role, key, value, what):
+        # json.loads would keep the last value; RFC 8259 leaves the meaning
+        # of a repeated key unpredictable, so every input file refuses it.
+        source = cli_env.get(role, tmp_path / "reports.jsonl")
+        if role == "report":
+            write_reports([sample_report()], str(source))
+        bad = _with_member(source, tmp_path / f"{role}.bad", json.dumps({key: value})[1:-1])
+        message = f"{what} is not valid JSON: repeated key {key!r}"
+        if role == "report":
+            with pytest.raises(InputError, match=f"^{message}$"):
+                read_reports(str(bad))
+            return
+        for command in ("explain", "evaluate") if role == "model" else ("train", "explain", "evaluate"):
+            out = tmp_path / "out"
+            assert _run_with(cli_env, command, out, **{role: bad}) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value, detail",
+        [("1" + "0" * 5000, "Exceeds the limit (4300 digits)"),
+         ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded")],
+        ids=["long-integer", "deep-nesting"],
+    )  # fmt: skip
+    @pytest.mark.parametrize("role", ["corpus", "config", "model"])
+    def test_json_beyond_the_parser_exits_2_naming_it(self, cli_env, tmp_path, capsys, role, value, detail):
+        # json.loads raises ValueError or RecursionError here, not JSONDecodeError.
+        bad = _with_member(cli_env[role], tmp_path / f"{role}.bad", f'"extra":{value}')
+        out = tmp_path / "r.jsonl"
+        assert _run_with(cli_env, "explain", out, **{role: bad}) == 2
+        what = {"corpus": "line 1: record", "config": "config", "model": "model checkpoint"}[role]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} is not valid JSON: {detail}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("role", ["corpus", "config", "model"])
     def test_input_not_utf8_exits_2_naming_it(self, cli_env, tmp_path, capsys, role):
-        inputs = {name: cli_env[name] for name in ("corpus", "config", "model")}
         bad = tmp_path / f"{role}.bad"
-        bad.write_bytes(b"\xff" + inputs[role].read_bytes())
-        inputs[role] = bad
+        bad.write_bytes(b"\xff" + cli_env[role].read_bytes())
         out = tmp_path / "r.jsonl"
-        argv = ["explain", "--out", str(out)]
-        for name, path in inputs.items():
-            argv += [f"--{name}", str(path)]
-        assert main(argv) == 2
+        assert _run_with(cli_env, "explain", out, **{role: bad}) == 2
         err = capsys.readouterr().err
         assert f"{bad}: 'utf-8' codec can't decode byte 0xff in position 0" in err
         assert "Traceback" not in err
@@ -620,11 +689,7 @@ class TestFiles:
         out = tmp_path / "missing" / "out" if missing else tmp_path / "out"
         if not missing:
             out.mkdir()
-        argv = [command, "--out", str(out), "--config", str(cli_env["config"])]
-        argv += ["--corpus", str(cli_env["corpus"])]
-        if command != "train":
-            argv += ["--model", str(cli_env["model"])]
-        assert main(argv) == 2
+        assert _run_with(cli_env, command, out) == 2
         err = capsys.readouterr().err
         assert f"cannot write {out}: " in err
         assert "Traceback" not in err

@@ -42,6 +42,14 @@ class TestCorpusRecord:
             CorpusRecord(id="a", text="  ", label=0)
         with pytest.raises(InputError):
             CorpusRecord(id="a", text="x", label=-1)
+        # Field types are the record's own check, whether it comes from a
+        # corpus line or from Python.
+        with pytest.raises(InputError, match="^label must be an integer$"):
+            CorpusRecord(id="a", text="x", label=True)
+        with pytest.raises(InputError, match="^id must be a string$"):
+            CorpusRecord(id=5, text="x", label=0)
+        with pytest.raises(InputError, match="^text must be a string$"):
+            CorpusRecord(id="a", text=None, label=0)
 
 
 class TestLoadCorpus:
@@ -181,13 +189,18 @@ class TestLoadConfig:
         assert train.seed == 9  # one shared seed key feeds both
         assert train.epochs == 3
 
+    def test_float_field_given_an_integer_holds_a_float(self):
+        assert type(CidrConfig(beta=1).beta) is float
+        assert type(TrainConfig(learning_rate=1).learning_rate) is float
+
     def test_integer_accepted_for_float_key(self, tmp_path):
         path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"beta": 1}), encoding="utf-8")
+        beta = load_config(path=str(path))["beta"]
+        assert beta == 1.0 and type(beta) is float
         path.write_text(json.dumps({"t": 1}), encoding="utf-8")
-        values = load_config(path=str(path))
-        assert values["t"] == 1.0
-        with pytest.raises(ConfigError):
-            cidr_config_from(values)  # still range-checked downstream
+        with pytest.raises(ConfigError, match="t must lie"):
+            load_config(path=str(path))  # range-checked as the file is read
 
 
 _ENV_READS = {"environ", "environb", "getenv", "getenvb"}

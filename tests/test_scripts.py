@@ -104,11 +104,48 @@ def test_paired_bench_prints_every_metric(capsys):
     for name in ("records_per_s", "setup_s", "peak_rss_mb"):
         assert f"\n{name} (" in out
     assert out.count("change wins") == 3
+    assert out.count("  verdict (bound ") == 3 and out.count("  gain rule ") == 3
     for side in ("parent", "change"):
         # One pair: each metric's line holds that side's one run value.
         runs = [line.split()[2:] for line in out.splitlines() if line.startswith(f"  {side} runs ")]
         assert len(runs) == 3 and all(len(values) == 1 and float(values[0]) > 0 for values in runs)
     assert "parent failed_share 0 over 1 runs, 0 incorrect" in out
+
+
+SPREAD = [60.0, 80.0, 100.0, 120.0, 140.0]  # median 100, quartiles 80 .. 120
+
+
+@pytest.mark.parametrize(
+    "parent, change, higher, expected",
+    [([100.0] * 5, [74.0] * 5, True, "worse beyond bound"),
+     ([1.0] * 5, [1.26] * 5, False, "worse beyond bound"),
+     ([100.0] * 5, [76.0] * 5, True, "within bound"),
+     ([1.0] * 5, [1.24] * 5, False, "within bound"),
+     (SPREAD, [100.0] * 5, True, "unresolved"),
+     (SPREAD, [141.0] * 4 + [139.0], True, "unresolved"),
+     (SPREAD, [141.0] * 5, True, "within bound"),
+     (SPREAD, [59.0] * 5, False, "within bound")],
+)  # fmt: skip
+def test_paired_bench_verdict(parent, change, higher, expected):
+    # Bound 0.25 of the parent's median: 25 here, 0.25 for the lower-is-better
+    # cases. SPREAD's IQR of 40 exceeds it, so only a change run above every
+    # parent run resolves it.
+    assert _load("paired_bench").verdict(parent, change, 0.25, higher) == expected
+
+
+@pytest.mark.parametrize(
+    "parent, change, higher, holds",
+    [([100.0] * 10, [101.0] * 9 + [99.0], True, True),
+     ([100.0] * 10, [101.0] * 8 + [99.0] * 2, True, False),
+     ([100.0] * 10, [101.0] * 8 + [100.0] * 2, True, False),
+     ([100.0] * 10, [99.0] * 10, False, True),
+     (SPREAD * 2, [v + 1 for v in SPREAD * 2], True, False),
+     (SPREAD * 2, [v + 41 for v in SPREAD * 2], True, True)],
+)  # fmt: skip
+def test_paired_bench_gain_rule(parent, change, higher, holds):
+    # 9 of 10 pairs must be won (a tie wins for neither side), and the median
+    # gap must exceed the parent's IQR (0 for constant runs, 40 for SPREAD).
+    assert _load("paired_bench").gain_holds(list(zip(parent, change)), higher) is holds
 
 
 def test_report_diff_tells_float_moves_from_changed_fields(tmp_path, capsys):
