@@ -2,12 +2,12 @@
 
 All metrics fix the evaluated class c as the model's argmax on the
 unmodified input (ties to the lower class index) and simulate removal by
-padding token positions. Each record's removals are one boolean mask
-stack, and a metric scores every record's stack in one
-`Model.removal_probabilities` call, one head call for the corpus: one
-call of 2 rows per record cost more in call overhead than in arithmetic.
-Minimality makes two such calls, the second only for the records that
-pass essence.
+padding token positions. One layer, `_class_probabilities`, scores every
+removal: it puts each record's unmodified row before its removal rows
+and scores the corpus in one `Model.removal_probabilities` call, since
+one call per record cost more in call overhead than in arithmetic.
+Every record brings at least one removal row, so no metric call has one
+row, and a record's results do not depend on the records that share it.
 
 An explanation is a sequence of elements, best first: token pairs
 (i, j) or single token indices. Comprehensiveness and log-odds remove
@@ -15,7 +15,7 @@ its first K elements, K = min(max(1, floor(0.1 n)), |S|), and compare
 the class probability before and after. The minimality score evaluates
 the full set: it checks that removing the set drives the class
 probability to at most t (essence) and that restoring any single element
-lifts it back above t (minimality).
+lifts it back above t (minimality), for only the sets that pass essence.
 """
 
 from __future__ import annotations
@@ -30,6 +30,25 @@ from .errors import InputError, InternalError
 from .model import Instance, Model
 
 PROBABILITY_FLOOR = 1e-12
+
+
+def _class_probabilities(
+    model: Model, instances: Sequence[Instance], removals: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """One (1 + B,) block per record: the probability of its explained
+    class c under its unmodified row, then under each row of removals[i],
+    a (B, n) boolean stack that is True where the row removes a position.
+    c is the argmax of the unmodified row, ties to the lower index. Every
+    row goes to one Model.removal_probabilities call; in a call of two or
+    more rows, a block does not depend on the records that share it.
+    """
+    stacks = [np.zeros((1 + len(rows), len(inst)), dtype=bool) for inst, rows in zip(instances, removals)]
+    for stack, rows in zip(stacks, removals):
+        stack[1:] = rows
+    probs = model.removal_probabilities(instances, stacks)
+    top = probs.argmax(axis=1).tolist()  # one call costs less than one per record
+    bounds = np.cumsum([0] + [len(stack) for stack in stacks]).tolist()
+    return [probs[first:end, top[first]] for first, end in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -74,31 +93,23 @@ def _element_positions(n: int, elements: Sequence) -> np.ndarray:
         raise InputError("removal elements must all be token indices or all be index pairs") from None
     if positions.size and positions.dtype.kind not in "iu":
         raise InputError(f"pad positions must be integers, not {positions.dtype}")
-    bad = np.flatnonzero((positions < 0) | (positions >= n))
-    if bad.size:
-        raise InputError(f"pad position {positions.flat[bad[0]]} out of range for length {n}")
-    return positions.astype(np.intp)
+    bad = (positions < 0) | (positions >= n)
+    if bad.any():
+        raise InputError(f"pad position {positions[bad][0]} out of range for length {n}")
+    return positions.astype(np.intp, copy=False)
 
 
-def _removal_probabilities(
+def _top_k_removal(
     model: Model, instances: Sequence[Instance], explanations: Sequence[Sequence]
-) -> list[tuple[float, float]]:
-    """Predicted-class probability before and after removing the first K
+) -> list[list[float]]:
+    """Explained-class probability before and after removing the first K
     elements, for each instance whose explanation is non-empty."""
     _check_corpus(instances, explanations, "removal")
     scored = [(inst, ranked) for inst, ranked in zip(instances, explanations) if len(ranked)]
-    masks = []
-    for inst, ranked in scored:
-        top = ranked[: _k_for(len(inst), len(ranked))]
-        stack = np.zeros((2, len(inst)), dtype=bool)  # [unmasked, top-K removed]
-        stack[1, _element_positions(len(inst), top)] = True
-        masks.append(stack)
-    probs = model.removal_probabilities([inst for inst, _ in scored], masks)
-    pairs = []
-    for before, after in zip(probs[0::2], probs[1::2]):
-        c = int(np.argmax(before))
-        pairs.append((float(before[c]), float(after[c])))
-    return pairs
+    rows = [np.zeros((1, len(inst)), dtype=bool) for inst, _ in scored]
+    for row, (inst, ranked) in zip(rows, scored):
+        row[0, _element_positions(len(inst), ranked[: _k_for(len(inst), len(ranked))])] = True
+    return [block.tolist() for block in _class_probabilities(model, [inst for inst, _ in scored], rows)]
 
 
 def comprehensiveness(
@@ -110,7 +121,7 @@ def comprehensiveness(
     Higher is better. Instances with empty explanations contribute 0.
     """
     total = 0.0
-    for before, after in _removal_probabilities(model, instances, explanations):
+    for before, after in _top_k_removal(model, instances, explanations):
         total += before - after
     return total / len(instances)
 
@@ -126,7 +137,7 @@ def log_odds(
     floored at 1e-12 before logging, so the result is always finite.
     """
     total = 0.0
-    for before, after in _removal_probabilities(model, instances, explanations):
+    for before, after in _top_k_removal(model, instances, explanations):
         total += math.log(max(after, PROBABILITY_FLOOR)) - math.log(max(before, PROBABILITY_FLOOR))
     return total / len(instances)
 
@@ -144,32 +155,20 @@ def _feature_minimality(
     if not 0.0 < t < 1.0:
         raise InputError("t must lie strictly between 0 and 1")
     _check_corpus(instances, sets, kind)
-    scored, essence_masks = [], []
+    scored = []
     for inst, elements in zip(instances, sets):
         if len(elements):
-            positions = _element_positions(len(inst), elements)
-            groups = np.zeros((len(elements), len(inst)), dtype=bool)  # row g: element g
-            groups[np.arange(len(elements))[:, np.newaxis], positions] = True
-            masks = np.zeros((2, len(inst)), dtype=bool)  # [unmasked, every element removed]
-            masks[1, positions] = True
-            scored.append((inst, groups))
-            essence_masks.append(masks)
-    probs = model.removal_probabilities([inst for inst, _ in scored], essence_masks)
-    essential = []
-    for (inst, groups), full, removed in zip(scored, probs[0::2], probs[1::2]):
-        c = int(np.argmax(full))
-        if removed[c] <= t:
-            essential.append((inst, groups, c))
-    # Restoring element g keeps removed every position another element owns.
-    restored = model.removal_probabilities(
-        [inst for inst, _, _ in essential], [groups.sum(axis=0) - groups > 0 for _, groups, _ in essential]
+            groups = np.zeros((1 + len(elements), len(inst)), dtype=bool)  # row 1 + g: element g
+            groups[np.arange(1, len(groups))[:, np.newaxis], _element_positions(len(inst), elements)] = True
+            # Row 0 removes every element. Row 1 + g restores element g and
+            # keeps removed every position another element owns.
+            scored.append((inst, groups.sum(axis=0) - groups > 0))
+    essence = _class_probabilities(model, [inst for inst, _ in scored], [stack[:1] for _, stack in scored])
+    essential = [(inst, stack) for (inst, stack), block in zip(scored, essence) if block[1] <= t]
+    restored = _class_probabilities(
+        model, [inst for inst, _ in essential], [stack[1:] for _, stack in essential]
     )
-    passed = 0
-    end = 0
-    for _, groups, c in essential:
-        start, end = end, end + len(groups)
-        passed += bool((restored[start:end, c] > t).all())
-    return passed / len(instances)
+    return sum(bool((block[1:] > t).all()) for block in restored) / len(instances)
 
 
 def fms_pairs(

@@ -65,10 +65,13 @@ class CidrConfig:
             raise ConfigError("t must lie strictly between 0 and 1")
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigError("epsilon must lie in (0, 1]")
-        if self.n_iter < 1:
-            raise ConfigError("n_iter must be >= 1")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
+        # Caps from a memory budget: at each cap, a 13-token record's sweep
+        # peaked at 27 MB (a lone path's (16, 1, steps + 1) pre-activations
+        # are 12.8 MB) and refining its 67 positive pairs at 52 MB.
+        if not 1 <= self.n_iter <= 10_000:
+            raise ConfigError("n_iter must lie in [1, 10000]")
+        if not 1 <= self.steps <= 100_000:
+            raise ConfigError("steps must lie in [1, 100000]")
         if not 0 <= self.q <= sys.float_info.max_10_exp:
             raise ConfigError(f"q must lie in [0, {sys.float_info.max_10_exp}]: 10**q must be a finite float")
         if not 0 <= self.seed < 2**64:

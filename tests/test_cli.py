@@ -616,7 +616,8 @@ class TestFiles:
         "command, key, value",
         [("train", "beta", 5), ("train", "q", -1)]
         + [(command, key, value) for command in ("explain", "evaluate")
-           for key, value in (("epochs", -3), ("batch_size", 0), ("learning_rate", -1))],
+           for key, value in (("epochs", -3), ("batch_size", 0), ("learning_rate", -1))]
+        + [(command, key, 10**15) for command in ("train", "explain", "evaluate") for key in ("steps", "n_iter")],
     )  # fmt: skip
     def test_config_invalid_for_any_command_exits_2_naming_the_key(
         self, cli_env, tmp_path, capsys, command, key, value

@@ -8,16 +8,20 @@ unscripted-pattern assertion.
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_random_instance, make_random_model
+from conftest import explained_class, make_random_instance, make_random_model
+from minfeat import metrics
 from minfeat.errors import InputError, InternalError
 from minfeat.evaluation import _TABLE, METHODS, RecordArtifacts
 from minfeat.metrics import (
     MetricsRow,
+    _class_probabilities,
     _k_for,
     comprehensiveness,
     fms_pairs,
@@ -25,6 +29,7 @@ from minfeat.metrics import (
     log_odds,
     top_k_baseline,
 )
+from minfeat.model import Model
 from minfeat.pipeline import CidrConfig
 from metrics_oracle import comprehensiveness_per_record, fms_per_record, log_odds_per_record
 from stubs import ScriptedModel, scripted_instance
@@ -58,6 +63,63 @@ class TestProtocol:
             fms_words(toy_model, [inst], [[1.5]], t=0.5)
         with pytest.raises(InputError, match="all be index pairs"):
             fms_pairs(toy_model, [inst], [[(0, 1), 2]], t=0.5)
+
+
+class TestRemovalLayer:
+    def test_every_metric_call_holds_at_least_two_rows(self, toy_model, toy_instances, monkeypatch):
+        # A one-row call is a matrix-vector product, which can round apart
+        # from the same row in a larger call. Restoring a set of one
+        # essential word brings back the unmodified row alone, so without
+        # the layer's unmodified row that call would hold one row.
+        rows = []
+        score = Model.removal_probabilities
+
+        def spy(model, instances, masks):
+            rows.append(sum(len(stack) for stack in masks))
+            return score(model, instances, masks)
+
+        monkeypatch.setattr(Model, "removal_probabilities", spy)
+        inst, word = toy_instances[0], 6
+        assert fms_words(toy_model, [inst], [[word]], t=0.5) == 1.0  # essence holds
+        comprehensiveness(toy_model, [inst], [(word,)])
+        log_odds(toy_model, [inst], [(word,)])
+        assert rows == [2, 2, 2, 2]
+
+    def test_one_call_site(self):
+        # Every metric scores its removals through _class_probabilities.
+        tree = ast.parse(Path(metrics.__file__).read_text(encoding="utf-8"))
+        calls = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "removal_probabilities"
+        ]
+        (layer,) = [node for node in tree.body if getattr(node, "name", None) == "_class_probabilities"]
+        assert len(calls) == 1 and layer.lineno <= calls[0] <= layer.end_lineno
+
+    def test_block_equals_a_one_record_call(self):
+        # Three classes, so the explained class is not always the larger of two.
+        model = make_random_model(7, vocab_size=30, embed_dim=6, hidden_dim=8, num_classes=3)
+        instances = [make_random_instance(model, 500 + k, length=3 + k % 9) for k in range(40)]
+        rng = np.random.default_rng(7)
+        removals = [rng.random((k % 5, len(inst))) < 0.4 for k, inst in enumerate(instances)]
+        blocks = _class_probabilities(model, instances, removals)
+        assert [len(block) for block in blocks] == [1 + len(rows) for rows in removals]
+        assert len({explained_class(model, inst) for inst in instances}) == 3
+        for inst, rows, block in zip(instances, removals, blocks):
+            # A record without removal rows is compared in a call of two
+            # rows: alone it would be a one-row call.
+            alone = rows if len(rows) else np.zeros((1, len(inst)), dtype=bool)
+            assert np.array_equal(block, _class_probabilities(model, [inst], [alone])[0][: len(block)])
+
+    def test_class_is_the_explained_class(self, toy_model, toy_instances):
+        removals = [np.eye(len(inst), dtype=bool)[:2] for inst in toy_instances]
+        blocks = _class_probabilities(toy_model, toy_instances, removals)
+        for inst, rows, block in zip(toy_instances, removals, blocks):
+            stack = np.vstack([np.zeros((1, len(inst)), dtype=bool), rows])
+            probs = toy_model.removal_probabilities([inst], [stack])
+            assert np.array_equal(block, probs[:, explained_class(toy_model, inst)])
 
 
 class TestComprehensiveness:

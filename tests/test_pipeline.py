@@ -64,12 +64,26 @@ class TestCidrConfig:
             {"steps": 2.5},
             {"t": "0.5"},
             {"q": 400},
+            {"n_iter": 10_001},
+            {"steps": 100_001},
+            {"n_iter": 10**15},
+            {"steps": 10**15},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         (field,) = kwargs
         with pytest.raises(ConfigError, match=field):
             CidrConfig(**kwargs)
+
+    def test_caps_are_inclusive_and_named(self):
+        # The check runs before anything is allocated, so a value that
+        # would not fit in memory costs nothing to refuse.
+        config = CidrConfig(n_iter=10_000, steps=100_000)
+        assert (config.n_iter, config.steps) == (10_000, 100_000)
+        with pytest.raises(ConfigError, match=r"^n_iter must lie in \[1, 10000\]$"):
+            CidrConfig(n_iter=10**15)
+        with pytest.raises(ConfigError, match=r"^steps must lie in \[1, 100000\]$"):
+            CidrConfig(steps=10**8)
 
 
 class TestBounds:
