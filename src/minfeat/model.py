@@ -323,7 +323,8 @@ class Model:
                     f"expected a (B, {len(instance)}) removal mask stack, got shape {stack.shape}"
                 )
             rows = np.where(stack[:, :, np.newaxis], pad, instance.embeddings)  # (B, n, d)
-            pooled.append(rows.mean(axis=1))
+            # sum / n rounds as mean does, without mean's Python-level wrapper.
+            pooled.append(rows.sum(axis=1) / len(instance))
         return self._head(self._check_input(np.concatenate(pooled)))[1]
 
 

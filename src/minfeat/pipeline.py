@@ -67,7 +67,7 @@ class CidrConfig:
             raise ConfigError("epsilon must lie in (0, 1]")
         # Caps from a memory budget: at each cap, a 13-token record's sweep
         # peaked at 27 MB (a lone path's (16, 1, steps + 1) pre-activations
-        # are 12.8 MB) and refining its 67 positive pairs at 52 MB.
+        # are 12.8 MB) and refining its 67 positive pairs at 35 MB.
         if not 1 <= self.n_iter <= 10_000:
             raise ConfigError("n_iter must lie in [1, 10000]")
         if not 1 <= self.steps <= 100_000:
@@ -290,10 +290,11 @@ def refine(pair_map: PairScoreMap, config: CidrConfig) -> MinimalFeatureSet:
     Pairs kept in at least epsilon of the candidate sets are retained.
 
     The n_iter repetitions run as array work: one (n_iter, P) matrix of
-    perturbations, all n_iter u2' in one call, and one quantize call whose
-    instances share the integer weights; solve_dp then runs once for each
-    iteration whose solver capacity is positive, and its selection fills
-    that iteration's row of the (n_iter, P) exclusion matrix.
+    perturbations, all n_iter u2' in one call, and one quantize call that
+    batches every iteration whose solver capacity is positive, with the
+    integer weights shared. One solve_dp call solves the batch in one
+    shared DP table and returns its selections, which fill those
+    iterations' rows of the (n_iter, P) exclusion matrix.
     """
     positive = pair_map.positive_pairs
     if not positive:
@@ -309,11 +310,10 @@ def refine(pair_map: PairScoreMap, config: CidrConfig) -> MinimalFeatureSet:
     solved = np.flatnonzero(solver_capacities > 0.0)
     excluded = np.zeros((config.n_iter, len(positive)), dtype=bool)
     if solved.size:
-        # The items are the pairs' columns, so a selection indexes its row.
+        # The items are the pairs' columns, so each selection row is an exclusion row.
         weights = pair_map.cig[pair_map.positive_index]
-        instances = quantize(weights, values[solved], solver_capacities[solved], config.q)
-        for k, instance_k in zip(solved.tolist(), instances):
-            excluded[k, list(solve_dp(instance_k))] = True
+        batch = quantize(weights, values[solved], solver_capacities[solved], config.q)
+        excluded[solved] = solve_dp(batch)
     return _assemble(config, pair_map, u1, u2, u2_prime, excluded)
 
 

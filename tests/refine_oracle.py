@@ -2,9 +2,10 @@
 
 This is refine as one loop over the n_iter repetitions: each iteration
 constructs its own Generator, sums its u2' in a Python float loop,
-quantizes its own instance and builds its own record of the pairs it
-excluded and kept. The batched refine, which keeps the iterations as
-arrays, must match it bit for bit.
+quantizes its own instance, solves it with the per-instance DP of
+knapsack_oracle and builds its own record of the pairs it excluded and
+kept. The batched refine, which keeps the iterations as arrays and
+solves them in one shared DP table, must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from knapsack_oracle import KnapsackInstance, solve_dp_row
 from minfeat.errors import ConfigError, InputError
-from minfeat.knapsack import MAX_TABLE_CELLS, KnapsackInstance, solve_dp
+from minfeat.knapsack import MAX_TABLE_CELLS
 from minfeat.pipeline import PERTURBATION_CLIP, upper_bound_u1
 
 
@@ -129,6 +131,6 @@ def refine_per_iteration(pair_map, config):
         excluded = ()
         if solver_capacity > 0.0:
             instance_k = quantize_one(weights, values, solver_capacity, config.q)
-            excluded = tuple(positive[position] for position in solve_dp(instance_k))
+            excluded = tuple(positive[position] for position in solve_dp_row(instance_k))
         iterations.append(iteration_record(k, pair_map, u2p, capacity, excluded))
     return assemble(config, pair_map, u1, u2, iterations)

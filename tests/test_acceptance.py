@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 from conftest import explained_class, make_random_instance, make_random_model, predicted_pair_map
-from knapsack_oracle import solve_bruteforce
+from knapsack_oracle import KnapsackInstance, one_row_batch, positions, solve_bruteforce
 from stubs import LinearModel, ScriptedModel, linear_instance, scripted_instance
 
 from minfeat.attribution import PairScoreMap, cooperative_integrated_gradients, integrated_gradients
 from minfeat.cli import main
 from minfeat.corpus import save_corpus
-from minfeat.knapsack import KnapsackInstance, solve_dp
+from minfeat.knapsack import solve_dp
 from minfeat.metrics import comprehensiveness, fms_pairs, log_odds
 from minfeat.model import save_model
 from minfeat.pipeline import (
@@ -140,7 +140,8 @@ def test_04_dp_knapsack_matches_exhaustive_search(capsys):
         )
         # The oracle's selection maximises value, so equal selections
         # mean equal values.
-        if solve_dp(inst) != solve_bruteforce(inst):
+        (selected,) = solve_dp(one_row_batch(inst))
+        if positions(selected) != solve_bruteforce(inst):
             mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 5.0

@@ -81,10 +81,12 @@ def test_refine_counts_match_the_exact_count_gate(tracer, toy_model, toy_instanc
 
 
 def test_solve_dp_counter_reads_quantized_instances(tracer):
-    # The tracer counts len(instance.items) items, items x (capacity + 1)
-    # cells, and a trivial solve when the integer weights (1, 2, 3) fit.
-    fits, below = quantize((1.0, 2.0, 3.0), [[0.5] * 3] * 2, (6.5, 4.0), 0)
-    assert [tracer._count_solve_dp((instance,)) for instance in (fits, below)] == [
+    # The tracer counts len(batch.items) items, items x (capacity + 1)
+    # cells with capacity the batch's largest, and a trivial solve when
+    # the integer weights (1, 2, 3) fit it.
+    fits = quantize((1.0, 2.0, 3.0), [[0.5] * 3], (6.5,), 0)
+    below = quantize((1.0, 2.0, 3.0), [[0.5] * 3] * 2, (1.0, 4.0), 0)
+    assert [tracer._count_solve_dp((batch,)) for batch in (fits, below)] == [
         {"knapsack.solve_dp.cells": 21, "knapsack.solve_dp.items": 3, "knapsack.solve_dp.trivial": 1},
         {"knapsack.solve_dp.cells": 15, "knapsack.solve_dp.items": 3, "knapsack.solve_dp.trivial": 0},
     ]

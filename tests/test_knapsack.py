@@ -1,4 +1,5 @@
-"""Knapsack solvers: quantization rules, DP vs exhaustive oracle, greedy."""
+"""Knapsack solvers: quantization rules, the batched DP against the
+per-row DP and the exhaustive oracle, greedy."""
 
 from __future__ import annotations
 
@@ -7,9 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knapsack_oracle import solve_bruteforce
+from knapsack_oracle import (
+    KnapsackInstance,
+    batch_rows,
+    one_row_batch,
+    positions,
+    solve_bruteforce,
+    solve_dp_row,
+)
+from minfeat import knapsack
 from minfeat.errors import ConfigError, InputError
-from minfeat.knapsack import KnapsackInstance, quantize, solve_dp, solve_greedy
+from minfeat.knapsack import KnapsackBatch, quantize, solve_dp, solve_greedy
 
 
 def random_integer_instance(rng: np.random.Generator, max_items: int = 12) -> KnapsackInstance:
@@ -20,9 +29,39 @@ def random_integer_instance(rng: np.random.Generator, max_items: int = 12) -> Kn
     return KnapsackInstance(weights=weights, values=values, capacity=capacity)
 
 
+def random_batch(rng: np.random.Generator, max_items: int = 12, max_rows: int = 8) -> KnapsackBatch:
+    """Shared weights, values drawn from few levels so that ties are
+    common, and capacities that mix zero rows, rows that fit every item
+    and rows that build a table."""
+    n = int(rng.integers(0, max_items + 1))
+    k = int(rng.integers(0, max_rows + 1))
+    weights = tuple(int(w) for w in rng.integers(1, 30, size=n))
+    values = rng.integers(1, 6, size=(k, n)).astype(np.float64) / 4.0
+    total = sum(weights)
+    kinds = rng.integers(0, 4, size=k)
+    capacities = tuple(
+        0 if kind == 0 else total + int(rng.integers(0, 3)) if kind == 1 else int(rng.integers(1, max(total, 1) + 1))
+        for kind in kinds.tolist()
+    )
+    return KnapsackBatch(weights, values, capacities)
+
+
+def solve_rows(batch: KnapsackBatch) -> list[tuple[int, ...]]:
+    """The batched solver's selections, as positions per row."""
+    selected = solve_dp(batch)
+    assert selected.shape == batch.values.shape and selected.dtype == bool
+    return [positions(row) for row in selected]
+
+
+def solve_one(instance: KnapsackInstance) -> tuple[int, ...]:
+    """The batched solver on the instance as a one-row batch."""
+    (selection,) = solve_rows(one_row_batch(instance))
+    return selection
+
+
 def quantize_one(weights, values, capacity, digits) -> KnapsackInstance:
-    """quantize on a single capacity, unpacked."""
-    (instance,) = quantize(weights, [values], [capacity], digits)
+    """quantize on a single capacity, as its one row."""
+    (instance,) = batch_rows(quantize(weights, [values], [capacity], digits))
     return instance
 
 
@@ -41,15 +80,23 @@ class TestQuantize:
         assert q.weights == (1,)
 
     def test_one_instance_per_capacity_sharing_the_weights(self):
+        # One batch: the integer weights once, the value matrix as given,
+        # one capacity per row.
         weights = (0.4, 1.25)
         values = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
         capacities = (1.0, 0.0, 2.5)
         batch = quantize(weights, values, capacities, 1)
-        assert [b.capacity for b in batch] == [10, 0, 25]
-        assert all(b.weights is batch[0].weights for b in batch)
-        for row, capacity, instance in zip(values.tolist(), capacities, batch):
+        assert batch.weights == (4, 13)
+        assert batch.capacities == (10, 0, 25)
+        assert all(type(c) is int for c in batch.capacities)
+        assert batch.values.dtype == np.float64 and (batch.values == values).all()
+        assert batch.items == range(2)
+        assert batch.capacity == 25
+        for row, capacity, instance in zip(values.tolist(), capacities, batch_rows(batch)):
             assert instance == quantize_one(weights, row, capacity, 1)
-        assert quantize(weights, np.empty((0, 2)), (), 1) == ()
+        empty = quantize(weights, np.empty((0, 2)), (), 1)
+        assert empty.capacities == () and empty.values.shape == (0, 2) and empty.capacity == 0
+        assert solve_dp(empty).shape == (0, 2)
 
     @pytest.mark.parametrize("digits", [0, 3, 15, 18, 19, 25, 300])
     def test_weights_exact_beyond_int64(self, digits):
@@ -86,7 +133,7 @@ class TestQuantize:
         for capacity in (1e9, 2e5):
             instance = quantize_one(weights=(1.0, 199.0), values=(1.0, 1.0), capacity=capacity, digits=3)
             assert instance.capacity == int(capacity * 1000)
-            assert solve_dp(instance) == (0, 1)
+            assert solve_one(instance) == (0, 1)
         at_sum = quantize_one(weights=(1.0, 199.0), values=(1.0, 1.0), capacity=200.0, digits=6)
         assert at_sum.capacity == sum(at_sum.weights) == 200_000_000
         with pytest.raises(ConfigError, match="table cells"):
@@ -146,32 +193,32 @@ def value_and_weight(inst: KnapsackInstance, selected: tuple) -> tuple[float, in
 class TestSolveDp:
     def test_textbook_instance(self):
         inst = KnapsackInstance(weights=(2, 3, 4, 5), values=(3.0, 4.0, 5.0, 6.0), capacity=5)
-        selected = solve_dp(inst)
+        selected = solve_one(inst)
         assert selected == (0, 1)
         assert value_and_weight(inst, selected) == (7.0, 5)
 
     def test_empty_and_zero_capacity(self):
         empty = KnapsackInstance(weights=(), values=(), capacity=10)
-        assert solve_dp(empty) == ()
+        assert solve_one(empty) == ()
         zero = KnapsackInstance(weights=(1,), values=(1.0,), capacity=0)
-        assert solve_dp(zero) == ()
+        assert solve_one(zero) == ()
 
     def test_item_heavier_than_capacity_skipped(self):
         inst = KnapsackInstance(weights=(9, 1), values=(100.0, 1.0), capacity=5)
-        assert solve_dp(inst) == (1,)
+        assert solve_one(inst) == (1,)
 
     def test_tie_prefers_not_selecting(self):
         # Both items alone reach value 5; the smaller membership bitmask
         # keeps the earlier item.
         inst = KnapsackInstance(weights=(3, 3), values=(5.0, 5.0), capacity=3)
-        assert solve_dp(inst) == (0,)
+        assert solve_one(inst) == (0,)
         assert solve_bruteforce(inst) == (0,)
 
     def test_solution_weight_within_capacity(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             inst = random_integer_instance(rng)
-            selected = solve_dp(inst)
+            selected = solve_one(inst)
             assert value_and_weight(inst, selected)[1] <= inst.capacity
             # Selected positions come in ascending order, each once.
             assert list(selected) == sorted(set(selected))
@@ -181,7 +228,7 @@ class TestSolveDp:
         rng = np.random.default_rng(123)
         for _ in range(100):
             inst = random_integer_instance(rng)
-            assert solve_dp(inst) == solve_bruteforce(inst)
+            assert solve_one(inst) == solve_bruteforce(inst)
 
     def test_all_fit_selects_every_item(self):
         rng = np.random.default_rng(7)
@@ -191,7 +238,7 @@ class TestSolveDp:
             values = tuple(float(v) for v in rng.uniform(0.01, 1.0, size=n))
             capacity = sum(weights) + int(rng.integers(0, 5))
             inst = KnapsackInstance(weights=weights, values=values, capacity=capacity)
-            assert solve_dp(inst) == tuple(range(n)) == solve_bruteforce(inst)
+            assert solve_one(inst) == tuple(range(n)) == solve_bruteforce(inst)
 
     @given(data=st.data())
     @settings(max_examples=60)
@@ -201,7 +248,93 @@ class TestSolveDp:
         values = tuple(float(data.draw(st.integers(1, 30))) for _ in range(n))
         capacity = data.draw(st.integers(0, 60))
         inst = KnapsackInstance(weights=weights, values=values, capacity=capacity)
-        assert solve_dp(inst) == solve_bruteforce(inst)
+        assert solve_one(inst) == solve_bruteforce(inst)
+
+
+class TestBatchedSolver:
+    """solve_dp on many rows at once equals the per-row DP on each row."""
+
+    def test_random_batches_match_the_per_row_dp_and_bruteforce(self):
+        # Ties (values on a grid of quarters), zero rows, rows that fit
+        # every item, no rows and no items all occur in these draws.
+        rng = np.random.default_rng(32)
+        kinds = set()
+        for _ in range(300):
+            batch = random_batch(rng)
+            total = sum(batch.weights)
+            kinds |= {0 if c == 0 else 1 if c >= total else 2 for c in batch.capacities}
+            kinds |= {"no rows"} if not batch.capacities else set()
+            rows = batch_rows(batch)
+            assert solve_rows(batch) == [solve_dp_row(r) for r in rows] == [solve_bruteforce(r) for r in rows]
+        assert kinds == {0, 1, 2, "no rows"}
+
+    def test_twenty_items_match_bruteforce(self):
+        rng = np.random.default_rng(20)
+        weights = tuple(int(w) for w in rng.integers(1, 9, size=20))
+        values = rng.integers(1, 4, size=(6, 20)).astype(np.float64)
+        batch = KnapsackBatch(weights, values, (1, 7, 19, 33, sum(weights) - 1, sum(weights)))
+        assert solve_rows(batch) == [solve_bruteforce(r) for r in batch_rows(batch)]
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_matches_per_row_dp_property(self, data):
+        n = data.draw(st.integers(0, 10))
+        k = data.draw(st.integers(0, 6))
+        weights = tuple(data.draw(st.integers(1, 20)) for _ in range(n))
+        values = np.array([[float(data.draw(st.integers(1, 4))) for _ in range(n)] for _ in range(k)])
+        capacities = tuple(data.draw(st.integers(0, 2 * sum(weights) + 1)) for _ in range(k))
+        batch = KnapsackBatch(weights, values.reshape(k, n), capacities)
+        assert solve_rows(batch) == [solve_dp_row(r) for r in batch_rows(batch)]
+
+    def test_capacities_and_weights_beyond_int64(self):
+        # A capacity past 2**63 that fits every item takes them all; a
+        # weight past 2**63 lies above every table's top row and is never
+        # taken, in a batch whose other rows build a table.
+        huge = 10**19
+        assert huge > 2**63
+        weights = (3, huge, 5, 2)
+        values = np.array([[1.0, 9.0, 2.0, 1.5]] * 4)
+        capacities = (2**70, 7, 12, 0)
+        batch = KnapsackBatch(weights, values, capacities)
+        rows = solve_rows(batch)
+        assert rows == [solve_dp_row(r) for r in batch_rows(batch)]
+        assert rows == [(0, 1, 2, 3), (2, 3), (0, 2, 3), ()]
+        # The same through quantize: 10.0 at q = 18 scales to 10**19.
+        batch = quantize((10.0, 1e-18, 2e-18), [[1.0, 1.0, 1.0], [2.0, 1.0, 3.0]], (1e5, 2.5e-18), 18)
+        assert batch.weights == (huge, 1, 2)
+        assert batch.capacities[0] > 2**63 and batch.capacities[1] == 2
+        assert solve_rows(batch) == [solve_dp_row(r) for r in batch_rows(batch)] == [(0, 1, 2), (2,)]
+
+    def test_one_row_blocks_give_the_same_selections(self, monkeypatch):
+        # With a budget of one cell every block holds one row; blocks of
+        # mixed capacities, sorted and cut by the budget, agree too.
+        rng = np.random.default_rng(5)
+        batches = [random_batch(rng, max_rows=12) for _ in range(60)]
+        expected = [[solve_dp_row(r) for r in batch_rows(b)] for b in batches]
+        for budget in (1, 200, knapsack.BLOCK_CELLS):
+            monkeypatch.setattr(knapsack, "BLOCK_CELLS", budget)
+            assert [solve_rows(b) for b in batches] == expected
+
+    def test_block_tables_stay_within_the_budget(self, monkeypatch):
+        # Each block's take table holds at most BLOCK_CELLS cells unless it
+        # is one row; the blocks together cover every tabled row once.
+        shapes = []
+        solve_block = knapsack._solve_block
+
+        def recording(weights, values, capacities):
+            shapes.append((len(weights), int(capacities[-1]) + 1, len(capacities)))
+            assert list(capacities) == sorted(capacities)
+            return solve_block(weights, values, capacities)
+
+        monkeypatch.setattr(knapsack, "_solve_block", recording)
+        monkeypatch.setattr(knapsack, "BLOCK_CELLS", 400)
+        weights = (4, 6, 9, 11)
+        capacities = (29, 3, 12, 0, 30, 17, 8, 25, 40, 13)
+        batch = KnapsackBatch(weights, np.ones((10, 4)), capacities)
+        assert solve_rows(batch) == [solve_dp_row(r) for r in batch_rows(batch)]
+        assert sum(rows for _, _, rows in shapes) == 7  # not the zero row, nor 30 and 40
+        assert all(n * height * rows <= 400 or rows == 1 for n, height, rows in shapes)
+        assert len(shapes) > 1
 
 
 class TestBruteforce:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,6 +365,24 @@ class TestRefine:
             pm = cooperative_integrated_gradients(toy_model, inst, scored_for, cfg.beta, cfg.steps)
             assert method(pm, cfg).target_class == scored_for
         assert forwards == []
+
+    def test_peak_memory_at_the_n_iter_cap(self, toy_model, toy_instances):
+        # The bundled corpus's largest class-1 record (21 positive pairs,
+        # capacities below the weight sum) at the n_iter cap: refine peaked
+        # at 20,940,981 bytes under tracemalloc while quantize built one
+        # tuple instance per iteration, and must not need more.
+        cfg = CidrConfig(n_iter=10_000)
+        pm = predicted_pair_map(toy_model, toy_instances[3], cfg)
+        assert (pm.target_class, len(pm.positive_pairs)) == (1, 21)
+        pipeline._STREAMS.clear()  # the draws count, as in a fresh process
+        tracemalloc.start()
+        try:
+            mfs = refine(pm, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < mfs.excluded.sum() < mfs.excluded.size  # the capacities bind
+        assert peak <= 20_940_981
 
     def test_iteration_count_matches_config(self, toy_model, toy_instances):
         cfg = CidrConfig(n_iter=7, steps=12)
