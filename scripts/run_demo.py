@@ -17,7 +17,7 @@ from dataclasses import replace
 from minfeat.corpus import tokenize
 from minfeat.data import build_toy_corpus
 from minfeat.errors import InputError
-from minfeat.evaluation import RecordArtifacts, single_instance_metrics
+from minfeat.evaluation import CorpusArtifacts, single_instance_metrics
 from minfeat.model import TrainConfig, instance_from_words, train_toy, training_accuracy
 from minfeat.pipeline import CidrConfig
 
@@ -46,14 +46,15 @@ def main(argv: list[str] | None = None) -> int:
     record = corpus[args.index]
     words = tokenize(record.text)
     instance, oov = instance_from_words(model, words, record.label)
-    # The record's artifacts, as explain builds them: one forward gives
-    # the explained class and the printed probability.
-    artifacts = RecordArtifacts(model, instance, config)
-    mfs = artifacts.cidr
+    # The artifacts of a one-record corpus, as explain builds them: one
+    # forward gives the explained class and the printed probability, and
+    # one refine call over the corpus gives its minimal feature set.
+    artifacts = CorpusArtifacts(model, [instance], config)
+    (mfs,) = artifacts.cidr
 
     print(f"record {record.id} (label {record.label}, {oov} OOV tokens)")
     print(f"  text: {record.text}")
-    probability = artifacts.probabilities[artifacts.target]
+    probability = artifacts.probabilities[0][artifacts.targets[0]]
     print(f"  predicted class {mfs.target_class} with probability {probability:.3f}\n")
 
     ig = mfs.pair_scores.ig

@@ -21,7 +21,7 @@ from .corpus import CorpusRecord, load_corpus, tokenize
 from .errors import InputError, InternalError
 from .evaluation import (
     METHODS,
-    RecordArtifacts,
+    CorpusArtifacts,
     evaluate_methods,
     parallel_map,
     single_instance_metrics,
@@ -34,6 +34,7 @@ from .model import (
     train_toy,
     training_accuracy,
 )
+from .pipeline import MinimalFeatureSet
 from .reports import (
     ExplanationReport,
     MfsEntry,
@@ -106,19 +107,21 @@ def run_train(args: argparse.Namespace) -> int:
 
 def _build_report(
     record: CorpusRecord,
-    artifacts: RecordArtifacts,
+    corpus: CorpusArtifacts,
+    index: int,
+    mfs: MinimalFeatureSet,
     words: list[str],
     oov: int,
     config_echo: Mapping[str, Any],
 ) -> ExplanationReport:
-    mfs = artifacts.cidr
+    """The report of the corpus's record at index, whose refined set is mfs."""
     pair_map = mfs.pair_scores
-    comp, lo, fms = single_instance_metrics(artifacts.model, artifacts.instance, mfs, artifacts.config.t)
+    comp, lo, fms = single_instance_metrics(corpus.model, corpus.instances[index], mfs, corpus.config.t)
     return ExplanationReport(
         instance_id=record.id,
         tokens=tuple(words),
         predicted_class=mfs.target_class,
-        predicted_probability=float(artifacts.probabilities[artifacts.target]),
+        predicted_probability=float(corpus.probabilities[index][corpus.targets[index]]),
         ig=tuple(float(s) for s in pair_map.ig),
         positive_pairs=tuple(
             PairScoreEntry(i=i, j=j, cig=float(pair_map.cig[i, j]))
@@ -146,13 +149,16 @@ def run_explain(args: argparse.Namespace) -> int:
     config = cidr_config_from(values)
     model = load_model(args.model)
     records = load_corpus(args.corpus)
+    words = [tokenize(record.text) for record in records]
+    built = [instance_from_words(model, w, record.label) for w, record in zip(words, records)]
+    corpus = CorpusArtifacts(model, [instance for instance, _ in built], config)
 
-    def explain_one(record: CorpusRecord) -> ExplanationReport:
-        words = tokenize(record.text)
-        instance, oov = instance_from_words(model, words, record.label)
-        return _build_report(record, RecordArtifacts(model, instance, config), words, oov, values)
+    def explain_one(item: tuple[int, MinimalFeatureSet]) -> ExplanationReport:
+        index, mfs = item
+        return _build_report(records[index], corpus, index, mfs, words[index], built[index][1], values)
 
-    reports = parallel_map(explain_one, records)
+    # corpus.cidr refines every record in one call before any report is built.
+    reports = parallel_map(explain_one, enumerate(corpus.cidr))
     write_reports(reports, args.out)
     _warn_oov(sum(r.oov_count for r in reports))
     degenerate = sum(1 for r in reports if r.degenerate)

@@ -2,17 +2,17 @@
 
 One table, ``_TABLE``, holds every method: its name maps to the
 granularity its elements have (token pairs or words), whether it reads
-the record's pair map, and its producer, which returns one record's
+the records' pair maps, and its producer, which returns every record's
 explanation, elements ranked best first. ``METHODS`` is the table's
 names in order, the default ``evaluate`` list.
 
-A producer reads one ``RecordArtifacts``: the explained class from one
-forward, the pair map, cidr's refined set and plain IG, each computed
-once, when first read. ``explain`` builds its reports from the same
-object. Every method, and the per-record scores of ``explain``, go
-through the same comprehensiveness, log-odds and minimality call; the
-granularity picks the minimality function, ``fms_pairs`` or
-``fms_words``.
+A producer reads one ``CorpusArtifacts``: per record, the explained
+class from one forward, the pair map and plain IG, and cidr's refined
+sets from one refine call over the corpus, each list computed once, when
+first read. ``explain`` builds its reports from the same object. Every
+method, and the per-record scores of ``explain``, go through the same
+comprehensiveness, log-odds and minimality call; the granularity picks
+the minimality function, ``fms_pairs`` or ``fms_words``.
 """
 
 from __future__ import annotations
@@ -51,45 +51,51 @@ def gradient_input_scores(model: Model, instance: Instance, target_class: int) -
 
 
 @dataclass(frozen=True)
-class RecordArtifacts:
-    """One record's artifacts, each computed once, when first read.
+class CorpusArtifacts:
+    """A corpus's artifacts, one entry per record in corpus order; each
+    list is computed once, when first read.
 
-    index, the record's position in its corpus, keys the random draws.
-    with_pairs says the pair map will be read: ig is then the pair map's,
-    equal to a plain IG sweep bit for bit, and no sweep of its own. Each
-    function called here is read from the module globals at call time, so
-    a tracer that swaps module attributes (perfbench's) sees every call.
+    with_pairs says the pair maps will be read: ig is then the pair maps',
+    equal to plain IG sweeps bit for bit, and no sweep of its own. cidr
+    refines every record in one refine call. Each function called here is
+    read from the module globals at call time, so a tracer that swaps
+    module attributes (perfbench's) sees every call.
     """
 
     model: Model
-    instance: Instance
+    instances: Sequence[Instance]
     config: CidrConfig
-    index: int = 0
     with_pairs: bool = True
 
     @cached_property
-    def probabilities(self) -> np.ndarray:
-        return self.model.forward(self.instance.embeddings)
+    def probabilities(self) -> list[np.ndarray]:
+        return [self.model.forward(instance.embeddings) for instance in self.instances]
 
     @cached_property
-    def target(self) -> int:
-        """The explained class: the argmax of the forward pass, ties to the lower index."""
-        return int(np.argmax(self.probabilities))
+    def targets(self) -> list[int]:
+        """The explained classes: each argmax of the forward pass, ties to the lower index."""
+        return [int(np.argmax(p)) for p in self.probabilities]
 
     @cached_property
-    def pair_map(self) -> PairScoreMap:
+    def pair_maps(self) -> list[PairScoreMap]:
         config = self.config
-        return cooperative_integrated_gradients(self.model, self.instance, self.target, config.beta, config.steps)
+        return [
+            cooperative_integrated_gradients(self.model, instance, target, config.beta, config.steps)
+            for instance, target in zip(self.instances, self.targets)
+        ]
 
     @cached_property
-    def cidr(self) -> MinimalFeatureSet:
-        return refine(self.pair_map, self.config)
+    def cidr(self) -> list[MinimalFeatureSet]:
+        return refine(self.pair_maps, self.config)
 
     @cached_property
-    def ig(self) -> np.ndarray:
+    def ig(self) -> list[np.ndarray]:
         if self.with_pairs:
-            return self.pair_map.ig
-        return integrated_gradients(self.model, self.instance, self.target, self.config.steps)
+            return [pm.ig for pm in self.pair_maps]
+        return [
+            integrated_gradients(self.model, instance, target, self.config.steps)
+            for instance, target in zip(self.instances, self.targets)
+        ]
 
 
 def _word_budget(n_tokens: int) -> int:
@@ -115,31 +121,47 @@ def _random_words(n_tokens: int, size: int, seed: int, index: int) -> tuple[int,
 
 class _Method(NamedTuple):
     granularity: str  # "pair" or "word": the elements the explanation holds
-    reads_pairs: bool  # whether produce reads the record's pair map
-    produce: Callable[[RecordArtifacts], tuple]
+    reads_pairs: bool  # whether produce reads the records' pair maps
+    produce: Callable[[CorpusArtifacts], list]
 
 
 def _top_words(scores: np.ndarray) -> tuple[int, ...]:
     return top_k_baseline(scores, _word_budget(len(scores)))
 
 
+def _all_ranked(sets: Sequence[MinimalFeatureSet]) -> list[tuple[tuple[int, int], ...]]:
+    return [_ranked_pairs(mfs) for mfs in sets]
+
+
 # Producers call pipeline functions by global name, so the tracer's swaps apply.
 _TABLE = {
     # the full pipeline with refinement
-    "cidr": _Method("pair", True, lambda r: _ranked_pairs(r.cidr)),
+    "cidr": _Method("pair", True, lambda c: _all_ranked(c.cidr)),
     # a single greedy exclusion pass, no refinement
-    "cidr-no-r": _Method("pair", True, lambda r: _ranked_pairs(cidr_without_refinement(r.pair_map, r.config))),
+    "cidr-no-r": _Method("pair", True, lambda c: _all_ranked(cidr_without_refinement(c.pair_maps, c.config))),
     # refinement on the pair scores recombined with beta = 0: no leave-one-out term
-    "cidr-no-cig": _Method("pair", True, lambda r: _ranked_pairs(refine(r.pair_map.with_beta(0.0), r.config))),
+    "cidr-no-cig": _Method(
+        "pair", True, lambda c: _all_ranked(refine([pm.with_beta(0.0) for pm in c.pair_maps], c.config))
+    ),
     # the top 2K words by path-integral attribution
-    "ig-top2k": _Method("word", False, lambda r: _top_words(r.ig)),
+    "ig-top2k": _Method("word", False, lambda c: [_top_words(ig) for ig in c.ig]),
     # the top 2K words by embedding-gradient inner product
     "gradinput-top2k": _Method(
-        "word", False, lambda r: _top_words(gradient_input_scores(r.model, r.instance, r.target))
+        "word",
+        False,
+        lambda c: [
+            _top_words(gradient_input_scores(c.model, instance, target))
+            for instance, target in zip(c.instances, c.targets)
+        ],
     ),
     # uniformly drawn words, as many as cidr's word set holds
     "random": _Method(
-        "word", True, lambda r: _random_words(len(r.instance), len(r.cidr.words), r.config.seed, r.index)
+        "word",
+        True,
+        lambda c: [
+            _random_words(len(instance), len(mfs.words), c.config.seed, index)
+            for index, (instance, mfs) in enumerate(zip(c.instances, c.cidr))
+        ],
     ),
 }
 
@@ -174,10 +196,11 @@ def evaluate_methods(
     """Score each requested method over the whole corpus.
 
     Returns one row per method, in request order; each row is the
-    (comp, lo, fms) of the method's explanations at its granularity. Each
-    record's artifacts are computed once and shared by every method, so
+    (comp, lo, fms) of the method's explanations at its granularity. The
+    corpus's artifacts are computed once and shared by every method, so
     a row does not depend on which other methods are requested or in what
-    order.
+    order. cidr and cidr-no-cig make one refine call each over the whole
+    corpus, and cidr-no-r one cidr_without_refinement call.
     """
     unknown = sorted(set(methods) - set(METHODS))
     if unknown:
@@ -190,15 +213,11 @@ def evaluate_methods(
     if not instances:
         raise InputError("evaluation needs at least one instance")
 
-    with_pairs = any(_TABLE[m].reads_pairs for m in methods)
-    records = [
-        RecordArtifacts(model, instance, config, index, with_pairs)
-        for index, instance in enumerate(instances)
-    ]
+    corpus = CorpusArtifacts(model, instances, config, any(_TABLE[m].reads_pairs for m in methods))
     rows: list[MetricsRow] = []
     for name in methods:
         method = _TABLE[name]
-        explanations = [method.produce(record) for record in records]
+        explanations = method.produce(corpus)
         comp, lo, fms = _score(model, instances, explanations, method.granularity, config.t)
         rows.append(
             MetricsRow(method=name, lo=lo, comp=comp, fms=fms, n=len(instances), seed=config.seed)

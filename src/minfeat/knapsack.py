@@ -4,10 +4,11 @@ Items are token pairs, named by their position 0..n-1 in the caller's
 pair list; weights are their cooperative scores, values are the sampled
 perturbations, and the capacity is the attribution upper bound. Real
 weights are quantized to integers before the dynamic program runs; see
-quantize for the rounding rules. One quantize call builds the batch of
-every refinement iteration at once: the weights are scaled once and
-shared, and only the values and the capacity differ from row to row.
-solve_dp solves the whole batch in one table of shared columns.
+quantize for the rounding rules. A batch holds every refinement
+iteration of one record: its weights are scaled once and shared, and
+only the values and the capacity differ from row to row. One quantize
+call builds the batches of many records, checking their inputs once
+together. solve_dp solves one batch in one table of shared columns.
 
 Tie-break of the exact solver: among equal-value selections, prefer
 not selecting an item. Applied per item from the last to the first
@@ -61,62 +62,84 @@ class KnapsackBatch(NamedTuple):
 
 
 def quantize(
-    weights: Sequence[float],
-    values: np.ndarray,
-    capacities: Sequence[float],
+    weights: Sequence[Sequence[float]],
+    values: Sequence[np.ndarray],
+    capacities: Sequence[Sequence[float]],
     digits: int,
-) -> KnapsackBatch:
-    """Build one integer batch, a knapsack per capacity, from shared real weights.
+) -> list[KnapsackBatch]:
+    """Build one integer batch per entry, each from its own shared real weights.
 
-    values has shape (K, P): row k values the P items of the knapsack for
-    capacities[k]. Weights and capacities are scaled by 10**digits, the
-    weights once for all K rows. Weights round to nearest (half away from
-    zero), each exactly max(1, int(floor(w * 10**digits + 0.5))) however
-    large; the capacities are floored, so quantization never admits a
-    selection the real capacity would reject by more than the documented
-    slack. The cell guard reads the largest capacity below the integer
-    weight sum: only those rows build a table. Every input is checked
-    once per call.
+    Entry b is the knapsacks of weights[b], one per capacity: values[b]
+    has shape (K_b, P_b), and its row k values the P_b items of the
+    knapsack for capacities[b][k]. Weights and capacities are scaled by
+    10**digits, each weight once for all its rows. Weights round to
+    nearest (half away from zero), each exactly
+    max(1, int(floor(w * 10**digits + 0.5))) however large; the
+    capacities are floored, so quantization never admits a selection the
+    real capacity would reject by more than the documented slack. The
+    cell guard reads each batch's largest capacity below its integer
+    weight sum, as only those rows build a table, and names the first
+    batch in order that exceeds it. Every input is checked once per call,
+    over all entries together, and no batch depends on the others.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    capacities = np.asarray(capacities, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if not ((weights > 0) & np.isfinite(weights)).all():
+    if not len(weights) == len(values) == len(capacities):
+        raise InputError(
+            f"{len(weights)} weight lists, {len(values)} value matrices and "
+            f"{len(capacities)} capacity lists must pair up"
+        )
+    weights = [np.asarray(w, dtype=np.float64) for w in weights]
+    values = [np.asarray(v, dtype=np.float64) for v in values]
+    capacities = [np.asarray(c, dtype=np.float64) for c in capacities]
+    flat_weights = _flat(weights)
+    if not ((flat_weights > 0) & np.isfinite(flat_weights)).all():
         raise InputError("weights must be finite and strictly positive")
-    if not (capacities >= 0).all():
+    flat_capacities = _flat(capacities)
+    if not (flat_capacities >= 0).all():
         raise InputError("capacity must be non-negative")
     if not 0 <= digits <= sys.float_info.max_10_exp:
         raise InputError(
             f"quantization digits {digits} must lie in [0, {sys.float_info.max_10_exp}]: "
             "10**digits must be a finite float"
         )
-    if capacities.ndim != 1 or values.shape != (len(capacities), len(weights)):
-        raise InputError(
-            f"values of shape {values.shape} must hold one row of {len(weights)} "
-            f"per capacity ({capacities.shape})"
-        )
-    if not (values > 0).all():
+    for w, v, c in zip(weights, values, capacities):
+        if w.ndim != 1 or c.ndim != 1 or v.shape != (len(c), len(w)):
+            raise InputError(
+                f"values of shape {v.shape} must hold one row of {len(w)} per capacity ({c.shape})"
+            )
+    if not all((v > 0).all() for v in values):
         raise InputError("values must be strictly positive")
     scale = float(10**digits)
     # Scaled in floats and checked before any conversion to int, so a
     # capacity or weight that overflows to inf is a named error.
     with np.errstate(over="ignore"):
-        scaled_capacities = np.floor(capacities * scale).tolist()
-        scaled_weights = np.floor(weights * scale + 0.5)
+        scaled_capacities = np.floor(flat_capacities * scale).tolist()
+        scaled_weights = np.floor(flat_weights * scale + 0.5)
     if not np.isfinite(scaled_weights).all():
         raise ConfigError(f"weights scaled by 10**{digits} overflow to inf; lower the quantization digits")
     # Python ints, not int64: a weight may exceed 2**63 at large digits.
-    int_weights = tuple(max(1, int(w)) for w in scaled_weights.tolist())
-    total = sum(int_weights)
-    # An infinite capacity is guarded too: named, not converted to int.
-    largest = max((c for c in scaled_capacities if c < total or c == np.inf), default=0.0)
-    cells = (len(int_weights) + 1) * (largest + 1)
-    if cells > MAX_TABLE_CELLS:
-        raise ConfigError(
-            f"quantized capacity {largest:.3g} needs {cells:.3g} table cells "
-            f"(limit {MAX_TABLE_CELLS}); lower the quantization digits"
-        )
-    return KnapsackBatch(int_weights, values, tuple(int(c) for c in scaled_capacities))
+    int_weights = list(map(int, np.maximum(scaled_weights, 1.0).tolist()))
+    batches = []
+    start = stop = 0
+    for w, v, c in zip(weights, values, capacities):
+        own_weights = tuple(int_weights[start : start + len(w)])
+        own_capacities = scaled_capacities[stop : stop + len(c)]
+        start, stop = start + len(w), stop + len(c)
+        total = sum(own_weights)
+        # An infinite capacity is guarded too: named, not converted to int.
+        largest = max((x for x in own_capacities if x < total or x == np.inf), default=0.0)
+        cells = (len(own_weights) + 1) * (largest + 1)
+        if cells > MAX_TABLE_CELLS:
+            raise ConfigError(
+                f"quantized capacity {largest:.3g} needs {cells:.3g} table cells "
+                f"(limit {MAX_TABLE_CELLS}); lower the quantization digits"
+            )
+        batches.append(KnapsackBatch(own_weights, v, tuple(int(x) for x in own_capacities)))
+    return batches
+
+
+def _flat(arrays: list[np.ndarray]) -> np.ndarray:
+    """Every entry of every array, in order, as one flat array."""
+    return np.concatenate([a.ravel() for a in arrays]) if arrays else np.empty(0)
 
 
 def solve_dp(batch: KnapsackBatch) -> np.ndarray:

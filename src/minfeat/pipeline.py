@@ -1,32 +1,40 @@
 """Minimal-feature-set construction via knapsack exclusion.
 
-The pipeline takes one instance's cooperative pair scores, a PairScoreMap
-already scored for the class to explain, and works on its positive pairs
-alone: it never runs the model. One exclusion core excludes as many pairs
-as it can while their cooperative score stays under an attribution-derived
-capacity; the pairs left over form a candidate set. refine repeats the
-exclusion n_iter times, each time valuing the pairs with fresh uniform
-draws from a counter-based stream keyed by (seed, iteration), and pairs
-that survive in at least an epsilon fraction of the candidate sets form
-the final minimal feature set. What depends only on the record (the
-pairs, their weights and leave-one-out sums, their stream indices, the
-integer weights) is computed once per refine; the draws form one
-(n_iter, P) matrix over the P positive pairs, and its n_iter perturbed
-bounds u2' are summed left to right in pair order, row by row. The
-iterations' exclusions are one (n_iter, P) boolean matrix over the same
-pairs: its rows give the excluded scores, and its columns give each
-pair's share of the candidate sets, from which the retained pairs and
-their frequencies are read.
+The pipeline takes records' cooperative pair scores, PairScoreMaps
+already scored for the class to explain, and works on their positive
+pairs alone: it never runs the model. One exclusion core excludes as
+many of a record's pairs as it can while their cooperative score stays
+under an attribution-derived capacity; the pairs left over form a
+candidate set. refine repeats the exclusion n_iter times, each time
+valuing the pairs with fresh uniform draws from a counter-based stream
+keyed by (seed, iteration), and pairs that survive in at least an
+epsilon fraction of the candidate sets form the final minimal feature
+set.
+
+refine and cidr_without_refinement take a sequence of maps and return
+one result per map; a record's result does not depend on the others.
+The records run in groups bounded by GROUP_CELLS, and a group's array
+work is done once for all its records: their positive pairs, weights and
+leave-one-out sums are concatenated, one sample_perturbations call
+draws the (n_iter, N) matrix of all N pairs, and every record's bounds,
+u2 and its n_iter perturbed bounds u2', come from one left-to-right
+cumsum over a zero-padded (1 + n_iter, records, 1 + P_max) stack. One
+quantize call builds each record's knapsack batch, and solve_dp solves
+one record's iterations at a time. A record's iterations are one
+(n_iter, P) boolean exclusion matrix over its pairs: its rows give the
+excluded scores, and its columns give each pair's share of the
+candidate sets, from which the retained pairs and their frequencies are
+read.
 
 cidr_without_refinement, the no-refinement ablation, runs the same core
-once: one greedy exclusion under the unperturbed bound.
+once per record: one greedy exclusion under the unperturbed bound.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -123,10 +131,23 @@ def upper_bound_u1(ig: np.ndarray) -> float:
 
     The positive scores are summed left to right in token order.
     """
-    positive = [float(s) for s in ig if s > 0.0]
-    if len(positive) <= 1:
-        return 0.0
-    return 2.0 * (len(positive) - 1) * sum(positive)
+    return float(_upper_bounds_u1([np.asarray(ig, dtype=np.float64)])[0])
+
+
+def _upper_bounds_u1(igs: Sequence[np.ndarray]) -> np.ndarray:
+    """upper_bound_u1 of each score vector, as one array.
+
+    The vectors go into one zero-padded stack whose non-positive scores
+    are zeroed; adding +0.0 to a sum from 0.0 leaves it unchanged, so
+    each row's left-to-right sum is that of its positive scores alone.
+    """
+    lengths, record, column = _layout([len(ig) for ig in igs])
+    scores = np.concatenate(igs)
+    positive = scores > 0.0
+    stack = np.zeros((len(igs), 1 + int(lengths.max(initial=0))))
+    stack[record, column + 1] = np.where(positive, scores, 0.0)
+    counts = np.bincount(record[positive], minlength=len(igs))
+    return np.where(counts > 1, 2.0 * (counts - 1) * _sum_rows(stack), 0.0)
 
 
 def upper_bound_u2(pair_map: PairScoreMap) -> float:
@@ -149,16 +170,28 @@ def perturbed_upper_bound(pair_map: PairScoreMap, values: np.ndarray) -> np.ndar
     if values.shape[-1:] != (n_pairs,):
         raise InternalError(f"perturbations of shape {values.shape} for {n_pairs} positive pairs")
     i, j = pair_map.positive_index
-    return pair_map.beta * _sum_left_to_right(values * (pair_map.loo[j, i] + pair_map.loo[i, j]))
+    terms = np.zeros(values.shape[:-1] + (1 + n_pairs,))
+    terms[..., 1:] = values * (pair_map.loo[j, i] + pair_map.loo[i, j])
+    return pair_map.beta * _sum_rows(terms)
 
 
-def _sum_left_to_right(terms: np.ndarray) -> np.ndarray:
-    """Sums over the last axis, each taken left to right from 0.0 as a
-    Python loop would add them; a pairwise reduction would round
-    differently."""
-    padded = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,))
-    padded[..., 1:] = terms
-    return np.cumsum(padded, axis=-1)[..., -1]
+def _sum_rows(stack: np.ndarray) -> np.ndarray:
+    """Each row of stack summed left to right over its last axis, as a
+    Python loop would add them, by one cumsum in place; stack is spent. A
+    pairwise reduction would round differently. A row that starts with
+    0.0 sums from 0.0, and trailing +0.0 terms leave a sum from 0.0
+    unchanged, as it is never -0.0."""
+    return np.cumsum(stack, axis=-1, out=stack)[..., -1].copy()
+
+
+def _layout(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sizes, record, column) of entries concatenated from runs of the
+    given sizes: entry e of the concatenation is entry column[e] of run
+    record[e]."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    record = np.repeat(np.arange(len(sizes)), sizes)
+    column = np.arange(len(record)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return sizes, record, column
 
 
 # Most doubles sample_perturbations keeps between calls (8 MiB).
@@ -235,104 +268,250 @@ def _draw_streams(seed: int, n_iter: int, length: int, index: np.ndarray | None 
     return np.clip(draws, PERTURBATION_CLIP, 1.0 - PERTURBATION_CLIP, out=draws)
 
 
+# Most cells, records x rows x the longest record's pair count, that one
+# group of refine's records spans; a group's draws, bound stack and masked
+# exclusion weights take 8 bytes a cell each. At n_iter 10 the bundled
+# corpus's 200 records fit one group, and at the n_iter cap a group holds
+# one or a few records. Refining the bundled corpus on one pinned CPU of a
+# Xeon (numpy 2.4, Python 3.11), 2**16 to 2**20 took the same time within
+# noise at n_iter 10 and 100 (200 records) and 10,000 (5 records); at
+# 10,000 the five records peaked at 19.9 MB under tracemalloc with 2**18
+# and at 22.4 MB with 2**20.
+GROUP_CELLS = 2**18
+
+
+class _Pairs(NamedTuple):
+    """A group's positive pairs, every record's concatenated in order."""
+
+    sizes: np.ndarray  # (R,): each record's pair count P_r
+    record: np.ndarray  # (N,): each pair's record
+    column: np.ndarray  # (N,): each pair's position among its record's
+    members: np.ndarray  # (N, 2): each pair's (i, j)
+    weights: np.ndarray  # (N,): cig[i, j]
+    loo_sums: np.ndarray  # (N,): loo[j, i] + loo[i, j]
+
+    @classmethod
+    def of(cls, maps: Sequence[PairScoreMap]) -> "_Pairs":
+        firsts, seconds, weights, loo_sums = [], [], [], []
+        for pm in maps:
+            i, j = pm.positive_index
+            firsts.append(i)
+            seconds.append(j)
+            weights.append(pm.cig[i, j])
+            loo_sums.append(pm.loo[j, i] + pm.loo[i, j])
+        sizes, record, column = _layout([len(i) for i in firsts])
+        members = np.column_stack((np.concatenate(firsts), np.concatenate(seconds)))
+        return cls(sizes, record, column, members, np.concatenate(weights), np.concatenate(loo_sums))
+
+    @property
+    def width(self) -> int:
+        """P_max, the longest record's pair count."""
+        return int(self.sizes.max())
+
+    def spans(self) -> list[slice]:
+        """Each record's slice of the concatenated pairs."""
+        stops = np.cumsum(self.sizes).tolist()
+        return [slice(stop - size, stop) for stop, size in zip(stops, self.sizes.tolist())]
+
+
+def _bounds(maps: Sequence[PairScoreMap], pairs: _Pairs, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u2, u2') of every record: u2 of shape (R,) and u2' of shape
+    (R, K), given the (K, N) perturbations of the concatenated pairs.
+
+    Row 0 of each record's (1 + K, 1 + P_max) slab holds its leave-one-out
+    sums, row 1 + k the same times draw k, after a 0.0 column; one
+    cumsum over the stack sums every row left to right from 0.0, so each
+    bound is bitwise that of perturbed_upper_bound.
+    """
+    stack = np.zeros((1 + len(draws), len(maps), 1 + pairs.width))
+    stack[0, pairs.record, pairs.column + 1] = pairs.loo_sums
+    stack[1:, pairs.record, pairs.column + 1] = draws
+    stack[1:] *= stack[0]  # in place: each draw times its pair's sum
+    sums = _sum_rows(stack)  # (1 + K, R)
+    betas = np.array([pm.beta for pm in maps])
+    # beta * sum as perturbed_upper_bound takes it; a product does not
+    # depend on its operands' order.
+    return betas * sums[0], np.ascontiguousarray((sums[1:] * betas).T)
+
+
 def _assemble(
     config: CidrConfig,
-    pair_map: PairScoreMap,
-    u1: float,
-    u2: float,
+    maps: Sequence[PairScoreMap],
+    pairs: _Pairs,
+    u1: np.ndarray,
+    u2: np.ndarray,
     u2_prime: np.ndarray,
     excluded: np.ndarray,
-) -> MinimalFeatureSet:
-    """Retain the pairs kept in at least epsilon of the candidate sets.
+) -> list[MinimalFeatureSet]:
+    """Retain the pairs kept in at least epsilon of each record's candidate sets.
 
-    excluded is the (n_iter, P) exclusion matrix over the positive pairs
-    and u2_prime its n_iter perturbed bounds. No positive pair means a
-    degenerate instance with no iterations and an empty result.
+    excluded is the (R, K, P_max) exclusion stack of the group, False
+    right of each record's P_r pairs, and u2_prime its (R, K) perturbed
+    bounds. The excluded scores are one cumsum in place over the masked
+    weights: every term is +0.0 or a positive weight, never -0.0, so each
+    is the left-to-right sum from 0.0.
     """
-    n_iter = len(excluded)
-    weights = pair_map.cig[pair_map.positive_index]
-    # One share per positive pair, in pair order; count / n_iter divides
-    # Python ints, so each share is the correctly rounded quotient.
-    shares = [count / n_iter for count in (n_iter - excluded.sum(axis=0)).tolist()]
-    kept = [r for r, share in enumerate(shares) if share >= config.epsilon]
-    retained = tuple(pair_map.positive_pairs[r] for r in kept)
+    n_rows = excluded.shape[1]
+    weights = np.zeros((len(maps), 1, pairs.width))
+    weights[pairs.record, 0, pairs.column] = pairs.weights
+    excluded_scores = _sum_rows(np.where(excluded, weights, 0.0))
+    # count / n_rows divides two exact doubles, so each share is the
+    # correctly rounded quotient of the two integers.
+    shares = (n_rows - excluded.sum(axis=1)) / n_rows
+    capacities = u1[:, np.newaxis] + u2_prime
+    results = []
+    for r, (pm, size, u1_r, u2_r) in enumerate(zip(maps, pairs.sizes.tolist(), u1.tolist(), u2.tolist())):
+        own = shares[r, :size].tolist()
+        kept = [c for c, share in enumerate(own) if share >= config.epsilon]
+        retained = tuple(pm.positive_pairs[c] for c in kept)
+        results.append(
+            MinimalFeatureSet(
+                pairs=retained,
+                frequencies=tuple(own[c] for c in kept),
+                words=tuple(sorted({pos for pair in retained for pos in pair})),
+                u1=u1_r,
+                u2=u2_r,
+                excluded=excluded[r, :, :size].copy(),
+                u2_prime=u2_prime[r],
+                capacities=capacities[r],
+                excluded_scores=excluded_scores[r],
+                pair_scores=pm,
+            )
+        )
+    return results
+
+
+def _degenerate(pair_map: PairScoreMap) -> MinimalFeatureSet:
+    """The empty result of an instance without positive pairs: no
+    iterations and zero bounds."""
     return MinimalFeatureSet(
-        pairs=retained,
-        frequencies=tuple(shares[r] for r in kept),
-        words=tuple(sorted({pos for pair in retained for pos in pair})),
-        u1=u1,
-        u2=u2,
-        excluded=excluded,
-        u2_prime=u2_prime,
-        capacities=u1 + u2_prime,
-        excluded_scores=_sum_left_to_right(np.where(excluded, weights, 0.0)),
+        pairs=(),
+        frequencies=(),
+        words=(),
+        u1=0.0,
+        u2=0.0,
+        excluded=np.zeros((0, 0), dtype=bool),
+        u2_prime=np.zeros(0),
+        capacities=np.zeros(0),
+        excluded_scores=np.zeros(0),
         pair_scores=pair_map,
-        degenerate=not pair_map.positive_pairs,
+        degenerate=True,
     )
 
 
-def _degenerate(config: CidrConfig, pair_map: PairScoreMap) -> MinimalFeatureSet:
-    """The empty result of an instance without positive pairs."""
-    return _assemble(config, pair_map, 0.0, 0.0, np.zeros(0), np.zeros((0, 0), dtype=bool))
+def _by_group(
+    pair_maps: Sequence[PairScoreMap],
+    config: CidrConfig,
+    n_rows: int,
+    solve: Callable[[Sequence[PairScoreMap], CidrConfig], list[MinimalFeatureSet]],
+) -> list[MinimalFeatureSet]:
+    """solve on consecutive groups of the maps that have positive pairs.
 
-
-def refine(pair_map: PairScoreMap, config: CidrConfig) -> MinimalFeatureSet:
-    """Build the minimal feature set by repeated knapsack exclusion.
-
-    The result explains pair_map.target_class, the class its scorer chose;
-    the map's own beta, not config.beta, weighs the leave-one-out parts of
-    the bounds. The knapsack items are the positive pairs (i, j), named by
-    their column in positive_pairs, weighted by cig[i, j] and valued by the
-    iteration's perturbations, which are aligned with the pairs. Every
-    iteration solves the exclusion knapsack under capacity u1 + u2', with
-    the solver capacity tightened by half a quantization unit per item so
-    that the excluded real scores can never exceed the true capacity.
-    Pairs kept in at least epsilon of the candidate sets are retained.
-
-    The n_iter repetitions run as array work: one (n_iter, P) matrix of
-    perturbations, all n_iter u2' in one call, and one quantize call that
-    batches every iteration whose solver capacity is positive, with the
-    integer weights shared. One solve_dp call solves the batch in one
-    shared DP table and returns its selections, which fill those
-    iterations' rows of the (n_iter, P) exclusion matrix.
+    A group spans at most GROUP_CELLS cells of n_rows x its longest pair
+    list per record; a record beyond that alone forms its own group. Maps
+    without positive pairs get the degenerate result. One result per
+    map, in order.
     """
-    positive = pair_map.positive_pairs
-    if not positive:
-        return _degenerate(config, pair_map)
+    results = [None if pm.positive_pairs else _degenerate(pm) for pm in pair_maps]
+    groups: list[list[int]] = []
+    width = 0
+    for index, pm in enumerate(pair_maps):
+        size = len(pm.positive_pairs)
+        if not size:
+            continue
+        if groups and (len(groups[-1]) + 1) * n_rows * max(width, size) <= GROUP_CELLS:
+            groups[-1].append(index)
+            width = max(width, size)
+        else:
+            groups.append([index])
+            width = size
+    for group in groups:
+        for index, mfs in zip(group, solve([pair_maps[k] for k in group], config)):
+            results[index] = mfs
+    return results
 
-    u1 = upper_bound_u1(pair_map.ig)
-    u2 = upper_bound_u2(pair_map)
-    values = sample_perturbations(positive, config.seed, config.n_iter)
-    u2_prime = perturbed_upper_bound(pair_map, values)
+
+def refine(pair_maps: Sequence[PairScoreMap], config: CidrConfig) -> list[MinimalFeatureSet]:
+    """Build each record's minimal feature set by repeated knapsack exclusion.
+
+    Returns one MinimalFeatureSet per map, in order; a record's result
+    does not depend on the other maps in the call. Each result explains
+    its map's target_class, the class its scorer chose; the map's own
+    beta, not config.beta, weighs the leave-one-out parts of the bounds.
+    The knapsack items are a record's positive pairs (i, j), named by
+    their column in positive_pairs, weighted by cig[i, j] and valued by
+    the iteration's perturbations, which are aligned with the pairs.
+    Every iteration solves the exclusion knapsack under capacity
+    u1 + u2', with the solver capacity tightened by half a quantization
+    unit per item so that the excluded real scores can never exceed the
+    true capacity. Pairs kept in at least epsilon of the candidate sets
+    are retained.
+
+    The records run in groups of at most GROUP_CELLS cells, and a group's
+    array work is done once for all its records: one
+    sample_perturbations call over their concatenated pairs, every u2
+    and u2' from one cumsum, and one quantize call that builds one
+    KnapsackBatch per record of the iterations whose solver capacity is
+    positive, with the record's integer weights shared. solve_dp solves
+    each record's batch in one shared DP table, and its selections fill
+    those iterations' rows of the record's (n_iter, P) exclusion matrix.
+    """
+    return _by_group(pair_maps, config, config.n_iter, _refine_group)
+
+
+def _refine_group(maps: Sequence[PairScoreMap], config: CidrConfig) -> list[MinimalFeatureSet]:
+    """refine on records that all have positive pairs."""
+    pairs = _Pairs.of(maps)
+    u1 = _upper_bounds_u1([pm.ig for pm in maps])
+    u2, u2_prime, excluded = _iterate(maps, pairs, u1, config)
+    return _assemble(config, maps, pairs, u1, u2, u2_prime, excluded)
+
+
+def _iterate(
+    maps: Sequence[PairScoreMap], pairs: _Pairs, u1: np.ndarray, config: CidrConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u2, u2', excluded) of a group's n_iter iterations; the draws and
+    the knapsack batches are freed on return."""
+    draws = sample_perturbations(pairs.members, config.seed, config.n_iter)  # (n_iter, N)
+    u2, u2_prime = _bounds(maps, pairs, draws)
     # round-to-nearest can shave up to half a unit off each item's weight
-    margin = len(positive) * 10.0 ** (-config.q) / 2.0
-    solver_capacities = u1 + u2_prime - margin
-    solved = np.flatnonzero(solver_capacities > 0.0)
-    excluded = np.zeros((config.n_iter, len(positive)), dtype=bool)
-    if solved.size:
+    margins = pairs.sizes * 10.0 ** (-config.q) / 2.0
+    solver_capacities = u1[:, np.newaxis] + u2_prime - margins[:, np.newaxis]
+    solved = [np.flatnonzero(row) for row in solver_capacities > 0.0]
+    tabled = [r for r, rows in enumerate(solved) if rows.size]
+    spans = pairs.spans()
+    excluded = np.zeros((len(maps), config.n_iter, pairs.width), dtype=bool)
+    if tabled:
+        batches = quantize(
+            [pairs.weights[spans[r]] for r in tabled],
+            [draws[solved[r], spans[r]] for r in tabled],
+            [solver_capacities[r, solved[r]] for r in tabled],
+            config.q,
+        )
         # The items are the pairs' columns, so each selection row is an exclusion row.
-        weights = pair_map.cig[pair_map.positive_index]
-        batch = quantize(weights, values[solved], solver_capacities[solved], config.q)
-        excluded[solved] = solve_dp(batch)
-    return _assemble(config, pair_map, u1, u2, u2_prime, excluded)
+        for r, batch in zip(tabled, batches):
+            excluded[r, solved[r], : len(batch.weights)] = solve_dp(batch)
+    return u2, u2_prime, excluded
 
 
-def cidr_without_refinement(pair_map: PairScoreMap, config: CidrConfig) -> MinimalFeatureSet:
-    """One greedy exclusion under the unperturbed bound u1 + u2.
+def cidr_without_refinement(pair_maps: Sequence[PairScoreMap], config: CidrConfig) -> list[MinimalFeatureSet]:
+    """One greedy exclusion per record under the unperturbed bound u1 + u2.
 
     Pairs are excluded in decreasing score order while the excluded sum
     stays below the bound. The single candidate set goes through the same
     assembly as refine's, so every remaining positive pair is retained
-    with frequency 1.
+    with frequency 1. One result per map, in order, as refine returns.
     """
-    positive = pair_map.positive_pairs
-    if not positive:
-        return _degenerate(config, pair_map)
+    return _by_group(pair_maps, config, 1, _exclude_greedily)
 
-    u1 = upper_bound_u1(pair_map.ig)
-    u2 = upper_bound_u2(pair_map)
-    # Positions as items: their ascending order is the pairs' tie-break order.
-    scores = pair_map.cig[pair_map.positive_index].tolist()
-    excluded = np.zeros((1, len(positive)), dtype=bool)
-    excluded[0, list(solve_greedy(scores, u1 + u2))] = True
-    return _assemble(config, pair_map, u1, u2, np.array([u2]), excluded)
+
+def _exclude_greedily(maps: Sequence[PairScoreMap], config: CidrConfig) -> list[MinimalFeatureSet]:
+    """cidr_without_refinement on records that all have positive pairs."""
+    pairs = _Pairs.of(maps)
+    u1 = _upper_bounds_u1([pm.ig for pm in maps])
+    u2, _ = _bounds(maps, pairs, np.empty((0, len(pairs.weights))))
+    excluded = np.zeros((len(maps), 1, pairs.width), dtype=bool)
+    for r, (span, bound) in enumerate(zip(pairs.spans(), (u1 + u2).tolist())):
+        # Positions as items: their ascending order is the pairs' tie-break order.
+        excluded[r, 0, list(solve_greedy(pairs.weights[span].tolist(), bound))] = True
+    return _assemble(config, maps, pairs, u1, u2, u2[:, np.newaxis], excluded)

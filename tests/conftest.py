@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from minfeat import build_toy_corpus, tokenize
-from minfeat.evaluation import RecordArtifacts
+from minfeat.evaluation import CorpusArtifacts
 from minfeat.model import Instance, Model, TrainConfig, Vocabulary, instance_from_words, train_toy
 from minfeat.pipeline import CidrConfig
 
@@ -63,13 +63,13 @@ def make_random_instance(model: Model, seed: int, length: int | None = None) -> 
 
 def explained_class(model: Model, instance: Instance) -> int:
     """The class explain and evaluate explain for the instance."""
-    return RecordArtifacts(model, instance, CidrConfig()).target
+    return CorpusArtifacts(model, [instance], CidrConfig()).targets[0]
 
 
 def predicted_pair_map(model: Model, instance: Instance, config):
     """The pair scores refine takes: the instance's cooperative scores for
     the explained class, at the config's beta and steps."""
-    return RecordArtifacts(model, instance, config).pair_map
+    return CorpusArtifacts(model, [instance], config).pair_maps[0]
 
 
 @pytest.fixture(scope="session")

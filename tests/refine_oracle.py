@@ -18,7 +18,7 @@ import numpy as np
 from knapsack_oracle import KnapsackInstance, solve_dp_row
 from minfeat.errors import ConfigError, InputError
 from minfeat.knapsack import MAX_TABLE_CELLS
-from minfeat.pipeline import PERTURBATION_CLIP, upper_bound_u1
+from minfeat.pipeline import PERTURBATION_CLIP
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,16 @@ def assemble(config, pair_map, u1, u2, iterations) -> OracleResult:
     )
 
 
+def positive_score_bound(ig) -> float:
+    """u1: 2 * (m - 1) * the sum of the m positive scores, in a Python float
+    loop in token order; 0 for one or none."""
+    positive = [float(s) for s in ig if s > 0.0]
+    total = 0.0
+    for score in positive:
+        total += score
+    return 2.0 * (len(positive) - 1) * total if len(positive) > 1 else 0.0
+
+
 def scaled_loo_sum(pair_map, scales) -> float:
     """beta * sum of scale * (loo[j, i] + loo[i, j]), left to right in pair order."""
     loo_sums = pair_map.loo.T + pair_map.loo
@@ -118,7 +128,7 @@ def refine_per_iteration(pair_map, config):
     if not positive:
         return assemble(config, pair_map, 0.0, 0.0, ())
 
-    u1 = upper_bound_u1(pair_map.ig)
+    u1 = positive_score_bound(pair_map.ig)
     u2 = scaled_loo_sum(pair_map, (1.0,) * len(positive))
     weights = tuple(float(pair_map.cig[p]) for p in positive)
     margin = len(positive) * 10.0 ** (-config.q) / 2.0

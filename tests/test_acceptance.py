@@ -212,8 +212,8 @@ def test_06_refinement_feasibility_audit(capsys, toy_model, toy_instances):
     config = CidrConfig()
     audited = degenerate = 0
     violations: list[str] = []
-    for idx, inst in enumerate(toy_instances):
-        mfs = refine(predicted_pair_map(toy_model, inst, config), config)
+    refined = refine([predicted_pair_map(toy_model, inst, config) for inst in toy_instances], config)
+    for idx, mfs in enumerate(refined):
         if mfs.degenerate:
             degenerate += 1
             continue

@@ -56,36 +56,45 @@ def test_parallel_map_exists():
 
 
 def test_refine_records_bound_and_solver_spans(tracer, toy_model, toy_instances):
+    # A batch's bounds are array work inside refine's own span; its draws,
+    # its one quantize call and each record's solve are spans of their own.
     config = pipeline.CidrConfig(n_iter=2, steps=12)
-    pair_map = predicted_pair_map(toy_model, toy_instances[1], config)
+    pair_maps = [predicted_pair_map(toy_model, inst, config) for inst in toy_instances[:3]]
     with tracer.Tracer("contract") as trace:
-        pipeline.refine(pair_map, config)
-    names = {span.name for span in trace.spans}
-    assert {"pipeline.refine", "pipeline.perturbed_upper_bound", "knapsack.solve_dp"} <= names
+        pipeline.refine(pair_maps, config)
+    names = [span.name for span in trace.spans]
+    once = ("pipeline.refine", "pipeline.sample_perturbations", "knapsack.quantize")
+    assert [names.count(name) for name in once] == [1, 1, 1]
+    assert "knapsack.solve_dp" in names
 
 
 def test_refine_counts_match_the_exact_count_gate(tracer, toy_model, toy_instances):
     # perfbench/run.py gates on these counts repeating exactly; its counters
     # read positional arguments, so a changed call shape would break them.
-    # refine samples all its iterations in one call, so the pair count is
-    # the number of positive pairs, not n_iter times it.
+    # refine samples every iteration of every record in its batch in one
+    # call, so the pair count is the batch's total positive pairs, not
+    # n_iter times it; solve_dp counts each record's pairs once per solve.
     config = pipeline.CidrConfig(n_iter=3, steps=12)
-    pair_map = predicted_pair_map(toy_model, toy_instances[1], config)
+    pair_maps = [predicted_pair_map(toy_model, inst, config) for inst in toy_instances[:4]]
     with tracer.Tracer("contract") as trace:
-        mfs = pipeline.refine(pair_map, config)
-    n_pairs = len(mfs.pair_scores.positive_pairs)
+        results = pipeline.refine(pair_maps, config)
+    sizes = [len(mfs.pair_scores.positive_pairs) for mfs in results]
+    # A record is solved when one of its solver capacities is positive.
+    margins = [size * 10.0 ** (-config.q) / 2.0 for size in sizes]
+    solved = [
+        size for size, margin, mfs in zip(sizes, margins, results) if (mfs.capacities - margin > 0.0).any()
+    ]
     solves = sum(1 for span in trace.spans if span.name == "knapsack.solve_dp")
-    assert n_pairs > 0 and solves > 0
-    assert trace.counts["pipeline.sample_perturbations.pairs"] == n_pairs
-    assert trace.counts["knapsack.solve_dp.items"] == solves * n_pairs
+    assert len(solved) > 1 and solves == len(solved)
+    assert trace.counts["pipeline.sample_perturbations.pairs"] == sum(sizes)
+    assert trace.counts["knapsack.solve_dp.items"] == sum(solved)
 
 
 def test_solve_dp_counter_reads_quantized_instances(tracer):
     # The tracer counts len(batch.items) items, items x (capacity + 1)
     # cells with capacity the batch's largest, and a trivial solve when
     # the integer weights (1, 2, 3) fit it.
-    fits = quantize((1.0, 2.0, 3.0), [[0.5] * 3], (6.5,), 0)
-    below = quantize((1.0, 2.0, 3.0), [[0.5] * 3] * 2, (1.0, 4.0), 0)
+    fits, below = quantize([(1.0, 2.0, 3.0)] * 2, [[[0.5] * 3], [[0.5] * 3] * 2], [(6.5,), (1.0, 4.0)], 0)
     assert [tracer._count_solve_dp((batch,)) for batch in (fits, below)] == [
         {"knapsack.solve_dp.cells": 21, "knapsack.solve_dp.items": 3, "knapsack.solve_dp.trivial": 1},
         {"knapsack.solve_dp.cells": 15, "knapsack.solve_dp.items": 3, "knapsack.solve_dp.trivial": 0},
@@ -133,8 +142,8 @@ def test_explain_records_single_instance_metrics_span(tracer, toy_model, toy_cor
 
 
 def test_explain_runs_every_record_on_the_calling_thread(tracer, toy_model, toy_corpus, tmp_path):
-    # Each record's refine is a direct child of the command's span, with
-    # no worker threads in between.
+    # The command refines its whole corpus in one refine call, a direct
+    # child of the command's span, with no worker threads in between.
     model, corpus, config = tmp_path / "model.json", tmp_path / "corpus.jsonl", tmp_path / "c.json"
     save_model(toy_model, str(model))
     save_corpus(toy_corpus[:3], str(corpus))
@@ -144,9 +153,8 @@ def test_explain_runs_every_record_on_the_calling_thread(tracer, toy_model, toy_
         assert cli.main(argv + ["--out", str(tmp_path / "r.jsonl")]) == 0
     assert {span.thread for span in trace.spans} == {threading.get_ident()}
     (command,) = [span for span in trace.spans if span.name == "cli.run_explain"]
-    refines = [span for span in trace.spans if span.name == "pipeline.refine"]
-    assert len(refines) == 3
-    assert {span.parent for span in refines} == {command.span_id}
+    (refine,) = [span for span in trace.spans if span.name == "pipeline.refine"]
+    assert refine.parent == command.span_id
 
 
 def test_cli_outputs_pass_the_benchmark_checks(toy_model, toy_corpus, tmp_path):

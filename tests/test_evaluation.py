@@ -18,7 +18,7 @@ from minfeat.evaluation import (
     _RANDOM_STREAM,
     _TABLE,
     METHODS,
-    RecordArtifacts,
+    CorpusArtifacts,
     _random_words,
     _ranked_pairs,
     _word_budget,
@@ -103,20 +103,21 @@ class TestRankOrder:
 
     def test_every_method_on_the_bundled_corpus(self, toy_model, toy_instances):
         config = CidrConfig(n_iter=3)
+        corpus = CorpusArtifacts(toy_model, toy_instances, config)
+        produced = {method: _TABLE[method].produce(corpus) for method in METHODS}
         ties = 0
         for index, inst in enumerate(toy_instances):
             n = len(inst)
             pm = predicted_pair_map(toy_model, inst, config)
             target = pm.target_class
-            cidr = refine(pm, config)
-            record = RecordArtifacts(toy_model, inst, config, index)
+            (cidr,) = refine([pm], config)
             pair_sets = {
                 "cidr": cidr,
-                "cidr-no-r": cidr_without_refinement(pm, config),
-                "cidr-no-cig": refine(pm.with_beta(0.0), config),
+                "cidr-no-r": cidr_without_refinement([pm], config)[0],
+                "cidr-no-cig": refine([pm.with_beta(0.0)], config)[0],
             }
             for method in METHODS:
-                ranked = _TABLE[method].produce(record)
+                ranked = produced[method][index]
                 if method in pair_sets:
                     mfs = pair_sets[method]
                     elements = mfs.pairs
@@ -140,7 +141,7 @@ class TestRankOrder:
         # get bitwise-equal cig; the lower pair ranks first in either order.
         words = tokenize("with was this movie it story with masterpiece weak film the")
         inst, _ = instance_from_words(toy_model, words, 1)
-        mfs = refine(predicted_pair_map(toy_model, inst, FAST), FAST)
+        (mfs,) = refine([predicted_pair_map(toy_model, inst, FAST)], FAST)
         assert mfs.pair_scores.cig[0, 7] == mfs.pair_scores.cig[6, 7]
         for pairs in (((0, 7), (6, 7)), ((6, 7), (0, 7))):
             assert _ranked_pairs(replace(mfs, pairs=pairs)) == ((0, 7), (6, 7))
@@ -187,7 +188,7 @@ class TestEvaluateMethods:
         insts = toy_instances[:5]
         sizes = []
         for inst in insts:
-            mfs = refine(predicted_pair_map(toy_model, inst, FAST), FAST)
+            (mfs,) = refine([predicted_pair_map(toy_model, inst, FAST)], FAST)
             sizes.append(len(mfs.words))
         for index, inst in enumerate(insts):
             assert len(_random_words(len(inst), sizes[index], FAST.seed, index)) == sizes[index]
@@ -197,7 +198,7 @@ class TestEvaluateMethods:
         inst = toy_instances[0]
         rows = evaluate_methods(toy_model, [inst], ["cidr-no-cig"], FAST)
         zero_beta = CidrConfig(n_iter=3, steps=10, beta=0.0)
-        direct = refine(predicted_pair_map(toy_model, inst, zero_beta), zero_beta)
+        (direct,) = refine([predicted_pair_map(toy_model, inst, zero_beta)], zero_beta)
         comp, lo, fms = single_instance_metrics(toy_model, inst, direct, FAST.t)
         assert rows[0].comp == pytest.approx(comp, abs=1e-12)
         assert rows[0].lo == pytest.approx(lo, abs=1e-12)
@@ -207,7 +208,7 @@ class TestEvaluateMethods:
 class TestSingleInstanceMetrics:
     def test_matches_corpus_level_functions(self, toy_model, toy_instances):
         inst = toy_instances[0]
-        mfs = refine(predicted_pair_map(toy_model, inst, FAST), FAST)
+        (mfs,) = refine([predicted_pair_map(toy_model, inst, FAST)], FAST)
         comp, lo, fms = single_instance_metrics(toy_model, inst, mfs, FAST.t)
         scores = [mfs.pair_scores.cig[p] for p in mfs.pairs]
         ranked = top_by_score(mfs.pairs, scores, len(mfs.pairs))
@@ -224,7 +225,7 @@ class TestSingleInstanceMetrics:
             for (row,) in [evaluate_methods(toy_model, [inst], ["cidr"], FAST)]
             if row.fms == 1.0
         )
-        mfs = refine(predicted_pair_map(toy_model, inst, FAST), FAST)
+        (mfs,) = refine([predicted_pair_map(toy_model, inst, FAST)], FAST)
         comp, lo, fms = single_instance_metrics(toy_model, inst, mfs, FAST.t)
         assert fms == 1.0
         assert (row.comp, row.lo, row.fms) == (comp, lo, fms)
@@ -262,13 +263,14 @@ class TestRequestIndependence:
         assert made == tuple(len(insts) * k for k in per_record)
 
 
-class TestRecordArtifacts:
+class TestCorpusArtifacts:
     def test_artifacts_share_one_pair_map(self, toy_model, toy_instances):
-        record = RecordArtifacts(toy_model, toy_instances[1], FAST)
-        assert record.pair_map is record.cidr.pair_scores
-        assert record.ig is record.pair_map.ig
-        assert record.target == int(np.argmax(toy_model.forward(toy_instances[1].embeddings)))
-        assert record.target == record.cidr.target_class
+        corpus = CorpusArtifacts(toy_model, toy_instances[:3], FAST)
+        for k, inst in enumerate(toy_instances[:3]):
+            assert corpus.pair_maps[k] is corpus.cidr[k].pair_scores
+            assert corpus.ig[k] is corpus.pair_maps[k].ig
+            assert corpus.targets[k] == int(np.argmax(toy_model.forward(inst.embeddings)))
+            assert corpus.targets[k] == corpus.cidr[k].target_class
 
     def test_target_tie_goes_to_lower_index(self):
         # Classes 1 and 2 tie above class 0 whatever the input.
@@ -280,12 +282,13 @@ class TestRecordArtifacts:
             w2=np.zeros((3, 3)),
             b2=np.array([0.0, 1.0, 1.0]),
         )
-        record = RecordArtifacts(model, Instance((1,) * 5, np.zeros((5, 2)), 0), FAST)
-        assert record.probabilities[1] == record.probabilities[2] > record.probabilities[0]
-        assert record.target == 1
+        corpus = CorpusArtifacts(model, [Instance((1,) * 5, np.zeros((5, 2)), 0)], FAST)
+        (probabilities,) = corpus.probabilities
+        assert probabilities[1] == probabilities[2] > probabilities[0]
+        assert corpus.targets == [1]
 
     def test_plain_ig_equals_the_pair_maps(self, toy_model, toy_instances):
-        with_pairs = RecordArtifacts(toy_model, toy_instances[2], FAST)
-        plain = RecordArtifacts(toy_model, toy_instances[2], FAST, with_pairs=False)
-        assert np.array_equal(plain.ig, with_pairs.ig)
-        assert "pair_map" not in vars(plain)
+        with_pairs = CorpusArtifacts(toy_model, toy_instances[2:4], FAST)
+        plain = CorpusArtifacts(toy_model, toy_instances[2:4], FAST, with_pairs=False)
+        assert all(np.array_equal(a, b) for a, b in zip(plain.ig, with_pairs.ig, strict=True))
+        assert "pair_maps" not in vars(plain)

@@ -59,9 +59,15 @@ def solve_one(instance: KnapsackInstance) -> tuple[int, ...]:
     return selection
 
 
+def quantize_batch(weights, values, capacities, digits) -> KnapsackBatch:
+    """quantize on one entry, as its one batch."""
+    (batch,) = quantize([weights], [values], [capacities], digits)
+    return batch
+
+
 def quantize_one(weights, values, capacity, digits) -> KnapsackInstance:
     """quantize on a single capacity, as its one row."""
-    (instance,) = batch_rows(quantize(weights, [values], [capacity], digits))
+    (instance,) = batch_rows(quantize_batch(weights, [values], [capacity], digits))
     return instance
 
 
@@ -85,7 +91,7 @@ class TestQuantize:
         weights = (0.4, 1.25)
         values = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
         capacities = (1.0, 0.0, 2.5)
-        batch = quantize(weights, values, capacities, 1)
+        batch = quantize_batch(weights, values, capacities, 1)
         assert batch.weights == (4, 13)
         assert batch.capacities == (10, 0, 25)
         assert all(type(c) is int for c in batch.capacities)
@@ -94,9 +100,43 @@ class TestQuantize:
         assert batch.capacity == 25
         for row, capacity, instance in zip(values.tolist(), capacities, batch_rows(batch)):
             assert instance == quantize_one(weights, row, capacity, 1)
-        empty = quantize(weights, np.empty((0, 2)), (), 1)
+        empty = quantize_batch(weights, np.empty((0, 2)), (), 1)
         assert empty.capacities == () and empty.values.shape == (0, 2) and empty.capacity == 0
         assert solve_dp(empty).shape == (0, 2)
+
+    def test_one_call_builds_each_entry_as_alone(self):
+        # Many records' batches in one call: each equals its own call,
+        # whatever entries share it, the empty batch included.
+        rng = np.random.default_rng(11)
+        entries = []
+        for _ in range(30):
+            n, k = int(rng.integers(1, 9)), int(rng.integers(0, 5))
+            weights = tuple(rng.uniform(0.001, 2.0, size=n).tolist())
+            capacities = tuple(rng.uniform(0.0, 6.0, size=k).tolist())
+            entries.append((weights, rng.uniform(0.01, 1.0, size=(k, n)), capacities))
+        together = quantize(*map(list, zip(*entries)), 3)
+        assert len(together) == len(entries)
+        for batch, entry in zip(together, entries):
+            alone = quantize_batch(*entry, 3)
+            assert (batch.weights, batch.capacities) == (alone.weights, alone.capacities)
+            assert np.array_equal(batch.values, alone.values)
+        assert quantize([], [], [], 3) == []
+
+    def test_one_call_checks_every_entry(self):
+        good = ((1.0, 2.0), [[0.5, 0.5]], (1.0,))
+        with pytest.raises(InputError, match="values must be strictly positive"):
+            quantize([good[0], (1.0,)], [good[1], [[0.0]]], [good[2], (1.0,)], 0)
+        with pytest.raises(InputError, match="weights must be finite"):
+            quantize([good[0], (np.nan,)], [good[1], [[0.5]]], [good[2], (1.0,)], 0)
+        with pytest.raises(InputError, match="capacity must be non-negative"):
+            quantize([good[0], (1.0,)], [good[1], [[0.5]]], [good[2], (-1.0,)], 0)
+        with pytest.raises(InputError, match="one row of 1"):
+            quantize([good[0], (1.0,)], [good[1], [[0.5, 0.5]]], [good[2], (1.0,)], 0)
+        with pytest.raises(InputError, match="must pair up"):
+            quantize([good[0]], [good[1], good[1]], [good[2]], 0)
+        # The cell guard names the first entry in order that exceeds it.
+        with pytest.raises(ConfigError, match="quantized capacity 3e[+]08 needs"):
+            quantize([(1e6,), (1e6,), (1e6,)], [[[1.0]]] * 3, [(1.0,), (3e5,), (4e5,)], 3)
 
     @pytest.mark.parametrize("digits", [0, 3, 15, 18, 19, 25, 300])
     def test_weights_exact_beyond_int64(self, digits):
@@ -122,7 +162,7 @@ class TestQuantize:
         # The guard reads the largest capacity of the batch below the weight
         # sum; 1e12 fits every item and builds no table.
         with pytest.raises(ConfigError, match="quantized capacity 5e[+]08 needs"):
-            quantize((1e6,), [[1.0]] * 3, (1.0, 5e5, 1e9), 3)
+            quantize_batch((1e6,), [[1.0]] * 3, (1.0, 5e5, 1e9), 3)
         # A weight scaled past the float range is named too.
         with pytest.raises(ConfigError, match=r"weights scaled by 10\*\*308"):
             quantize_one(weights=(3.0,), values=(1.0,), capacity=0.0, digits=308)
@@ -144,24 +184,24 @@ class TestQuantize:
         # 10**309 is no finite float: an InputError naming the digits, not
         # an OverflowError. Checked once for a batch of three capacities.
         with pytest.raises(InputError, match=f"digits {digits}"):
-            quantize((1.0,), [(1.0,)] * 3, (1.0, 2.0, 3.0), digits)
+            quantize_batch((1.0,), [(1.0,)] * 3, (1.0, 2.0, 3.0), digits)
 
     def test_whole_value_matrix_checked(self):
         # The values are checked once per call, every row of them.
         values = [[0.5, 0.5], [0.5, 0.0], [0.5, 0.5]]
         with pytest.raises(InputError, match="values must be strictly positive"):
-            quantize((1.0, 1.0), values, (1.0, 1.0, 1.0), 0)
+            quantize_batch((1.0, 1.0), values, (1.0, 1.0, 1.0), 0)
         values[1][1] = float("nan")
         with pytest.raises(InputError, match="values must be strictly positive"):
-            quantize((1.0, 1.0), values, (1.0, 1.0, 1.0), 0)
+            quantize_batch((1.0, 1.0), values, (1.0, 1.0, 1.0), 0)
 
     def test_shared_items_checked_once_per_call(self):
         # The items' weights are shared by the batch and checked once,
         # against every row of values.
         with pytest.raises(InputError, match="strictly positive"):
-            quantize((1.0, 0.0), [[1.0, 1.0]] * 3, (1.0, 2.0, 3.0), 0)
+            quantize_batch((1.0, 0.0), [[1.0, 1.0]] * 3, (1.0, 2.0, 3.0), 0)
         with pytest.raises(InputError, match="one row of 3"):
-            quantize((1.0, 1.0, 1.0), [[1.0, 1.0]] * 3, (1.0, 2.0, 3.0), 0)
+            quantize_batch((1.0, 1.0, 1.0), [[1.0, 1.0]] * 3, (1.0, 2.0, 3.0), 0)
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -180,9 +220,9 @@ class TestQuantize:
             quantize_one(weights=(1.0,), values=(1.0,), capacity=float("nan"), digits=0)
         # One row of values per capacity, one value per weight.
         with pytest.raises(InputError):
-            quantize((1.0,), [[1.0], [1.0]], (1.0,), 0)
+            quantize_batch((1.0,), [[1.0], [1.0]], (1.0,), 0)
         with pytest.raises(InputError):
-            quantize((1.0,), [[1.0, 2.0]], (1.0,), 0)
+            quantize_batch((1.0,), [[1.0, 2.0]], (1.0,), 0)
 
 
 def value_and_weight(inst: KnapsackInstance, selected: tuple) -> tuple[float, int]:
@@ -300,7 +340,7 @@ class TestBatchedSolver:
         assert rows == [solve_dp_row(r) for r in batch_rows(batch)]
         assert rows == [(0, 1, 2, 3), (2, 3), (0, 2, 3), ()]
         # The same through quantize: 10.0 at q = 18 scales to 10**19.
-        batch = quantize((10.0, 1e-18, 2e-18), [[1.0, 1.0, 1.0], [2.0, 1.0, 3.0]], (1e5, 2.5e-18), 18)
+        batch = quantize_batch((10.0, 1e-18, 2e-18), [[1.0, 1.0, 1.0], [2.0, 1.0, 3.0]], (1e5, 2.5e-18), 18)
         assert batch.weights == (huge, 1, 2)
         assert batch.capacities[0] > 2**63 and batch.capacities[1] == 2
         assert solve_rows(batch) == [solve_dp_row(r) for r in batch_rows(batch)] == [(0, 1, 2), (2,)]

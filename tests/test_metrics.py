@@ -18,7 +18,7 @@ import pytest
 from conftest import explained_class, make_random_instance, make_random_model
 from minfeat import metrics
 from minfeat.errors import InputError, InternalError
-from minfeat.evaluation import _TABLE, METHODS, RecordArtifacts
+from minfeat.evaluation import _TABLE, METHODS, CorpusArtifacts
 from minfeat.metrics import (
     MetricsRow,
     _class_probabilities,
@@ -299,9 +299,9 @@ class TestBatchedMatchesPerRecord:
 
     def test_every_method_on_the_bundled_corpus(self, toy_model, toy_instances):
         config = CidrConfig(n_iter=3)
-        records = [RecordArtifacts(toy_model, inst, config, k) for k, inst in enumerate(toy_instances)]
+        corpus = CorpusArtifacts(toy_model, toy_instances, config)
         for method in METHODS:
-            sets = [_TABLE[method].produce(record) for record in records]
+            sets = _TABLE[method].produce(corpus)
             fms_of = fms_pairs if _TABLE[method].granularity == "pair" else fms_words
             _assert_matches_per_record(toy_model, toy_instances, sets, fms_of, config.t)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 import tracemalloc
 
@@ -15,6 +16,7 @@ from refine_oracle import refine_per_iteration, sample_iteration
 from minfeat import pipeline
 from minfeat.attribution import cooperative_integrated_gradients
 from minfeat.errors import ConfigError, InputError, InternalError
+from minfeat.model import instance_from_words
 from minfeat.pipeline import (
     CidrConfig,
     cidr_without_refinement,
@@ -291,7 +293,7 @@ class TestPerturbations:
 class TestRefine:
     def test_deterministic(self, toy_model, toy_instances):
         cfg = CidrConfig(n_iter=4, steps=12)
-        a, b = (refine(predicted_pair_map(toy_model, toy_instances[0], cfg), cfg) for _ in range(2))
+        a, b = (refine([predicted_pair_map(toy_model, toy_instances[0], cfg)], cfg)[0] for _ in range(2))
         assert a.pairs == b.pairs
         assert a.frequencies == b.frequencies
         assert (a.u1, a.u2) == (b.u1, b.u2)
@@ -300,15 +302,15 @@ class TestRefine:
 
     def test_seed_changes_candidates(self, toy_model, toy_instances):
         pm = predicted_pair_map(toy_model, toy_instances[0], CidrConfig(steps=12))
-        a = refine(pm, CidrConfig(seed=0, n_iter=4, steps=12))
-        b = refine(pm, CidrConfig(seed=99, n_iter=4, steps=12))
+        a = refine([pm], CidrConfig(seed=0, n_iter=4, steps=12))[0]
+        b = refine([pm], CidrConfig(seed=99, n_iter=4, steps=12))[0]
         assert a.u1 == b.u1  # scores do not depend on the seed
         assert a.u2_prime.tolist() != b.u2_prime.tolist()
 
     def test_feasibility_every_iteration(self, toy_model, toy_instances):
         cfg = CidrConfig(n_iter=6, steps=12)
         for inst in toy_instances[:8]:
-            mfs = refine(predicted_pair_map(toy_model, inst, cfg), cfg)
+            mfs = refine([predicted_pair_map(toy_model, inst, cfg)], cfg)[0]
             for k, (capacity, score) in enumerate(zip(mfs.capacities, mfs.excluded_scores)):
                 real_score = sum(mfs.pair_scores.cig[p] for p in excluded_pairs(mfs, k))
                 assert real_score <= capacity + 1e-9
@@ -316,7 +318,7 @@ class TestRefine:
 
     def test_retained_pairs_are_positive_and_frequent(self, toy_model, toy_instances):
         cfg = CidrConfig(n_iter=5, steps=12)
-        mfs = refine(predicted_pair_map(toy_model, toy_instances[1], cfg), cfg)
+        mfs = refine([predicted_pair_map(toy_model, toy_instances[1], cfg)], cfg)[0]
         assert len(mfs.frequencies) == len(mfs.pairs)
         for pair, frequency in zip(mfs.pairs, mfs.frequencies):
             assert mfs.pair_scores.cig[pair] > 0
@@ -328,7 +330,7 @@ class TestRefine:
         # keep it (its column of excluded, negated) reaches epsilon, and
         # its frequency is that share.
         cfg = CidrConfig(n_iter=5, steps=12)
-        mfs = refine(predicted_pair_map(toy_model, toy_instances[2], cfg), cfg)
+        mfs = refine([predicted_pair_map(toy_model, toy_instances[2], cfg)], cfg)[0]
         shares = dict(zip(mfs.pair_scores.positive_pairs, (~mfs.excluded).mean(axis=0).tolist()))
         assert shares
         assert mfs.pairs == tuple(p for p, share in shares.items() if share >= cfg.epsilon)
@@ -337,11 +339,9 @@ class TestRefine:
 
     @pytest.mark.parametrize("method", [refine, cidr_without_refinement])
     def test_single_token_instance_degenerate(self, toy_model, method):
-        from minfeat.model import instance_from_words
-
         inst, _ = instance_from_words(toy_model, ["good"], 1)
         cfg = CidrConfig(n_iter=2, steps=5)
-        mfs = method(predicted_pair_map(toy_model, inst, cfg), cfg)
+        mfs = method([predicted_pair_map(toy_model, inst, cfg)], cfg)[0]
         assert mfs.degenerate
         assert mfs.pairs == ()
         assert mfs.words == ()
@@ -363,30 +363,53 @@ class TestRefine:
         monkeypatch.setattr(toy_model, "forward", lambda x: forwards.append(1) or forward(x))
         for scored_for in (target, 1 - target):
             pm = cooperative_integrated_gradients(toy_model, inst, scored_for, cfg.beta, cfg.steps)
-            assert method(pm, cfg).target_class == scored_for
+            assert method([pm], cfg)[0].target_class == scored_for
         assert forwards == []
 
     def test_peak_memory_at_the_n_iter_cap(self, toy_model, toy_instances):
         # The bundled corpus's largest class-1 record (21 positive pairs,
         # capacities below the weight sum) at the n_iter cap: refine peaked
-        # at 20,940,981 bytes under tracemalloc while quantize built one
-        # tuple instance per iteration, and must not need more.
+        # at 12,256,650 to 12,259,704 bytes under tracemalloc, with the
+        # excluded scores summed in place, and must not need more than
+        # 12.3 MB.
         cfg = CidrConfig(n_iter=10_000)
         pm = predicted_pair_map(toy_model, toy_instances[3], cfg)
         assert (pm.target_class, len(pm.positive_pairs)) == (1, 21)
         pipeline._STREAMS.clear()  # the draws count, as in a fresh process
         tracemalloc.start()
         try:
-            mfs = refine(pm, cfg)
+            (mfs,) = refine([pm], cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert 0 < mfs.excluded.sum() < mfs.excluded.size  # the capacities bind
-        assert peak <= 20_940_981
+        assert peak <= 12_300_000
+
+    def test_peak_memory_of_a_batch_at_the_n_iter_cap(self, toy_model, toy_instances):
+        # Five records (19 to 66 positive pairs) in one call at the n_iter
+        # cap: refine works through them in groups of at most GROUP_CELLS
+        # cells, so its peak is one group's arrays plus the results held so
+        # far. The peak counts every returned (n_iter, P) exclusion matrix
+        # and the three n_iter-long arrays of each result, 3.3 MB here. It
+        # read 19.9 MB; one group of all five (GROUP_CELLS = 2**21) peaks at
+        # 43.9 MB. The bound is a constant, not a multiple of the record
+        # count.
+        cfg = CidrConfig(n_iter=10_000)
+        maps = [predicted_pair_map(toy_model, inst, cfg) for inst in toy_instances[:5]]
+        pipeline._STREAMS.clear()
+        tracemalloc.start()
+        try:
+            results = refine(maps, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(mfs.excluded.nbytes + 3 * mfs.u2_prime.nbytes for mfs in results)
+        assert held > 3_000_000
+        assert peak <= 21_000_000
 
     def test_iteration_count_matches_config(self, toy_model, toy_instances):
         cfg = CidrConfig(n_iter=7, steps=12)
-        mfs = refine(predicted_pair_map(toy_model, toy_instances[4], cfg), cfg)
+        mfs = refine([predicted_pair_map(toy_model, toy_instances[4], cfg)], cfg)[0]
         if not mfs.degenerate:
             assert mfs.excluded.shape == (7, len(mfs.pair_scores.positive_pairs))
             assert mfs.u2_prime.shape == mfs.capacities.shape == mfs.excluded_scores.shape == (7,)
@@ -420,34 +443,129 @@ def bitwise(mfs, iterations: tuple) -> tuple:
             mfs.target_class, mfs.degenerate)
 
 
+def result_facts(results) -> list:
+    """bitwise() of each of refine's results."""
+    return [bitwise(mfs, iteration_facts(mfs)) for mfs in results]
+
+
 @pytest.fixture(scope="module")
 def corpus_pair_maps(toy_model, toy_instances):
     return [predicted_pair_map(toy_model, inst, CidrConfig()) for inst in toy_instances]
+
+
+@pytest.fixture(scope="module")
+def mixed_pair_maps(toy_model, corpus_pair_maps):
+    """The bundled corpus with one-token (degenerate) and one-pair records
+    mixed in, first, inside and last."""
+    one_token, one_pair = (
+        predicted_pair_map(toy_model, instance_from_words(toy_model, words, 1)[0], CidrConfig())
+        for words in (["good"], ["good", "great"])
+    )
+    assert (one_token.positive_pairs, one_pair.positive_pairs) == ((), ((0, 1),))
+    maps = list(corpus_pair_maps)
+    for position, extra in ((0, one_token), (1, one_pair), (90, one_token), (91, one_pair), (150, one_pair)):
+        maps.insert(position, extra)
+    return maps + [one_token, one_pair]
+
+
+@pytest.fixture(scope="module")
+def loop_facts(mixed_pair_maps):
+    """The per-iteration oracle's facts of every mixed record under beta,
+    n_iter and q, computed once per triple."""
+
+    @functools.cache
+    def facts(beta: float, n_iter: int, q: int) -> list:
+        config = CidrConfig(n_iter=n_iter, q=q)
+        oracles = (refine_per_iteration(pm.with_beta(beta), config) for pm in mixed_pair_maps)
+        return [bitwise(oracle, record_facts(oracle)) for oracle in oracles]
+
+    return facts
+
+
+def splits(data, length: int) -> list[slice]:
+    """Consecutive slices that cover range(length), cut where data draws."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, length), max_size=6)))
+    return [slice(a, b) for a, b in zip([0, *cuts], [*cuts, length])]
 
 
 class TestAgainstPerIterationOracle:
     @pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("n_iter", [1, 10])
     @pytest.mark.parametrize("beta", [0.5, 0.0])
-    def test_batched_refine_is_bitwise_the_loop(self, corpus_pair_maps, beta, n_iter, q):
-        # The bundled corpus, every record: u1, u2, pairs, frequencies and
-        # every iteration's u2', capacity, excluded set, excluded score and
-        # candidate set equal the per-iteration loop bit for bit.
+    def test_batched_refine_is_bitwise_the_loop(self, mixed_pair_maps, loop_facts, beta, n_iter, q):
+        # The bundled corpus, every record refined alone: u1, u2, pairs,
+        # frequencies and every iteration's u2', capacity, excluded set,
+        # excluded score and candidate set equal the per-iteration loop
+        # bit for bit.
         config = CidrConfig(n_iter=n_iter, q=q)
-        solved = 0
-        for pm in corpus_pair_maps:
-            pm = pm.with_beta(beta)
-            batched = refine(pm, config)
-            oracle = refine_per_iteration(pm, config)
-            assert bitwise(batched, iteration_facts(batched)) == bitwise(oracle, record_facts(oracle))
-            solved += int(batched.excluded.any(axis=1).sum())
-        assert solved > 0
+        alone = [refine([pm.with_beta(beta)], config)[0] for pm in mixed_pair_maps]
+        assert result_facts(alone) == loop_facts(beta, n_iter, q)
+        assert sum(int(mfs.excluded.any(axis=1).sum()) for mfs in alone) > 0
+
+
+class TestBatchInvariance:
+    """A record's result does not depend on the other records in its
+    refine or cidr_without_refinement call, nor on how a call is grouped:
+    the mixed corpus in one call, reversed, and in drawn splits."""
+
+    @pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n_iter", [1, 10])
+    @pytest.mark.parametrize("beta", [0.5, 0.0])
+    def test_one_call_and_reversed_are_bitwise_the_loop(self, mixed_pair_maps, loop_facts, beta, n_iter, q):
+        config = CidrConfig(n_iter=n_iter, q=q)
+        maps = [pm.with_beta(beta) for pm in mixed_pair_maps]
+        expected = loop_facts(beta, n_iter, q)
+        assert result_facts(refine(maps, config)) == expected
+        assert result_facts(refine(maps[::-1], config))[::-1] == expected
+
+    @pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n_iter", [1, 10])
+    @pytest.mark.parametrize("beta", [0.5, 0.0])
+    @given(data=st.data())
+    @settings(max_examples=2, deadline=None)
+    def test_drawn_splits_are_bitwise_the_loop(self, mixed_pair_maps, loop_facts, beta, n_iter, q, data):
+        config = CidrConfig(n_iter=n_iter, q=q)
+        maps = [pm.with_beta(beta) for pm in mixed_pair_maps]
+        pieces = [refine(maps[piece], config) for piece in splits(data, len(maps))]
+        assert [facts for piece in pieces for facts in result_facts(piece)] == loop_facts(beta, n_iter, q)
+
+    @pytest.mark.parametrize("budget", [1, 1_000])
+    @pytest.mark.parametrize("beta", [0.5, 0.0])
+    def test_groups_of_any_size_are_bitwise_the_loop(
+        self, mixed_pair_maps, loop_facts, monkeypatch, beta, budget
+    ):
+        # One record per group, and groups of a few records, in one call.
+        monkeypatch.setattr(pipeline, "GROUP_CELLS", budget)
+        maps = [pm.with_beta(beta) for pm in mixed_pair_maps]
+        assert result_facts(refine(maps, CidrConfig(q=3))) == loop_facts(beta, 10, 3)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.0])
+    @given(data=st.data())
+    @settings(max_examples=3, deadline=None)
+    def test_greedy_batches_equal_one_record_calls(self, mixed_pair_maps, beta, data):
+        config = CidrConfig()
+        maps = [pm.with_beta(beta) for pm in mixed_pair_maps]
+        expected = [result_facts(cidr_without_refinement([pm], config))[0] for pm in maps]
+        assert result_facts(cidr_without_refinement(maps, config)) == expected
+        assert result_facts(cidr_without_refinement(maps[::-1], config))[::-1] == expected
+        pieces = [cidr_without_refinement(maps[piece], config) for piece in splits(data, len(maps))]
+        assert [facts for piece in pieces for facts in result_facts(piece)] == expected
+
+    def test_mixed_betas_in_one_call(self, mixed_pair_maps, loop_facts):
+        # Each map's own beta weighs its bounds, whatever the others hold.
+        betas = [(0.5, 0.0)[k % 2] for k in range(len(mixed_pair_maps))]
+        maps = [pm.with_beta(beta) for pm, beta in zip(mixed_pair_maps, betas)]
+        expected = [loop_facts(beta, 10, 3)[k] for k, beta in enumerate(betas)]
+        assert result_facts(refine(maps, CidrConfig(q=3))) == expected
+
+    def test_no_maps_give_no_results(self):
+        assert refine([], CidrConfig()) == [] == cidr_without_refinement([], CidrConfig())
 
 
 class TestGreedyVariant:
     def test_exclusion_respects_running_bound(self, toy_model, toy_instances):
         cfg = CidrConfig(steps=12)
-        mfs = cidr_without_refinement(predicted_pair_map(toy_model, toy_instances[0], cfg), cfg)
+        mfs = cidr_without_refinement([predicted_pair_map(toy_model, toy_instances[0], cfg)], cfg)[0]
         if mfs.degenerate:
             pytest.skip("degenerate draw")
         bound = mfs.u1 + mfs.u2
@@ -469,12 +587,12 @@ class TestGreedyVariant:
 
     def test_retained_frequencies_are_one(self, toy_model, toy_instances):
         cfg = CidrConfig(steps=12)
-        mfs = cidr_without_refinement(predicted_pair_map(toy_model, toy_instances[5], cfg), cfg)
+        mfs = cidr_without_refinement([predicted_pair_map(toy_model, toy_instances[5], cfg)], cfg)[0]
         assert mfs.frequencies == (1.0,) * len(mfs.pairs)
 
     def test_single_iteration_recorded(self, toy_model, toy_instances):
         cfg = CidrConfig(steps=12)
-        mfs = cidr_without_refinement(predicted_pair_map(toy_model, toy_instances[6], cfg), cfg)
+        mfs = cidr_without_refinement([predicted_pair_map(toy_model, toy_instances[6], cfg)], cfg)[0]
         if not mfs.degenerate:
             assert mfs.excluded.shape == (1, len(mfs.pair_scores.positive_pairs))
             assert mfs.u2_prime.tolist() == [mfs.u2]
