@@ -34,7 +34,7 @@ from .model import (
     train_toy,
     training_accuracy,
 )
-from .pipeline import MinimalFeatureSet
+from .pipeline import MinimalFeatureSet, group_slices, refine
 from .reports import (
     ExplanationReport,
     MfsEntry,
@@ -157,8 +157,15 @@ def run_explain(args: argparse.Namespace) -> int:
         index, mfs = item
         return _build_report(records[index], corpus, index, mfs, words[index], built[index][1], values)
 
-    # corpus.cidr refines every record in one call before any report is built.
-    reports = parallel_map(explain_one, enumerate(corpus.cidr))
+    def explain_group(part: slice) -> list[ExplanationReport]:
+        # One refine call per group; its refined sets are freed on return,
+        # so explain holds one group's at a time, however long the corpus.
+        refined = refine(corpus.pair_maps[part], config)
+        return parallel_map(explain_one, zip(range(part.start, part.stop), refined))
+
+    reports = [
+        report for part in group_slices(corpus.pair_maps, config.n_iter) for report in explain_group(part)
+    ]
     write_reports(reports, args.out)
     _warn_oov(sum(r.oov_count for r in reports))
     degenerate = sum(1 for r in reports if r.degenerate)

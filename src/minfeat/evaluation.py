@@ -9,7 +9,9 @@ names in order, the default ``evaluate`` list.
 A producer reads one ``CorpusArtifacts``: per record, the explained
 class from one forward, the pair map and plain IG, and cidr's refined
 sets from one refine call over the corpus, each list computed once, when
-first read. ``explain`` builds its reports from the same object. Every
+first read. ``explain`` builds its reports from the same object but
+refines one of ``pipeline.group_slices``' slices of the pair maps at a
+time, so it holds one group's refined sets at a time. Every
 method, and the per-record scores of ``explain``, go through the same
 comprehensiveness, log-odds and minimality call; the granularity picks
 the minimality function, ``fms_pairs`` or ``fms_words``.
@@ -37,7 +39,7 @@ _RANDOM_STREAM = 1_000_003
 def parallel_map(fn: Callable, items: Iterable) -> list:
     """``[fn(item) for item in items]`` on the calling thread, in order.
 
-    Its one caller is ``cli.run_explain``. It stays a named function
+    Its one caller is ``cli.run_explain``, once per refined group. It stays a named function
     because ``perfbench/tracer.py`` wraps it to parent each record's
     spans; it can be inlined once that hook is optional (ROADMAP item 7).
     """

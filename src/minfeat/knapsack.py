@@ -78,9 +78,11 @@ def quantize(
     capacities are floored, so quantization never admits a selection the
     real capacity would reject by more than the documented slack. The
     cell guard reads each batch's largest capacity below its integer
-    weight sum, as only those rows build a table, and names the first
-    batch in order that exceeds it. Every input is checked once per call,
-    over all entries together, and no batch depends on the others.
+    weight sum, as only those rows build a table. It and the check that
+    no scaled weight overflows to inf run entry by entry, in order, so
+    the error named is that of the first entry in order that fails
+    either. Every other input is checked once per call, over all entries
+    together, and no batch depends on the others.
     """
     if not len(weights) == len(values) == len(capacities):
         raise InputError(
@@ -114,13 +116,18 @@ def quantize(
     with np.errstate(over="ignore"):
         scaled_capacities = np.floor(flat_capacities * scale).tolist()
         scaled_weights = np.floor(flat_weights * scale + 0.5)
-    if not np.isfinite(scaled_weights).all():
-        raise ConfigError(f"weights scaled by 10**{digits} overflow to inf; lower the quantization digits")
+    # The flat index of the first weight that overflows to inf: its entry
+    # is named after the cell guard of every earlier entry, as if each
+    # entry were quantized alone, in order.
+    finite = np.isfinite(scaled_weights)
+    overflow = len(finite) if finite.all() else int(np.argmin(finite))
     # Python ints, not int64: a weight may exceed 2**63 at large digits.
-    int_weights = list(map(int, np.maximum(scaled_weights, 1.0).tolist()))
+    int_weights = list(map(int, np.maximum(scaled_weights[:overflow], 1.0).tolist()))
     batches = []
     start = stop = 0
     for w, v, c in zip(weights, values, capacities):
+        if start + len(w) > overflow:
+            raise ConfigError(f"weights scaled by 10**{digits} overflow to inf; lower the quantization digits")
         own_weights = tuple(int_weights[start : start + len(w)])
         own_capacities = scaled_capacities[stop : stop + len(c)]
         start, stop = start + len(w), stop + len(c)

@@ -13,18 +13,18 @@ set.
 
 refine and cidr_without_refinement take a sequence of maps and return
 one result per map; a record's result does not depend on the others.
-The records run in groups bounded by GROUP_CELLS, and a group's array
-work is done once for all its records: their positive pairs, weights and
-leave-one-out sums are concatenated, one sample_perturbations call
-draws the (n_iter, N) matrix of all N pairs, and every record's bounds,
-u2 and its n_iter perturbed bounds u2', come from one left-to-right
-cumsum over a zero-padded (1 + n_iter, records, 1 + P_max) stack. One
-quantize call builds each record's knapsack batch, and solve_dp solves
-one record's iterations at a time. A record's iterations are one
-(n_iter, P) boolean exclusion matrix over its pairs: its rows give the
-excluded scores, and its columns give each pair's share of the
-candidate sets, from which the retained pairs and their frequencies are
-read.
+The records run in groups bounded by GROUP_CELLS, the consecutive
+slices of group_slices, and a group's array work is done once for all
+its records: their positive pairs, weights and leave-one-out sums are
+concatenated, one sample_perturbations call draws the (n_iter, N)
+matrix of all N pairs, and every record's bounds, u2 and its n_iter
+perturbed bounds u2', come from one left-to-right cumsum over a
+zero-padded (1 + n_iter, records, 1 + P_max) stack. One quantize call
+builds each record's knapsack batch, and solve_dp solves one record's
+iterations at a time. A record's iterations are one (n_iter, P) boolean
+exclusion matrix over its pairs: its rows give the excluded scores, and
+its columns give each pair's share of the candidate sets, from which the
+retained pairs and their frequencies are read.
 
 cidr_without_refinement, the no-refinement ablation, runs the same core
 once per record: one greedy exclusion under the unperturbed bound.
@@ -32,6 +32,7 @@ once per record: one greedy exclusion under the unperturbed bound.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -75,7 +76,8 @@ class CidrConfig:
             raise ConfigError("epsilon must lie in (0, 1]")
         # Caps from a memory budget: at each cap, a 13-token record's sweep
         # peaked at 27 MB (a lone path's (16, 1, steps + 1) pre-activations
-        # are 12.8 MB) and refining its 67 positive pairs at 35 MB.
+        # are 12.8 MB) and refining its 67 positive pairs at 19.4 MB, in
+        # solve_dp with the draws, the batch's values and the kept stream.
         if not 1 <= self.n_iter <= 10_000:
             raise ConfigError("n_iter must lie in [1, 10000]")
         if not 1 <= self.steps <= 100_000:
@@ -151,8 +153,13 @@ def _upper_bounds_u1(igs: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def upper_bound_u2(pair_map: PairScoreMap) -> float:
-    """beta times the sum of leave-one-out components over positive pairs."""
-    return float(perturbed_upper_bound(pair_map, np.ones(len(pair_map.positive_pairs))))
+    """beta times the sum of leave-one-out components over positive pairs.
+
+    The one-record case of the bounds refine and cidr_without_refinement
+    compute for a group.
+    """
+    u2, _ = _bounds([pair_map], _Pairs.of([pair_map]), np.empty((0, len(pair_map.positive_pairs))))
+    return float(u2[0])
 
 
 def perturbed_upper_bound(pair_map: PairScoreMap, values: np.ndarray) -> np.ndarray:
@@ -161,18 +168,20 @@ def perturbed_upper_bound(pair_map: PairScoreMap, values: np.ndarray) -> np.ndar
     values has shape (..., P), one perturbation per positive pair in its
     last axis, aligned with pair_map.positive_pairs; a length mismatch is
     an InternalError. The result has shape (...): an (n_iter, P) matrix
-    gives every iteration's u2' at once. Each row is beta times the sum of
-    value * (loo[j, i] + loo[i, j]) taken left to right in pair order,
-    from 0.0; a pairwise reduction would round differently.
+    gives every iteration's u2' at once. Each entry is beta times the sum
+    of value * (loo[j, i] + loo[i, j]) taken left to right in pair order,
+    from 0.0; a pairwise reduction would round differently. This is the
+    one-record case of the bounds refine computes for a group, the
+    perturbations being its draws.
     """
     values = np.asarray(values, dtype=np.float64)
     n_pairs = len(pair_map.positive_pairs)
     if values.shape[-1:] != (n_pairs,):
         raise InternalError(f"perturbations of shape {values.shape} for {n_pairs} positive pairs")
-    i, j = pair_map.positive_index
-    terms = np.zeros(values.shape[:-1] + (1 + n_pairs,))
-    terms[..., 1:] = values * (pair_map.loo[j, i] + pair_map.loo[i, j])
-    return pair_map.beta * _sum_rows(terms)
+    lead = values.shape[:-1]
+    rows = values.reshape(math.prod(lead), n_pairs)
+    _, u2_prime = _bounds([pair_map], _Pairs.of([pair_map]), rows)
+    return u2_prime[0].reshape(lead)
 
 
 def _sum_rows(stack: np.ndarray) -> np.ndarray:
@@ -219,9 +228,10 @@ def sample_perturbations(pairs: Sequence[Pair], seed: int, n_iter: int) -> np.nd
     streams of the last (seed, n_iter) drawn with n_iter * L at most
     _STREAM_KEPT_WORDS (8 MiB of doubles), L the stream length that call
     needed. A call with the same seed and n_iter and a stream no longer
-    than L reads its rows from it. Every record of a run shares one seed
-    and n_iter, so a process draws again only for a record longer than
-    every earlier one. The result is a fresh array.
+    than L reads its rows from it. Every call of a run shares one seed
+    and n_iter (refine makes one call per group of records), so a process
+    draws again only for a call whose pairs need a longer stream than
+    every earlier call's. The result is a fresh array.
     """
     if not 0 <= seed < 2**64:
         raise InputError(f"perturbation seed must lie in [0, 2**64), got {seed}")
@@ -320,8 +330,10 @@ def _bounds(maps: Sequence[PairScoreMap], pairs: _Pairs, draws: np.ndarray) -> t
 
     Row 0 of each record's (1 + K, 1 + P_max) slab holds its leave-one-out
     sums, row 1 + k the same times draw k, after a 0.0 column; one
-    cumsum over the stack sums every row left to right from 0.0, so each
-    bound is bitwise that of perturbed_upper_bound.
+    cumsum over the stack sums every row left to right from 0.0. The
+    zero padding right of a record's pairs adds +0.0 terms, so its
+    bounds are bitwise those of a group of it alone, which
+    upper_bound_u2 and perturbed_upper_bound compute.
     """
     stack = np.zeros((1 + len(draws), len(maps), 1 + pairs.width))
     stack[0, pairs.record, pairs.column + 1] = pairs.loo_sums
@@ -399,35 +411,47 @@ def _degenerate(pair_map: PairScoreMap) -> MinimalFeatureSet:
     )
 
 
+def group_slices(pair_maps: Sequence[PairScoreMap], n_rows: int) -> list[slice]:
+    """Consecutive slices of pair_maps that cover them in order, each one
+    group of refine's (n_rows = n_iter) or cidr_without_refinement's
+    (n_rows = 1).
+
+    The maps with positive pairs in a slice span at most GROUP_CELLS
+    cells of n_rows x their longest pair list per record; a record beyond
+    that alone forms its own slice. Maps without positive pairs join the
+    slice they fall in. Called on one slice, the function returns it
+    whole, so refine on a slice is one group.
+    """
+    starts: list[int] = []
+    count = width = 0
+    for index, pm in enumerate(pair_maps):
+        size = len(pm.positive_pairs)
+        if not size:
+            continue
+        if count and (count + 1) * n_rows * max(width, size) <= GROUP_CELLS:
+            count, width = count + 1, max(width, size)
+        else:
+            starts.append(index)
+            count, width = 1, size
+    bounds = [0] + starts[1:] + [len(pair_maps)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:]) if stop > start]
+
+
 def _by_group(
     pair_maps: Sequence[PairScoreMap],
     config: CidrConfig,
     n_rows: int,
     solve: Callable[[Sequence[PairScoreMap], CidrConfig], list[MinimalFeatureSet]],
 ) -> list[MinimalFeatureSet]:
-    """solve on consecutive groups of the maps that have positive pairs.
-
-    A group spans at most GROUP_CELLS cells of n_rows x its longest pair
-    list per record; a record beyond that alone forms its own group. Maps
-    without positive pairs get the degenerate result. One result per
-    map, in order.
-    """
-    results = [None if pm.positive_pairs else _degenerate(pm) for pm in pair_maps]
-    groups: list[list[int]] = []
-    width = 0
-    for index, pm in enumerate(pair_maps):
-        size = len(pm.positive_pairs)
-        if not size:
-            continue
-        if groups and (len(groups[-1]) + 1) * n_rows * max(width, size) <= GROUP_CELLS:
-            groups[-1].append(index)
-            width = max(width, size)
-        else:
-            groups.append([index])
-            width = size
-    for group in groups:
-        for index, mfs in zip(group, solve([pair_maps[k] for k in group], config)):
-            results[index] = mfs
+    """solve on the maps with positive pairs of each of group_slices'
+    slices; maps without positive pairs get the degenerate result. One
+    result per map, in order."""
+    results: list[MinimalFeatureSet] = []
+    for part in group_slices(pair_maps, n_rows):
+        maps = pair_maps[part]
+        tabled = [pm for pm in maps if pm.positive_pairs]
+        solved = iter(solve(tabled, config) if tabled else ())
+        results.extend(next(solved) if pm.positive_pairs else _degenerate(pm) for pm in maps)
     return results
 
 
@@ -447,7 +471,7 @@ def refine(pair_maps: Sequence[PairScoreMap], config: CidrConfig) -> list[Minima
     true capacity. Pairs kept in at least epsilon of the candidate sets
     are retained.
 
-    The records run in groups of at most GROUP_CELLS cells, and a group's
+    The records run in the groups of group_slices, and a group's
     array work is done once for all its records: one
     sample_perturbations call over their concatenated pairs, every u2
     and u2' from one cumsum, and one quantize call that builds one

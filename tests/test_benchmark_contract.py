@@ -142,8 +142,9 @@ def test_explain_records_single_instance_metrics_span(tracer, toy_model, toy_cor
 
 
 def test_explain_runs_every_record_on_the_calling_thread(tracer, toy_model, toy_corpus, tmp_path):
-    # The command refines its whole corpus in one refine call, a direct
-    # child of the command's span, with no worker threads in between.
+    # The command refines its corpus one group at a time, each in one
+    # refine call that is a direct child of the command's span, with no
+    # worker threads in between; these three records are one group.
     model, corpus, config = tmp_path / "model.json", tmp_path / "corpus.jsonl", tmp_path / "c.json"
     save_model(toy_model, str(model))
     save_corpus(toy_corpus[:3], str(corpus))

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,8 @@ from minfeat.corpus import save_corpus
 from minfeat.data import build_toy_corpus
 from minfeat.errors import InputError
 from minfeat.knapsack import MAX_TABLE_CELLS
-from minfeat.model import Model, load_model
+from minfeat import cli, pipeline
+from minfeat.model import Model, load_model, save_model
 from minfeat.reports import read_reports, write_reports
 from test_reports import sample_report
 
@@ -283,6 +286,20 @@ class TestExplain:
         assert self._explain(cli_env, b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_reports_do_not_depend_on_the_refine_groups(self, cli_env, monkeypatch):
+        # One refine call per record, as a group budget of one cell makes
+        # it, writes the bytes that one call over the corpus writes.
+        calls = []
+        refine = cli.refine
+        monkeypatch.setattr(cli, "refine", lambda maps, config: calls.append(len(maps)) or refine(maps, config))
+        a, b = cli_env["root"] / "r_whole.jsonl", cli_env["root"] / "r_split.jsonl"
+        assert self._explain(cli_env, a) == 0
+        assert calls == [24]
+        monkeypatch.setattr(pipeline, "GROUP_CELLS", 1)
+        assert self._explain(cli_env, b) == 0
+        assert len(calls) > 2 and sum(calls) == 48
+        assert a.read_bytes() == b.read_bytes()
+
     def test_oov_tokens_warned_and_counted(self, cli_env, tmp_path, capsys):
         corpus = tmp_path / "oov.jsonl"
         corpus.write_text(
@@ -356,6 +373,38 @@ class TestExplain:
         assert main(args + ["--out", str(out), "--config", str(cli_env["config"])]) == 0
         assert "wrote 10 reports" in capsys.readouterr().out
         assert len(read_reports(str(out))) == 10
+
+    def test_memory_at_the_n_iter_cap_grows_only_by_the_reports(self, toy_model, toy_corpus, tmp_path):
+        # explain refines one group at a time and builds its reports before
+        # the next, so at the n_iter cap its peak grows with the record count
+        # only by the reports held for writing: each holds 10,000 u2' values,
+        # about 0.32 MB as Python floats. Holding every record's refined set
+        # as well adds the (n_iter, P) exclusion matrix, 0.67 MB for this
+        # 67-pair record, and three n_iter-long arrays. The peak read
+        # 19,959,633 bytes for 2 records and 21,805,409 for 8, 0.31 MB a
+        # record; holding every refined set it read 20,537,109 and
+        # 25,871,029, 0.89 MB a record. A record may add at most 0.6 of its
+        # exclusion matrix.
+        model, config = tmp_path / "model.json", tmp_path / "c.json"
+        save_model(toy_model, str(model))
+        config.write_text(json.dumps({"n_iter": 10_000, "steps": 8}), encoding="utf-8")
+        peaks, out = {}, tmp_path / "r.jsonl"
+        for n in (2, 8):
+            corpus = tmp_path / f"{n}.jsonl"
+            save_corpus([dataclasses.replace(toy_corpus[8], id=f"r{k}") for k in range(n)], str(corpus))
+            pipeline._STREAMS.clear()  # the draws count, as in a fresh process
+            argv = ["explain", "--corpus", str(corpus), "--model", str(model), "--config", str(config)]
+            tracemalloc.start()
+            try:
+                code = main(argv + ["--out", str(out)])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        n_pairs = len(read_reports(str(out))[0].positive_pairs)
+        assert n_pairs == 67
+        per_record = (peaks[8] - peaks[2]) / 6
+        assert per_record < 0.6 * 10_000 * n_pairs
 
     @pytest.mark.parametrize(
         "corrupt, named",

@@ -137,6 +137,13 @@ class TestQuantize:
         # The cell guard names the first entry in order that exceeds it.
         with pytest.raises(ConfigError, match="quantized capacity 3e[+]08 needs"):
             quantize([(1e6,), (1e6,), (1e6,)], [[[1.0]]] * 3, [(1.0,), (3e5,), (4e5,)], 3)
+        # The cell guard and the weight overflow check run entry by entry:
+        # the first entry in order that fails either is named.
+        tall, overflowing = ((1.0,), [[1.0]], (0.5,)), ((1e10,), [[1.0]], (0.5,))
+        with pytest.raises(ConfigError, match="quantized capacity 5e[+]299 needs"):
+            quantize(*zip(tall, overflowing), 300)
+        with pytest.raises(ConfigError, match="overflow to inf"):
+            quantize(*zip(overflowing, tall), 300)
 
     @pytest.mark.parametrize("digits", [0, 3, 15, 18, 19, 25, 300])
     def test_weights_exact_beyond_int64(self, digits):

@@ -20,6 +20,7 @@ from minfeat.model import instance_from_words
 from minfeat.pipeline import (
     CidrConfig,
     cidr_without_refinement,
+    group_slices,
     perturbed_upper_bound,
     refine,
     sample_perturbations,
@@ -560,6 +561,19 @@ class TestBatchInvariance:
 
     def test_no_maps_give_no_results(self):
         assert refine([], CidrConfig()) == [] == cidr_without_refinement([], CidrConfig())
+
+    @pytest.mark.parametrize("budget", [1, 200, 1_000, 2**18])
+    @pytest.mark.parametrize("n_rows", [1, 10])
+    def test_group_slices_cover_the_maps_in_bounded_groups(self, mixed_pair_maps, monkeypatch, budget, n_rows):
+        monkeypatch.setattr(pipeline, "GROUP_CELLS", budget)
+        parts = group_slices(mixed_pair_maps, n_rows)
+        assert [k for part in parts for k in range(part.start, part.stop)] == list(range(len(mixed_pair_maps)))
+        for part in parts:
+            sizes = [len(pm.positive_pairs) for pm in mixed_pair_maps[part] if pm.positive_pairs]
+            assert len(sizes) == 1 or len(sizes) * n_rows * max(sizes) <= budget
+            # A slice is one group: called on it, group_slices returns it whole.
+            assert group_slices(mixed_pair_maps[part], n_rows) == [slice(0, part.stop - part.start)]
+        assert group_slices([], n_rows) == []
 
 
 class TestGreedyVariant:
