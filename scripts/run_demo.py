@@ -19,7 +19,7 @@ from minfeat.data import build_toy_corpus
 from minfeat.errors import InputError
 from minfeat.evaluation import CorpusArtifacts, single_instance_metrics
 from minfeat.model import TrainConfig, instance_from_words, train_toy, training_accuracy
-from minfeat.pipeline import CidrConfig
+from minfeat.pipeline import CidrConfig, refine
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -48,9 +48,9 @@ def main(argv: list[str] | None = None) -> int:
     instance, oov = instance_from_words(model, words, record.label)
     # The artifacts of a one-record corpus, as explain builds them: one
     # forward gives the explained class and the printed probability, and
-    # one refine call over the corpus gives its minimal feature set.
+    # one refine call over the pair maps gives its minimal feature set.
     artifacts = CorpusArtifacts(model, [instance], config)
-    (mfs,) = artifacts.cidr
+    (mfs,) = refine(artifacts.pair_maps, config)
 
     print(f"record {record.id} (label {record.label}, {oov} OOV tokens)")
     print(f"  text: {record.text}")

@@ -23,7 +23,7 @@ from .evaluation import (
     METHODS,
     CorpusArtifacts,
     evaluate_methods,
-    parallel_map,
+    map_refined,
     single_instance_metrics,
 )
 from .files import atomic_write
@@ -34,7 +34,7 @@ from .model import (
     train_toy,
     training_accuracy,
 )
-from .pipeline import MinimalFeatureSet, group_slices, refine
+from .pipeline import MinimalFeatureSet
 from .reports import (
     ExplanationReport,
     MfsEntry,
@@ -157,15 +157,7 @@ def run_explain(args: argparse.Namespace) -> int:
         index, mfs = item
         return _build_report(records[index], corpus, index, mfs, words[index], built[index][1], values)
 
-    def explain_group(part: slice) -> list[ExplanationReport]:
-        # One refine call per group; its refined sets are freed on return,
-        # so explain holds one group's at a time, however long the corpus.
-        refined = refine(corpus.pair_maps[part], config)
-        return parallel_map(explain_one, zip(range(part.start, part.stop), refined))
-
-    reports = [
-        report for part in group_slices(corpus.pair_maps, config.n_iter) for report in explain_group(part)
-    ]
+    reports = map_refined(explain_one, corpus.pair_maps, config)
     write_reports(reports, args.out)
     _warn_oov(sum(r.oov_count for r in reports))
     degenerate = sum(1 for r in reports if r.degenerate)

@@ -52,13 +52,14 @@ def _parse_line(line: str, line_no: int) -> CorpusRecord:
 def load_corpus(path: str) -> list[CorpusRecord]:
     """Parse one JSON record per line; CRLF endings are accepted.
 
-    Blank lines are skipped. Errors name the offending line number, and a
-    duplicate id reports both lines involved.
+    A line ends at a newline alone, so a string may hold U+2028 and other
+    separators raw, as JSON allows. Blank lines are skipped. Errors name
+    the offending line number, and a duplicate id reports both lines.
     """
     text = read_text(path, "corpus")
     records: list[CorpusRecord] = []
     seen: dict[str, int] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped:
             continue

@@ -7,14 +7,14 @@ explanation, elements ranked best first. ``METHODS`` is the table's
 names in order, the default ``evaluate`` list.
 
 A producer reads one ``CorpusArtifacts``: per record, the explained
-class from one forward, the pair map and plain IG, and cidr's refined
-sets from one refine call over the corpus, each list computed once, when
-first read. ``explain`` builds its reports from the same object but
-refines one of ``pipeline.group_slices``' slices of the pair maps at a
-time, so it holds one group's refined sets at a time. Every
-method, and the per-record scores of ``explain``, go through the same
-comprehensiveness, log-odds and minimality call; the granularity picks
-the minimality function, ``fms_pairs`` or ``fms_words``.
+class from one forward, the pair map and plain IG, and cidr's ranked
+pairs, each list computed once, when first read. ``map_refined`` refines
+one ``pipeline.group_slices`` slice at a time and maps each set to what
+its caller keeps (``explain`` a report), so no command holds more than
+one group's refined sets. Every method, and the per-record scores of
+``explain``, go through the same comprehensiveness, log-odds and
+minimality call; the granularity picks the minimality function,
+``fms_pairs`` or ``fms_words``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .attribution import PairScoreMap, cooperative_integrated_gradients, integra
 from .errors import ConfigError, InputError
 from .metrics import MetricsRow, comprehensiveness, fms_pairs, fms_words, log_odds, top_k_baseline
 from .model import Instance, Model
-from .pipeline import CidrConfig, MinimalFeatureSet, cidr_without_refinement, refine
+from .pipeline import CidrConfig, MinimalFeatureSet, cidr_without_refinement, group_slices, refine
 
 # Stream id for the random-baseline draws, far outside the refinement
 # iteration indices so the two never share a Philox key.
@@ -39,11 +39,25 @@ _RANDOM_STREAM = 1_000_003
 def parallel_map(fn: Callable, items: Iterable) -> list:
     """``[fn(item) for item in items]`` on the calling thread, in order.
 
-    Its one caller is ``cli.run_explain``, once per refined group. It stays a named function
-    because ``perfbench/tracer.py`` wraps it to parent each record's
-    spans; it can be inlined once that hook is optional (ROADMAP item 7).
+    Its one caller is ``map_refined``, once per group. It stays a named
+    function because ``perfbench/tracer.py`` wraps it to parent each
+    record's spans; it can be inlined once that hook is optional (ROADMAP item 7).
     """
     return [fn(item) for item in items]
+
+
+def map_refined(fn: Callable, pair_maps: Sequence[PairScoreMap], config: CidrConfig) -> list:
+    """``fn((k, refine(pair_maps, config)[k]))`` for every record ``k``, in order.
+
+    Each slice of ``group_slices(pair_maps, config.n_iter)`` is one refine
+    call, read from the module globals as parallel_map is, so a tracer's
+    swaps apply. No name holds a slice's sets, so they are freed once
+    mapped, before the next slice is refined.
+    """
+    results: list = []
+    for part in group_slices(pair_maps, config.n_iter):
+        results.extend(parallel_map(fn, zip(range(part.start, part.stop), refine(pair_maps[part], config))))
+    return results
 
 
 def gradient_input_scores(model: Model, instance: Instance, target_class: int) -> np.ndarray:
@@ -58,10 +72,10 @@ class CorpusArtifacts:
     list is computed once, when first read.
 
     with_pairs says the pair maps will be read: ig is then the pair maps',
-    equal to plain IG sweeps bit for bit, and no sweep of its own. cidr
-    refines every record in one refine call. Each function called here is
-    read from the module globals at call time, so a tracer that swaps
-    module attributes (perfbench's) sees every call.
+    equal to plain IG sweeps bit for bit, and no sweep of its own. cidr is
+    each record's ranked pairs from map_refined, not its refined set. Each
+    function called here is read from the module globals at call time, so
+    a tracer that swaps module attributes (perfbench's) sees every call.
     """
 
     model: Model
@@ -87,8 +101,8 @@ class CorpusArtifacts:
         ]
 
     @cached_property
-    def cidr(self) -> list[MinimalFeatureSet]:
-        return refine(self.pair_maps, self.config)
+    def cidr(self) -> list[tuple[tuple[int, int], ...]]:
+        return map_refined(_ranked, self.pair_maps, self.config)
 
     @cached_property
     def ig(self) -> list[np.ndarray]:
@@ -111,6 +125,10 @@ def _ranked_pairs(mfs: MinimalFeatureSet) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(mfs.pairs, key=lambda p: (-cig[p], p)))
 
 
+def _ranked(item: tuple[int, MinimalFeatureSet]) -> tuple[tuple[int, int], ...]:
+    return _ranked_pairs(item[1])
+
+
 def _random_words(n_tokens: int, size: int, seed: int, index: int) -> tuple[int, ...]:
     """size distinct positions in draw order, which is their rank order."""
     stream = np.random.Generator(
@@ -131,19 +149,17 @@ def _top_words(scores: np.ndarray) -> tuple[int, ...]:
     return top_k_baseline(scores, _word_budget(len(scores)))
 
 
-def _all_ranked(sets: Sequence[MinimalFeatureSet]) -> list[tuple[tuple[int, int], ...]]:
-    return [_ranked_pairs(mfs) for mfs in sets]
-
-
 # Producers call pipeline functions by global name, so the tracer's swaps apply.
 _TABLE = {
     # the full pipeline with refinement
-    "cidr": _Method("pair", True, lambda c: _all_ranked(c.cidr)),
+    "cidr": _Method("pair", True, lambda c: c.cidr),
     # a single greedy exclusion pass, no refinement
-    "cidr-no-r": _Method("pair", True, lambda c: _all_ranked(cidr_without_refinement(c.pair_maps, c.config))),
+    "cidr-no-r": _Method(
+        "pair", True, lambda c: list(map(_ranked_pairs, cidr_without_refinement(c.pair_maps, c.config)))
+    ),
     # refinement on the pair scores recombined with beta = 0: no leave-one-out term
     "cidr-no-cig": _Method(
-        "pair", True, lambda c: _all_ranked(refine([pm.with_beta(0.0) for pm in c.pair_maps], c.config))
+        "pair", True, lambda c: map_refined(_ranked, [pm.with_beta(0.0) for pm in c.pair_maps], c.config)
     ),
     # the top 2K words by path-integral attribution
     "ig-top2k": _Method("word", False, lambda c: [_top_words(ig) for ig in c.ig]),
@@ -161,8 +177,8 @@ _TABLE = {
         "word",
         True,
         lambda c: [
-            _random_words(len(instance), len(mfs.words), c.config.seed, index)
-            for index, (instance, mfs) in enumerate(zip(c.instances, c.cidr))
+            _random_words(len(instance), len({pos for pair in ranked for pos in pair}), c.config.seed, index)
+            for index, (instance, ranked) in enumerate(zip(c.instances, c.cidr))
         ],
     ),
 }
@@ -201,8 +217,8 @@ def evaluate_methods(
     (comp, lo, fms) of the method's explanations at its granularity. The
     corpus's artifacts are computed once and shared by every method, so
     a row does not depend on which other methods are requested or in what
-    order. cidr and cidr-no-cig make one refine call each over the whole
-    corpus, and cidr-no-r one cidr_without_refinement call.
+    order. cidr and cidr-no-cig refine through map_refined, one refine
+    call per group; cidr-no-r makes one cidr_without_refinement call.
     """
     unknown = sorted(set(methods) - set(METHODS))
     if unknown:

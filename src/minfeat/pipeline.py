@@ -94,38 +94,53 @@ class MinimalFeatureSet:
 
     frequencies is aligned with pairs: frequencies[r] is the share of the
     candidate sets that kept pairs[r]. The share of any other positive
-    pair is its column share of excluded's complement. words is the flat
-    sorted union of pair members. pair_scores holds the instance's score
-    arrays and the class they were scored for (target_class); the
-    cooperative score of a pair (i, j) is pair_scores.cig[i, j]. u1 and
-    u2 are the unperturbed attribution bounds.
+    pair is its column share of excluded's complement. pair_scores holds
+    the instance's score arrays and the class they were scored for
+    (target_class); the cooperative score of a pair (i, j) is
+    pair_scores.cig[i, j]. u1 and u2 are the unperturbed bounds.
 
     The iterations are arrays with one row or entry per knapsack
     repetition: excluded is an (n_iter, P) boolean matrix over
     pair_scores.positive_pairs, True where iteration k excluded the pair
-    (its candidate set is the rest of the row); u2_prime holds each
-    iteration's perturbed bound, capacities each u1 + u2', and
-    excluded_scores each sum of the excluded cooperative scores, taken
-    left to right in pair order. degenerate marks instances without any
-    positive pair (fewer than two tokens included); they have no
-    iterations (n_iter = P = 0) and zero bounds.
+    (its candidate set is the rest of the row), and u2_prime holds each
+    iteration's perturbed bound. The rest is derived: words, capacities,
+    excluded_scores and degenerate.
     """
 
     pairs: tuple[Pair, ...]
     frequencies: tuple[float, ...]
-    words: tuple[int, ...]
     u1: float
     u2: float
     excluded: np.ndarray
     u2_prime: np.ndarray
-    capacities: np.ndarray
-    excluded_scores: np.ndarray
     pair_scores: PairScoreMap
-    degenerate: bool = False
 
     @property
     def target_class(self) -> int:
         return self.pair_scores.target_class
+
+    @property
+    def words(self) -> tuple[int, ...]:
+        """The flat sorted union of the retained pairs' members."""
+        return tuple(sorted({pos for pair in self.pairs for pos in pair}))
+
+    @property
+    def degenerate(self) -> bool:
+        """No positive pair: no iterations (n_iter = P = 0), zero bounds."""
+        return not self.pair_scores.positive_pairs
+
+    @property
+    def capacities(self) -> np.ndarray:
+        """Each iteration's capacity u1 + u2'."""
+        return self.u1 + self.u2_prime
+
+    @property
+    def excluded_scores(self) -> np.ndarray:
+        """Each iteration's excluded cig scores, summed in pair order from 0.0."""
+        i, j = self.pair_scores.positive_index
+        stack = np.zeros((len(self.excluded), 1 + len(i)))
+        stack[:, 1:] = np.where(self.excluded, self.pair_scores.cig[i, j], 0.0)
+        return _sum_rows(stack)
 
 
 def upper_bound_u1(ig: np.ndarray) -> float:
@@ -279,14 +294,14 @@ def _draw_streams(seed: int, n_iter: int, length: int, index: np.ndarray | None 
 
 
 # Most cells, records x rows x the longest record's pair count, that one
-# group of refine's records spans; a group's draws, bound stack and masked
-# exclusion weights take 8 bytes a cell each. At n_iter 10 the bundled
-# corpus's 200 records fit one group, and at the n_iter cap a group holds
-# one or a few records. Refining the bundled corpus on one pinned CPU of a
-# Xeon (numpy 2.4, Python 3.11), 2**16 to 2**20 took the same time within
-# noise at n_iter 10 and 100 (200 records) and 10,000 (5 records); at
-# 10,000 the five records peaked at 19.9 MB under tracemalloc with 2**18
-# and at 22.4 MB with 2**20.
+# group of refine's records spans; a group's draws and bound stack take
+# 8 bytes a cell each. At n_iter 10 the bundled corpus's 200 records fit
+# one group, and at the n_iter cap a group holds one or a few records.
+# Refining the bundled corpus on one pinned CPU of a Xeon (numpy 2.4,
+# Python 3.11), 2**16 to 2**20 took the same time within noise at n_iter
+# 10 and 100 (200 records) and 10,000 (5 records); at 10,000 the five
+# records peaked at 19.3 MB under tracemalloc with 2**18 and at 22.2 MB
+# with 2**20.
 GROUP_CELLS = 2**18
 
 
@@ -357,36 +372,25 @@ def _assemble(
 ) -> list[MinimalFeatureSet]:
     """Retain the pairs kept in at least epsilon of each record's candidate sets.
 
-    excluded is the (R, K, P_max) exclusion stack of the group, False
-    right of each record's P_r pairs, and u2_prime its (R, K) perturbed
-    bounds. The excluded scores are one cumsum in place over the masked
-    weights: every term is +0.0 or a positive weight, never -0.0, so each
-    is the left-to-right sum from 0.0.
+    excluded is the group's (R, K, P_max) exclusion stack, False right of
+    each record's P_r pairs, and u2_prime its (R, K) perturbed bounds.
     """
     n_rows = excluded.shape[1]
-    weights = np.zeros((len(maps), 1, pairs.width))
-    weights[pairs.record, 0, pairs.column] = pairs.weights
-    excluded_scores = _sum_rows(np.where(excluded, weights, 0.0))
     # count / n_rows divides two exact doubles, so each share is the
     # correctly rounded quotient of the two integers.
     shares = (n_rows - excluded.sum(axis=1)) / n_rows
-    capacities = u1[:, np.newaxis] + u2_prime
     results = []
     for r, (pm, size, u1_r, u2_r) in enumerate(zip(maps, pairs.sizes.tolist(), u1.tolist(), u2.tolist())):
         own = shares[r, :size].tolist()
         kept = [c for c, share in enumerate(own) if share >= config.epsilon]
-        retained = tuple(pm.positive_pairs[c] for c in kept)
         results.append(
             MinimalFeatureSet(
-                pairs=retained,
+                pairs=tuple(pm.positive_pairs[c] for c in kept),
                 frequencies=tuple(own[c] for c in kept),
-                words=tuple(sorted({pos for pair in retained for pos in pair})),
                 u1=u1_r,
                 u2=u2_r,
                 excluded=excluded[r, :, :size].copy(),
                 u2_prime=u2_prime[r],
-                capacities=capacities[r],
-                excluded_scores=excluded_scores[r],
                 pair_scores=pm,
             )
         )
@@ -394,21 +398,8 @@ def _assemble(
 
 
 def _degenerate(pair_map: PairScoreMap) -> MinimalFeatureSet:
-    """The empty result of an instance without positive pairs: no
-    iterations and zero bounds."""
-    return MinimalFeatureSet(
-        pairs=(),
-        frequencies=(),
-        words=(),
-        u1=0.0,
-        u2=0.0,
-        excluded=np.zeros((0, 0), dtype=bool),
-        u2_prime=np.zeros(0),
-        capacities=np.zeros(0),
-        excluded_scores=np.zeros(0),
-        pair_scores=pair_map,
-        degenerate=True,
-    )
+    """The empty result of an instance without positive pairs."""
+    return MinimalFeatureSet((), (), 0.0, 0.0, np.zeros((0, 0), dtype=bool), np.zeros(0), pair_map)
 
 
 def group_slices(pair_maps: Sequence[PairScoreMap], n_rows: int) -> list[slice]:

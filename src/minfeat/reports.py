@@ -190,8 +190,8 @@ def write_reports(reports: list[ExplanationReport], path: str) -> None:
 
 
 def read_reports(path: str) -> list[ExplanationReport]:
-    """Parse one report per non-blank line; errors name the line number."""
-    lines = read_text(path, "report file").splitlines()
+    """Parse one report per non-blank line, ended by a newline alone; errors name the line number."""
+    lines = read_text(path, "report file").split("\n")
     reports = []
     for line_no, line in enumerate(lines, start=1):
         if line.strip():

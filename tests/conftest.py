@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from typing import Any, Callable
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from minfeat import build_toy_corpus, tokenize
+from minfeat import build_toy_corpus, pipeline, tokenize
 from minfeat.evaluation import CorpusArtifacts
 from minfeat.model import Instance, Model, TrainConfig, Vocabulary, instance_from_words, train_toy
 from minfeat.pipeline import CidrConfig
@@ -70,6 +73,18 @@ def predicted_pair_map(model: Model, instance: Instance, config):
     """The pair scores refine takes: the instance's cooperative scores for
     the explained class, at the config's beta and steps."""
     return CorpusArtifacts(model, [instance], config).pair_maps[0]
+
+
+def peak_bytes(fn: Callable[[], Any]) -> tuple[int, Any]:
+    """(peak, result) of fn() under tracemalloc. The kept perturbation
+    draws are cleared first, so they count as in a fresh process."""
+    pipeline._STREAMS.clear()
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,10 +20,19 @@ from minfeat.corpus import save_corpus
 from minfeat.data import build_toy_corpus
 from minfeat.errors import InputError
 from minfeat.knapsack import MAX_TABLE_CELLS
-from minfeat import cli, pipeline
+from minfeat import evaluation, pipeline
 from minfeat.model import Model, load_model, save_model
 from minfeat.reports import read_reports, write_reports
+from conftest import peak_bytes
 from test_reports import sample_report
+
+
+def _refine_calls(monkeypatch) -> list[int]:
+    """The record count of each refine call the group walk makes from now on."""
+    calls = []
+    refine = evaluation.refine
+    monkeypatch.setattr(evaluation, "refine", lambda maps, config: calls.append(len(maps)) or refine(maps, config))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -289,9 +297,7 @@ class TestExplain:
     def test_reports_do_not_depend_on_the_refine_groups(self, cli_env, monkeypatch):
         # One refine call per record, as a group budget of one cell makes
         # it, writes the bytes that one call over the corpus writes.
-        calls = []
-        refine = cli.refine
-        monkeypatch.setattr(cli, "refine", lambda maps, config: calls.append(len(maps)) or refine(maps, config))
+        calls = _refine_calls(monkeypatch)
         a, b = cli_env["root"] / "r_whole.jsonl", cli_env["root"] / "r_split.jsonl"
         assert self._explain(cli_env, a) == 0
         assert calls == [24]
@@ -385,22 +391,7 @@ class TestExplain:
         # record; holding every refined set it read 20,537,109 and
         # 25,871,029, 0.89 MB a record. A record may add at most 0.6 of its
         # exclusion matrix.
-        model, config = tmp_path / "model.json", tmp_path / "c.json"
-        save_model(toy_model, str(model))
-        config.write_text(json.dumps({"n_iter": 10_000, "steps": 8}), encoding="utf-8")
-        peaks, out = {}, tmp_path / "r.jsonl"
-        for n in (2, 8):
-            corpus = tmp_path / f"{n}.jsonl"
-            save_corpus([dataclasses.replace(toy_corpus[8], id=f"r{k}") for k in range(n)], str(corpus))
-            pipeline._STREAMS.clear()  # the draws count, as in a fresh process
-            argv = ["explain", "--corpus", str(corpus), "--model", str(model), "--config", str(config)]
-            tracemalloc.start()
-            try:
-                code = main(argv + ["--out", str(out)])
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert code == 0
+        peaks, out = _peaks_at_the_n_iter_cap(toy_model, toy_corpus, tmp_path, ["explain"])
         n_pairs = len(read_reports(str(out))[0].positive_pairs)
         assert n_pairs == 67
         per_record = (peaks[8] - peaks[2]) / 6
@@ -521,6 +512,23 @@ class TestExplain:
         assert main(args + ["--out", str(root / "fuzz-reports.jsonl")]) in (0, 2)
 
 
+def _peaks_at_the_n_iter_cap(toy_model, toy_corpus, tmp_path, argv):
+    """({n: peak bytes}, out) of the command in argv at n_iter 10,000 and 8
+    steps on n = 2 and 8 copies of bundled record 8 (67 positive pairs),
+    each writing out."""
+    model, config = tmp_path / "model.json", tmp_path / "c.json"
+    save_model(toy_model, str(model))
+    config.write_text(json.dumps({"n_iter": 10_000, "steps": 8}), encoding="utf-8")
+    peaks, out = {}, tmp_path / "out.jsonl"
+    for n in (2, 8):
+        corpus = tmp_path / f"{n}.jsonl"
+        save_corpus([dataclasses.replace(toy_corpus[8], id=f"r{k}") for k in range(n)], str(corpus))
+        args = argv + ["--corpus", str(corpus), "--model", str(model), "--config", str(config), "--out", str(out)]
+        peaks[n], code = peak_bytes(lambda: main(args))
+        assert code == 0
+    return peaks, out
+
+
 _BAD_CHECKPOINT_VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -630,6 +638,30 @@ class TestEvaluate:
         assert "['cidr'] are requested more than once" in captured.err
         assert captured.out == ""
 
+    def test_metrics_do_not_depend_on_the_refine_groups(self, cli_env, monkeypatch):
+        # One refine call per record and method, as a group budget of one
+        # cell makes it, writes the bytes that one call per method writes.
+        calls = _refine_calls(monkeypatch)
+        a, b = cli_env["root"] / "m_whole.jsonl", cli_env["root"] / "m_split.jsonl"
+        assert _run_with(cli_env, "evaluate", a) == 0
+        assert calls == [24, 24]  # cidr and cidr-no-cig
+        monkeypatch.setattr(pipeline, "GROUP_CELLS", 1)
+        assert _run_with(cli_env, "evaluate", b) == 0
+        assert len(calls) > 4 and sum(calls) == 96
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_memory_at_the_n_iter_cap_does_not_hold_the_refined_sets(self, toy_model, toy_corpus, tmp_path):
+        # cidr and cidr-no-cig refine one group at a time and keep only each
+        # record's ranked pairs, and random reads its word counts from
+        # those, so at the n_iter cap no record's (n_iter, P) exclusion
+        # matrix, 670,000 bytes for this 67-pair record, outlives its group.
+        # Holding every refined set of both methods, the peak grew 1.83 MB
+        # a record. A record may add at most 0.2 of its exclusion matrix.
+        argv = ["evaluate", "--methods", "cidr,cidr-no-cig,random"]
+        peaks, _ = _peaks_at_the_n_iter_cap(toy_model, toy_corpus, tmp_path, argv)
+        per_record = (peaks[8] - peaks[2]) / 6
+        assert per_record < 0.2 * 10_000 * 67
+
     def test_corrupt_model_exits_2(self, cli_env, tmp_path):
         bad = tmp_path / "model.json"
         bad.write_text("not json", encoding="utf-8")
@@ -731,6 +763,35 @@ class TestFiles:
         assert f"{bad}: 'utf-8' codec can't decode byte 0xff in position 0" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_corrupted_corpus_line_exits_0_or_2(self, cli_env, data):
+        # One line of a two-record corpus loses a field, gives one a
+        # wrong-typed, huge or empty value, or takes a raw control
+        # character: each command names the cause (exit 2) or runs on
+        # (exit 0), never a traceback.
+        lines = cli_env["corpus"].read_text(encoding="utf-8").splitlines()[:2]
+        k = data.draw(st.integers(0, 1))
+        corruption = data.draw(st.sampled_from(["drop", "value", "splice"]))
+        if corruption == "splice":
+            at = data.draw(st.integers(0, len(lines[k])))
+            char = data.draw(st.sampled_from([chr(c) for c in range(32)] + ["\x7f", "\x85", "\u2028", "\u2029"]))
+            lines[k] = lines[k][:at] + char + lines[k][at:]
+        else:
+            record = json.loads(lines[k])
+            key = data.draw(st.sampled_from(sorted(record)))
+            if corruption == "drop":
+                del record[key]
+            else:
+                record[key] = data.draw(_BAD_CHECKPOINT_VALUES)
+            lines[k] = json.dumps(record)
+        root = cli_env["root"]
+        corpus, config = root / "fuzz-corpus.jsonl", root / "fuzz-config.json"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config.write_text(json.dumps({"steps": 4, "n_iter": 2, "epochs": 1}), encoding="utf-8")
+        for command in ("train", "explain", "evaluate"):
+            assert _run_with(cli_env, command, root / "fuzz-out", corpus=corpus, config=config) in (0, 2)
 
     @pytest.mark.parametrize("where", ["in-missing-directory", "is-a-directory"])
     @pytest.mark.parametrize("command", ["train", "explain", "evaluate"])

@@ -69,6 +69,16 @@ class TestLoadCorpus:
         path.write_bytes(b'{"id":"a","text":"x","label":0}\r\n{"id":"b","text":"y","label":1}\r\n')
         assert len(load_corpus(str(path))) == 2
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_line_separator_inside_a_string_is_text(self, tmp_path, separator):
+        # JSON lets a string hold these raw; only a newline ends a record.
+        path = tmp_path / "c.jsonl"
+        line = '{"id": "a", "text": "good%smovie", "label": 1}\r\n\n' % separator
+        path.write_bytes(line.encode("utf-8") + b'{"id": "b", "text": "bad", "label": 0}')
+        first, second = load_corpus(str(path))
+        assert first.text == f"good{separator}movie" and tokenize(first.text) == ["good", "movie"]
+        assert second.id == "b"
+
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id":"a","text":"x","label":0}\n{broken\n', encoding="utf-8")

@@ -24,6 +24,7 @@ from minfeat.evaluation import (
     _word_budget,
     evaluate_methods,
     gradient_input_scores,
+    map_refined,
     parallel_map,
     single_instance_metrics,
 )
@@ -266,11 +267,14 @@ class TestRequestIndependence:
 class TestCorpusArtifacts:
     def test_artifacts_share_one_pair_map(self, toy_model, toy_instances):
         corpus = CorpusArtifacts(toy_model, toy_instances[:3], FAST)
+        refined = map_refined(lambda item: item, corpus.pair_maps, FAST)
         for k, inst in enumerate(toy_instances[:3]):
-            assert corpus.pair_maps[k] is corpus.cidr[k].pair_scores
+            index, mfs = refined[k]
+            assert index == k and corpus.pair_maps[k] is mfs.pair_scores
+            assert corpus.cidr[k] == _ranked_pairs(mfs)
             assert corpus.ig[k] is corpus.pair_maps[k].ig
             assert corpus.targets[k] == int(np.argmax(toy_model.forward(inst.embeddings)))
-            assert corpus.targets[k] == corpus.cidr[k].target_class
+            assert corpus.targets[k] == mfs.target_class
 
     def test_target_tie_goes_to_lower_index(self):
         # Classes 1 and 2 tie above class 0 whatever the input.

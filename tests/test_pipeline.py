@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import functools
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import explained_class, make_random_instance, make_random_model, predicted_pair_map
+from conftest import explained_class, make_random_instance, make_random_model, peak_bytes, predicted_pair_map
 from refine_oracle import refine_per_iteration, sample_iteration
 from minfeat import pipeline
 from minfeat.attribution import cooperative_integrated_gradients
@@ -370,19 +369,12 @@ class TestRefine:
     def test_peak_memory_at_the_n_iter_cap(self, toy_model, toy_instances):
         # The bundled corpus's largest class-1 record (21 positive pairs,
         # capacities below the weight sum) at the n_iter cap: refine peaked
-        # at 12,256,650 to 12,259,704 bytes under tracemalloc, with the
-        # excluded scores summed in place, and must not need more than
-        # 12.3 MB.
+        # at 12,254,618 to 12,259,704 bytes under tracemalloc, and must not
+        # need more than 12.3 MB.
         cfg = CidrConfig(n_iter=10_000)
         pm = predicted_pair_map(toy_model, toy_instances[3], cfg)
         assert (pm.target_class, len(pm.positive_pairs)) == (1, 21)
-        pipeline._STREAMS.clear()  # the draws count, as in a fresh process
-        tracemalloc.start()
-        try:
-            (mfs,) = refine([pm], cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, (mfs,) = peak_bytes(lambda: refine([pm], cfg))
         assert 0 < mfs.excluded.sum() < mfs.excluded.size  # the capacities bind
         assert peak <= 12_300_000
 
@@ -391,21 +383,14 @@ class TestRefine:
         # cap: refine works through them in groups of at most GROUP_CELLS
         # cells, so its peak is one group's arrays plus the results held so
         # far. The peak counts every returned (n_iter, P) exclusion matrix
-        # and the three n_iter-long arrays of each result, 3.3 MB here. It
-        # read 19.9 MB; one group of all five (GROUP_CELLS = 2**21) peaks at
-        # 43.9 MB. The bound is a constant, not a multiple of the record
-        # count.
+        # and u2' array, 2.5 MB here. It read 19.3 MB; one group of all five
+        # (GROUP_CELLS = 2**21) peaks at 33.8 MB. The bound is a constant,
+        # not a multiple of the record count.
         cfg = CidrConfig(n_iter=10_000)
         maps = [predicted_pair_map(toy_model, inst, cfg) for inst in toy_instances[:5]]
-        pipeline._STREAMS.clear()
-        tracemalloc.start()
-        try:
-            results = refine(maps, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        held = sum(mfs.excluded.nbytes + 3 * mfs.u2_prime.nbytes for mfs in results)
-        assert held > 3_000_000
+        peak, results = peak_bytes(lambda: refine(maps, cfg))
+        held = sum(mfs.excluded.nbytes + mfs.u2_prime.nbytes for mfs in results)
+        assert held > 2_000_000
         assert peak <= 21_000_000
 
     def test_iteration_count_matches_config(self, toy_model, toy_instances):

@@ -223,6 +223,14 @@ class TestFiles:
             fh.write("\n\n")
         assert len(read_reports(str(path))) == 1
 
+    def test_line_separator_inside_a_string_is_text(self, tmp_path):
+        report = sample_report(instance_id="toy\u2028\u2029\x85one")
+        path = tmp_path / "reports.jsonl"
+        raw = json.dumps(json.loads(report_to_line(report)), ensure_ascii=False)
+        assert "\u2028" in raw
+        path.write_text(raw + "\n", encoding="utf-8")
+        assert read_reports(str(path)) == [report]
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(InputError):
             read_reports(str(tmp_path / "absent.jsonl"))
