@@ -17,7 +17,7 @@ from dataclasses import replace
 from minfeat.corpus import tokenize
 from minfeat.data import build_toy_corpus
 from minfeat.errors import InputError
-from minfeat.evaluation import CorpusArtifacts, single_instance_metrics
+from minfeat.evaluation import CorpusArtifacts, _ranked_pairs, single_instance_metrics
 from minfeat.model import TrainConfig, instance_from_words, train_toy, training_accuracy
 from minfeat.pipeline import CidrConfig, refine
 
@@ -77,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     print(f"covered words: {', '.join(words[w] for w in mfs.words)}")
 
-    comp, lo, fms = single_instance_metrics(model, instance, mfs, config.t)
+    comp, lo, fms = single_instance_metrics(model, [instance], [_ranked_pairs(mfs)], config.t)[0]
     print(f"\ninstance metrics: comp={comp:.3f} lo={lo:.3f} fms={fms:.0f}")
     return 0
 

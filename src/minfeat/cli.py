@@ -19,28 +19,12 @@ from typing import Any, Mapping
 from .config import cidr_config_from, load_config, train_config_from
 from .corpus import CorpusRecord, load_corpus, tokenize
 from .errors import InputError, InternalError
-from .evaluation import (
-    METHODS,
-    CorpusArtifacts,
-    evaluate_methods,
-    map_refined,
-    single_instance_metrics,
-)
+from .evaluation import METHODS, CorpusArtifacts, evaluate_methods, map_refined, single_instance_metrics
+from .evaluation import _ranked_pairs
 from .files import atomic_write
-from .model import (
-    instance_from_words,
-    load_model,
-    save_model,
-    train_toy,
-    training_accuracy,
-)
+from .model import instance_from_words, load_model, save_model, train_toy, training_accuracy
 from .pipeline import MinimalFeatureSet
-from .reports import (
-    ExplanationReport,
-    MfsEntry,
-    PairScoreEntry,
-    write_reports,
-)
+from .reports import ExplanationReport, MfsEntry, PairScoreEntry, write_reports
 
 
 @functools.cache
@@ -107,21 +91,22 @@ def run_train(args: argparse.Namespace) -> int:
 
 def _build_report(
     record: CorpusRecord,
-    corpus: CorpusArtifacts,
-    index: int,
+    probability: float,
     mfs: MinimalFeatureSet,
+    metrics: tuple[float, float, float],
     words: list[str],
     oov: int,
     config_echo: Mapping[str, Any],
 ) -> ExplanationReport:
-    """The report of the corpus's record at index, whose refined set is mfs."""
+    """The report of record, explained with probability, refined set mfs
+    and the (comp, lo, fms) of its ranked pairs."""
     pair_map = mfs.pair_scores
-    comp, lo, fms = single_instance_metrics(corpus.model, corpus.instances[index], mfs, corpus.config.t)
+    comp, lo, fms = metrics
     return ExplanationReport(
         instance_id=record.id,
         tokens=tuple(words),
         predicted_class=mfs.target_class,
-        predicted_probability=float(corpus.probabilities[index][corpus.targets[index]]),
+        predicted_probability=probability,
         ig=tuple(float(s) for s in pair_map.ig),
         positive_pairs=tuple(
             PairScoreEntry(i=i, j=j, cig=float(pair_map.cig[i, j]))
@@ -152,12 +137,17 @@ def run_explain(args: argparse.Namespace) -> int:
     words = [tokenize(record.text) for record in records]
     built = [instance_from_words(model, w, record.label) for w, record in zip(words, records)]
     corpus = CorpusArtifacts(model, [instance for instance, _ in built], config)
+    predicted = [float(p[c]) for p, c in zip(corpus.probabilities, corpus.targets)]
 
-    def explain_one(item: tuple[int, MinimalFeatureSet]) -> ExplanationReport:
-        index, mfs = item
-        return _build_report(records[index], corpus, index, mfs, words[index], built[index][1], values)
+    def explain_group(part: slice, sets: list[MinimalFeatureSet]) -> list[ExplanationReport]:
+        ranked = [_ranked_pairs(mfs) for mfs in sets]
+        scores = single_instance_metrics(model, corpus.instances[part], ranked, config.t)
+        return [
+            _build_report(records[k], predicted[k], mfs, metrics, words[k], built[k][1], values)
+            for k, mfs, metrics in zip(range(part.start, part.stop), sets, scores)
+        ]
 
-    reports = map_refined(explain_one, corpus.pair_maps, config)
+    reports = map_refined(explain_group, corpus.pair_maps, config)
     write_reports(reports, args.out)
     _warn_oov(sum(r.oov_count for r in reports))
     degenerate = sum(1 for r in reports if r.degenerate)

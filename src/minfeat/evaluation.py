@@ -9,12 +9,11 @@ names in order, the default ``evaluate`` list.
 A producer reads one ``CorpusArtifacts``: per record, the explained
 class from one forward, the pair map and plain IG, and cidr's ranked
 pairs, each list computed once, when first read. ``map_refined`` refines
-one ``pipeline.group_slices`` slice at a time and maps each set to what
-its caller keeps (``explain`` a report), so no command holds more than
-one group's refined sets. Every method, and the per-record scores of
-``explain``, go through the same comprehensiveness, log-odds and
-minimality call; the granularity picks the minimality function,
-``fms_pairs`` or ``fms_words``.
+one ``pipeline.group_slices`` slice at a time and maps its sets to what
+the caller keeps (``explain`` reports), so no command holds more than one
+group's refined sets. Each method's row holds the means of the
+per-record metrics; the granularity picks ``fms_pairs`` or ``fms_words``.
+``explain`` reads those per-record metrics, one call per group.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ import numpy as np
 from .attribution import PairScoreMap, cooperative_integrated_gradients, integrated_gradients
 from .errors import ConfigError, InputError
 from .metrics import MetricsRow, comprehensiveness, fms_pairs, fms_words, log_odds, top_k_baseline
+from .metrics import _feature_minimality, _top_k_removal
 from .model import Instance, Model
 from .pipeline import CidrConfig, MinimalFeatureSet, cidr_without_refinement, group_slices, refine
 
@@ -39,25 +39,25 @@ _RANDOM_STREAM = 1_000_003
 def parallel_map(fn: Callable, items: Iterable) -> list:
     """``[fn(item) for item in items]`` on the calling thread, in order.
 
-    Its one caller is ``map_refined``, once per group. It stays a named
-    function because ``perfbench/tracer.py`` wraps it to parent each
-    record's spans; it can be inlined once that hook is optional (ROADMAP item 7).
+    Its one caller is ``map_refined``, over the group slices. It stays a
+    named function because ``perfbench/tracer.py`` wraps it to parent each
+    group's spans; it can be inlined once that hook is optional (ROADMAP item 7).
     """
     return [fn(item) for item in items]
 
 
 def map_refined(fn: Callable, pair_maps: Sequence[PairScoreMap], config: CidrConfig) -> list:
-    """``fn((k, refine(pair_maps, config)[k]))`` for every record ``k``, in order.
-
-    Each slice of ``group_slices(pair_maps, config.n_iter)`` is one refine
-    call, read from the module globals as parallel_map is, so a tracer's
-    swaps apply. No name holds a slice's sets, so they are freed once
-    mapped, before the next slice is refined.
+    """``fn(part, refine(pair_maps[part], config))`` for each slice ``part``
+    of ``group_slices(pair_maps, config.n_iter)``, concatenated in order;
+    fn returns one entry per record of its slice. refine is read from the
+    module globals, as parallel_map is, so a tracer's swaps apply. No name
+    holds a slice's sets, so they are freed once mapped, before the next
+    slice is refined.
     """
-    results: list = []
-    for part in group_slices(pair_maps, config.n_iter):
-        results.extend(parallel_map(fn, zip(range(part.start, part.stop), refine(pair_maps[part], config))))
-    return results
+    mapped = parallel_map(
+        lambda part: fn(part, refine(pair_maps[part], config)), group_slices(pair_maps, config.n_iter)
+    )
+    return [entry for entries in mapped for entry in entries]
 
 
 def gradient_input_scores(model: Model, instance: Instance, target_class: int) -> np.ndarray:
@@ -102,7 +102,7 @@ class CorpusArtifacts:
 
     @cached_property
     def cidr(self) -> list[tuple[tuple[int, int], ...]]:
-        return map_refined(_ranked, self.pair_maps, self.config)
+        return map_refined(lambda _, sets: [_ranked_pairs(m) for m in sets], self.pair_maps, self.config)
 
     @cached_property
     def ig(self) -> list[np.ndarray]:
@@ -123,10 +123,6 @@ def _ranked_pairs(mfs: MinimalFeatureSet) -> tuple[tuple[int, int], ...]:
     """The retained pairs, best first: cig descending, ties to the lower pair."""
     cig = mfs.pair_scores.cig
     return tuple(sorted(mfs.pairs, key=lambda p: (-cig[p], p)))
-
-
-def _ranked(item: tuple[int, MinimalFeatureSet]) -> tuple[tuple[int, int], ...]:
-    return _ranked_pairs(item[1])
 
 
 def _random_words(n_tokens: int, size: int, seed: int, index: int) -> tuple[int, ...]:
@@ -159,7 +155,9 @@ _TABLE = {
     ),
     # refinement on the pair scores recombined with beta = 0: no leave-one-out term
     "cidr-no-cig": _Method(
-        "pair", True, lambda c: map_refined(_ranked, [pm.with_beta(0.0) for pm in c.pair_maps], c.config)
+        "pair", True, lambda c: map_refined(
+            lambda _, sets: [_ranked_pairs(m) for m in sets], [pm.with_beta(0.0) for pm in c.pair_maps], c.config
+        )
     ),
     # the top 2K words by path-integral attribution
     "ig-top2k": _Method("word", False, lambda c: [_top_words(ig) for ig in c.ig]),
@@ -201,11 +199,14 @@ def _score(
 
 
 def single_instance_metrics(
-    model: Model, instance: Instance, mfs: MinimalFeatureSet, t: float
-) -> tuple[float, float, float]:
-    """(comp, lo, fms) for one instance under its pair explanation, scored
-    exactly as evaluate_methods scores a cidr row."""
-    return _score(model, [instance], [_ranked_pairs(mfs)], "pair", t)
+    model: Model, instances: Sequence[Instance], pair_sets: Sequence[Sequence[tuple[int, int]]], t: float
+) -> list[tuple[float, float, float]]:
+    """One (comp, lo, fms) per instance under its ranked pairs: its entry
+    of the per-record metrics, equal to a one-instance cidr row. Three
+    model calls: one top-K removal, one essence and one restoration."""
+    removals = _top_k_removal(model, instances, pair_sets)
+    passed = _feature_minimality(model, instances, pair_sets, t, "pair")
+    return [(comp, lo, float(ok)) for (comp, lo), ok in zip(removals, passed)]
 
 
 def evaluate_methods(

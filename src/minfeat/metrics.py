@@ -16,6 +16,9 @@ the class probability before and after. The minimality score evaluates
 the full set: it checks that removing the set drives the class
 probability to at most t (essence) and that restoring any single element
 lifts it back above t (minimality), for only the sets that pass essence.
+Each metric is a per-record list first, `_top_k_removal`'s (comp, lo)
+and `_feature_minimality`'s pass or fail; the public functions return
+its mean, a left-to-right sum from 0.0 over the record count.
 """
 
 from __future__ import annotations
@@ -101,34 +104,42 @@ def _element_positions(n: int, elements: Sequence) -> np.ndarray:
 
 def _top_k_removal(
     model: Model, instances: Sequence[Instance], explanations: Sequence[Sequence]
-) -> list[list[float]]:
-    """Explained-class probability before and after removing the first K
-    elements, for each instance whose explanation is non-empty."""
+) -> list[tuple[float, float]]:
+    """Each instance's (comprehensiveness, log-odds) from one removal of
+    its first K elements; an empty explanation scores (0.0, 0.0)."""
     _check_corpus(instances, explanations, "removal")
-    scored = [(inst, ranked) for inst, ranked in zip(instances, explanations) if len(ranked)]
-    rows = [np.zeros((1, len(inst)), dtype=bool) for inst, _ in scored]
-    for row, (inst, ranked) in zip(rows, scored):
-        row[0, _element_positions(len(inst), ranked[: _k_for(len(inst), len(ranked))])] = True
-    return [block.tolist() for block in _class_probabilities(model, [inst for inst, _ in scored], rows)]
+    scored = [k for k, ranked in enumerate(explanations) if len(ranked)]
+    rows = [np.zeros((1, len(instances[k])), dtype=bool) for k in scored]
+    for row, k in zip(rows, scored):
+        n, ranked = len(instances[k]), explanations[k]
+        row[0, _element_positions(n, ranked[: _k_for(n, len(ranked))])] = True
+    results = [(0.0, 0.0)] * len(instances)
+    for k, block in zip(scored, _class_probabilities(model, [instances[k] for k in scored], rows)):
+        before, after = block.tolist()
+        # math.log per element: a vectorised log can round differently.
+        lo = math.log(max(after, PROBABILITY_FLOOR)) - math.log(max(before, PROBABILITY_FLOOR))
+        results[k] = (before - after, lo)
+    return results
 
 
-def comprehensiveness(
-    model: Model, instances: Sequence[Instance], explanations: Sequence[Sequence]
-) -> float:
+def _mean(values: Sequence[float]) -> float:
+    """The left-to-right sum from 0.0 over the count; math.fsum or a pairwise sum rounds differently."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
+def comprehensiveness(model: Model, instances: Sequence[Instance], explanations: Sequence[Sequence]) -> float:
     """Mean drop of the predicted-class probability after removing the
     first K elements of each explanation (best element first).
 
     Higher is better. Instances with empty explanations contribute 0.
     """
-    total = 0.0
-    for before, after in _top_k_removal(model, instances, explanations):
-        total += before - after
-    return total / len(instances)
+    return _mean([comp for comp, _ in _top_k_removal(model, instances, explanations)])
 
 
-def log_odds(
-    model: Model, instances: Sequence[Instance], explanations: Sequence[Sequence]
-) -> float:
+def log_odds(model: Model, instances: Sequence[Instance], explanations: Sequence[Sequence]) -> float:
     """Mean natural-log change of the predicted-class probability after
     removing the first K elements of each explanation (best element first).
 
@@ -136,39 +147,37 @@ def log_odds(
     Instances with empty explanations contribute 0. Probabilities are
     floored at 1e-12 before logging, so the result is always finite.
     """
-    total = 0.0
-    for before, after in _top_k_removal(model, instances, explanations):
-        total += math.log(max(after, PROBABILITY_FLOOR)) - math.log(max(before, PROBABILITY_FLOOR))
-    return total / len(instances)
+    return _mean([lo for _, lo in _top_k_removal(model, instances, explanations)])
 
 
 def _feature_minimality(
     model: Model, instances: Sequence[Instance], sets: Sequence[Sequence], t: float, kind: str
-) -> float:
-    """Share of instances whose set passes essence and minimality.
+) -> list[bool]:
+    """Whether each instance's set passes essence and minimality.
 
     A set passes iff removing every element drives the predicted-class
     probability to <= t and restoring any single element lifts it back
-    above t. Empty sets score 0, and only sets that pass essence have
+    above t. Empty sets fail, and only sets that pass essence have
     their restorations scored.
     """
     if not 0.0 < t < 1.0:
         raise InputError("t must lie strictly between 0 and 1")
     _check_corpus(instances, sets, kind)
     scored = []
-    for inst, elements in zip(instances, sets):
+    for k, (inst, elements) in enumerate(zip(instances, sets)):
         if len(elements):
             groups = np.zeros((1 + len(elements), len(inst)), dtype=bool)  # row 1 + g: element g
             groups[np.arange(1, len(groups))[:, np.newaxis], _element_positions(len(inst), elements)] = True
             # Row 0 removes every element. Row 1 + g restores element g and
             # keeps removed every position another element owns.
-            scored.append((inst, groups.sum(axis=0) - groups > 0))
-    essence = _class_probabilities(model, [inst for inst, _ in scored], [stack[:1] for _, stack in scored])
-    essential = [(inst, stack) for (inst, stack), block in zip(scored, essence) if block[1] <= t]
+            scored.append((k, groups.sum(axis=0) - groups > 0))
+    essence = _class_probabilities(model, [instances[k] for k, _ in scored], [stack[:1] for _, stack in scored])
+    essential = [(k, stack) for (k, stack), block in zip(scored, essence) if block[1] <= t]
     restored = _class_probabilities(
-        model, [inst for inst, _ in essential], [stack[1:] for _, stack in essential]
+        model, [instances[k] for k, _ in essential], [stack[1:] for _, stack in essential]
     )
-    return sum(bool((block[1:] > t).all()) for block in restored) / len(instances)
+    passed = {k: bool((block[1:] > t).all()) for (k, _), block in zip(essential, restored)}
+    return [passed.get(k, False) for k in range(len(instances))]
 
 
 def fms_pairs(
@@ -182,7 +191,7 @@ def fms_pairs(
     Restoration granularity is a whole pair: both member positions come
     back together (positions shared with another pair stay removed).
     """
-    return _feature_minimality(model, instances, pair_sets, t, "pair")
+    return _mean(_feature_minimality(model, instances, pair_sets, t, "pair"))
 
 
 def fms_words(
@@ -192,7 +201,7 @@ def fms_words(
     t: float,
 ) -> float:
     """Word-level variant: restoration brings back one token at a time."""
-    return _feature_minimality(model, instances, word_sets, t, "word")
+    return _mean(_feature_minimality(model, instances, word_sets, t, "word"))
 
 
 def top_k_baseline(scores: Sequence[float], k: int) -> tuple[int, ...]:

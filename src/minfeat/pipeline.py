@@ -390,7 +390,7 @@ def _assemble(
                 u1=u1_r,
                 u2=u2_r,
                 excluded=excluded[r, :, :size].copy(),
-                u2_prime=u2_prime[r],
+                u2_prime=u2_prime[r].copy(),  # copies, as excluded: a kept result pins no group array
                 pair_scores=pm,
             )
         )

@@ -131,6 +131,9 @@ def test_metrics_score_removals_without_forward(tracer, toy_model, toy_instances
 
 
 def test_explain_records_single_instance_metrics_span(tracer, toy_model, toy_corpus, tmp_path):
+    # explain scores each refine group in one call; its two records are
+    # one group. The call opens no metrics.* span: those spans are the
+    # corpus means, which evaluate times.
     model, corpus, config = tmp_path / "model.json", tmp_path / "corpus.jsonl", tmp_path / "c.json"
     save_model(toy_model, str(model))
     save_corpus(toy_corpus[:2], str(corpus))
@@ -138,7 +141,10 @@ def test_explain_records_single_instance_metrics_span(tracer, toy_model, toy_cor
     argv = ["explain", "--corpus", str(corpus), "--model", str(model), "--config", str(config)]
     with tracer.Tracer("contract") as trace:
         assert cli.main(argv + ["--out", str(tmp_path / "r.jsonl")]) == 0
-    assert "evaluation.single_instance_metrics" in {span.name for span in trace.spans}
+    names = [span.name for span in trace.spans]
+    assert names.count("pipeline.refine") == 1
+    assert names.count("evaluation.single_instance_metrics") == 1
+    assert not [name for name in names if name.startswith("metrics.")]
 
 
 def test_explain_runs_every_record_on_the_calling_thread(tracer, toy_model, toy_corpus, tmp_path):

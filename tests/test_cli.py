@@ -306,6 +306,21 @@ class TestExplain:
         assert len(calls) > 2 and sum(calls) == 48
         assert a.read_bytes() == b.read_bytes()
 
+    def test_metrics_take_three_model_calls_per_group(self, cli_env, monkeypatch):
+        # One single_instance_metrics call scores each refine group: one
+        # top-K removal, one essence and one restoration call, however many
+        # records the group holds.
+        groups = _refine_calls(monkeypatch)
+        calls = []
+        score = Model.removal_probabilities
+        monkeypatch.setattr(Model, "removal_probabilities", lambda *args: calls.append(1) or score(*args))
+        out = cli_env["root"] / "r_counted.jsonl"
+        assert self._explain(cli_env, out) == 0
+        assert (groups, len(calls)) == ([24], 3)
+        monkeypatch.setattr(pipeline, "GROUP_CELLS", 1)
+        assert self._explain(cli_env, out) == 0
+        assert len(groups) > 2 and len(calls) == 3 * len(groups)
+
     def test_oov_tokens_warned_and_counted(self, cli_env, tmp_path, capsys):
         corpus = tmp_path / "oov.jsonl"
         corpus.write_text(

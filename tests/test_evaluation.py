@@ -12,6 +12,7 @@ import pytest
 
 from conftest import explained_class, predicted_pair_map
 from metrics_oracle import top_by_score
+from minfeat import pipeline
 from minfeat.corpus import tokenize
 from minfeat.errors import ConfigError, InputError
 from minfeat.evaluation import (
@@ -28,7 +29,7 @@ from minfeat.evaluation import (
     parallel_map,
     single_instance_metrics,
 )
-from minfeat.metrics import _k_for, comprehensiveness
+from minfeat.metrics import _class_probabilities, _k_for, comprehensiveness, fms_pairs, log_odds
 from minfeat.model import Instance, Model, Vocabulary, instance_from_words
 from minfeat.pipeline import CidrConfig, cidr_without_refinement, refine
 
@@ -52,6 +53,16 @@ class TestParallelMap:
 
     def test_empty(self):
         assert parallel_map(str, []) == []
+
+
+class TestMapRefined:
+    def test_one_call_per_group_slice(self, toy_model, toy_instances, monkeypatch):
+        maps = [predicted_pair_map(toy_model, inst, FAST) for inst in toy_instances[:6]]
+        monkeypatch.setattr(pipeline, "GROUP_CELLS", 1)  # each record with pairs a group of its own
+        parts = []
+        mapped = map_refined(lambda part, sets: parts.append(part) or [mfs.pairs for mfs in sets], maps, FAST)
+        assert parts == pipeline.group_slices(maps, FAST.n_iter) and len(parts) > 1
+        assert mapped == [mfs.pairs for mfs in refine(maps, FAST)]
 
 
 class TestGradientInputScores:
@@ -195,25 +206,74 @@ class TestEvaluateMethods:
             assert len(_random_words(len(inst), sizes[index], FAST.seed, index)) == sizes[index]
 
     def test_beta_zero_variant_uses_recombined_scores(self, toy_model, toy_instances):
-        # cidr-no-cig must equal running refine with beta = 0 from scratch.
-        inst = toy_instances[0]
-        rows = evaluate_methods(toy_model, [inst], ["cidr-no-cig"], FAST)
+        # cidr-no-cig must equal running refine with beta = 0 from scratch:
+        # its row is the mean of the records' scores under those sets.
+        insts = toy_instances[:6]
+        (row,) = evaluate_methods(toy_model, insts, ["cidr-no-cig"], FAST)
         zero_beta = CidrConfig(n_iter=3, steps=10, beta=0.0)
-        (direct,) = refine([predicted_pair_map(toy_model, inst, zero_beta)], zero_beta)
-        comp, lo, fms = single_instance_metrics(toy_model, inst, direct, FAST.t)
-        assert rows[0].comp == pytest.approx(comp, abs=1e-12)
-        assert rows[0].lo == pytest.approx(lo, abs=1e-12)
-        assert rows[0].fms == pytest.approx(fms, abs=1e-12)
+        direct = refine([predicted_pair_map(toy_model, inst, zero_beta) for inst in insts], zero_beta)
+        scores = single_instance_metrics(toy_model, insts, [_ranked_pairs(mfs) for mfs in direct], FAST.t)
+        comp, lo, fms = (sum(column) / len(insts) for column in zip(*scores))
+        assert comp > 0.0  # not every set is empty
+        assert row.comp == pytest.approx(comp, abs=1e-12)
+        assert row.lo == pytest.approx(lo, abs=1e-12)
+        assert row.fms == pytest.approx(fms, abs=1e-12)
+
+
+def _hex(triples) -> list[tuple[str, ...]]:
+    """Each float of each triple as its exact hex spelling: -0.0 and 0.0 differ."""
+    return [tuple(float(v).hex() for v in triple) for triple in triples]
 
 
 class TestSingleInstanceMetrics:
     def test_matches_corpus_level_functions(self, toy_model, toy_instances):
-        inst = toy_instances[0]
+        inst = toy_instances[1]
         (mfs,) = refine([predicted_pair_map(toy_model, inst, FAST)], FAST)
-        comp, lo, fms = single_instance_metrics(toy_model, inst, mfs, FAST.t)
         scores = [mfs.pair_scores.cig[p] for p in mfs.pairs]
         ranked = top_by_score(mfs.pairs, scores, len(mfs.pairs))
+        assert ranked
+        [(comp, lo, fms)] = single_instance_metrics(toy_model, [inst], [ranked], FAST.t)
         assert comp == comprehensiveness(toy_model, [inst], [ranked])
+        assert lo == log_odds(toy_model, [inst], [ranked])
+        assert fms == fms_pairs(toy_model, [inst], [ranked], FAST.t)
+
+    def test_a_group_scores_each_record_as_alone(self, toy_model, toy_instances, monkeypatch):
+        # Refined sets of the first ten records, empty ones among them, and
+        # one set of a single pair whose removal leaves the class above t.
+        insts = toy_instances[:10]
+        ranked = CorpusArtifacts(toy_model, insts, FAST).cidr
+        ranked[2] = ((0, 1),)
+        alone = [single_instance_metrics(toy_model, [i], [pairs], FAST.t)[0] for i, pairs in zip(insts, ranked)]
+        calls = []
+        score = Model.removal_probabilities
+        monkeypatch.setattr(Model, "removal_probabilities", lambda *args: calls.append(1) or score(*args))
+        group = single_instance_metrics(toy_model, insts, ranked, FAST.t)
+        assert len(calls) == 3  # one top-K removal, one essence, one restoration
+        assert _hex(group) == _hex(alone)
+        # The cases the group must hold: an empty set, a set that fails
+        # essence and one that passes minimality.
+        essence = _class_probabilities(toy_model, [insts[2]], [np.isin(np.arange(len(insts[2])), [0, 1])[None]])
+        assert essence[0][1] > FAST.t and group[2][2] == 0.0
+        assert () in ranked and group[ranked.index(())] == (0.0, 0.0, 0.0)
+        assert 1.0 in [fms for _, _, fms in group]
+
+    def test_means_are_the_metric_functions(self, toy_model, toy_instances):
+        # Summed left to right from 0.0, the per-record scores give the
+        # corpus-level functions' values bit for bit.
+        insts = toy_instances[:12]
+        ranked = CorpusArtifacts(toy_model, insts, FAST).cidr
+        means = []
+        for column in zip(*single_instance_metrics(toy_model, insts, ranked, FAST.t)):
+            total = 0.0
+            for value in column:
+                total += value
+            means.append(total / len(insts))
+        expected = (
+            comprehensiveness(toy_model, insts, ranked),
+            log_odds(toy_model, insts, ranked),
+            fms_pairs(toy_model, insts, ranked, FAST.t),
+        )
+        assert _hex([means]) == _hex([expected])
 
     def test_equals_a_one_instance_cidr_row(self, toy_model, toy_instances):
         # explain and evaluate score an explanation through the same call,
@@ -227,9 +287,9 @@ class TestSingleInstanceMetrics:
             if row.fms == 1.0
         )
         (mfs,) = refine([predicted_pair_map(toy_model, inst, FAST)], FAST)
-        comp, lo, fms = single_instance_metrics(toy_model, inst, mfs, FAST.t)
-        assert fms == 1.0
-        assert (row.comp, row.lo, row.fms) == (comp, lo, fms)
+        [triple] = single_instance_metrics(toy_model, [inst], [_ranked_pairs(mfs)], FAST.t)
+        assert triple[2] == 1.0
+        assert _hex([(row.comp, row.lo, row.fms)]) == _hex([triple])
 
 
 class TestRequestIndependence:
@@ -267,7 +327,8 @@ class TestRequestIndependence:
 class TestCorpusArtifacts:
     def test_artifacts_share_one_pair_map(self, toy_model, toy_instances):
         corpus = CorpusArtifacts(toy_model, toy_instances[:3], FAST)
-        refined = map_refined(lambda item: item, corpus.pair_maps, FAST)
+        maps = corpus.pair_maps
+        refined = map_refined(lambda part, sets: list(zip(range(part.start, part.stop), sets)), maps, FAST)
         for k, inst in enumerate(toy_instances[:3]):
             index, mfs = refined[k]
             assert index == k and corpus.pair_maps[k] is mfs.pair_scores

@@ -400,6 +400,15 @@ class TestRefine:
             assert mfs.excluded.shape == (7, len(mfs.pair_scores.positive_pairs))
             assert mfs.u2_prime.shape == mfs.capacities.shape == mfs.excluded_scores.shape == (7,)
 
+    @pytest.mark.parametrize("solve", [refine, cidr_without_refinement])
+    def test_each_result_owns_its_arrays(self, toy_model, toy_instances, solve):
+        # No result is a view of its group's arrays, so a caller that keeps
+        # one refined set does not pin the (R, n_iter) bounds of all R.
+        cfg = CidrConfig(steps=12)
+        results = solve([predicted_pair_map(toy_model, inst, cfg) for inst in toy_instances[:20]], cfg)
+        assert sum(not mfs.degenerate for mfs in results) > 1
+        assert all(mfs.u2_prime.base is None and mfs.excluded.base is None for mfs in results)
+
 
 def iteration_facts(mfs) -> tuple:
     """Each iteration of refine's arrays as the oracle records it."""

@@ -6,6 +6,8 @@ import json
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minfeat.errors import InputError
 from minfeat.reports import (
@@ -209,7 +211,88 @@ class TestHandWrittenDict:
         assert report.config["beta"] == 0.5
 
 
+# One value of each JSON kind; a field takes a value of a kind it does not accept.
+_KIND_VALUES = {"null": None, "bool": True, "string": "x", "integer": 2, "float": 0.5, "list": [], "object": {}}
+_NUMBER = {"integer", "float"}
+# The kinds each field accepts: top-level fields, the first element of
+# each list field, and the fields of the first pair entries.
+_ACCEPTED_KINDS = {
+    ("instance_id",): {"string"},
+    ("tokens",): {"list"},
+    ("tokens", 0): {"string"},
+    ("predicted_class",): {"integer"},
+    ("predicted_probability",): _NUMBER,
+    ("ig",): {"list"},
+    ("ig", 0): _NUMBER,
+    ("positive_pairs",): {"list"},
+    ("positive_pairs", 0): {"object"},
+    ("positive_pairs", 0, "i"): {"integer"},
+    ("positive_pairs", 0, "j"): {"integer"},
+    ("positive_pairs", 0, "cig"): _NUMBER,
+    ("mfs_pairs",): {"list"},
+    ("mfs_pairs", 0): {"object"},
+    ("mfs_pairs", 0, "i"): {"integer"},
+    ("mfs_pairs", 0, "j"): {"integer"},
+    ("mfs_pairs", 0, "frequency"): _NUMBER,
+    ("mfs_words",): {"list"},
+    ("mfs_words", 0): {"integer"},
+    ("u1",): _NUMBER,
+    ("u2",): _NUMBER,
+    ("u2_prime",): {"list"},
+    ("u2_prime", 0): _NUMBER,
+    ("degenerate",): {"bool"},
+    ("oov_count",): {"integer"},
+    ("config",): {"object"},
+    ("seed",): {"integer"},
+    ("comp",): _NUMBER,
+    ("lo",): _NUMBER,
+    ("fms",): _NUMBER,
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    """One report file the corruption tests rewrite for each example."""
+    return tmp_path_factory.mktemp("fuzz") / "reports.jsonl"
+
+
 class TestFiles:
+    def test_every_field_has_a_type_swap(self):
+        assert {path[0] for path in _ACCEPTED_KINDS} == set(report_to_dict(sample_report()))
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_type_swapped_field_raises_input_error(self, fuzz_file, data):
+        # Any field, list element or pair-entry field of the second line
+        # takes a value of a JSON kind it does not accept.
+        path = data.draw(st.sampled_from(sorted(_ACCEPTED_KINDS, key=str)))
+        kind = data.draw(st.sampled_from(sorted(set(_KIND_VALUES) - _ACCEPTED_KINDS[path])))
+        raw = json.loads(report_to_line(sample_report()))
+        container = raw
+        for key in path[:-1]:
+            container = container[key]
+        container[path[-1]] = _KIND_VALUES[kind]
+        fuzz_file.write_text(report_to_line(sample_report()) + "\n" + json.dumps(raw) + "\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            read_reports(str(fuzz_file))
+        assert str(err.value).startswith("line 2: ")
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_corrupted_bytes_read_or_raise_input_error(self, fuzz_file, data):
+        # Bytes of the second line are replaced by up to three random
+        # bytes: the file reads back, or read_reports raises InputError,
+        # never another exception.
+        good = report_to_line(many_pair_report()).encode("utf-8")
+        start = data.draw(st.integers(0, len(good) - 1))
+        end = data.draw(st.integers(start, min(start + 3, len(good))))
+        line = good[:start] + data.draw(st.binary(max_size=3)) + good[end:]
+        fuzz_file.write_bytes(good + b"\n" + line + b"\n")
+        try:
+            read = read_reports(str(fuzz_file))
+        except InputError:
+            return
+        assert read[0] == many_pair_report()
     def test_write_then_read(self, tmp_path):
         reports = [sample_report(), sample_report(instance_id="toy-0002", seed=3)]
         path = tmp_path / "reports.jsonl"
