@@ -208,9 +208,14 @@ def top_k_baseline(scores: Sequence[float], k: int) -> tuple[int, ...]:
     """Indices of the k largest scores in rank order: score descending,
     ties to the lower index.
 
-    k larger than the score count is clamped.
+    k larger than the score count is clamped. A k that is not a
+    non-negative integer, or a score that is not finite, raises InputError.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InputError(f"k must be an integer, not {type(k).__name__}")
     if k < 0:
         raise InputError("k must be non-negative")
+    if not np.isfinite(scores).all():
+        raise InputError("top-k scores must be finite")
     order = sorted(range(len(scores)), key=lambda i: (-float(scores[i]), i))
     return tuple(order[:k])

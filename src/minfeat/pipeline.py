@@ -331,7 +331,7 @@ class _Pairs(NamedTuple):
     @property
     def width(self) -> int:
         """P_max, the longest record's pair count."""
-        return int(self.sizes.max())
+        return int(self.sizes.max(initial=0))
 
     def spans(self) -> list[slice]:
         """Each record's slice of the concatenated pairs."""
@@ -373,7 +373,9 @@ def _assemble(
     """Retain the pairs kept in at least epsilon of each record's candidate sets.
 
     excluded is the group's (R, K, P_max) exclusion stack, False right of
-    each record's P_r pairs, and u2_prime its (R, K) perturbed bounds.
+    each record's P_r pairs, and u2_prime its (R, K) perturbed bounds. A
+    record without positive pairs gets the degenerate result: no pairs,
+    no iterations and zero bounds.
     """
     n_rows = excluded.shape[1]
     # count / n_rows divides two exact doubles, so each share is the
@@ -381,6 +383,9 @@ def _assemble(
     shares = (n_rows - excluded.sum(axis=1)) / n_rows
     results = []
     for r, (pm, size, u1_r, u2_r) in enumerate(zip(maps, pairs.sizes.tolist(), u1.tolist(), u2.tolist())):
+        if not size:
+            results.append(MinimalFeatureSet((), (), 0.0, 0.0, np.zeros((0, 0), dtype=bool), np.zeros(0), pm))
+            continue
         own = shares[r, :size].tolist()
         kept = [c for c, share in enumerate(own) if share >= config.epsilon]
         results.append(
@@ -397,52 +402,43 @@ def _assemble(
     return results
 
 
-def _degenerate(pair_map: PairScoreMap) -> MinimalFeatureSet:
-    """The empty result of an instance without positive pairs."""
-    return MinimalFeatureSet((), (), 0.0, 0.0, np.zeros((0, 0), dtype=bool), np.zeros(0), pair_map)
-
-
 def group_slices(pair_maps: Sequence[PairScoreMap], n_rows: int) -> list[slice]:
     """Consecutive slices of pair_maps that cover them in order, each one
     group of refine's (n_rows = n_iter) or cidr_without_refinement's
     (n_rows = 1).
 
-    The maps with positive pairs in a slice span at most GROUP_CELLS
-    cells of n_rows x their longest pair list per record; a record beyond
-    that alone forms its own slice. Maps without positive pairs join the
-    slice they fall in. Called on one slice, the function returns it
-    whole, so refine on a slice is one group.
+    The maps of a slice span at most GROUP_CELLS cells of n_rows x their
+    longest pair list per map, maps without positive pairs counted too;
+    a map beyond that alone forms its own slice. Called on one slice, the
+    function returns it whole, so refine on a slice is one group.
     """
     starts: list[int] = []
     count = width = 0
     for index, pm in enumerate(pair_maps):
         size = len(pm.positive_pairs)
-        if not size:
-            continue
         if count and (count + 1) * n_rows * max(width, size) <= GROUP_CELLS:
             count, width = count + 1, max(width, size)
         else:
             starts.append(index)
             count, width = 1, size
-    bounds = [0] + starts[1:] + [len(pair_maps)]
-    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:]) if stop > start]
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [len(pair_maps)])]
 
 
 def _by_group(
-    pair_maps: Sequence[PairScoreMap],
-    config: CidrConfig,
-    n_rows: int,
-    solve: Callable[[Sequence[PairScoreMap], CidrConfig], list[MinimalFeatureSet]],
+    pair_maps: Sequence[PairScoreMap], config: CidrConfig, n_rows: int, exclude: Callable[..., tuple]
 ) -> list[MinimalFeatureSet]:
-    """solve on the maps with positive pairs of each of group_slices'
-    slices; maps without positive pairs get the degenerate result. One
-    result per map, in order."""
+    """One result per map, in order, built group by group over the slices
+    of group_slices: every map of a slice goes through the shared steps,
+    its positive pairs, its u1 and the assembly, around the exclusion
+    step exclude(maps, pairs, u1, config), which returns (u2, u2',
+    excluded) for the group's n_rows iterations."""
     results: list[MinimalFeatureSet] = []
     for part in group_slices(pair_maps, n_rows):
         maps = pair_maps[part]
-        tabled = [pm for pm in maps if pm.positive_pairs]
-        solved = iter(solve(tabled, config) if tabled else ())
-        results.extend(next(solved) if pm.positive_pairs else _degenerate(pm) for pm in maps)
+        pairs = _Pairs.of(maps)
+        u1 = _upper_bounds_u1([pm.ig for pm in maps])
+        u2, u2_prime, excluded = exclude(maps, pairs, u1, config)
+        results.extend(_assemble(config, maps, pairs, u1, u2, u2_prime, excluded))
     return results
 
 
@@ -466,20 +462,15 @@ def refine(pair_maps: Sequence[PairScoreMap], config: CidrConfig) -> list[Minima
     array work is done once for all its records: one
     sample_perturbations call over their concatenated pairs, every u2
     and u2' from one cumsum, and one quantize call that builds one
-    KnapsackBatch per record of the iterations whose solver capacity is
-    positive, with the record's integer weights shared. solve_dp solves
-    each record's batch in one shared DP table, and its selections fill
-    those iterations' rows of the record's (n_iter, P) exclusion matrix.
+    KnapsackBatch per record of all its iterations, with the record's
+    integer weights shared and its solver capacities clamped at 0.
+    solve_dp solves each record's batch in one shared DP table, so one
+    call per record, and its selections are the rows of the record's
+    (n_iter, P) exclusion matrix; a row of capacity 0 excludes nothing.
+    A record without positive pairs gets an empty batch and the
+    degenerate result.
     """
-    return _by_group(pair_maps, config, config.n_iter, _refine_group)
-
-
-def _refine_group(maps: Sequence[PairScoreMap], config: CidrConfig) -> list[MinimalFeatureSet]:
-    """refine on records that all have positive pairs."""
-    pairs = _Pairs.of(maps)
-    u1 = _upper_bounds_u1([pm.ig for pm in maps])
-    u2, u2_prime, excluded = _iterate(maps, pairs, u1, config)
-    return _assemble(config, maps, pairs, u1, u2, u2_prime, excluded)
+    return _by_group(pair_maps, config, config.n_iter, _iterate)
 
 
 def _iterate(
@@ -491,21 +482,15 @@ def _iterate(
     u2, u2_prime = _bounds(maps, pairs, draws)
     # round-to-nearest can shave up to half a unit off each item's weight
     margins = pairs.sizes * 10.0 ** (-config.q) / 2.0
-    solver_capacities = u1[:, np.newaxis] + u2_prime - margins[:, np.newaxis]
-    solved = [np.flatnonzero(row) for row in solver_capacities > 0.0]
-    tabled = [r for r, rows in enumerate(solved) if rows.size]
+    solver_capacities = np.maximum(u1[:, np.newaxis] + u2_prime - margins[:, np.newaxis], 0.0)
     spans = pairs.spans()
+    batches = quantize(
+        [pairs.weights[span] for span in spans], [draws[:, span] for span in spans], solver_capacities, config.q
+    )
     excluded = np.zeros((len(maps), config.n_iter, pairs.width), dtype=bool)
-    if tabled:
-        batches = quantize(
-            [pairs.weights[spans[r]] for r in tabled],
-            [draws[solved[r], spans[r]] for r in tabled],
-            [solver_capacities[r, solved[r]] for r in tabled],
-            config.q,
-        )
-        # The items are the pairs' columns, so each selection row is an exclusion row.
-        for r, batch in zip(tabled, batches):
-            excluded[r, solved[r], : len(batch.weights)] = solve_dp(batch)
+    # The items are the pairs' columns, so each selection row is an exclusion row.
+    for r, batch in enumerate(batches):
+        excluded[r, :, : len(batch.weights)] = solve_dp(batch)
     return u2, u2_prime, excluded
 
 
@@ -520,13 +505,13 @@ def cidr_without_refinement(pair_maps: Sequence[PairScoreMap], config: CidrConfi
     return _by_group(pair_maps, config, 1, _exclude_greedily)
 
 
-def _exclude_greedily(maps: Sequence[PairScoreMap], config: CidrConfig) -> list[MinimalFeatureSet]:
-    """cidr_without_refinement on records that all have positive pairs."""
-    pairs = _Pairs.of(maps)
-    u1 = _upper_bounds_u1([pm.ig for pm in maps])
+def _exclude_greedily(
+    maps: Sequence[PairScoreMap], pairs: _Pairs, u1: np.ndarray, config: CidrConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u2, u2', excluded) of a group's one greedy iteration, u2' being u2."""
     u2, _ = _bounds(maps, pairs, np.empty((0, len(pairs.weights))))
     excluded = np.zeros((len(maps), 1, pairs.width), dtype=bool)
     for r, (span, bound) in enumerate(zip(pairs.spans(), (u1 + u2).tolist())):
         # Positions as items: their ascending order is the pairs' tie-break order.
         excluded[r, 0, list(solve_greedy(pairs.weights[span].tolist(), bound))] = True
-    return _assemble(config, maps, pairs, u1, u2, u2[:, np.newaxis], excluded)
+    return u2, u2[:, np.newaxis], excluded

@@ -11,6 +11,7 @@ bytes and every file round-trips losslessly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -99,7 +100,7 @@ def _field(raw: Mapping[str, Any], name: str, convert: Callable[[Any], Any]) -> 
         raise InputError(f"report record missing field {name!r}")
     try:
         return convert(raw[name])
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"report field {name!r} is malformed: {exc!r}") from exc
 
 
@@ -125,7 +126,11 @@ _list = _typed("a list", lambda v: isinstance(v, (list, tuple)))
 
 
 def _float(value: Any) -> float:
-    return float(_number(value))
+    # json.loads reads NaN, Infinity and -Infinity, which no report holds.
+    number = float(_number(value))
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {number}")
+    return number
 
 
 def _tuple_of(read: Callable[[Any], Any]) -> Callable[[Any], tuple]:

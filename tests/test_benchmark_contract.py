@@ -73,21 +73,22 @@ def test_refine_counts_match_the_exact_count_gate(tracer, toy_model, toy_instanc
     # read positional arguments, so a changed call shape would break them.
     # refine samples every iteration of every record in its batch in one
     # call, so the pair count is the batch's total positive pairs, not
-    # n_iter times it; solve_dp counts each record's pairs once per solve.
+    # n_iter times it. Every record is solved once, a record with no
+    # positive solver capacity too, so solve_dp counts every sampled pair.
     config = pipeline.CidrConfig(n_iter=3, steps=12)
-    pair_maps = [predicted_pair_map(toy_model, inst, config) for inst in toy_instances[:4]]
+    scored = [predicted_pair_map(toy_model, inst, config) for inst in toy_instances[:6]]
+    pair_maps = scored + [pm.with_beta(0.0) for pm in scored]
     with tracer.Tracer("contract") as trace:
         results = pipeline.refine(pair_maps, config)
     sizes = [len(mfs.pair_scores.positive_pairs) for mfs in results]
-    # A record is solved when one of its solver capacities is positive.
     margins = [size * 10.0 ** (-config.q) / 2.0 for size in sizes]
-    solved = [
-        size for size, margin, mfs in zip(sizes, margins, results) if (mfs.capacities - margin > 0.0).any()
+    unsolvable = [
+        mfs for margin, mfs in zip(margins, results) if mfs.pair_scores.beta == 0.0 and (mfs.capacities <= margin).all()
     ]
     solves = sum(1 for span in trace.spans if span.name == "knapsack.solve_dp")
-    assert len(solved) > 1 and solves == len(solved)
+    assert unsolvable and solves == len(pair_maps)
     assert trace.counts["pipeline.sample_perturbations.pairs"] == sum(sizes)
-    assert trace.counts["knapsack.solve_dp.items"] == sum(solved)
+    assert trace.counts["knapsack.solve_dp.items"] == sum(sizes)
 
 
 def test_solve_dp_counter_reads_quantized_instances(tracer):

@@ -344,6 +344,24 @@ class TestTopKBaseline:
         with pytest.raises(InputError):
             top_k_baseline([1.0], -1)
 
+    @pytest.mark.parametrize("k", [1.5, 1.0, "1", True, None])
+    def test_k_not_an_integer_rejected(self, k):
+        with pytest.raises(InputError, match="integer"):
+            top_k_baseline([0.3, 0.5], k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert top_k_baseline(np.array([0.3, 0.5]), np.int64(1)) == (1,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_non_finite_score_rejected(self, bad, position):
+        # A NaN would rank by where it sits: [0.3, nan, 0.5, 0.1] gave (0, 1)
+        # and [nan, 0.3, 0.5, 0.1] gave (0, 2) at k = 2.
+        scores = [0.3, 0.5, 0.1, 0.2]
+        scores[position] = bad
+        with pytest.raises(InputError, match="finite"):
+            top_k_baseline(scores, 2)
+
 
 class TestMetricsRow:
     def test_non_finite_rejected(self):

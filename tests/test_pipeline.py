@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import explained_class, make_random_instance, make_random_model, peak_bytes, predicted_pair_map
 from refine_oracle import refine_per_iteration, sample_iteration
 from minfeat import pipeline
-from minfeat.attribution import cooperative_integrated_gradients
+from minfeat.attribution import PairScoreMap, cooperative_integrated_gradients
 from minfeat.errors import ConfigError, InputError, InternalError
 from minfeat.model import instance_from_words
 from minfeat.pipeline import (
@@ -351,6 +351,20 @@ class TestRefine:
         assert (mfs.u1, mfs.u2) == (0.0, 0.0)
 
     @pytest.mark.parametrize("method", [refine, cidr_without_refinement])
+    def test_no_positive_pair_with_positive_words_is_degenerate(self, toy_model, toy_instances, method):
+        # Two positive words give u1 = 4, but negative leave-one-out terms
+        # leave no positive pair: the record rides its group's path, alone
+        # or next to a record with pairs, and still reports zero bounds.
+        lonely = PairScoreMap.from_components(np.array([1.0, 1.0]), np.array([[0.0, -2.5], [-2.5, 0.0]]), 0.5, 0)
+        assert lonely.positive_pairs == () and upper_bound_u1(lonely.ig) == 4.0
+        cfg = CidrConfig(n_iter=3, steps=12)
+        other = predicted_pair_map(toy_model, toy_instances[0], cfg)
+        for maps in ([lonely], [lonely, lonely], [other, lonely]):
+            mfs = method(maps, cfg)[-1]
+            assert mfs.degenerate and mfs.pairs == () and mfs.frequencies == ()
+            assert (mfs.u1, mfs.u2, mfs.excluded.shape, mfs.u2_prime.shape) == (0.0, 0.0, (0, 0), (0,))
+
+    @pytest.mark.parametrize("method", [refine, cidr_without_refinement])
     def test_precomputed_pair_map_needs_no_forward(self, toy_model, toy_instances, method, monkeypatch):
         # The map carries the class it was scored for, so a map scored for
         # the other class keeps that class, and scoring the pairs needs no
@@ -563,7 +577,8 @@ class TestBatchInvariance:
         parts = group_slices(mixed_pair_maps, n_rows)
         assert [k for part in parts for k in range(part.start, part.stop)] == list(range(len(mixed_pair_maps)))
         for part in parts:
-            sizes = [len(pm.positive_pairs) for pm in mixed_pair_maps[part] if pm.positive_pairs]
+            # Every map counts against the budget, one without positive pairs too.
+            sizes = [len(pm.positive_pairs) for pm in mixed_pair_maps[part]]
             assert len(sizes) == 1 or len(sizes) * n_rows * max(sizes) <= budget
             # A slice is one group: called on it, group_slices returns it whole.
             assert group_slices(mixed_pair_maps[part], n_rows) == [slice(0, part.stop - part.start)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
 import pytest
@@ -163,6 +164,33 @@ class TestRoundTrip:
         with pytest.raises(InputError) as err:
             report_from_line(line)
         assert cause in str(err.value)
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "field,path",
+        [
+            ("predicted_probability", ()),
+            ("u1", ()),
+            ("u2", ()),
+            ("comp", ()),
+            ("lo", ()),
+            ("fms", ()),
+            ("ig", (1,)),
+            ("u2_prime", (0,)),
+            ("positive_pairs", (0, "cig")),
+            ("mfs_pairs", (0, "frequency")),
+        ],
+    )
+    def test_non_finite_float_named(self, field, path, value):
+        # json.loads reads the NaN, Infinity and -Infinity tokens json.dumps writes.
+        raw = json.loads(report_to_line(sample_report()))
+        slot, key = raw, field
+        for step in path:
+            slot, key = slot[key], step
+        slot[key] = value
+        with pytest.raises(InputError, match=f"{field}.*finite"):
+            report_from_line(json.dumps(raw))
 
 
 def asdict_form(report: ExplanationReport) -> dict:
